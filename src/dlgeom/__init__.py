@@ -9,8 +9,8 @@ measurements of the constructed geometry.
 
 from .lorentz import (CausalCharacter, Vec3L, causal_character, det3, lorentz_cross,
                       lorentz_dot, lorentz_norm)
-from .dual import (DualAngle, DualScalar, DualVec3, dual_add, dual_angle_between, dual_div,
-                   dual_lift, dual_lorentz_cross, dual_lorentz_dot, dual_mul, dual_norm)
+from .dual import (DualAngle, DualScalar, DualVec3, dual_angle_between, dual_lift,
+                   dual_lorentz_cross, dual_lorentz_dot, dual_norm)
 from .lines import OrientedLine, PluckerPair, dual_to_line, line_to_dual
 from .numerics import (NumericsConfig, FrameState, cumulative_integrate, differentiate,
                        integrate, lorentz_gram_schmidt, rk4_frame_step)
@@ -26,8 +26,8 @@ from . import catalog
 __all__ = [
     "CausalCharacter", "Vec3L", "causal_character", "det3", "lorentz_cross",
     "lorentz_dot", "lorentz_norm",
-    "DualAngle", "DualScalar", "DualVec3", "dual_add", "dual_angle_between", "dual_div",
-    "dual_lift", "dual_lorentz_cross", "dual_lorentz_dot", "dual_mul", "dual_norm",
+    "DualAngle", "DualScalar", "DualVec3", "dual_angle_between", "dual_lift",
+    "dual_lorentz_cross", "dual_lorentz_dot", "dual_norm",
     "OrientedLine", "PluckerPair", "dual_to_line", "line_to_dual",
     "NumericsConfig", "FrameState", "cumulative_integrate", "differentiate",
     "integrate", "lorentz_gram_schmidt", "rk4_frame_step",

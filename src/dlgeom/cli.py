@@ -31,9 +31,8 @@ from .errors import (DegenerateIndicatrix, DegenerateOffset, FrameDegeneracy, Ge
 from .lorentz import Vec3L
 from .numerics import CENTRAL_FD, DUAL_AD, SIMPSON, TRAPEZOID, NumericsConfig
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
-                    arclength_reparametrize, darboux_frame, dual_curvature_elements,
-                    reconstruct_from_invariants, striction_curve, timelike_invariants,
-                    timelike_radius)
+                    darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
+                    striction_curve, timelike_invariants, timelike_radius)
 from .mannheim import MannheimParams, construct_offset, offset_angles, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
@@ -199,12 +198,9 @@ def _frame_table(spec, cfg):
     """Frame samples plus the kind-appropriate dual radius per sample."""
     if spec.kind == TIMELIKE_SURFACE:
         frames = timelike_invariants(spec, cfg)
-        radii = [timelike_radius(f.gamma_dual).radius for f in frames]
-    else:
-        spec = arclength_reparametrize(spec, cfg)
-        frames = darboux_frame(spec, cfg)
-        radii = [dual_curvature_elements(f).R_dual for f in frames]
-    return frames, radii
+        return frames, [timelike_radius(f.gamma_dual).radius for f in frames]
+    frames = darboux_frame(spec, cfg)
+    return frames, [dual_curvature_elements(f).R_dual for f in frames]
 
 
 def cmd_frames(args) -> int:
@@ -318,8 +314,6 @@ def cmd_mesh(args) -> int:
     _require(v_min < v_max, f"mesh needs v_min < v_max, got [{v_min}, {v_max}]")
     _require(args.v_samples >= 2, "mesh needs v_samples >= 2")
 
-    if spec.kind == SPACELIKE_SURFACE:
-        spec = arclength_reparametrize(spec, cfg)
     meshes = [("base", striction_curve(spec, cfg), spec.indicatrix)]
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
@@ -330,25 +324,25 @@ def cmd_mesh(args) -> int:
         off = construct_offset(spec, frames, angles, cfg)
         meshes.append(("offset", striction_curve(off, cfg), off.indicatrix))
 
-    s_grid = [float(s) for s in spec.grid()]
+    u_grid = [float(u) for u in spec.grid()]
     v_grid = [float(v) for v in np.linspace(v_min, v_max, args.v_samples)]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# dlgeom ruled surface mesh: {spec.name}\n")
         base_index = 1
         for name, c_curve, e_curve in meshes:
             fh.write(f"o {name}\n")
-            for s in s_grid:
-                c = c_curve(s)
-                e = e_curve(s)
+            for u in u_grid:
+                c = c_curve(u)
+                e = e_curve(u)
                 for v in v_grid:
                     p = c + v * e
                     fh.write(f"v {p.x1:.9g} {p.x2:.9g} {p.x3:.9g}\n")
             nv = len(v_grid)
-            for i in range(len(s_grid) - 1):
+            for i in range(len(u_grid) - 1):
                 for j in range(nv - 1):
                     k = base_index + i * nv + j
                     fh.write(f"f {k} {k + 1} {k + nv + 1} {k + nv}\n")
-            base_index += len(s_grid) * nv
+            base_index += len(u_grid) * nv
     return EXIT_OK
 
 
@@ -418,11 +412,12 @@ def cmd_reconstruct(args) -> int:
                 f.s, *f.e, *f.t, *f.g, f.gamma, f.delta, f.Delta, f.s_star,
                 f.gamma_dual.re, f.gamma_dual.du, R.re, R.du, *f.striction_point)])
 
+    # the reconstruction's parameter is the profile's arc length by construction
     residuals = {"gamma": [], "delta": [], "Delta": []}
-    for f in frames:
-        residuals["gamma"].append(abs(f.gamma - profile.gamma(f.s)))
-        residuals["delta"].append(abs(f.delta - profile.delta(f.s)))
-        residuals["Delta"].append(abs(f.Delta - profile.Delta(f.s)))
+    for s, f in zip(map(float, grid), frames):
+        residuals["gamma"].append(abs(f.gamma - profile.gamma(s)))
+        residuals["delta"].append(abs(f.delta - profile.delta(s)))
+        residuals["Delta"].append(abs(f.Delta - profile.Delta(s)))
     payload = {
         "max": {k: max(v) for k, v in residuals.items()},
         "mean": {k: sum(v) / len(v) for k, v in residuals.items()},

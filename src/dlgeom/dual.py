@@ -122,20 +122,6 @@ def leading_real(x):
     return x
 
 
-def dual_add(x: DualScalar, y: DualScalar) -> DualScalar:
-    return x + y
-
-
-def dual_mul(x: DualScalar, y: DualScalar) -> DualScalar:
-    """(a, a*)(b, b*) = (ab, ab* + a*b)."""
-    return x * y
-
-
-def dual_div(x: DualScalar, y: DualScalar) -> DualScalar:
-    """(a, a*)/(b, b*) = (a/b, (a*b - ab*)/b^2); requires invertible y."""
-    return x / y
-
-
 # ---------------------------------------------------------------------------
 # analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x)
 

@@ -2,7 +2,7 @@
 
 Two ruled surfaces are Mannheim offsets when the g-axis of the base
 surface's dual Darboux frame coincides with the t-axis of the offset's
-frame.  For a spacelike base this forces
+frame.  For a spacelike base this forces, per unit arc length s,
 
     theta(s)  = -s + c,          theta*(s) = -int_0^s Delta + c*,
     e1 = sinh(theta)*e + cosh(theta)*t,     c1 = c + theta* * g,
@@ -15,6 +15,9 @@ invariants have closed forms in (gamma, delta, Delta, theta, theta*):
     delta1 = (delta/gamma) tanh(theta) - theta*        gamma1 = -tanh(theta)
     gamma1_dual = -tanh(theta_dual)   R1_dual = cosh(theta_dual)
 
+The offset is built in the base spec's own parameter u, with
+theta(u) = c - s(u) and theta*(u) = c* - s*(u) continued between the grid
+nodes by their exact u-rates, so no arc-length reparametrization is needed.
 :func:`verify_offset` builds the offset, re-measures those invariants from
 the constructed geometry alone, and reports residuals against the closed
 forms, which makes every relation above an executable check.
@@ -29,14 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from . import dual
-from .dual import DualAngle, DualScalar
+from .dual import DualAngle, DualScalar, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
-from .lorentz import lorentz_cross
+from .lorentz import lorentz_cross, lorentz_dot
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
-from .ruled import (TIMELIKE_SURFACE, FrameSample, RuledSurfaceSpec, arclength_reparametrize,
-                    darboux_frame, distribution_closure, speed_closure, striction_jet,
-                    timelike_invariants, timelike_radius, _signed_integral,
-                    _CONSTRUCTION_CFG)
+from .ruled import (TIMELIKE_SURFACE, FrameSample, RuledSurfaceSpec, darboux_frame,
+                    distribution_closure, speed_closure, striction_jet, timelike_invariants,
+                    timelike_radius, _signed_integral, _CONSTRUCTION_CFG)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -131,49 +133,49 @@ def offset_angles(frames: Sequence[FrameSample], params: MannheimParams) -> list
     return [OffsetAngle(f.s, params.c - f.s, params.c_star - f.s_star) for f in frames]
 
 
-class _OffsetDistance:
-    """theta*(u) = c* - int_0^u Delta as a dual-capable function.
+class _GridAntiderivative:
+    """F(u) from values tabulated on a grid and the exact rate F' = ``rate``.
 
-    Real evaluations reuse the frame grid's accumulated values (nearest
-    node plus a local quadrature correction); dual evaluations use the
-    exact rate theta*' = -Delta.
+    Real evaluations start from the nearest node's value and add a local
+    quadrature correction; dual evaluations carry the rate in the dual
+    slot.  A caller already holding the rate at ``u.re`` may pass it, and
+    its real part then serves the next nesting level.
     """
 
-    def __init__(self, Delta_fn, grid, theta_star_at_grid, cfg: NumericsConfig):
-        self.Delta_fn = Delta_fn
+    def __init__(self, rate, grid, values, cfg: NumericsConfig):
+        self.rate = rate
         self.grid = np.asarray(grid, dtype=float)
-        self.values = np.asarray(theta_star_at_grid, dtype=float)
+        self.values = np.asarray(values, dtype=float)
         self.cfg = cfg
 
-    def __call__(self, u):
+    def __call__(self, u, rate=None):
         if isinstance(u, DualScalar):
-            return DualScalar(self(u.re), -(u.du * self.Delta_fn(u.re)))
+            if rate is None:
+                rate = self.rate(u.re)
+            return DualScalar(self(u.re, re_part(rate)), u.du * rate)
         j = int(np.searchsorted(self.grid, u))
         j = min(max(j, 1), len(self.grid) - 1)
         i = j - 1 if abs(u - self.grid[j - 1]) <= abs(u - self.grid[j]) else j
         node = float(self.grid[i])
         out = float(self.values[i])
         if u != node:
-            out = out - _signed_integral(self.Delta_fn, node, u, self.cfg)
+            out = out + _signed_integral(self.rate, node, u, self.cfg)
         return out
 
 
 def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
-                     angles: Sequence[OffsetAngle], cfg: NumericsConfig = DEFAULT_CONFIG,
-                     striction_offset_along: str = "g") -> RuledSurfaceSpec:
-    """Build the Mannheim offset surface of an arc-length spacelike base.
+                     angles: Sequence[OffsetAngle],
+                     cfg: NumericsConfig = DEFAULT_CONFIG) -> RuledSurfaceSpec:
+    """Build the Mannheim offset surface of a spacelike base, in the base's parameter.
 
     The ruling is rotated into the timelike direction
     ``e1 = sinh(theta)*e + cosh(theta)*t`` and the striction line shifted
-    by theta* along g.  ``striction_offset_along="t"`` selects the shift
-    along t instead, which violates the dual half of the Mannheim
-    condition and exists only to demonstrate that failure.
+    by theta* along g.  theta(u) = c - s(u) and theta*(u) = c* - s*(u) take
+    the angles' values at the grid nodes and the rates -ds/du and
+    -Delta*ds/du in between.
     """
-    if len(frames) != len(angles):
-        raise ValueError("frames and angles must share a grid")
-    if striction_offset_along not in ("g", "t"):
-        raise ValueError(f"striction offset must go along 'g' or 't', "
-                         f"got {striction_offset_along!r}")
+    if not len(frames) == len(angles) == base.samples:
+        raise ValueError("frames and angles must sample the base grid")
     c_const = angles[0].theta + angles[0].s
     for f, a in zip(frames, angles):
         if abs(f.s - a.s) > 1e-12 or abs(a.theta - (c_const - a.s)) > 1e-9:
@@ -184,20 +186,24 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
 
     ind = base.indicatrix
     base_jet = striction_jet(base, cfg)
-    theta_star = _OffsetDistance(distribution_closure(base, cfg), [f.s for f in frames],
-                                 [a.theta_star for a in angles], cfg)
-    along_g = striction_offset_along == "g"
+    speed = speed_closure(base, _CONSTRUCTION_CFG)
+    Delta_rate = distribution_closure(base, cfg)
+    grid = base.grid()
+    theta = _GridAntiderivative(lambda u: -speed(u), grid, [a.theta for a in angles], cfg)
+    theta_star = _GridAntiderivative(lambda u: -Delta_rate(u), grid,
+                                     [a.theta_star for a in angles], cfg)
 
     def offset_indicatrix(u):
         # construction-side derivative: exact dual evaluation, mode-independent
         e, ep = value_and_derivative(ind, u, _CONSTRUCTION_CFG)
-        th = c_const - u
-        return dual.sinh(th) * e + dual.cosh(th) * ep
+        v = dual.sqrt(-lorentz_dot(ep, ep))
+        th = theta(u, -re_part(v))
+        return dual.sinh(th) * e + (dual.cosh(th) / v) * ep
 
     def offset_striction(u):
         c, e, ep = base_jet(u)
-        shift = -lorentz_cross(e, ep) if along_g else ep
-        return c + theta_star(u) * shift
+        g = -lorentz_cross(e, ep) / dual.sqrt(-lorentz_dot(ep, ep))
+        return c + theta_star(u) * g
 
     return RuledSurfaceSpec(
         indicatrix=offset_indicatrix,
@@ -237,28 +243,29 @@ def mannheim_condition_residual(base_frame: FrameSample, offset_frame: FrameSamp
 
 
 def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
-                  cfg: NumericsConfig = DEFAULT_CONFIG,
-                  striction_offset_along: str = "g") -> OffsetReport:
+                  cfg: NumericsConfig = DEFAULT_CONFIG) -> OffsetReport:
     """Construct the offset and compare measured invariants to closed forms.
 
-    The measured side re-derives every invariant from the constructed
-    curves alone (timelike measurement pipeline); the predicted side
-    evaluates the closed forms.  Per-sample residuals, their maxima and
-    means, and developability verdicts are returned; ``passed`` means all
-    maxima sit below the configured theorem tolerance.
+    The base may be in any regular parametrization.  The measured side
+    re-derives every invariant from the constructed curves alone (timelike
+    measurement pipeline), with ds1/ds as the offset speed over the base
+    speed; the predicted side evaluates the closed forms.  Per-sample
+    residuals, their maxima and means, and developability verdicts are
+    returned; ``passed`` means all maxima sit below the configured theorem
+    tolerance.
     """
-    base = arclength_reparametrize(base, cfg)
     frames = darboux_frame(base, cfg)
     angles = offset_angles(frames, params)
-    offset = construct_offset(base, frames, angles, cfg, striction_offset_along)
+    offset = construct_offset(base, frames, angles, cfg)
     measured_frames = timelike_invariants(offset, cfg)
-    speed = speed_closure(offset, cfg)
+    base_speed = speed_closure(base, cfg)
+    offset_speed = speed_closure(offset, cfg)
 
     rows = []
-    for f, a, m in zip(frames, angles, measured_frames):
+    for u, f, a, m in zip(map(float, base.grid()), frames, angles, measured_frames):
         pred = predicted_invariants(f.gamma, f.delta, f.Delta, a)
         meas = InvariantRecord(
-            ds1_ds=speed(f.s),
+            ds1_ds=offset_speed(u) / base_speed(u),
             Delta1=m.Delta,
             delta1=m.delta,
             gamma1=m.gamma,
@@ -303,9 +310,9 @@ def developability_check(frames: Sequence[FrameSample], angles: Sequence[OffsetA
     skipping samples where theta is too small for coth (recorded, not
     fatal).
     """
-    base_developable = max(abs(f.Delta) for f in frames) <= tol
+    base_developable = bool(max(abs(f.Delta) for f in frames) <= tol)
     spread = max(a.theta_star for a in angles) - min(a.theta_star for a in angles)
-    theta_star_constant = spread <= tol * max(1.0, frames[-1].s - frames[0].s)
+    theta_star_constant = bool(spread <= tol * max(1.0, frames[-1].s - frames[0].s))
 
     locus = [m_s for m_s, m in zip((f.s for f in frames), measured_frames)
              if abs(m.Delta) <= tol]

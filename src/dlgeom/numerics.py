@@ -9,7 +9,6 @@ available as an independent cross-check mode.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,6 @@ class NumericsConfig:
     derivative_mode: str = DUAL_AD
     fd_step: float = 1e-4
     ode_steps_per_unit: int = 1000
-    tolerance_construction: float = 1e-9
     tolerance_theorem: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -65,9 +63,8 @@ def _assert_finite(v, where: str) -> None:
     if isinstance(v, DualScalar):
         _assert_finite(v.re, where)
         _assert_finite(v.du, where)
-    elif isinstance(v, numbers.Real):
-        if not math.isfinite(v):
-            raise NonFinite(f"non-finite value in {where}: {v!r}")
+    elif not np.all(np.isfinite(v)):
+        raise NonFinite(f"non-finite value in {where}: {v!r}")
 
 
 def integrate(f, a: float, b: float, cfg: NumericsConfig = DEFAULT_CONFIG):
@@ -102,24 +99,22 @@ def integrate(f, a: float, b: float, cfg: NumericsConfig = DEFAULT_CONFIG):
 def cumulative_integrate(f, grid: np.ndarray, cfg: NumericsConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Antiderivative values F(grid[i]) - F(grid[0]) on an increasing grid.
 
-    Simpson mode takes one midpoint sample per interval, so each panel is
-    exact through cubics; the nodes are shared with the caller's samples.
+    Every node is evaluated once; Simpson mode adds one midpoint sample per
+    interval, so each panel is exact through cubics.  ``f`` may return a
+    float or a fixed-length float array, integrated componentwise (the
+    result then has one row per node).
     """
     grid = np.asarray(grid, dtype=float)
-    out = np.zeros(len(grid))
-    acc = 0.0
-    for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        h = b - a
-        fa, fb = f(a), f(b)
-        if cfg.quadrature == TRAPEZOID:
-            piece = 0.5 * h * (fa + fb)
-        else:
-            piece = h / 6.0 * (fa + 4.0 * f(0.5 * (a + b)) + fb)
-        _assert_finite(piece, "cumulative_integrate")
-        acc += piece
-        out[i + 1] = acc
-    return out
+    nodes = np.array([f(float(u)) for u in grid], dtype=float)
+    h = np.diff(grid).reshape((-1,) + (1,) * (nodes.ndim - 1))
+    if cfg.quadrature == TRAPEZOID:
+        pieces = 0.5 * h * (nodes[:-1] + nodes[1:])
+    else:
+        mids = np.array([f(float(u)) for u in 0.5 * (grid[:-1] + grid[1:])],
+                        dtype=float).reshape(nodes[1:].shape)
+        pieces = h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:])
+    _assert_finite(pieces, "cumulative_integrate")
+    return np.concatenate([np.zeros_like(nodes[:1]), np.cumsum(pieces, axis=0)])
 
 
 def differentiate(curve, u, cfg: NumericsConfig = DEFAULT_CONFIG) -> Vec3L:

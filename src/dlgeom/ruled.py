@@ -1,20 +1,24 @@
 """Ruled surfaces as dual spherical curves: frames, invariants, reconstruction.
 
 A spacelike ruled surface ``phi(s, v) = c(s) + v*e(s)`` is carried by the
-dual curve ``e + eps*(c x e)``.  On an arc-length grid the moving frame
-{e, t, g} with t = e', g = -e x t obeys
+dual curve ``e + eps*(c x e)``.  Per unit arc length s of the indicatrix
+the moving frame {e, t, g} with t = de/ds, g = -e x t obeys
 
     e' = t,   t' = e + gamma*g,   g' = gamma*t,
 
 and the surface is pinned up to placement by the invariant functions
 gamma (conical curvature), delta = <c', e> and Delta = det(c', e, t) (the
-distribution parameter; zero exactly for developable surfaces).  The same
-measurement pipeline exists for timelike surfaces with timelike rulings,
-which is what Mannheim offsetting produces.
+distribution parameter; zero exactly for developable surfaces).  Surfaces
+with timelike rulings, which Mannheim offsetting produces, share the same
+measurement with the opposite causal characters.
 
-Curve closures are duck-typed over dual scalars throughout, so every
-derivative taken here is exact forward differentiation (finite differences
-remain available through the numerics config).
+Frames are measured in the spec's own parameter u, whatever it is: every
+u-derivative is divided by the indicatrix speed v = ds/du (exact chain
+rule), and s and the accumulated distribution parameter s* come from
+quadrature of their u-rates, so no reparametrization is needed.  Curve
+closures are duck-typed over dual scalars throughout, so every derivative
+taken here is exact forward differentiation (finite differences remain
+available through the numerics config).
 """
 
 from __future__ import annotations
@@ -81,9 +85,9 @@ class RuledSurfaceSpec:
 class FrameSample:
     """Frame and invariants of one ruling.
 
-    ``s`` is the indicatrix arc length, ``s_star`` the dual slot of the
-    dual arc length (the accumulated distribution parameter, anchored at
-    parameter 0).  ``gamma_dual`` packs the dual conical curvature.
+    ``s`` is the indicatrix arc length and ``s_star`` the dual slot of the
+    dual arc length (the accumulated distribution parameter), both anchored
+    at parameter 0.  ``gamma_dual`` packs the dual conical curvature.
     """
 
     s: float
@@ -209,32 +213,51 @@ def striction_curve(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG
     return c
 
 
-def distribution_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """Distribution parameter Delta(u) = det(c', e, e') as a dual-capable closure.
+def _arc_rates(jet, sign: float, u):
+    """(ds/du, Delta*ds/du) at u from one exact jet evaluation.
 
-    Assumes an arc-length spec, where e' is the unit frame tangent.
+    ds/du = |e'| is the indicatrix speed and Delta*ds/du = det(c', e, e')/|e'|
+    the u-rate of the accumulated distribution parameter; ``sign`` is the
+    ruling sign, which fixes the causal character e' must have.
+    """
+    c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
+    cp = DualVec3.from_components(c_d).du
+    e = DualVec3.from_components(e_d).re
+    ep = DualVec3.from_components(ep_d).re
+    q = -sign * lorentz_dot(ep, ep)
+    if leading_real(q) <= 0.0:
+        raise FrameDegeneracy(
+            f"indicatrix tangent has the wrong causal character near u={leading_real(u)}")
+    v = dual.sqrt(q)
+    return v, det3(cp, e, ep) / v
+
+
+def distribution_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
+    """u-rate Delta*ds/du of the accumulated distribution parameter, dual-capable.
+
+    On an arc-length spec this is the distribution parameter itself.
     """
     jet = striction_jet(spec, cfg)
+    sign = spec.ruling_sign()
 
-    def Delta(u):
-        c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
-        cp = DualVec3.from_components(c_d).du
-        e = DualVec3.from_components(e_d).re
-        ep = DualVec3.from_components(ep_d).re
-        return det3(cp, e, ep)
+    def rate(u):
+        return _arc_rates(jet, sign, u)[1]
 
-    return Delta
+    return rate
 
 
 def arclength_reparametrize(spec: RuledSurfaceSpec,
                             cfg: NumericsConfig = DEFAULT_CONFIG) -> RuledSurfaceSpec:
     """Re-parametrize so the indicatrix moves at unit speed.
 
-    Arc length is anchored at parameter 0.  The inverse map is solved by a
-    dense cumulative table plus Newton refinement, and its derivative comes
-    from the inverse-function rule 1/|e'|, so reparametrized curves stay
-    exactly differentiable over dual scalars.  Specs already at unit speed
-    are returned unchanged.
+    Frame measurement does not need this (it works in any parametrization);
+    it is for callers that want unit-speed curves.  Arc length is anchored
+    at parameter 0.  The inverse map is solved by a dense cumulative table
+    plus Newton refinement, and its derivative comes from the
+    inverse-function rule 1/|e'|, so reparametrized curves stay exactly
+    differentiable over dual scalars.  Specs already at unit speed are
+    returned unchanged.  Raises GeometryError if Newton stalls or if the
+    arc length of u(s) misses s by more than 1e-8 on the output grid.
     """
     v = speed_closure(spec, _CONSTRUCTION_CFG)
     grid = spec.grid()
@@ -254,14 +277,14 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
         i = int(np.searchsorted(table, sb))
         i = min(max(i, 1), n_dense)
         w = (sb - table[i - 1]) / (table[i] - table[i - 1])
-        u = dense[i - 1] + w * (dense[i] - dense[i - 1])
+        u = float(dense[i - 1] + w * (dense[i] - dense[i - 1]))
         for _ in range(8):
-            s_here = table[i - 1] + _signed_integral(v, float(dense[i - 1]), float(u), cfg)
-            step = (s_here - sb) / v(u)
+            s_here = table[i - 1] + _signed_integral(v, float(dense[i - 1]), u, cfg)
+            step = float((s_here - sb) / v(u))
             u = u - step
             if abs(step) <= 1e-14 * max(1.0, abs(u)):
-                break
-        return u
+                return u
+        raise GeometryError(f"reparametrization: Newton stalled at s={sb} (last step {step:.3e})")
 
     out = RuledSurfaceSpec(
         indicatrix=lambda sb: spec.indicatrix(u_of_s(sb)),
@@ -271,70 +294,93 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
         kind=spec.kind,
         name=spec.name,
     )
-    v_out = speed_closure(out, _CONSTRUCTION_CFG)
-    worst = max(abs(v_out(float(sb)) - 1.0) for sb in out.grid())
+    # round trip through an independent quadrature from parameter 0, so a
+    # wrong table cannot confirm itself
+    worst = max(abs(_signed_integral(v, 0.0, u_of_s(float(sb)), cfg) - sb)
+                for sb in out.grid())
     if worst > 1e-8:
-        raise GeometryError(f"reparametrization failed: residual speed error {worst:.3e}")
+        raise GeometryError(f"reparametrization failed: arc-length round trip off by {worst:.3e}")
     return out
 
 
 # ---------------------------------------------------------------------------
 # frames and invariants
 
-def darboux_frame(spec: RuledSurfaceSpec,
-                  cfg: NumericsConfig = DEFAULT_CONFIG) -> list[FrameSample]:
-    """Frame samples of an arc-length spacelike spec on its grid.
+def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSample]:
+    """Frame samples of either causal class, per unit arc length, on the spec's grid.
 
-    gamma is extracted as -<g', t> (valid because <t,t> = -1), delta as
-    <c', e>, Delta as det(c', e, t); the dual conical curvature combines
-    them as gamma - eps*(delta + gamma*Delta).
+    Derivatives are taken in the spec's parameter u and divided by the
+    indicatrix speed v = ds/du.  The ruling sign fixes the frame signature,
+    (+, -, +) or (-, +, +), the sign of s* (+int Delta ds or -int Delta ds)
+    and that of gamma_dual's dual slot (-(delta + gamma*Delta) or +).  In
+    both classes gamma = -<dg/ds, t>.  s and s* accumulate from parameter 0.
     """
-    if spec.kind != SPACELIKE_SURFACE:
-        raise ValueError("darboux_frame expects a spacelike-surface spec")
+    sign = spec.ruling_sign()
     ind = spec.indicatrix
     jet = striction_jet(spec, cfg)
     c_curve = striction_curve(spec, cfg)
-    Delta_fn = distribution_closure(spec, cfg)
 
     def g_curve(u):
         e, ep = value_and_derivative(ind, u, cfg)
-        return -lorentz_cross(e, ep)
+        return -lorentz_cross(e, ep) / dual.sqrt(-sign * lorentz_dot(ep, ep))
+
+    def rates(u):
+        v, moment = _arc_rates(jet, sign, u)
+        return np.array([v, sign * moment])
 
     grid = spec.grid()
-    head = _signed_integral(Delta_fn, 0.0, float(grid[0]), cfg)
-    s_star = head + cumulative_integrate(Delta_fn, grid, cfg)
+    arcs = (_signed_integral(rates, 0.0, float(grid[0]), cfg)
+            + cumulative_integrate(rates, grid, cfg))
 
     out = []
-    for i, s in enumerate(map(float, grid)):
+    for u, (s, s_star) in zip(map(float, grid), arcs):
         if cfg.derivative_mode == DUAL_AD:
-            c_d, e_d, ep_d = jet(DualScalar(s, 1.0))
+            c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
             c_pair = DualVec3.from_components(c_d)
             point, cp = c_pair.re, c_pair.du
             e = DualVec3.from_components(e_d).re
-            t = DualVec3.from_components(ep_d).re
+            ep = DualVec3.from_components(ep_d).re
         else:
-            point = jet(s)[0]
-            e = ind(s)
-            t = differentiate(ind, s, cfg)
-            cp = differentiate(c_curve, s, cfg)
+            point = jet(u)[0]
+            e = ind(u)
+            ep = differentiate(ind, u, cfg)
+            cp = differentiate(c_curve, u, cfg)
+        q = -sign * lorentz_dot(ep, ep)
+        if q <= 0.0:
+            raise FrameDegeneracy(f"indicatrix tangent has the wrong causal character at u={u}")
+        v = math.sqrt(q)
+        t = ep / v
         g = -lorentz_cross(e, t)
-        res = frame_residual(e, t, g)
+        res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
         if res > FRAME_TOL:
-            raise FrameDegeneracy(
-                f"frame residual {res:.3e} at s={s}; is the spec arc-length parametrized?")
-        gamma = -lorentz_dot(differentiate(g_curve, s, cfg), t)
+            raise FrameDegeneracy(f"frame residual {res:.3e} at u={u}")
+        gamma = -lorentz_dot(differentiate(g_curve, u, cfg), t) / v
         if abs(lorentz_dot(cp, t)) > 1e-8:
-            raise FrameDegeneracy(f"striction condition violated at s={s}")
-        delta = lorentz_dot(cp, e)
-        Delta = det3(cp, e, t)
+            raise FrameDegeneracy(f"striction condition violated at u={u}")
+        cs = cp / v
+        delta = lorentz_dot(cs, e)
+        Delta = det3(cs, e, t)
         out.append(FrameSample(
-            s=s, e=e, t=t, g=g,
+            s=float(s), e=e, t=t, g=g,
             gamma=gamma, delta=delta, Delta=Delta,
-            s_star=float(s_star[i]),
-            gamma_dual=DualScalar(gamma, -(delta + gamma * Delta)),
+            s_star=float(s_star),
+            gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
             striction_point=point,
         ))
     return out
+
+
+def darboux_frame(spec: RuledSurfaceSpec,
+                  cfg: NumericsConfig = DEFAULT_CONFIG) -> list[FrameSample]:
+    """Frame samples of a spacelike-ruling spec, in any regular parametrization.
+
+    gamma = -<dg/ds, t> (valid because <t,t> = -1), delta = <dc/ds, e>,
+    Delta = det(dc/ds, e, t); the dual conical curvature combines them as
+    gamma - eps*(delta + gamma*Delta), and s* accumulates +Delta ds.
+    """
+    if spec.kind != SPACELIKE_SURFACE:
+        raise ValueError("darboux_frame expects a spacelike-surface spec")
+    return _measure_frames(spec, cfg)
 
 
 def dual_arclength(spec: RuledSurfaceSpec, s: float,
@@ -384,77 +430,15 @@ def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
 
 def timelike_invariants(spec: RuledSurfaceSpec,
                         cfg: NumericsConfig = DEFAULT_CONFIG) -> list[FrameSample]:
-    """Frame samples of a timelike-ruling spec, measured per unit arc length.
+    """Frame samples of a timelike-ruling spec, in any regular parametrization.
 
-    The spec may be parametrized arbitrarily: all derivatives are taken in
-    the given parameter and normalized by the indicatrix speed pointwise
-    (exact chain rule), which avoids any interpolation error an explicit
-    reparametrization would add.  Reported s values are the accumulated
-    arc length anchored at parameter 0; gamma_1 follows the timelike
-    convention gamma_1 = -<g1', t1> with <t1,t1> = +1, and the dual slot
-    of gamma_dual is +(delta_1 + gamma_1*Delta_1).
+    The frame has signature (-, +, +); gamma_1 = -<dg1/ds1, t1> with
+    <t1,t1> = +1, the dual slot of gamma_dual is +(delta_1 + gamma_1*Delta_1),
+    and s1* accumulates -Delta_1 ds1 (the dual slot of the dual arc length).
     """
     if spec.kind != TIMELIKE_SURFACE:
         raise ValueError("timelike_invariants expects a timelike-surface spec")
-    ind = spec.indicatrix
-    v = speed_closure(spec, cfg)
-    jet = striction_jet(spec, cfg)
-    c_curve = striction_curve(spec, cfg)
-
-    def g1_curve(u):
-        e1, e1p = value_and_derivative(ind, u, cfg)
-        q = lorentz_dot(e1p, e1p)
-        return -lorentz_cross(e1, e1p) / dual.sqrt(q)
-
-    def arc_moment_fn(u):
-        # dual slot rate of the dual arc length: -Delta1 per unit s1, i.e.
-        # -det(c1', e1, t1) per unit u
-        c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
-        cp = DualVec3.from_components(c_d).du
-        e1 = DualVec3.from_components(e_d).re
-        e1p = DualVec3.from_components(ep_d).re
-        return -det3(cp, e1, e1p) / dual.sqrt(lorentz_dot(e1p, e1p))
-
-    grid = spec.grid()
-    s1 = _signed_integral(v, 0.0, float(grid[0]), cfg) + cumulative_integrate(v, grid, cfg)
-    s1_star = (_signed_integral(arc_moment_fn, 0.0, float(grid[0]), cfg)
-               + cumulative_integrate(arc_moment_fn, grid, cfg))
-
-    out = []
-    for i, u in enumerate(map(float, grid)):
-        if cfg.derivative_mode == DUAL_AD:
-            c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
-            c_pair = DualVec3.from_components(c_d)
-            point, cp = c_pair.re, c_pair.du
-            e1 = DualVec3.from_components(e_d).re
-            e1p = DualVec3.from_components(ep_d).re
-        else:
-            point = jet(u)[0]
-            e1 = ind(u)
-            e1p = differentiate(ind, u, cfg)
-            cp = differentiate(c_curve, u, cfg)
-        q = lorentz_dot(e1p, e1p)
-        if q <= 0.0:
-            raise FrameDegeneracy(f"offset indicatrix tangent not spacelike at u={u}")
-        sp = math.sqrt(q)
-        t1 = e1p / sp
-        g1 = -lorentz_cross(e1, t1)
-        res = frame_residual(e1, t1, g1, signs=(-1.0, 1.0, 1.0))
-        if res > FRAME_TOL:
-            raise FrameDegeneracy(f"offset frame residual {res:.3e} at u={u}")
-        gamma1 = -lorentz_dot(differentiate(g1_curve, u, cfg), t1) / sp
-        if abs(lorentz_dot(cp, t1)) > 1e-8:
-            raise FrameDegeneracy(f"offset striction condition violated at u={u}")
-        delta1 = lorentz_dot(cp, e1) / sp
-        Delta1 = det3(cp, e1, t1) / sp
-        out.append(FrameSample(
-            s=float(s1[i]), e=e1, t=t1, g=g1,
-            gamma=gamma1, delta=delta1, Delta=Delta1,
-            s_star=float(s1_star[i]),
-            gamma_dual=DualScalar(gamma1, delta1 + gamma1 * Delta1),
-            striction_point=point,
-        ))
-    return out
+    return _measure_frames(spec, cfg)
 
 
 BRANCH_SPACELIKE_DARBOUX = "|gamma1|<1"
@@ -494,29 +478,21 @@ _QUINTIC = (
     lambda tau: tau * tau * tau * (0.5 + tau * (-1.0 + 0.5 * tau)),
 )
 
-_CUBIC = (
-    lambda tau: 1.0 + tau * tau * (-3.0 + 2.0 * tau),
-    lambda tau: tau * (1.0 + tau * (-2.0 + tau)),
-    lambda tau: tau * tau * (3.0 - 2.0 * tau),
-    lambda tau: tau * tau * (-1.0 + tau),
-)
-
-
 class _HermiteCurve:
-    """Piecewise Hermite interpolant on uniform nodes, dual-evaluable.
+    """Piecewise quintic Hermite interpolant on uniform nodes, dual-evaluable.
 
-    Quintic when second derivatives are supplied (node accuracy carries
-    through two derivative orders), cubic otherwise.  Evaluation outside
-    the node span extrapolates with the end segment.
+    Values, first and second derivatives at the nodes make node accuracy
+    carry through two derivative orders.  Evaluation outside the node span
+    extrapolates with the end segment.
     """
 
     def __init__(self, s0: float, h: float, values: Sequence[Vec3L],
-                 deriv1: Sequence[Vec3L], deriv2: Sequence[Vec3L] | None = None):
+                 deriv1: Sequence[Vec3L], deriv2: Sequence[Vec3L]):
         self.s0 = s0
         self.h = h
         self.values = list(values)
         self.deriv1 = list(deriv1)
-        self.deriv2 = None if deriv2 is None else list(deriv2)
+        self.deriv2 = list(deriv2)
 
     def __call__(self, u):
         x = (u - self.s0) / self.h
@@ -526,9 +502,6 @@ class _HermiteCurve:
         h = self.h
         f0, f1 = self.values[i], self.values[i + 1]
         d0, d1 = self.deriv1[i], self.deriv1[i + 1]
-        if self.deriv2 is None:
-            b0, b1, b2, b3 = (basis(tau) for basis in _CUBIC)
-            return f0 * b0 + (h * d0) * b1 + f1 * b2 + (h * d1) * b3
         a0, a1 = self.deriv2[i], self.deriv2[i + 1]
         h0, h1, h2, h3, h4, h5 = (basis(tau) for basis in _QUINTIC)
         return (f0 * h0 + (h * d0) * h1 + ((h * h) * a0) * h2

@@ -155,6 +155,20 @@ def test_offset_rejects_timelike_base(tmp_path):
                  "--out", str(tmp_path / "r")]) == 2
 
 
+def test_offset_warped_custom_spec_passes(tmp_path):
+    w = "(u + 0.3*u*u)"
+    payload = {
+        "catalog": "custom",
+        "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 21},
+        "custom": {"e": [f"0.8*sinh({w}/0.8)", f"0.8*cosh({w}/0.8)", "0.6"],
+                   "c": [f"0.1*{w}", f"0.2*{w}*{w}", f"0.15*{w}"]},
+    }
+    out = tmp_path / "report"
+    assert main(["offset", "--input", _spec(tmp_path, payload), "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdicts"]["passed"] is True
+
+
 def test_offset_zero_gamma_degenerate(tmp_path):
     spec = _spec(tmp_path, {"catalog": "cone", "params": {"a": 0.0, "b": 1.0},
                             "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 11}})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from dlgeom.lorentz import lorentz_dot
 from dlgeom.mannheim import (MannheimParams, OffsetAngle, construct_offset,
                              developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, radius_relations_check, verify_offset)
-from dlgeom.numerics import CENTRAL_FD, NumericsConfig
+from dlgeom.numerics import CENTRAL_FD, NumericsConfig, value_and_derivative
 from dlgeom.ruled import darboux_frame, speed_closure, timelike_invariants
 
 AD = NumericsConfig()
@@ -93,11 +94,18 @@ def test_mannheim_condition_dual_vector_equality():
 
 
 def test_prose_striction_variant_breaks_dual_condition():
+    # negative control: shift the striction line by theta* along t instead of
+    # g; on the unit-speed catalog helicoidal theta* = c* - 0.1*u in closed form
     base = _heli()
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles, striction_offset_along="t")
-    measured = timelike_invariants(off)
+    off = construct_offset(base, frames, angles)
+
+    def along_t(u):
+        _, t = value_and_derivative(base.indicatrix, u)
+        return base.base_curve(u) + (PARAMS.c_star - 0.1 * u) * t
+
+    measured = timelike_invariants(dataclasses.replace(off, base_curve=along_t))
     worst = max(mannheim_condition_residual(f, m) for f, m in zip(frames, measured))
     assert worst > 1e-3  # the real parts agree but the moments cannot
 

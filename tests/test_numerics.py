@@ -89,6 +89,22 @@ def test_cumulative_matches_integrate():
         assert out[i] == pytest.approx(1.0 - math.cos(s), abs=1e-11)
 
 
+def test_cumulative_evaluates_each_point_once():
+    seen = []
+
+    def f(s):
+        seen.append(s)
+        return np.array([1.0, s])
+
+    grid = np.linspace(0.5, 1.5, 11)
+    out = cumulative_integrate(f, grid)
+    assert len(seen) == len(set(seen)) == 2 * len(grid) - 1
+    # componentwise: the antiderivatives of 1 and s from the first node
+    assert out.shape == (11, 2)
+    assert np.max(np.abs(out[:, 0] - (grid - 0.5))) < 1e-14
+    assert np.max(np.abs(out[:, 1] - 0.5 * (grid ** 2 - 0.25))) < 1e-14
+
+
 def test_cumulative_trapezoid_constant():
     grid = np.linspace(0.0, 1.0, 5)
     out = cumulative_integrate(lambda s: 2.0, grid, NumericsConfig(quadrature="trapezoid"))

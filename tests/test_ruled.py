@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlgeom.dual as dual
+import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
-from dlgeom.errors import DegenerateIndicatrix, FrameDegeneracy, NullDarboux
+from dlgeom.errors import DegenerateIndicatrix, FrameDegeneracy, GeometryError, NullDarboux
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
+from dlgeom.mannheim import MannheimParams, verify_offset
 from dlgeom.numerics import CENTRAL_FD, NumericsConfig, differentiate
 from dlgeom.ruled import (SPACELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
@@ -57,21 +61,45 @@ def test_reparametrize_identity_for_unit_speed():
     assert arclength_reparametrize(spec) is spec
 
 
-def test_reparametrize_double_speed():
-    def e2(u):
-        w = 2.0 * u / 0.8
-        return Vec3L(0.8 * dual.sinh(w), 0.8 * dual.cosh(w), 0.6)
+def _double_speed_indicatrix(u):
+    w = 2.0 * u / 0.8
+    return Vec3L(0.8 * dual.sinh(w), 0.8 * dual.cosh(w), 0.6)
 
-    spec = RuledSurfaceSpec(e2, lambda u: ORIGIN, (0.0, 0.5), 11, SPACELIKE_SURFACE)
-    out = arclength_reparametrize(spec)
+
+def _double_speed_cone():
+    return RuledSurfaceSpec(_double_speed_indicatrix, lambda u: ORIGIN, (0.0, 0.5), 11,
+                            SPACELIKE_SURFACE)
+
+
+def test_reparametrize_double_speed():
+    out = arclength_reparametrize(_double_speed_cone())
     assert out.domain[0] == pytest.approx(0.0, abs=1e-12)
     assert out.domain[1] == pytest.approx(1.0, abs=1e-10)
     for s in np.linspace(0.0, 1.0, 9):
         got = out.indicatrix(float(s))
-        want = e2(float(s) / 2.0)
+        want = _double_speed_indicatrix(float(s) / 2.0)
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-10
         d = differentiate(out.indicatrix, float(s), AD)
         assert lorentz_dot(d, d) == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_reparametrize_round_trip_catches_a_shifted_table(monkeypatch):
+    # a cumulative table off by 1e-3 inverts consistently with itself; only
+    # the independent quadrature of the round trip can see it
+    real = ruled.cumulative_integrate
+    monkeypatch.setattr(ruled, "cumulative_integrate",
+                        lambda f, grid, cfg: real(f, grid, cfg) + 1e-3)
+    with pytest.raises(GeometryError, match="round trip"):
+        arclength_reparametrize(_double_speed_cone())
+
+
+def test_reparametrize_raises_when_newton_stalls(monkeypatch):
+    real = ruled._signed_integral
+    noise = itertools.cycle((1e-9, -1e-9))
+    monkeypatch.setattr(ruled, "_signed_integral",
+                        lambda f, a, b, cfg: real(f, a, b, cfg) + next(noise))
+    with pytest.raises(GeometryError, match="Newton"):
+        arclength_reparametrize(_double_speed_cone())
 
 
 def test_reparametrize_rejects_constant_indicatrix():
@@ -185,14 +213,29 @@ def test_frame_signature_invariants():
         assert max(abs(x - y) for x, y in zip(f.g, gref)) < 1e-12
 
 
-def test_darboux_frame_requires_arclength():
-    def fast(u):
-        w = 2.0 * u / 0.8
-        return Vec3L(0.8 * dual.sinh(w), 0.8 * dual.cosh(w), 0.6)
+def _warped(spec, k):
+    """The spec composed with u -> u + k*u^2, whose arc length from 0 is u + k*u^2."""
+    def warp(u):
+        return u + k * u * u
 
-    spec = RuledSurfaceSpec(fast, lambda u: ORIGIN, (0.0, 0.5), 5, SPACELIKE_SURFACE)
-    with pytest.raises(FrameDegeneracy):
-        darboux_frame(spec)
+    return dataclasses.replace(spec, indicatrix=lambda u: spec.indicatrix(warp(u)),
+                               base_curve=lambda u: spec.base_curve(warp(u)))
+
+
+def test_darboux_frame_is_parametrization_invariant():
+    params = MannheimParams(c=1.0, c_star=0.0)
+    for k in (0.1, 0.5):
+        for samples in (11, 101):
+            spec = _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=samples), k)
+            for cfg, tol in ((AD, 1e-12), (FD, 1e-6)):
+                for u, f in zip(spec.grid(), darboux_frame(spec, cfg)):
+                    s = u + k * u * u
+                    assert f.s == pytest.approx(s, abs=tol)
+                    assert f.s_star == pytest.approx(0.1 * s, abs=tol)
+                    assert f.gamma == pytest.approx(0.75, abs=tol)
+                    assert f.delta == pytest.approx(0.2, abs=tol)
+                    assert f.Delta == pytest.approx(0.1, abs=tol)
+                assert verify_offset(spec, params, cfg).passed, (k, samples, cfg)
 
 
 @pytest.mark.parametrize("cfg,tol", [(AD, 1e-8), (FD, 1e-6)])
