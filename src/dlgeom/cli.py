@@ -397,7 +397,7 @@ def cmd_reconstruct(args) -> int:
     profile, grid = load_profile(args.input)
     spec = reconstruct_from_invariants(profile, grid, cfg)
     if len(grid) == 1:
-        f0 = _single_frame_row(profile, float(grid[0]), spec)
+        f0 = _single_frame_row(profile, float(grid[0]), cfg)
         frames = [f0]
     else:
         frames = darboux_frame(spec, cfg)
@@ -412,12 +412,11 @@ def cmd_reconstruct(args) -> int:
                 f.s, *f.e, *f.t, *f.g, f.gamma, f.delta, f.Delta, f.s_star,
                 f.gamma_dual.re, f.gamma_dual.du, R.re, R.du, *f.striction_point)])
 
-    # the reconstruction's parameter is the profile's arc length by construction
     residuals = {"gamma": [], "delta": [], "Delta": []}
-    for s, f in zip(map(float, grid), frames):
-        residuals["gamma"].append(abs(f.gamma - profile.gamma(s)))
-        residuals["delta"].append(abs(f.delta - profile.delta(s)))
-        residuals["Delta"].append(abs(f.Delta - profile.Delta(s)))
+    for f in frames:
+        residuals["gamma"].append(abs(f.gamma - profile.gamma(f.s)))
+        residuals["delta"].append(abs(f.delta - profile.delta(f.s)))
+        residuals["Delta"].append(abs(f.Delta - profile.Delta(f.s)))
     payload = {
         "max": {k: max(v) for k, v in residuals.items()},
         "mean": {k: sum(v) / len(v) for k, v in residuals.items()},
@@ -427,15 +426,16 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _single_frame_row(profile: InvariantProfile, s: float, spec: RuledSurfaceSpec):
+def _single_frame_row(profile: InvariantProfile, s: float, cfg: NumericsConfig):
     from .dual import DualScalar
-    from .ruled import FrameSample
+    from .ruled import FrameSample, _signed_integral
     gamma = profile.gamma(s)
     delta = profile.delta(s)
     Delta = profile.Delta(s)
     return FrameSample(
         s=s, e=profile.e0, t=profile.t0, g=profile.g0,
-        gamma=gamma, delta=delta, Delta=Delta, s_star=0.0,
+        gamma=gamma, delta=delta, Delta=Delta,
+        s_star=float(_signed_integral(profile.Delta, 0.0, s, cfg)),
         gamma_dual=DualScalar(gamma, -(delta + gamma * Delta)),
         striction_point=profile.c0,
     )

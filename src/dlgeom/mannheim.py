@@ -34,11 +34,11 @@ import numpy as np
 from . import dual
 from .dual import DualAngle, DualScalar, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
-from .lorentz import lorentz_cross, lorentz_dot
+from .lorentz import lorentz_cross
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
 from .ruled import (TIMELIKE_SURFACE, FrameSample, RuledSurfaceSpec, darboux_frame,
-                    distribution_closure, speed_closure, striction_jet, timelike_invariants,
-                    timelike_radius, _signed_integral, _CONSTRUCTION_CFG)
+                    distribution_closure, speed_closure, striction_jet, tangent_speed,
+                    timelike_invariants, timelike_radius, _signed_integral, _CONSTRUCTION_CFG)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -196,13 +196,13 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
     def offset_indicatrix(u):
         # construction-side derivative: exact dual evaluation, mode-independent
         e, ep = value_and_derivative(ind, u, _CONSTRUCTION_CFG)
-        v = dual.sqrt(-lorentz_dot(ep, ep))
+        v = tangent_speed(ep, 1.0, u)
         th = theta(u, -re_part(v))
         return dual.sinh(th) * e + (dual.cosh(th) / v) * ep
 
     def offset_striction(u):
         c, e, ep = base_jet(u)
-        g = -lorentz_cross(e, ep) / dual.sqrt(-lorentz_dot(ep, ep))
+        g = -lorentz_cross(e, ep) / tangent_speed(ep, 1.0, u)
         return c + theta_star(u) * g
 
     return RuledSurfaceSpec(
@@ -258,14 +258,12 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     angles = offset_angles(frames, params)
     offset = construct_offset(base, frames, angles, cfg)
     measured_frames = timelike_invariants(offset, cfg)
-    base_speed = speed_closure(base, cfg)
-    offset_speed = speed_closure(offset, cfg)
 
     rows = []
-    for u, f, a, m in zip(map(float, base.grid()), frames, angles, measured_frames):
+    for f, a, m in zip(frames, angles, measured_frames):
         pred = predicted_invariants(f.gamma, f.delta, f.Delta, a)
         meas = InvariantRecord(
-            ds1_ds=offset_speed(u) / base_speed(u),
+            ds1_ds=m.ds_du / f.ds_du,
             Delta1=m.Delta,
             delta1=m.delta,
             gamma1=m.gamma,

@@ -87,7 +87,8 @@ class FrameSample:
 
     ``s`` is the indicatrix arc length and ``s_star`` the dual slot of the
     dual arc length (the accumulated distribution parameter), both anchored
-    at parameter 0.  ``gamma_dual`` packs the dual conical curvature.
+    at parameter 0.  ``gamma_dual`` packs the dual conical curvature and
+    ``ds_du`` is the indicatrix speed in the spec's own parameter.
     """
 
     s: float
@@ -100,6 +101,7 @@ class FrameSample:
     s_star: float
     gamma_dual: DualScalar
     striction_point: Vec3L
+    ds_du: float = 1.0
 
     def dual_e(self) -> DualVec3:
         return DualVec3(self.e, lorentz_cross(self.striction_point, self.e))
@@ -156,20 +158,29 @@ def _signed_integral(f, a: float, b: float, cfg: NumericsConfig):
     return -out
 
 
-def speed_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """Indicatrix speed |e'(u)| as a dual-capable closure.
+def tangent_speed(ep, sign: float, u):
+    """Indicatrix speed ds/du = sqrt(-sign*<e', e'>), dual-capable.
 
-    The sign of <e',e'> is fixed by the surface kind, keeping the closure
-    smooth; a vanishing speed raises DegenerateIndicatrix.
+    ``sign`` is the ruling sign; the tangent e' must have the opposite
+    causal character.  A vanishing speed raises DegenerateIndicatrix, a
+    tangent of the wrong character FrameDegeneracy (``u`` is for messages).
     """
-    sign = -spec.ruling_sign()  # tangent has the opposite causal character
+    q = -sign * lorentz_dot(ep, ep)
+    q_re = leading_real(q)
+    if abs(q_re) < SPEED_TOL ** 2:
+        raise DegenerateIndicatrix(f"indicatrix speed vanishes near u={leading_real(u)}")
+    if q_re < 0.0:
+        raise FrameDegeneracy(
+            f"indicatrix tangent has the wrong causal character near u={leading_real(u)}")
+    return dual.sqrt(q)
+
+
+def speed_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
+    """Indicatrix speed |e'(u)| as a dual-capable closure (see tangent_speed)."""
+    sign = spec.ruling_sign()
 
     def v(u):
-        d = differentiate(spec.indicatrix, u, cfg)
-        q = lorentz_dot(d, d) * sign
-        if abs(leading_real(q)) < SPEED_TOL ** 2:
-            raise DegenerateIndicatrix(f"indicatrix speed vanishes near u={leading_real(u)}")
-        return dual.sqrt(q)
+        return tangent_speed(differentiate(spec.indicatrix, u, cfg), sign, u)
 
     return v
 
@@ -224,11 +235,7 @@ def _arc_rates(jet, sign: float, u):
     cp = DualVec3.from_components(c_d).du
     e = DualVec3.from_components(e_d).re
     ep = DualVec3.from_components(ep_d).re
-    q = -sign * lorentz_dot(ep, ep)
-    if leading_real(q) <= 0.0:
-        raise FrameDegeneracy(
-            f"indicatrix tangent has the wrong causal character near u={leading_real(u)}")
-    v = dual.sqrt(q)
+    v = tangent_speed(ep, sign, u)
     return v, det3(cp, e, ep) / v
 
 
@@ -322,7 +329,7 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
 
     def g_curve(u):
         e, ep = value_and_derivative(ind, u, cfg)
-        return -lorentz_cross(e, ep) / dual.sqrt(-sign * lorentz_dot(ep, ep))
+        return -lorentz_cross(e, ep) / tangent_speed(ep, sign, u)
 
     def rates(u):
         v, moment = _arc_rates(jet, sign, u)
@@ -345,10 +352,7 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
             e = ind(u)
             ep = differentiate(ind, u, cfg)
             cp = differentiate(c_curve, u, cfg)
-        q = -sign * lorentz_dot(ep, ep)
-        if q <= 0.0:
-            raise FrameDegeneracy(f"indicatrix tangent has the wrong causal character at u={u}")
-        v = math.sqrt(q)
+        v = tangent_speed(ep, sign, u)
         t = ep / v
         g = -lorentz_cross(e, t)
         res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
@@ -366,6 +370,7 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
             s_star=float(s_star),
             gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
             striction_point=point,
+            ds_du=v,
         ))
     return out
 
@@ -522,6 +527,18 @@ class _TaylorCurve:
         return self.f + self.d * x + self.a * (0.5 * x * x)
 
 
+class _JoinedCurve:
+    """``left`` below the parameter ``at``, ``right`` from it on."""
+
+    def __init__(self, at: float, left, right):
+        self.at = at
+        self.left = left
+        self.right = right
+
+    def __call__(self, u):
+        return self.left(u) if leading_real(u) < self.at else self.right(u)
+
+
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
                                 cfg: NumericsConfig = DEFAULT_CONFIG) -> RuledSurfaceSpec:
     """Integrate the frame system to a surface with the given invariants.
@@ -531,14 +548,18 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
         e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g,
 
     then packages the dense solution as quintic Hermite curves whose node
-    derivatives come from the ODE rates themselves.  Feeding the result
-    back through darboux_frame reproduces the profile.
+    derivatives come from the ODE rates themselves.  The frame seed sits at
+    the first grid point.  Frame measurement anchors s and s* at parameter
+    0, so a grid that does not contain 0 is continued to it by integrating
+    the same system there (the profile must be defined in between).
+    Feeding the result back through darboux_frame reproduces the profile
+    and its arc length.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
-    state = FrameState(profile.e0, profile.t0, profile.g0, profile.c0)
+    seed = FrameState(profile.e0, profile.t0, profile.g0, profile.c0)
 
     def accel(si: float, st: FrameState) -> Vec3L:
         return st.e + profile.gamma(si) * st.g
@@ -553,29 +574,35 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
         return (dd * st.e + DD * st.g
                 + (profile.delta(si) + profile.Delta(si) * profile.gamma(si)) * st.t)
 
-    span = s_end - s0
-    if span == 0.0:
-        ind = _TaylorCurve(s0, state.e, state.t, accel(s0, state))
-        base = _TaylorCurve(s0, state.c, cdot(s0, state), cddot(s0, state))
-        return RuledSurfaceSpec(ind, base, (s0, s_end), max(1, len(s_grid)),
-                                SPACELIKE_SURFACE, "reconstructed")
+    def flow(state: FrameState, a: float, b: float):
+        """Hermite curves (e, c) on RK4 nodes from a to b, and the state at b."""
+        n_steps = max(1, int(math.ceil(abs(b - a) * cfg.ode_steps_per_unit)))
+        h = (b - a) / n_steps
+        nodes = [(a, state)]
+        for k in range(n_steps):
+            sk = a + k * h
+            state = rk4_frame_step(state, sk, h, profile.gamma, profile.delta, profile.Delta)
+            nodes.append((sk + h, state))
+        if h < 0.0:
+            nodes.reverse()
+        ind = _HermiteCurve(min(a, b), abs(h), [st.e for _, st in nodes],
+                            [st.t for _, st in nodes], [accel(si, st) for si, st in nodes])
+        base = _HermiteCurve(min(a, b), abs(h), [st.c for _, st in nodes],
+                             [cdot(si, st) for si, st in nodes],
+                             [cddot(si, st) for si, st in nodes])
+        return ind, base, state
 
-    n_steps = max(1, int(math.ceil(span * cfg.ode_steps_per_unit)))
-    h = span / n_steps
-    values_e, d1_e, d2_e = [state.e], [state.t], [accel(s0, state)]
-    values_c, d1_c, d2_c = [state.c], [cdot(s0, state)], [cddot(s0, state)]
-    for k in range(n_steps):
-        sk = s0 + k * h
-        state = rk4_frame_step(state, sk, h, profile.gamma, profile.delta, profile.Delta)
-        sk1 = sk + h
-        values_e.append(state.e)
-        d1_e.append(state.t)
-        d2_e.append(accel(sk1, state))
-        values_c.append(state.c)
-        d1_c.append(cdot(sk1, state))
-        d2_c.append(cddot(sk1, state))
-
-    ind = _HermiteCurve(s0, h, values_e, d1_e, d2_e)
-    base = _HermiteCurve(s0, h, values_c, d1_c, d2_c)
+    if s_end == s0:
+        ind = _TaylorCurve(s0, seed.e, seed.t, accel(s0, seed))
+        base = _TaylorCurve(s0, seed.c, cdot(s0, seed), cddot(s0, seed))
+        last = seed
+    else:
+        ind, base, last = flow(seed, s0, s_end)
+    if s0 > 0.0:
+        head_ind, head_base, _ = flow(seed, s0, 0.0)
+        ind, base = _JoinedCurve(s0, head_ind, ind), _JoinedCurve(s0, head_base, base)
+    elif s_end < 0.0:
+        tail_ind, tail_base, _ = flow(last, s_end, 0.0)
+        ind, base = _JoinedCurve(s_end, ind, tail_ind), _JoinedCurve(s_end, base, tail_base)
     return RuledSurfaceSpec(ind, base, (s0, s_end), len(s_grid),
                             SPACELIKE_SURFACE, "reconstructed")

@@ -299,6 +299,21 @@ def test_reconstruct_empty_domain_single_row(tmp_path):
     assert len(_read_csv(tmp_path / "r.csv")) == 1
 
 
+@pytest.mark.parametrize("s_min,s_max", [(0.5, 1.0), (0.3, 0.3)])
+def test_reconstruct_profile_off_the_origin_keeps_arc_length(tmp_path, s_min, s_max):
+    prof = _profile_payload(Delta="0.1 + 0.05*u",
+                            domain={"s_min": s_min, "s_max": s_max, "samples": 11})
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(prof))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 0
+    first = _read_csv(tmp_path / "r.csv")[0]
+    # s and s* are anchored at parameter 0, not at the profile's first sample
+    assert float(first["s"]) == pytest.approx(s_min, abs=1e-12)
+    assert float(first["s_star"]) == pytest.approx(0.1 * s_min + 0.025 * s_min ** 2, abs=1e-12)
+    residuals = json.loads((tmp_path / "r.json").read_text())
+    assert residuals["max"]["Delta"] < 1e-9
+
+
 def test_reconstruct_rejects_skew_frame(tmp_path):
     prof = _profile_payload()
     prof["frame"]["g"] = [0.0, -0.6, 0.8]

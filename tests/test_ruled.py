@@ -235,6 +235,7 @@ def test_darboux_frame_is_parametrization_invariant():
                     assert f.gamma == pytest.approx(0.75, abs=tol)
                     assert f.delta == pytest.approx(0.2, abs=tol)
                     assert f.Delta == pytest.approx(0.1, abs=tol)
+                    assert f.ds_du == pytest.approx(1.0 + 2.0 * k * u, abs=tol)
                 assert verify_offset(spec, params, cfg).passed, (k, samples, cfg)
 
 
@@ -463,6 +464,21 @@ def test_reconstruct_congruent_to_catalog():
         got_c = spec.base_curve(float(s))
         want_c = ref.base_curve(float(s))
         assert max(abs(x - y) for x, y in zip(got_c, want_c)) < 1e-9
+
+
+@pytest.mark.parametrize("domain", [(0.5, 1.0), (-1.0, -0.5), (-0.5, 0.5)])
+@pytest.mark.parametrize("cfg", [AD, FD])
+def test_reconstruct_keeps_arc_length_off_the_origin(domain, cfg):
+    # the seed sits at the first grid point, but s and s* are anchored at
+    # parameter 0, so the reconstruction must reach 0 with the same profile
+    prof = InvariantProfile(lambda s: 0.75, lambda s: 0.2, lambda s: 0.1 + 0.05 * s,
+                            CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    grid = np.linspace(*domain, 11)
+    frames = darboux_frame(reconstruct_from_invariants(prof, grid), cfg)
+    for u, f in zip(grid, frames):
+        assert f.s == pytest.approx(u, abs=1e-12)
+        assert f.s_star == pytest.approx(0.1 * u + 0.025 * u * u, abs=1e-12)
+        assert f.Delta == pytest.approx(0.1 + 0.05 * u, abs=1e-8)
 
 
 def test_reconstruct_zero_length_grid():
