@@ -19,6 +19,7 @@ import argparse
 import ast
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,8 +58,7 @@ OFFSET_QUANTITIES = ["ds1_ds", "Delta1", "delta1", "gamma1",
 # ---------------------------------------------------------------------------
 # expression grammar: +, -, *, / and sinh, cosh, sin, cos, exp over one variable
 
-_EXPR_FUNCS = {"sinh": dualmod.sinh, "cosh": dualmod.cosh,
-               "sin": dualmod.sin, "cos": dualmod.cos, "exp": dualmod.exp}
+_EXPR_FUNCS = {name: dualmod.LIFTS[name] for name in ("sinh", "cosh", "sin", "cos", "exp")}
 
 _EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _EXPR_UNARY = (ast.UAdd, ast.USub)
@@ -123,19 +123,42 @@ def _require(cond: bool, message: str) -> None:
         raise SpecFileError(message)
 
 
-def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSurfaceSpec:
+def _number(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise SpecFileError(f"{what} must be a number, got {value!r}") from None
+    _require(math.isfinite(x), f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _vector(value, what: str) -> Vec3L:
+    _require(isinstance(value, list) and len(value) == 3,
+             f"{what} must be a list of 3 numbers, got {value!r}")
+    return Vec3L(*(_number(x, what) for x in value))
+
+
+def _load_object(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON in {path}: {exc}") from None
-    _require(isinstance(data, dict), "surface spec must be a JSON object")
+    _require(isinstance(data, dict), f"{what} must be a JSON object")
+    return data
 
+
+def _domain(data: dict, samples=None) -> tuple[float, float, int]:
     dom = data.get("domain", {})
     _require(isinstance(dom, dict), "'domain' must be an object")
-    s_min = float(dom.get("s_min", 0.0))
-    s_max = float(dom.get("s_max", 1.0))
-    samples = int(samples_override or dom.get("samples", 101))
+    samples = dom.get("samples", 101) if samples is None else samples
+    _require(type(samples) is int, f"samples must be an integer, got {samples!r}")
+    return _number(dom.get("s_min", 0.0), "s_min"), _number(dom.get("s_max", 1.0), "s_max"), samples
+
+
+def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSurfaceSpec:
+    data = _load_object(path, "surface spec")
+    s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min < s_max, f"domain needs s_min < s_max, got [{s_min}, {s_max}]")
     _require(samples >= 3, f"samples must be >= 3, got {samples}")
 
@@ -143,15 +166,15 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     params = data.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
     if kind in ("cone", "helicoidal"):
-        a = float(params.get("a", 0.6))
-        b = float(params.get("b", 0.8))
+        a = _number(params.get("a", 0.6), "a")
+        b = _number(params.get("b", 0.8), "b")
         _require(abs(a * a + b * b - 1.0) <= 1e-9, f"catalog needs a^2+b^2 = 1, got {a*a+b*b}")
         _require(b != 0.0, "catalog needs b != 0")
-        c0 = Vec3L.from_iterable(params.get("c0", (0.0, 0.0, 0.0)))
+        c0 = _vector(params.get("c0", [0.0, 0.0, 0.0]), "c0")
         if kind == "cone":
             return catalog.cone(a, b, c0, (s_min, s_max), samples)
-        return catalog.helicoidal(a, b, float(params.get("delta0", 0.2)),
-                                  float(params.get("Delta0", 0.1)), c0,
+        return catalog.helicoidal(a, b, _number(params.get("delta0", 0.2), "delta0"),
+                                  _number(params.get("Delta0", 0.1), "Delta0"), c0,
                                   (s_min, s_max), samples)
     if kind == "custom":
         custom = data.get("custom", {})
@@ -172,12 +195,15 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
 
 
 def _config_from_args(args) -> NumericsConfig:
-    return NumericsConfig(
-        quadrature=args.quadrature,
-        derivative_mode=args.deriv,
-        fd_step=args.fd_step,
-        tolerance_theorem=args.tolerance,
-    )
+    try:
+        return NumericsConfig(
+            quadrature=args.quadrature,
+            derivative_mode=args.deriv,
+            fd_step=args.fd_step,
+            tolerance_theorem=args.tolerance,
+        )
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from None
 
 
 def _write_json(path: str, payload) -> None:
@@ -314,7 +340,7 @@ def cmd_mesh(args) -> int:
     _require(v_min < v_max, f"mesh needs v_min < v_max, got [{v_min}, {v_max}]")
     _require(args.v_samples >= 2, "mesh needs v_samples >= 2")
 
-    meshes = [("base", striction_curve(spec, cfg), spec.indicatrix)]
+    meshes = [("base", striction_curve(spec), spec.indicatrix)]
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
@@ -322,7 +348,7 @@ def cmd_mesh(args) -> int:
         params = MannheimParams(args.mannheim_c, args.mannheim_cstar)
         angles = offset_angles(frames, params)
         off = construct_offset(spec, frames, angles, cfg)
-        meshes.append(("offset", striction_curve(off, cfg), off.indicatrix))
+        meshes.append(("offset", striction_curve(off), off.indicatrix))
 
     u_grid = [float(u) for u in spec.grid()]
     v_grid = [float(v) for v in np.linspace(v_min, v_max, args.v_samples)]
@@ -348,7 +374,7 @@ def cmd_mesh(args) -> int:
 
 def _profile_fn(value, what: str):
     if isinstance(value, (int, float)):
-        const = float(value)
+        const = _number(value, what)
         return lambda u: const
     if isinstance(value, str):
         return compile_scalar_expr(value)
@@ -356,21 +382,13 @@ def _profile_fn(value, what: str):
 
 
 def load_profile(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"invalid JSON in {path}: {exc}") from None
-    _require(isinstance(data, dict), "profile must be a JSON object")
+    data = _load_object(path, "profile")
     for key in ("gamma", "delta", "Delta"):
         _require(key in data, f"profile is missing {key!r}")
     frame = data.get("frame", {})
-    _require(all(k in frame for k in ("e", "t", "g", "c")),
+    _require(isinstance(frame, dict) and all(k in frame for k in ("e", "t", "g", "c")),
              "profile needs 'frame': {'e', 't', 'g', 'c'}")
-    dom = data.get("domain", {})
-    s_min = float(dom.get("s_min", 0.0))
-    s_max = float(dom.get("s_max", 1.0))
-    samples = int(dom.get("samples", 101))
+    s_min, s_max, samples = _domain(data)
     _require(s_min <= s_max, "profile domain needs s_min <= s_max")
     _require(samples >= 1, "profile needs samples >= 1")
     try:
@@ -378,10 +396,10 @@ def load_profile(path: str):
             gamma=_profile_fn(data["gamma"], "gamma"),
             delta=_profile_fn(data["delta"], "delta"),
             Delta=_profile_fn(data["Delta"], "Delta"),
-            e0=Vec3L.from_iterable(frame["e"]),
-            t0=Vec3L.from_iterable(frame["t"]),
-            g0=Vec3L.from_iterable(frame["g"]),
-            c0=Vec3L.from_iterable(frame["c"]),
+            e0=_vector(frame["e"], "frame e"),
+            t0=_vector(frame["t"], "frame t"),
+            g0=_vector(frame["g"], "frame g"),
+            c0=_vector(frame["c"], "frame c"),
         )
     except FrameDegeneracy as exc:
         raise SpecFileError(f"profile frame seed rejected: {exc}") from None
@@ -442,12 +460,7 @@ def _single_frame_row(profile: InvariantProfile, s: float, cfg: NumericsConfig):
 
 
 def cmd_study(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"invalid JSON in {args.input}: {exc}") from None
-    _require(isinstance(data, dict), "study input must be a JSON object")
+    data = _load_object(args.input, "study input")
 
     if args.direction == "line-to-dual" or ("point" in data and args.direction == "auto"):
         _require("point" in data and "dir" in data, "line input needs 'point' and 'dir'")

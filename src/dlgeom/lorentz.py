@@ -24,8 +24,10 @@ CAUSAL_TOL = 1e-12
 
 
 def _check_finite(v) -> None:
-    # type-is check: the ABC isinstance would dominate hot construction paths
-    if type(v) is float and not math.isfinite(v):
+    # type-is fast path first, then float subclasses such as np.float64.  Dual
+    # scalars are not inspected: DualVec3.from_components rejects a non-finite
+    # slot when it splits them, which every measured frame node goes through.
+    if (type(v) is float or isinstance(v, float)) and not math.isfinite(v):
         raise NonFinite(f"non-finite vector component: {v!r}")
 
 

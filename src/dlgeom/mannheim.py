@@ -37,8 +37,8 @@ from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
 from .ruled import (TIMELIKE_SURFACE, FrameSample, RuledSurfaceSpec, darboux_frame,
-                    distribution_closure, speed_closure, striction_jet, tangent_speed,
-                    timelike_invariants, timelike_radius, _signed_integral, _CONSTRUCTION_CFG)
+                    speed_closure, striction_jet, tangent_speed, timelike_invariants,
+                    timelike_radius, _arc_rates, _node, _signed_integral, _CONSTRUCTION_CFG)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -185,17 +185,16 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
                 f"gamma*cosh(theta) = {f.gamma * math.cosh(a.theta):.3e} at s={f.s}")
 
     ind = base.indicatrix
-    base_jet = striction_jet(base, cfg)
-    speed = speed_closure(base, _CONSTRUCTION_CFG)
-    Delta_rate = distribution_closure(base, cfg)
+    base_jet = striction_jet(base)
+    speed = speed_closure(base)
     grid = base.grid()
     theta = _GridAntiderivative(lambda u: -speed(u), grid, [a.theta for a in angles], cfg)
-    theta_star = _GridAntiderivative(lambda u: -Delta_rate(u), grid,
-                                     [a.theta_star for a in angles], cfg)
+    theta_star = _GridAntiderivative(
+        lambda u: -_arc_rates(_node(base_jet, u, _CONSTRUCTION_CFG), 1.0, u)[1], grid,
+        [a.theta_star for a in angles], cfg)
 
     def offset_indicatrix(u):
-        # construction-side derivative: exact dual evaluation, mode-independent
-        e, ep = value_and_derivative(ind, u, _CONSTRUCTION_CFG)
+        e, ep = value_and_derivative(ind, u)
         v = tangent_speed(ep, 1.0, u)
         th = theta(u, -re_part(v))
         return dual.sinh(th) * e + (dual.cosh(th) / v) * ep

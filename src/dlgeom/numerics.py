@@ -47,8 +47,8 @@ class NumericsConfig:
             raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.derivative_mode not in (DUAL_AD, CENTRAL_FD):
             raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
+        if not 0.0 < self.fd_step < math.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.ode_steps_per_unit < 16:
             raise ValueError("ode_steps_per_unit must be >= 16")
         if self.tolerance_theorem is None:
@@ -96,16 +96,17 @@ def integrate(f, a: float, b: float, cfg: NumericsConfig = DEFAULT_CONFIG):
     return result
 
 
-def cumulative_integrate(f, grid: np.ndarray, cfg: NumericsConfig = DEFAULT_CONFIG) -> np.ndarray:
+def cumulative_integrate(f, grid: np.ndarray, nodes,
+                         cfg: NumericsConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Antiderivative values F(grid[i]) - F(grid[0]) on an increasing grid.
 
-    Every node is evaluated once; Simpson mode adds one midpoint sample per
-    interval, so each panel is exact through cubics.  ``f`` may return a
-    float or a fixed-length float array, integrated componentwise (the
-    result then has one row per node).
+    ``nodes`` holds f at every grid point, so ``f`` itself is called only at
+    the Simpson midpoints, one per interval, which makes each panel exact
+    through cubics.  Values may be floats or fixed-length float arrays,
+    integrated componentwise (the result then has one row per node).
     """
     grid = np.asarray(grid, dtype=float)
-    nodes = np.array([f(float(u)) for u in grid], dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
     h = np.diff(grid).reshape((-1,) + (1,) * (nodes.ndim - 1))
     if cfg.quadrature == TRAPEZOID:
         pieces = 0.5 * h * (nodes[:-1] + nodes[1:])
@@ -131,17 +132,14 @@ def differentiate(curve, u, cfg: NumericsConfig = DEFAULT_CONFIG) -> Vec3L:
     return (curve(u + h) - curve(u - h)) / (2.0 * h)
 
 
-def value_and_derivative(curve, u, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """Curve value and derivative from a single dual evaluation.
+def value_and_derivative(curve, u):
+    """Curve value and exact derivative from a single dual evaluation.
 
     One pass through the closure carries both slots, which matters in the
-    nested inner loops; fd mode falls back to three evaluations.
+    nested inner loops; ``u`` may itself be dual.
     """
-    if cfg.derivative_mode == DUAL_AD:
-        v = DualVec3.from_components(curve(DualScalar(u, 1.0)))
-        return v.re, v.du
-    h = cfg.fd_step
-    return curve(u), (curve(u + h) - curve(u - h)) / (2.0 * h)
+    v = DualVec3.from_components(curve(DualScalar(u, 1.0)))
+    return v.re, v.du
 
 
 def scalar_derivative(f, u, cfg: NumericsConfig = DEFAULT_CONFIG):

@@ -12,13 +12,15 @@ distribution parameter; zero exactly for developable surfaces).  Surfaces
 with timelike rulings, which Mannheim offsetting produces, share the same
 measurement with the opposite causal characters.
 
-Frames are measured in the spec's own parameter u, whatever it is: every
-u-derivative is divided by the indicatrix speed v = ds/du (exact chain
-rule), and s and the accumulated distribution parameter s* come from
-quadrature of their u-rates, so no reparametrization is needed.  Curve
-closures are duck-typed over dual scalars throughout, so every derivative
-taken here is exact forward differentiation (finite differences remain
-available through the numerics config).
+Frames are measured in the spec's own parameter u, whatever it is: each
+sample is read off one evaluation of the striction jet (c, c', e, e', e''),
+every u-derivative is divided by the indicatrix speed v = ds/du (exact
+chain rule), gamma = det(e, e', e'')/v^3, and s and the accumulated
+distribution parameter s* come from quadrature of their u-rates, so no
+reparametrization is needed.  Curve closures are duck-typed over dual
+scalars, so every derivative is exact forward differentiation; central
+finite differences remain available for the frame through the numerics
+config, while s and s* stay exact in both modes.
 """
 
 from __future__ import annotations
@@ -175,12 +177,12 @@ def tangent_speed(ep, sign: float, u):
     return dual.sqrt(q)
 
 
-def speed_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
+def speed_closure(spec: RuledSurfaceSpec):
     """Indicatrix speed |e'(u)| as a dual-capable closure (see tangent_speed)."""
     sign = spec.ruling_sign()
 
     def v(u):
-        return tangent_speed(differentiate(spec.indicatrix, u, cfg), sign, u)
+        return tangent_speed(differentiate(spec.indicatrix, u, _CONSTRUCTION_CFG), sign, u)
 
     return v
 
@@ -192,7 +194,7 @@ def speed_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
 _CONSTRUCTION_CFG = NumericsConfig()
 
 
-def striction_jet(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
+def striction_jet(spec: RuledSurfaceSpec):
     """Closure returning (c(u), e(u), e'(u)) with c the striction curve.
 
     Solves c = p + lam*e with lam = -<p', e'>/<e', e'>; the division by the
@@ -203,20 +205,20 @@ def striction_jet(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
     ind, base = spec.indicatrix, spec.base_curve
 
     def jet(u):
-        e, ep = value_and_derivative(ind, u, _CONSTRUCTION_CFG)
+        e, ep = value_and_derivative(ind, u)
         q = lorentz_dot(ep, ep)
         if abs(leading_real(q)) < SPEED_TOL ** 2:
             raise DegenerateIndicatrix(f"striction undefined: e' vanishes near u={leading_real(u)}")
-        p, pp = value_and_derivative(base, u, _CONSTRUCTION_CFG)
+        p, pp = value_and_derivative(base, u)
         lam = -lorentz_dot(pp, ep) / q
         return p + lam * e, e, ep
 
     return jet
 
 
-def striction_curve(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
+def striction_curve(spec: RuledSurfaceSpec):
     """The unique directrix with <c', e'> = 0, as a dual-capable closure."""
-    jet = striction_jet(spec, cfg)
+    jet = striction_jet(spec)
 
     def c(u):
         return jet(u)[0]
@@ -224,33 +226,31 @@ def striction_curve(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG
     return c
 
 
-def _arc_rates(jet, sign: float, u):
-    """(ds/du, Delta*ds/du) at u from one exact jet evaluation.
+def _node(jet, u, cfg: NumericsConfig):
+    """(c, c', e, e', e'') at u from a striction jet.
 
-    ds/du = |e'| is the indicatrix speed and Delta*ds/du = det(c', e, e')/|e'|
-    the u-rate of the accumulated distribution parameter; ``sign`` is the
-    ruling sign, which fixes the causal character e' must have.
+    Dual-ad mode reads all five off one evaluation at u + eps (e'' is the
+    dual slot of e'), and ``u`` may itself be dual.  Central-fd mode takes
+    c, e, e' from the real jet at u and c', e'' from its central
+    differences at u +- h.
     """
-    c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
-    cp = DualVec3.from_components(c_d).du
-    e = DualVec3.from_components(e_d).re
-    ep = DualVec3.from_components(ep_d).re
+    if cfg.derivative_mode == DUAL_AD:
+        c, e, ep = (DualVec3.from_components(x) for x in jet(DualScalar(u, 1.0)))
+        return c.re, c.du, e.re, ep.re, ep.du
+    h = cfg.fd_step
+    (c, e, ep), (c_hi, _, ep_hi), (c_lo, _, ep_lo) = jet(u), jet(u + h), jet(u - h)
+    return c, (c_hi - c_lo) / (2.0 * h), e, ep, (ep_hi - ep_lo) / (2.0 * h)
+
+
+def _arc_rates(node, sign: float, u):
+    """(ds/du, ds*/du) = (|e'|, sign*det(c', e, e')/|e'|) from a node (c, c', e, e', e'').
+
+    ``sign`` is the ruling sign; it fixes the sign of s* and the causal
+    character e' must have.
+    """
+    _, cp, e, ep, _ = node
     v = tangent_speed(ep, sign, u)
-    return v, det3(cp, e, ep) / v
-
-
-def distribution_closure(spec: RuledSurfaceSpec, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """u-rate Delta*ds/du of the accumulated distribution parameter, dual-capable.
-
-    On an arc-length spec this is the distribution parameter itself.
-    """
-    jet = striction_jet(spec, cfg)
-    sign = spec.ruling_sign()
-
-    def rate(u):
-        return _arc_rates(jet, sign, u)[1]
-
-    return rate
+    return v, sign * det3(cp, e, ep) / v
 
 
 def arclength_reparametrize(spec: RuledSurfaceSpec,
@@ -266,7 +266,7 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
     returned unchanged.  Raises GeometryError if Newton stalls or if the
     arc length of u(s) misses s by more than 1e-8 on the output grid.
     """
-    v = speed_closure(spec, _CONSTRUCTION_CFG)
+    v = speed_closure(spec)
     grid = spec.grid()
     speeds = np.array([v(float(u)) for u in grid])
     if np.max(np.abs(speeds - 1.0)) <= 1e-10:
@@ -275,7 +275,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
     u0, u1 = spec.domain
     n_dense = max(512, 8 * max(spec.samples - 1, 1))
     dense = np.linspace(u0, u1, n_dense + 1)
-    table = _signed_integral(v, 0.0, u0, cfg) + cumulative_integrate(v, dense, cfg)
+    table = (_signed_integral(v, 0.0, u0, cfg)
+             + cumulative_integrate(v, dense, [v(float(u)) for u in dense], cfg))
 
     def u_of_s(sb):
         if isinstance(sb, DualScalar):
@@ -316,49 +317,37 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
 def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSample]:
     """Frame samples of either causal class, per unit arc length, on the spec's grid.
 
-    Derivatives are taken in the spec's parameter u and divided by the
-    indicatrix speed v = ds/du.  The ruling sign fixes the frame signature,
-    (+, -, +) or (-, +, +), the sign of s* (+int Delta ds or -int Delta ds)
-    and that of gamma_dual's dual slot (-(delta + gamma*Delta) or +).  In
-    both classes gamma = -<dg/ds, t>.  s and s* accumulate from parameter 0.
+    Each sample comes from one node (c, c', e, e', e'') in the spec's
+    parameter u; derivatives are divided by the indicatrix speed v = ds/du.
+    The ruling sign fixes the frame signature, (+, -, +) or (-, +, +), the
+    sign of s* (+int Delta ds or -int Delta ds) and that of gamma_dual's
+    dual slot (-(delta + gamma*Delta) or +).  In both classes gamma =
+    -<dg/ds, t> = det(e, e', e'')/v^3.  s and s* accumulate from parameter 0.
     """
     sign = spec.ruling_sign()
-    ind = spec.indicatrix
-    jet = striction_jet(spec, cfg)
-    c_curve = striction_curve(spec, cfg)
-
-    def g_curve(u):
-        e, ep = value_and_derivative(ind, u, cfg)
-        return -lorentz_cross(e, ep) / tangent_speed(ep, sign, u)
+    jet = striction_jet(spec)
 
     def rates(u):
-        v, moment = _arc_rates(jet, sign, u)
-        return np.array([v, sign * moment])
+        return np.array(_arc_rates(_node(jet, u, _CONSTRUCTION_CFG), sign, u))
 
-    grid = spec.grid()
-    arcs = (_signed_integral(rates, 0.0, float(grid[0]), cfg)
-            + cumulative_integrate(rates, grid, cfg))
+    grid = [float(u) for u in spec.grid()]
+    nodes = [_node(jet, u, cfg) for u in grid]
+    # fd nodes feed only the frame; s and s* integrate exact nodes of their own
+    exact = nodes if cfg.derivative_mode == DUAL_AD else [
+        _node(jet, u, _CONSTRUCTION_CFG) for u in grid]
+    arcs = (_signed_integral(rates, 0.0, grid[0], cfg)
+            + cumulative_integrate(rates, grid,
+                                   [_arc_rates(n, sign, u) for n, u in zip(exact, grid)], cfg))
 
     out = []
-    for u, (s, s_star) in zip(map(float, grid), arcs):
-        if cfg.derivative_mode == DUAL_AD:
-            c_d, e_d, ep_d = jet(DualScalar(u, 1.0))
-            c_pair = DualVec3.from_components(c_d)
-            point, cp = c_pair.re, c_pair.du
-            e = DualVec3.from_components(e_d).re
-            ep = DualVec3.from_components(ep_d).re
-        else:
-            point = jet(u)[0]
-            e = ind(u)
-            ep = differentiate(ind, u, cfg)
-            cp = differentiate(c_curve, u, cfg)
+    for u, (point, cp, e, ep, epp), (s, s_star) in zip(grid, nodes, arcs):
         v = tangent_speed(ep, sign, u)
         t = ep / v
         g = -lorentz_cross(e, t)
         res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
         if res > FRAME_TOL:
             raise FrameDegeneracy(f"frame residual {res:.3e} at u={u}")
-        gamma = -lorentz_dot(differentiate(g_curve, u, cfg), t) / v
+        gamma = det3(e, ep, epp) / (v * v * v)
         if abs(lorentz_dot(cp, t)) > 1e-8:
             raise FrameDegeneracy(f"striction condition violated at u={u}")
         cs = cp / v
@@ -397,14 +386,12 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float,
     spacelike side and s1 - eps*int(Delta1) on the timelike side (the sign
     difference falls out of the norm's causal character).
     """
-    ind = spec.indicatrix
-    c_curve = striction_curve(spec, cfg)
-
-    def moment(u):
-        return lorentz_cross(c_curve(u), ind(u))
+    jet = striction_jet(spec)
 
     def f(u):
-        return dual_norm(DualVec3(differentiate(ind, u, cfg), differentiate(moment, u, cfg)))
+        # the dual curve e + eps*(c x e) differentiates to e' + eps*(c' x e + c x e')
+        c, cp, e, ep, _ = _node(jet, u, cfg)
+        return dual_norm(DualVec3(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
     val = _signed_integral(f, 0.0, s, cfg)
     if isinstance(val, DualScalar):

@@ -112,7 +112,7 @@ def test_criterion_3_study_round_trip():
 
 
 def _dual_frame_curves(spec, cfg):
-    c_curve = striction_curve(spec, cfg)
+    c_curve = striction_curve(spec)
     ind = spec.indicatrix
 
     def e_re(u):

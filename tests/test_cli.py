@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,38 @@ def test_custom_expression_rejects_unsafe_code(tmp_path):
     }
     assert main(["frames", "--input", _spec(tmp_path, payload),
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_custom_expression_rejects_lifts_outside_the_grammar(tmp_path):
+    payload = {
+        "catalog": "custom",
+        "domain": {"s_min": 0.0, "s_max": 0.5, "samples": 5},
+        "custom": {"e": ["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6 + 0*tanh(u)"],
+                   "c": ["0", "0", "0"]},
+    }
+    assert main(["frames", "--input", _spec(tmp_path, payload),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("domain,params,flags", [
+    ({"s_min": "abc"}, {}, []),
+    ({"samples": "x"}, {}, []),
+    ({}, {"c0": [0, 0]}, []),
+    ({"s_max": math.inf}, {}, []),
+    ({}, {}, ["--fd-step", "0"]),
+    ({}, {}, ["--samples", "0"]),
+], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite",
+        "fd-step-zero", "samples-zero"])
+def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags):
+    payload = {**HELI, "domain": {**HELI["domain"], **domain},
+               "params": {**HELI["params"], **params}}
+    assert main(["frames", "--input", _spec(tmp_path, payload),
+                 "--out", str(tmp_path / "x.csv"), *flags]) == 2
+    assert _last_error(capsys)["error"] == "SpecFileError"
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +353,18 @@ def test_reconstruct_rejects_skew_frame(tmp_path):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps(prof))
     assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("domain", {"s_min": "abc", "s_max": 1.0, "samples": 11}),
+    ("domain", {"s_min": 0.0, "s_max": 1.0, "samples": "x"}),
+    ("frame", {"e": [0.0, 0.8], "t": [1.0, 0.0, 0.0], "g": [0.0, 0.6, -0.8], "c": [0, 0, 0]}),
+], ids=["s_min-text", "samples-text", "e-two-elements"])
+def test_reconstruct_malformed_profile_exits_2(tmp_path, capsys, field, value):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload(**{field: value})))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert _last_error(capsys)["error"] == "SpecFileError"
 
 
 # ---------------------------------------------------------------------------

@@ -21,3 +21,4 @@ def test_demo_exits_cleanly(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("dlgeom-demo-*")), "demo left its temporary directory behind"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dlgeom.dual import DualScalar, DualVec3
 from dlgeom.errors import NonFinite
 from dlgeom.lorentz import (E1, E2, E3, CausalCharacter, Vec3L, causal_character, det3,
                             lorentz_cross, lorentz_dot, lorentz_norm)
@@ -87,6 +88,21 @@ def test_constructor_rejects_non_finite():
         Vec3L(float("nan"), 0.0, 0.0)
     with pytest.raises(NonFinite):
         Vec3L(0.0, float("inf"), 0.0)
+
+
+def test_constructor_rejects_non_finite_float_subclass():
+    with pytest.raises(NonFinite):
+        Vec3L(np.float64("nan"), 0.0, 0.0)
+    with pytest.raises(NonFinite):
+        Vec3L(0.0, 0.0, np.float64("-inf"))
+
+
+def test_non_finite_dual_slot_rejected_when_split():
+    # Vec3L does not look inside dual components; splitting them does
+    for bad in (DualScalar(math.nan, 1.0), DualScalar(0.5, math.inf)):
+        v = Vec3L(0.0, bad, 0.0)
+        with pytest.raises(NonFinite):
+            DualVec3.from_components(v)
 
 
 def test_vector_arithmetic():

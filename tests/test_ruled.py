@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import dlgeom.dual as dual
 import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
-from dlgeom.errors import DegenerateIndicatrix, FrameDegeneracy, GeometryError, NullDarboux
+from dlgeom.errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
+                           NullDarboux)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, verify_offset
 from dlgeom.numerics import CENTRAL_FD, NumericsConfig, differentiate
@@ -88,7 +90,7 @@ def test_reparametrize_round_trip_catches_a_shifted_table(monkeypatch):
     # the independent quadrature of the round trip can see it
     real = ruled.cumulative_integrate
     monkeypatch.setattr(ruled, "cumulative_integrate",
-                        lambda f, grid, cfg: real(f, grid, cfg) + 1e-3)
+                        lambda f, grid, nodes, cfg: real(f, grid, nodes, cfg) + 1e-3)
     with pytest.raises(GeometryError, match="round trip"):
         arclength_reparametrize(_double_speed_cone())
 
@@ -237,6 +239,34 @@ def test_darboux_frame_is_parametrization_invariant():
                     assert f.Delta == pytest.approx(0.1, abs=tol)
                     assert f.ds_du == pytest.approx(1.0 + 2.0 * k * u, abs=tol)
                 assert verify_offset(spec, params, cfg).passed, (k, samples, cfg)
+
+
+def test_darboux_frame_evaluates_each_node_and_midpoint_once():
+    spec = catalog.helicoidal(domain=(0.5, 1.5), samples=11)
+    seen = []
+
+    def base(u):
+        seen.append(dual.leading_real(u))
+        return spec.base_curve(u)
+
+    darboux_frame(dataclasses.replace(spec, base_curve=base), AD)
+    grid = spec.grid()
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    counts = Counter(seen)
+    # one evaluation per node and per Simpson midpoint; the head integral
+    # from parameter 0 samples [0, grid[0]] once per point, ending on grid[0]
+    assert Counter({u: n for u, n in counts.items() if u > grid[0]}) == Counter([*grid[1:], *mids])
+    assert counts[grid[0]] == 2
+    head = [u for u in seen if u < grid[0]]
+    assert len(head) == len(set(head)) > 0
+
+
+def test_darboux_frame_rejects_a_non_finite_dual_node():
+    # the base curve's NaN lives only in dual components until the node is split
+    spec = catalog.helicoidal(domain=(0.0, 1.0), samples=5)
+    spec = dataclasses.replace(spec, base_curve=lambda u: Vec3L(0.0 * u, 0.0 * u, math.nan * u))
+    with pytest.raises(NonFinite):
+        darboux_frame(spec, AD)
 
 
 @pytest.mark.parametrize("cfg,tol", [(AD, 1e-8), (FD, 1e-6)])
