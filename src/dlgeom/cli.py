@@ -30,7 +30,7 @@ from .errors import (DegenerateIndicatrix, DegenerateOffset, FrameDegeneracy, Ge
                      InvalidDirection, NonFinite, NotUnit, NullDarboux, SpecFileError,
                      StepSizeError, ZeroConicalCurvature)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, SIMPSON, TRAPEZOID, NumericsConfig
+from .numerics import CENTRAL_FD, DUAL_AD, NumericsConfig
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
                     striction_curve, timelike_invariants, timelike_radius)
@@ -197,7 +197,6 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
 def _config_from_args(args) -> NumericsConfig:
     try:
         return NumericsConfig(
-            quadrature=args.quadrature,
             derivative_mode=args.deriv,
             fd_step=args.fd_step,
             tolerance_theorem=args.tolerance,
@@ -258,8 +257,8 @@ def _report_payload(report, spec, args) -> dict:
             "input": args.input,
             "mannheim": {"c": args.mannheim_c, "c_star": args.mannheim_cstar},
             "config": {
-                "quadrature": args.quadrature, "derivative_mode": args.deriv,
-                "fd_step": args.fd_step, "tolerance": report.tolerance,
+                "derivative_mode": args.deriv, "fd_step": args.fd_step,
+                "tolerance": report.tolerance,
             },
             "surface": {"name": spec.name, "kind": spec.kind,
                         "domain": list(spec.domain), "samples": spec.samples},
@@ -347,7 +346,7 @@ def cmd_mesh(args) -> int:
         frames = darboux_frame(spec, cfg)
         params = MannheimParams(args.mannheim_c, args.mannheim_cstar)
         angles = offset_angles(frames, params)
-        off = construct_offset(spec, frames, angles, cfg)
+        off = construct_offset(spec, frames, angles)
         meshes.append(("offset", striction_curve(off), off.indicatrix))
 
     u_grid = [float(u) for u in spec.grid()]
@@ -381,14 +380,14 @@ def _profile_fn(value, what: str):
     raise SpecFileError(f"profile entry {what!r} must be a number or expression string")
 
 
-def load_profile(path: str):
+def load_profile(path: str, samples_override: int | None = None):
     data = _load_object(path, "profile")
     for key in ("gamma", "delta", "Delta"):
         _require(key in data, f"profile is missing {key!r}")
     frame = data.get("frame", {})
     _require(isinstance(frame, dict) and all(k in frame for k in ("e", "t", "g", "c")),
              "profile needs 'frame': {'e', 't', 'g', 'c'}")
-    s_min, s_max, samples = _domain(data)
+    s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min <= s_max, "profile domain needs s_min <= s_max")
     _require(samples >= 1, "profile needs samples >= 1")
     try:
@@ -412,13 +411,8 @@ def load_profile(path: str):
 
 def cmd_reconstruct(args) -> int:
     cfg = _config_from_args(args)
-    profile, grid = load_profile(args.input)
-    spec = reconstruct_from_invariants(profile, grid, cfg)
-    if len(grid) == 1:
-        f0 = _single_frame_row(profile, float(grid[0]), cfg)
-        frames = [f0]
-    else:
-        frames = darboux_frame(spec, cfg)
+    profile, grid = load_profile(args.input, args.samples)
+    frames = darboux_frame(reconstruct_from_invariants(profile, grid), cfg)
 
     json_path, csv_path = _offset_out_paths(args.out)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -442,21 +436,6 @@ def cmd_reconstruct(args) -> int:
     }
     _write_json(json_path, payload)
     return EXIT_OK
-
-
-def _single_frame_row(profile: InvariantProfile, s: float, cfg: NumericsConfig):
-    from .dual import DualScalar
-    from .ruled import FrameSample, _signed_integral
-    gamma = profile.gamma(s)
-    delta = profile.delta(s)
-    Delta = profile.Delta(s)
-    return FrameSample(
-        s=s, e=profile.e0, t=profile.t0, g=profile.g0,
-        gamma=gamma, delta=delta, Delta=Delta,
-        s_star=float(_signed_integral(profile.Delta, 0.0, s, cfg)),
-        gamma_dual=DualScalar(gamma, -(delta + gamma * Delta)),
-        striction_point=profile.c0,
-    )
 
 
 def cmd_study(args) -> int:
@@ -490,7 +469,6 @@ def cmd_study(args) -> int:
 
 def _add_numerics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=None, help="override sample count")
-    p.add_argument("--quadrature", choices=[SIMPSON, TRAPEZOID], default=SIMPSON)
     p.add_argument("--deriv", choices=[DUAL_AD, CENTRAL_FD], default=DUAL_AD,
                    help="derivative mode")
     p.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")

@@ -38,7 +38,7 @@ from .lorentz import lorentz_cross
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
 from .ruled import (TIMELIKE_SURFACE, FrameSample, RuledSurfaceSpec, darboux_frame,
                     speed_closure, striction_jet, tangent_speed, timelike_invariants,
-                    timelike_radius, _arc_rates, _node, _signed_integral, _CONSTRUCTION_CFG)
+                    timelike_radius, _arc_rates, _exact_node, _signed_integral)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -142,11 +142,10 @@ class _GridAntiderivative:
     its real part then serves the next nesting level.
     """
 
-    def __init__(self, rate, grid, values, cfg: NumericsConfig):
+    def __init__(self, rate, grid, values):
         self.rate = rate
         self.grid = np.asarray(grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.cfg = cfg
 
     def __call__(self, u, rate=None):
         if isinstance(u, DualScalar):
@@ -159,20 +158,20 @@ class _GridAntiderivative:
         node = float(self.grid[i])
         out = float(self.values[i])
         if u != node:
-            out = out + _signed_integral(self.rate, node, u, self.cfg)
+            out = out + _signed_integral(self.rate, node, u)
         return out
 
 
 def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
-                     angles: Sequence[OffsetAngle],
-                     cfg: NumericsConfig = DEFAULT_CONFIG) -> RuledSurfaceSpec:
+                     angles: Sequence[OffsetAngle]) -> RuledSurfaceSpec:
     """Build the Mannheim offset surface of a spacelike base, in the base's parameter.
 
     The ruling is rotated into the timelike direction
     ``e1 = sinh(theta)*e + cosh(theta)*t`` and the striction line shifted
     by theta* along g.  theta(u) = c - s(u) and theta*(u) = c* - s*(u) take
     the angles' values at the grid nodes and the rates -ds/du and
-    -Delta*ds/du in between.
+    -Delta*ds/du in between.  Every derivative is exact, whatever derivative
+    mode measured ``frames``.
     """
     if not len(frames) == len(angles) == base.samples:
         raise ValueError("frames and angles must sample the base grid")
@@ -188,10 +187,9 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
     base_jet = striction_jet(base)
     speed = speed_closure(base)
     grid = base.grid()
-    theta = _GridAntiderivative(lambda u: -speed(u), grid, [a.theta for a in angles], cfg)
-    theta_star = _GridAntiderivative(
-        lambda u: -_arc_rates(_node(base_jet, u, _CONSTRUCTION_CFG), 1.0, u)[1], grid,
-        [a.theta_star for a in angles], cfg)
+    theta = _GridAntiderivative(lambda u: -speed(u), grid, [a.theta for a in angles])
+    theta_star = _GridAntiderivative(lambda u: -_arc_rates(_exact_node(base_jet, u), 1.0, u)[1],
+                                     grid, [a.theta_star for a in angles])
 
     def offset_indicatrix(u):
         e, ep = value_and_derivative(ind, u)
@@ -255,7 +253,7 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     """
     frames = darboux_frame(base, cfg)
     angles = offset_angles(frames, params)
-    offset = construct_offset(base, frames, angles, cfg)
+    offset = construct_offset(base, frames, angles)
     measured_frames = timelike_invariants(offset, cfg)
 
     rows = []

@@ -3,7 +3,9 @@
 Derivatives default to dual-scalar forward differentiation: a curve closure
 is evaluated at ``u + eps`` and the dual slot is read back, so catalog
 closed forms differentiate to roundoff.  Central finite differences remain
-available as an independent cross-check mode.
+available as an independent cross-check mode of the measurement layer; the
+configuration selects nothing else.  Quadrature is composite Simpson
+throughout, and the frame ODE runs a fixed ``ODE_STEPS_PER_UNIT``.
 """
 
 from __future__ import annotations
@@ -19,41 +21,41 @@ from .lorentz import Vec3L, lorentz_cross, lorentz_dot
 
 QUAD_PANELS_PER_UNIT = 256
 MIN_QUAD_PANELS = 2
+ODE_STEPS_PER_UNIT = 1000
 
-SIMPSON = "simpson"
-TRAPEZOID = "trapezoid"
+#: largest orthonormality drift of one raw RK4 frame step
+DRIFT_TOL = 1e-6
+
 DUAL_AD = "dual-ad"
 CENTRAL_FD = "central-fd"
 
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Knobs for quadrature, differentiation, ODE stepping, and tolerances.
+    """Settings of the measurement layer: derivative mode, FD step, theorem tolerance.
 
-    ``derivative_mode`` selects how measurement derivatives are taken
-    (construction-side solves always differentiate exactly via dual
-    evaluation).  ``tolerance_theorem`` defaults per derivative mode:
-    1e-8 for dual-ad, 1e-6 for central-fd.
+    ``derivative_mode`` selects how measured frames and invariants are
+    differentiated; constructions (striction solve, offset, reconstruction)
+    take no config and always differentiate exactly via dual evaluation.
+    ``tolerance_theorem`` defaults per derivative mode: 1e-8 for dual-ad,
+    1e-6 for central-fd.
     """
 
-    quadrature: str = SIMPSON
     derivative_mode: str = DUAL_AD
     fd_step: float = 1e-4
-    ode_steps_per_unit: int = 1000
     tolerance_theorem: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.quadrature not in (SIMPSON, TRAPEZOID):
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
         if self.derivative_mode not in (DUAL_AD, CENTRAL_FD):
             raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
         if not 0.0 < self.fd_step < math.inf:
             raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
-        if self.ode_steps_per_unit < 16:
-            raise ValueError("ode_steps_per_unit must be >= 16")
         if self.tolerance_theorem is None:
             tol = 1e-8 if self.derivative_mode == DUAL_AD else 1e-6
             object.__setattr__(self, "tolerance_theorem", tol)
+        if not 0.0 < self.tolerance_theorem < math.inf:
+            raise ValueError("tolerance_theorem must be positive and finite, "
+                             f"got {self.tolerance_theorem}")
 
 
 DEFAULT_CONFIG = NumericsConfig()
@@ -67,11 +69,11 @@ def _assert_finite(v, where: str) -> None:
         raise NonFinite(f"non-finite value in {where}: {v!r}")
 
 
-def integrate(f, a: float, b: float, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """Definite integral of ``f`` over [a, b] by a composite rule.
+def integrate(f, a: float, b: float):
+    """Definite integral of ``f`` over [a, b] by the composite Simpson rule.
 
-    Exact on constants; the Simpson rule is exact through cubics.  The
-    integrand may return floats or dual scalars (the sum is generic).
+    Exact through cubics.  The integrand may return floats or dual scalars
+    (the sum is generic).
     """
     if not a <= b:
         raise ValueError(f"integrate needs a <= b, got [{a}, {b}]")
@@ -81,23 +83,16 @@ def integrate(f, a: float, b: float, cfg: NumericsConfig = DEFAULT_CONFIG):
     if n % 2:
         n += 1
     h = (b - a) / n
-    if cfg.quadrature == TRAPEZOID:
-        total = 0.5 * (f(a) + f(b))
-        for i in range(1, n):
-            total = total + f(a + i * h)
-        result = total * h
-    else:
-        total = f(a) + f(b)
-        for i in range(1, n):
-            v = f(a + i * h)
-            total = total + (4.0 * v if i % 2 else 2.0 * v)
-        result = total * (h / 3.0)
+    total = f(a) + f(b)
+    for i in range(1, n):
+        v = f(a + i * h)
+        total = total + (4.0 * v if i % 2 else 2.0 * v)
+    result = total * (h / 3.0)
     _assert_finite(result, "integrate")
     return result
 
 
-def cumulative_integrate(f, grid: np.ndarray, nodes,
-                         cfg: NumericsConfig = DEFAULT_CONFIG) -> np.ndarray:
+def cumulative_integrate(f, grid: np.ndarray, nodes) -> np.ndarray:
     """Antiderivative values F(grid[i]) - F(grid[0]) on an increasing grid.
 
     ``nodes`` holds f at every grid point, so ``f`` itself is called only at
@@ -108,12 +103,9 @@ def cumulative_integrate(f, grid: np.ndarray, nodes,
     grid = np.asarray(grid, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     h = np.diff(grid).reshape((-1,) + (1,) * (nodes.ndim - 1))
-    if cfg.quadrature == TRAPEZOID:
-        pieces = 0.5 * h * (nodes[:-1] + nodes[1:])
-    else:
-        mids = np.array([f(float(u)) for u in 0.5 * (grid[:-1] + grid[1:])],
-                        dtype=float).reshape(nodes[1:].shape)
-        pieces = h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:])
+    mids = np.array([f(float(u)) for u in 0.5 * (grid[:-1] + grid[1:])],
+                    dtype=float).reshape(nodes[1:].shape)
+    pieces = h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:])
     _assert_finite(pieces, "cumulative_integrate")
     return np.concatenate([np.zeros_like(nodes[:1]), np.cumsum(pieces, axis=0)])
 
@@ -142,13 +134,10 @@ def value_and_derivative(curve, u):
     return v.re, v.du
 
 
-def scalar_derivative(f, u, cfg: NumericsConfig = DEFAULT_CONFIG):
-    """Same as :func:`differentiate` for scalar-valued functions."""
-    if cfg.derivative_mode == DUAL_AD:
-        v = f(DualScalar(u, 1.0))
-        return v.du if isinstance(v, DualScalar) else 0.0
-    h = cfg.fd_step
-    return (f(u + h) - f(u - h)) / (2.0 * h)
+def scalar_derivative(f, u):
+    """Exact derivative of a scalar function from one dual evaluation."""
+    v = f(DualScalar(u, 1.0))
+    return v.du if isinstance(v, DualScalar) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +186,13 @@ def lorentz_gram_schmidt(e: Vec3L, t: Vec3L, g: Vec3L):
 
 
 def rk4_frame_step(state: FrameState, s: float, h: float,
-                   gamma, delta, Delta,
-                   drift_tol: float = 1e-6) -> FrameState:
+                   gamma, delta, Delta) -> FrameState:
     """One classical RK4 step of the frame system
 
         e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g,
 
     followed by Lorentzian Gram-Schmidt.  Raises StepSizeError if the raw
-    step drifts from orthonormality by more than ``drift_tol``.
+    step drifts from orthonormality by more than ``DRIFT_TOL``.
     """
 
     def rates(si, e, t, g, _c):
@@ -226,7 +214,7 @@ def rk4_frame_step(state: FrameState, s: float, h: float,
     c = c0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
 
     drift = frame_residual(e, t, g)
-    if drift > drift_tol:
-        raise StepSizeError(f"frame drift {drift:.3e} exceeds {drift_tol:.1e} at s={s}")
+    if drift > DRIFT_TOL:
+        raise StepSizeError(f"frame drift {drift:.3e} exceeds {DRIFT_TOL:.1e} at s={s}")
     e, t, g = lorentz_gram_schmidt(e, t, g)
     return FrameState(e, t, g, c)

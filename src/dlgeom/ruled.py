@@ -20,7 +20,8 @@ distribution parameter s* come from quadrature of their u-rates, so no
 reparametrization is needed.  Curve closures are duck-typed over dual
 scalars, so every derivative is exact forward differentiation; central
 finite differences remain available for the frame through the numerics
-config, while s and s* stay exact in both modes.
+config, while s, s* and the striction check stay exact in both modes.
+Constructions (striction solve, reconstruction) take no config.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from . import dual
 from .dual import DualScalar, DualVec3, dual_norm, leading_real
 from .errors import DegenerateIndicatrix, FrameDegeneracy, GeometryError, NullDarboux
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
-from .numerics import (DEFAULT_CONFIG, DUAL_AD, NumericsConfig, FrameState,
-                       cumulative_integrate, differentiate, frame_residual, integrate,
+from .numerics import (DEFAULT_CONFIG, DUAL_AD, ODE_STEPS_PER_UNIT, NumericsConfig,
+                       FrameState, cumulative_integrate, frame_residual, integrate,
                        rk4_frame_step, scalar_derivative, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
@@ -153,10 +154,10 @@ class InvariantProfile:
 # ---------------------------------------------------------------------------
 # parametrization and striction
 
-def _signed_integral(f, a: float, b: float, cfg: NumericsConfig):
+def _signed_integral(f, a: float, b: float):
     if a <= b:
-        return integrate(f, a, b, cfg)
-    out = integrate(f, b, a, cfg)
+        return integrate(f, a, b)
+    out = integrate(f, b, a)
     return -out
 
 
@@ -182,16 +183,9 @@ def speed_closure(spec: RuledSurfaceSpec):
     sign = spec.ruling_sign()
 
     def v(u):
-        return tangent_speed(differentiate(spec.indicatrix, u, _CONSTRUCTION_CFG), sign, u)
+        return tangent_speed(value_and_derivative(spec.indicatrix, u)[1], sign, u)
 
     return v
-
-
-#: construction-side derivatives are always taken by exact dual evaluation
-#: (the surface contract requires dual-capable curves); the configurable
-#: derivative mode applies to the measurement layer on top.  Nesting central
-#: differences three deep would sit on a roundoff floor near 1e-5.
-_CONSTRUCTION_CFG = NumericsConfig()
 
 
 def striction_jet(spec: RuledSurfaceSpec):
@@ -226,17 +220,23 @@ def striction_curve(spec: RuledSurfaceSpec):
     return c
 
 
-def _node(jet, u, cfg: NumericsConfig):
-    """(c, c', e, e', e'') at u from a striction jet.
+def _exact_node(jet, u):
+    """(c, c', e, e', e'') at u, all read off one evaluation of a striction jet at u + eps.
 
-    Dual-ad mode reads all five off one evaluation at u + eps (e'' is the
-    dual slot of e'), and ``u`` may itself be dual.  Central-fd mode takes
-    c, e, e' from the real jet at u and c', e'' from its central
-    differences at u +- h.
+    e'' is the dual slot of e', and ``u`` may itself be dual.
+    """
+    c, e, ep = (DualVec3.from_components(x) for x in jet(DualScalar(u, 1.0)))
+    return c.re, c.du, e.re, ep.re, ep.du
+
+
+def _node(jet, u, cfg: NumericsConfig):
+    """(c, c', e, e', e'') at u in the configured derivative mode.
+
+    Dual-ad mode is :func:`_exact_node`.  Central-fd mode takes c, e, e'
+    from the real jet at u and c', e'' from its central differences at u +- h.
     """
     if cfg.derivative_mode == DUAL_AD:
-        c, e, ep = (DualVec3.from_components(x) for x in jet(DualScalar(u, 1.0)))
-        return c.re, c.du, e.re, ep.re, ep.du
+        return _exact_node(jet, u)
     h = cfg.fd_step
     (c, e, ep), (c_hi, _, ep_hi), (c_lo, _, ep_lo) = jet(u), jet(u + h), jet(u - h)
     return c, (c_hi - c_lo) / (2.0 * h), e, ep, (ep_hi - ep_lo) / (2.0 * h)
@@ -253,8 +253,7 @@ def _arc_rates(node, sign: float, u):
     return v, sign * det3(cp, e, ep) / v
 
 
-def arclength_reparametrize(spec: RuledSurfaceSpec,
-                            cfg: NumericsConfig = DEFAULT_CONFIG) -> RuledSurfaceSpec:
+def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     """Re-parametrize so the indicatrix moves at unit speed.
 
     Frame measurement does not need this (it works in any parametrization);
@@ -275,8 +274,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
     u0, u1 = spec.domain
     n_dense = max(512, 8 * max(spec.samples - 1, 1))
     dense = np.linspace(u0, u1, n_dense + 1)
-    table = (_signed_integral(v, 0.0, u0, cfg)
-             + cumulative_integrate(v, dense, [v(float(u)) for u in dense], cfg))
+    table = (_signed_integral(v, 0.0, u0)
+             + cumulative_integrate(v, dense, [v(float(u)) for u in dense]))
 
     def u_of_s(sb):
         if isinstance(sb, DualScalar):
@@ -287,7 +286,7 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
         w = (sb - table[i - 1]) / (table[i] - table[i - 1])
         u = float(dense[i - 1] + w * (dense[i] - dense[i - 1]))
         for _ in range(8):
-            s_here = table[i - 1] + _signed_integral(v, float(dense[i - 1]), u, cfg)
+            s_here = table[i - 1] + _signed_integral(v, float(dense[i - 1]), u)
             step = float((s_here - sb) / v(u))
             u = u - step
             if abs(step) <= 1e-14 * max(1.0, abs(u)):
@@ -304,7 +303,7 @@ def arclength_reparametrize(spec: RuledSurfaceSpec,
     )
     # round trip through an independent quadrature from parameter 0, so a
     # wrong table cannot confirm itself
-    worst = max(abs(_signed_integral(v, 0.0, u_of_s(float(sb)), cfg) - sb)
+    worst = max(abs(_signed_integral(v, 0.0, u_of_s(float(sb))) - sb)
                 for sb in out.grid())
     if worst > 1e-8:
         raise GeometryError(f"reparametrization failed: arc-length round trip off by {worst:.3e}")
@@ -323,24 +322,26 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
     sign of s* (+int Delta ds or -int Delta ds) and that of gamma_dual's
     dual slot (-(delta + gamma*Delta) or +).  In both classes gamma =
     -<dg/ds, t> = det(e, e', e'')/v^3.  s and s* accumulate from parameter 0.
+    The striction condition <c', t> = 0 belongs to the constructed striction
+    curve, so it is checked on exact nodes in both modes.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
 
     def rates(u):
-        return np.array(_arc_rates(_node(jet, u, _CONSTRUCTION_CFG), sign, u))
+        return np.array(_arc_rates(_exact_node(jet, u), sign, u))
 
     grid = [float(u) for u in spec.grid()]
     nodes = [_node(jet, u, cfg) for u in grid]
-    # fd nodes feed only the frame; s and s* integrate exact nodes of their own
-    exact = nodes if cfg.derivative_mode == DUAL_AD else [
-        _node(jet, u, _CONSTRUCTION_CFG) for u in grid]
-    arcs = (_signed_integral(rates, 0.0, grid[0], cfg)
+    # fd nodes feed only the frame; s, s* and the striction check use exact nodes
+    exact = nodes if cfg.derivative_mode == DUAL_AD else [_exact_node(jet, u) for u in grid]
+    arcs = (_signed_integral(rates, 0.0, grid[0])
             + cumulative_integrate(rates, grid,
-                                   [_arc_rates(n, sign, u) for n, u in zip(exact, grid)], cfg))
+                                   [_arc_rates(n, sign, u) for n, u in zip(exact, grid)]))
 
     out = []
-    for u, (point, cp, e, ep, epp), (s, s_star) in zip(grid, nodes, arcs):
+    for u, node, exact_node, (s, s_star) in zip(grid, nodes, exact, arcs):
+        point, cp, e, ep, epp = node
         v = tangent_speed(ep, sign, u)
         t = ep / v
         g = -lorentz_cross(e, t)
@@ -348,7 +349,7 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
         if res > FRAME_TOL:
             raise FrameDegeneracy(f"frame residual {res:.3e} at u={u}")
         gamma = det3(e, ep, epp) / (v * v * v)
-        if abs(lorentz_dot(cp, t)) > 1e-8:
+        if abs(lorentz_dot(exact_node[1], t)) > 1e-8:
             raise FrameDegeneracy(f"striction condition violated at u={u}")
         cs = cp / v
         delta = lorentz_dot(cs, e)
@@ -393,7 +394,7 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float,
         c, cp, e, ep, _ = _node(jet, u, cfg)
         return dual_norm(DualVec3(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
-    val = _signed_integral(f, 0.0, s, cfg)
+    val = _signed_integral(f, 0.0, s)
     if isinstance(val, DualScalar):
         return val
     return DualScalar(float(val), 0.0)
@@ -526,11 +527,11 @@ class _JoinedCurve:
         return self.left(u) if leading_real(u) < self.at else self.right(u)
 
 
-def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
-                                cfg: NumericsConfig = DEFAULT_CONFIG) -> RuledSurfaceSpec:
+def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:
     """Integrate the frame system to a surface with the given invariants.
 
-    Runs fixed-step RK4 with per-step Lorentzian re-orthonormalization on
+    Runs RK4 at a fixed ``ODE_STEPS_PER_UNIT`` steps per unit of s, with
+    per-step Lorentzian re-orthonormalization, on
 
         e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g,
 
@@ -538,9 +539,10 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
     derivatives come from the ODE rates themselves.  The frame seed sits at
     the first grid point.  Frame measurement anchors s and s* at parameter
     0, so a grid that does not contain 0 is continued to it by integrating
-    the same system there (the profile must be defined in between).
-    Feeding the result back through darboux_frame reproduces the profile
-    and its arc length.
+    the same system there (the profile must be defined in between); a
+    single grid point off 0 is served by that continuation alone.  Every
+    derivative, c'' included, is exact.  Feeding the result back through
+    darboux_frame reproduces the profile and its arc length.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) == 0:
@@ -556,14 +558,14 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
 
     def cddot(si: float, st: FrameState) -> Vec3L:
         # (delta*e + Delta*g)' with the frame rates substituted in
-        dd = scalar_derivative(profile.delta, si, cfg)
-        DD = scalar_derivative(profile.Delta, si, cfg)
+        dd = scalar_derivative(profile.delta, si)
+        DD = scalar_derivative(profile.Delta, si)
         return (dd * st.e + DD * st.g
                 + (profile.delta(si) + profile.Delta(si) * profile.gamma(si)) * st.t)
 
     def flow(state: FrameState, a: float, b: float):
         """Hermite curves (e, c) on RK4 nodes from a to b, and the state at b."""
-        n_steps = max(1, int(math.ceil(abs(b - a) * cfg.ode_steps_per_unit)))
+        n_steps = max(1, int(math.ceil(abs(b - a) * ODE_STEPS_PER_UNIT)))
         h = (b - a) / n_steps
         nodes = [(a, state)]
         for k in range(n_steps):
@@ -579,17 +581,20 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid,
                              [cddot(si, st) for si, st in nodes])
         return ind, base, state
 
-    if s_end == s0:
+    if s_end == s0 == 0.0:
         ind = _TaylorCurve(s0, seed.e, seed.t, accel(s0, seed))
         base = _TaylorCurve(s0, seed.c, cdot(s0, seed), cddot(s0, seed))
-        last = seed
+    elif s_end == s0:
+        # the continuation to 0 alone serves both sides of s0, so differences
+        # there straddle no seam
+        ind, base, _ = flow(seed, s0, 0.0)
     else:
         ind, base, last = flow(seed, s0, s_end)
-    if s0 > 0.0:
-        head_ind, head_base, _ = flow(seed, s0, 0.0)
-        ind, base = _JoinedCurve(s0, head_ind, ind), _JoinedCurve(s0, head_base, base)
-    elif s_end < 0.0:
-        tail_ind, tail_base, _ = flow(last, s_end, 0.0)
-        ind, base = _JoinedCurve(s_end, ind, tail_ind), _JoinedCurve(s_end, base, tail_base)
+        if s0 > 0.0:
+            head_ind, head_base, _ = flow(seed, s0, 0.0)
+            ind, base = _JoinedCurve(s0, head_ind, ind), _JoinedCurve(s0, head_base, base)
+        elif s_end < 0.0:
+            tail_ind, tail_base, _ = flow(last, s_end, 0.0)
+            ind, base = _JoinedCurve(s_end, ind, tail_ind), _JoinedCurve(s_end, base, tail_base)
     return RuledSurfaceSpec(ind, base, (s0, s_end), len(s_grid),
                             SPACELIKE_SURFACE, "reconstructed")

@@ -20,7 +20,8 @@ from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
 from dlgeom.lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (MannheimParams, construct_offset, mannheim_condition_residual,
                              offset_angles, verify_offset)
-from dlgeom.numerics import FrameState, NumericsConfig, differentiate, rk4_frame_step
+from dlgeom.numerics import (ODE_STEPS_PER_UNIT, FrameState, NumericsConfig, differentiate,
+                             rk4_frame_step)
 from dlgeom.ruled import (InvariantProfile, RuledSurfaceSpec, TIMELIKE_SURFACE, darboux_frame,
                           reconstruct_from_invariants, striction_curve, timelike_invariants)
 
@@ -55,7 +56,7 @@ def mannheim_run():
                               domain=(0.05, 0.95), samples=1001)
     frames = darboux_frame(base, AD)
     angles = offset_angles(frames, MANNHEIM_PARAMS)
-    offset = construct_offset(base, frames, angles, AD)
+    offset = construct_offset(base, frames, angles)
     measured = timelike_invariants(offset, AD)
     report = verify_offset(base, MANNHEIM_PARAMS, AD)
     return base, frames, angles, offset, measured, report
@@ -205,7 +206,7 @@ def test_criterion_4_darboux_formulae():
 def test_criterion_5_cone_reconstruction():
     profile = InvariantProfile.from_constants(0.75, 0.0, 0.0,
                                               CONE_E0, CONE_T0, CONE_G0, ORIGIN)
-    spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 101), AD)
+    spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 101))
     drift = max(max(abs(x) for x in f.striction_point) for f in darboux_frame(spec, AD))
     assert drift < 1e-9
 
@@ -224,9 +225,9 @@ def _cone_rk4_error(n_steps: int) -> float:
 def test_criterion_6_reconstruction_round_trip():
     profile = InvariantProfile.from_constants(0.75, 0.2, 0.1,
                                               CONE_E0, CONE_T0, CONE_G0, ORIGIN)
-    cfg = NumericsConfig(ode_steps_per_unit=1000)
-    spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 101), cfg)
-    for f in darboux_frame(spec, cfg):
+    assert ODE_STEPS_PER_UNIT == 1000
+    spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 101))
+    for f in darboux_frame(spec, AD):
         assert abs(f.gamma - 0.75) < 1e-7
         assert abs(f.delta - 0.2) < 1e-7
         assert abs(f.Delta - 0.1) < 1e-7
@@ -292,7 +293,7 @@ def test_criterion_9_developability():
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=181)
     frames = darboux_frame(base, AD)
     angles = offset_angles(frames, params)
-    offset = construct_offset(base, frames, angles, AD)
+    offset = construct_offset(base, frames, angles)
 
     def delta1_closed(s):
         return -(0.5 - 0.1 * s) * math.tanh(1.0 - s) + 0.2 / 0.75

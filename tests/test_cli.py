@@ -1,10 +1,15 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
-from dlgeom.cli import main
+import dlgeom.cli as cli
+from dlgeom.cli import build_parser, main
 from dlgeom.lorentz import Vec3L
 
 CONE = {"catalog": "cone", "params": {"a": 0.6, "b": 0.8},
@@ -12,6 +17,16 @@ CONE = {"catalog": "cone", "params": {"a": 0.6, "b": 0.8},
 HELI = {"catalog": "helicoidal",
         "params": {"a": 0.6, "b": 0.8, "delta0": 0.2, "Delta0": 0.1, "c0": [0, 0, 0]},
         "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 41}}
+
+
+def _custom(w="u"):
+    """Custom spacelike spec with a non-trivial striction curve, composed with the warp ``w``."""
+    return {
+        "catalog": "custom",
+        "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 21},
+        "custom": {"e": [f"0.8*sinh({w}/0.8)", f"0.8*cosh({w}/0.8)", "0.6"],
+                   "c": [f"0.1*{w}", f"0.2*{w}*{w}", f"0.15*{w}"]},
+    }
 
 
 def _spec(tmp_path, payload, name="spec.json"):
@@ -90,6 +105,21 @@ def test_frames_custom_timelike_surface(tmp_path):
         assert float(r["R_re"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("w", ["u", "(u + 0.3*u*u)"], ids=["plain", "warped"])
+def test_frames_central_fd_custom_spec_matches_dual_ad(tmp_path, w):
+    # the striction check reads the exact c', so FD's O(h^2) error in c' cannot trip it
+    spec = _spec(tmp_path, _custom(w))
+    rows = {}
+    for mode in ("dual-ad", "central-fd"):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["frames", "--input", spec, "--out", str(out), "--deriv", mode]) == 0
+        rows[mode] = _read_csv(out)
+    assert len(rows["central-fd"]) == 21
+    for a, b in zip(rows["dual-ad"], rows["central-fd"]):
+        for key in ("gamma", "delta", "Delta"):
+            assert float(b[key]) == pytest.approx(float(a[key]), abs=1e-6)
+
+
 def test_custom_expression_rejects_unsafe_code(tmp_path):
     payload = {
         "catalog": "custom",
@@ -123,8 +153,13 @@ def _last_error(capsys):
     ({"s_max": math.inf}, {}, []),
     ({}, {}, ["--fd-step", "0"]),
     ({}, {}, ["--samples", "0"]),
+    ({}, {}, ["--tolerance", "nan"]),
+    ({}, {}, ["--tolerance", "-1"]),
+    ({}, {}, ["--tolerance", "0"]),
+    ({}, {}, ["--tolerance", "inf"]),
 ], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite",
-        "fd-step-zero", "samples-zero"])
+        "fd-step-zero", "samples-zero", "tolerance-nan", "tolerance-negative",
+        "tolerance-zero", "tolerance-infinite"])
 def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags):
     payload = {**HELI, "domain": {**HELI["domain"], **domain},
                "params": {**HELI["params"], **params}}
@@ -189,15 +224,9 @@ def test_offset_rejects_timelike_base(tmp_path):
 
 
 def test_offset_warped_custom_spec_passes(tmp_path):
-    w = "(u + 0.3*u*u)"
-    payload = {
-        "catalog": "custom",
-        "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 21},
-        "custom": {"e": [f"0.8*sinh({w}/0.8)", f"0.8*cosh({w}/0.8)", "0.6"],
-                   "c": [f"0.1*{w}", f"0.2*{w}*{w}", f"0.15*{w}"]},
-    }
     out = tmp_path / "report"
-    assert main(["offset", "--input", _spec(tmp_path, payload), "--out", str(out)]) == 0
+    assert main(["offset", "--input", _spec(tmp_path, _custom("(u + 0.3*u*u)")),
+                 "--out", str(out)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["verdicts"]["passed"] is True
 
@@ -347,6 +376,42 @@ def test_reconstruct_profile_off_the_origin_keeps_arc_length(tmp_path, s_min, s_
     assert residuals["max"]["Delta"] < 1e-9
 
 
+def test_reconstruct_samples_flag_overrides_the_profile(tmp_path):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload()))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r"),
+                 "--samples", "5"]) == 0
+    rows = _read_csv(tmp_path / "r.csv")
+    assert [float(r["s"]) for r in rows] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0], abs=1e-12)
+    assert json.loads((tmp_path / "r.json").read_text())["samples"] == 5
+
+
+@pytest.mark.parametrize("s0", [0.3, 0.0, -0.3])
+@pytest.mark.parametrize("deriv", ["dual-ad", "central-fd"])
+def test_reconstruct_single_row_is_measured(tmp_path, s0, deriv):
+    # one smooth piece on both sides of s0, so FD differences straddle no seam
+    prof = _profile_payload(Delta="0.1 + 0.05*u", domain={"s_min": s0, "s_max": s0})
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(prof))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r"),
+                 "--deriv", deriv]) == 0
+    residuals = json.loads((tmp_path / "r.json").read_text())
+    assert residuals["samples"] == 1
+    assert max(residuals["max"].values()) < 1e-8
+
+
+def test_reconstruct_single_row_sees_a_wrong_surface(tmp_path, monkeypatch):
+    # a copied row would report 0 whatever the surface; a measured one cannot
+    real = cli.reconstruct_from_invariants
+    monkeypatch.setattr(cli, "reconstruct_from_invariants", lambda profile, grid: real(
+        dataclasses.replace(profile, gamma=lambda s: 0.8), grid))
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload(domain={"s_min": 0.3, "s_max": 0.3})))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 0
+    residuals = json.loads((tmp_path / "r.json").read_text())
+    assert residuals["max"]["gamma"] == pytest.approx(0.05, abs=1e-8)
+
+
 def test_reconstruct_rejects_skew_frame(tmp_path):
     prof = _profile_payload()
     prof["frame"]["g"] = [0.0, -0.6, 0.8]
@@ -424,3 +489,20 @@ def test_outputs_deterministic(tmp_path):
     assert main(["offset", "--input", spec, "--out", str(b)]) == 0
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+def test_readme_shared_flags_match_the_parser():
+    # the README sentence names exactly the flags the four surface commands share
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Shared flags:(.*?)\.\s", readme, re.S).group(1)
+    named = dict(re.findall(r"`(--[\w-]+)(?: \{([^}]*)\})?`", sentence))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [{o: a for a in sub.choices[name]._actions for o in a.option_strings}
+             for name in ("frames", "offset", "mesh", "reconstruct")]
+    shared = set.intersection(*(set(f) for f in flags)) - {"-h", "--help"}
+    assert set(named) == shared
+    for flag, choices in named.items():
+        assert (choices.split(",") if choices else None) == flags[0][flag].choices

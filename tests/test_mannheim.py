@@ -74,7 +74,7 @@ def test_offset_at_theta_zero_sample():
     sample = frames[5]
     params = MannheimParams(c=sample.s, c_star=0.2)
     angles = offset_angles(frames, params)
-    off = construct_offset(base, frames, angles, AD)
+    off = construct_offset(base, frames, angles)
     e1 = off.indicatrix(sample.s)
     assert max(abs(x - y) for x, y in zip(e1, sample.t)) < 1e-12
     c1 = off.base_curve(sample.s)

@@ -90,7 +90,7 @@ def test_reparametrize_round_trip_catches_a_shifted_table(monkeypatch):
     # the independent quadrature of the round trip can see it
     real = ruled.cumulative_integrate
     monkeypatch.setattr(ruled, "cumulative_integrate",
-                        lambda f, grid, nodes, cfg: real(f, grid, nodes, cfg) + 1e-3)
+                        lambda f, grid, nodes: real(f, grid, nodes) + 1e-3)
     with pytest.raises(GeometryError, match="round trip"):
         arclength_reparametrize(_double_speed_cone())
 
@@ -99,7 +99,7 @@ def test_reparametrize_raises_when_newton_stalls(monkeypatch):
     real = ruled._signed_integral
     noise = itertools.cycle((1e-9, -1e-9))
     monkeypatch.setattr(ruled, "_signed_integral",
-                        lambda f, a, b, cfg: real(f, a, b, cfg) + next(noise))
+                        lambda f, a, b: real(f, a, b) + next(noise))
     with pytest.raises(GeometryError, match="Newton"):
         arclength_reparametrize(_double_speed_cone())
 
@@ -269,6 +269,25 @@ def test_darboux_frame_rejects_a_non_finite_dual_node():
         darboux_frame(spec, AD)
 
 
+@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, cfg):
+    # sliding the jet's point along the ruling gives <c', t> = -0.1*u*v != 0
+    real = ruled.striction_jet
+
+    def sliding_jet(spec):
+        jet = real(spec)
+
+        def off(u):
+            c, e, ep = jet(u)
+            return c + (0.1 * u) * e, e, ep
+
+        return off
+
+    monkeypatch.setattr(ruled, "striction_jet", sliding_jet)
+    with pytest.raises(FrameDegeneracy, match="striction condition"):
+        darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=11), cfg)
+
+
 @pytest.mark.parametrize("cfg,tol", [(AD, 1e-8), (FD, 1e-6)])
 def test_darboux_formula_residuals(cfg, tol):
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=9)
@@ -373,13 +392,6 @@ def test_dual_arclength_helicoidal():
     out = dual_arclength(spec, 0.5)
     assert out.re == pytest.approx(0.5, abs=1e-10)
     assert out.du == pytest.approx(0.05, abs=1e-10)
-
-
-def test_dual_arclength_quadrature_modes_agree():
-    spec = catalog.helicoidal(domain=(0.0, 1.0), samples=11)
-    a = dual_arclength(spec, 0.5, NumericsConfig(quadrature="simpson"))
-    b = dual_arclength(spec, 0.5, NumericsConfig(quadrature="trapezoid"))
-    assert abs(a.du - b.du) < 1e-10
 
 
 # ---------------------------------------------------------------------------
