@@ -30,7 +30,7 @@ from .errors import (DegenerateIndicatrix, DegenerateOffset, FrameDegeneracy, Ge
                      InvalidDirection, NonFinite, NotUnit, NullDarboux, SpecFileError,
                      StepSizeError, ZeroConicalCurvature)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, NumericsConfig
+from .numerics import CENTRAL_FD, DUAL_AD, NumericsConfig, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
                     striction_curve, timelike_invariants, timelike_radius)
@@ -99,7 +99,11 @@ def compile_scalar_expr(source: str):
     env.update(_EXPR_FUNCS)
 
     def f(u):
-        return eval(code, env, {"u": u})  # noqa: S307 - AST whitelisted above
+        try:
+            return eval(code, env, {"u": u})  # noqa: S307 - AST whitelisted above
+        except OverflowError:
+            # math lifts raise on float leaves (constants); arrays give inf instead
+            raise NonFinite(f"expression {source!r} overflows") from None
 
     return f
 
@@ -349,19 +353,21 @@ def cmd_mesh(args) -> int:
         off = construct_offset(spec, frames, angles)
         meshes.append(("offset", striction_curve(off), off.indicatrix))
 
-    u_grid = [float(u) for u in spec.grid()]
-    v_grid = [float(v) for v in np.linspace(v_min, v_max, args.v_samples)]
+    u_grid = spec.grid()
+    v_grid = np.linspace(v_min, v_max, args.v_samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# dlgeom ruled surface mesh: {spec.name}\n")
         base_index = 1
         for name, c_curve, e_curve in meshes:
             fh.write(f"o {name}\n")
-            for u in u_grid:
-                c = c_curve(u)
-                e = e_curve(u)
-                for v in v_grid:
-                    p = c + v * e
-                    fh.write(f"v {p.x1:.9g} {p.x2:.9g} {p.x3:.9g}\n")
+            with at_points(u_grid):
+                c, e = c_curve(u_grid), e_curve(u_grid)
+            # vertex (u, v) is c(u) + v*e(u), rows by u and v within them
+            xyz = [(np.broadcast_to(ci, u_grid.shape)[:, None]
+                    + np.broadcast_to(ei, u_grid.shape)[:, None] * v_grid).ravel().tolist()
+                   for ci, ei in zip(c, e)]
+            for x1, x2, x3 in zip(*xyz):
+                fh.write(f"v {x1:.9g} {x2:.9g} {x3:.9g}\n")
             nv = len(v_grid)
             for i in range(len(u_grid) - 1):
                 for j in range(nv - 1):

@@ -6,7 +6,9 @@ slot: ``f(x + eps*h) = f(x) + eps*h*f'(x)``.  Every function here is
 written against generic ring arithmetic, which means the components of a
 :class:`DualScalar` may themselves be dual scalars; nesting one level per
 differentiation order is how the kernel obtains exact second and third
-derivatives of curve closures.
+derivatives of curve closures.  The innermost components may also be float
+arrays, one element per sample, so one evaluation differentiates a whole
+block of samples.
 
 Dual vectors pair a direction with a moment vector; with the Lorentzian
 products of :mod:`dlgeom.lorentz` they model oriented non-null lines.
@@ -18,8 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-# NOTE: operator type checks below use (int, float) rather than numbers.Real;
-# the ABC dispatch is measurably slow in the nested differentiation loops.
+import numpy as np
 
 from .errors import BranchError, DivisionByPureDual, DomainError, KindMismatch, NullRealPart
 from .lorentz import CausalCharacter, Vec3L, causal_character, lorentz_cross, lorentz_dot
@@ -27,11 +28,26 @@ from .lorentz import CausalCharacter, Vec3L, causal_character, lorentz_cross, lo
 #: real parts smaller than this are not invertible as dual numbers
 DIV_TOL = 1e-14
 
+# Operator type checks use this tuple rather than numbers.Real: the ABC
+# dispatch is measurably slow in the nested differentiation loops.  Arrays
+# count as real scalars, componentwise: that is how closures evaluate whole
+# blocks of samples in one call.
+_REAL = (int, float, np.ndarray, np.number)
+
+
+def _any(mask) -> bool:
+    """Whether a bool, or any element of a bool array, holds (bools skip numpy)."""
+    return mask if type(mask) is bool else bool(mask.any())
+
 
 class DualScalar:
-    """Dual number ``re + eps*du``; components float or (nested) DualScalar."""
+    """Dual number ``re + eps*du``; components float, float array or (nested) DualScalar."""
 
     __slots__ = ("re", "du")
+
+    # numpy defers ``array * dual`` to the dual operators instead of
+    # building an object array
+    __array_ufunc__ = None
 
     def __init__(self, re, du=0.0):
         self.re = re
@@ -40,7 +56,7 @@ class DualScalar:
     def __add__(self, o):
         if isinstance(o, DualScalar):
             return DualScalar(self.re + o.re, self.du + o.du)
-        if isinstance(o, (int, float)):
+        if isinstance(o, _REAL):
             return DualScalar(self.re + o, self.du)
         return NotImplemented
 
@@ -49,12 +65,12 @@ class DualScalar:
     def __sub__(self, o):
         if isinstance(o, DualScalar):
             return DualScalar(self.re - o.re, self.du - o.du)
-        if isinstance(o, (int, float)):
+        if isinstance(o, _REAL):
             return DualScalar(self.re - o, self.du)
         return NotImplemented
 
     def __rsub__(self, o):
-        if isinstance(o, (int, float)):
+        if isinstance(o, _REAL):
             return DualScalar(o - self.re, -self.du)
         return NotImplemented
 
@@ -64,7 +80,7 @@ class DualScalar:
     def __mul__(self, o):
         if isinstance(o, DualScalar):
             return DualScalar(self.re * o.re, self.re * o.du + self.du * o.re)
-        if isinstance(o, (int, float)):
+        if isinstance(o, _REAL):
             return DualScalar(self.re * o, self.du * o)
         return NotImplemented
 
@@ -72,16 +88,18 @@ class DualScalar:
 
     def __truediv__(self, o):
         if isinstance(o, DualScalar):
-            if abs(leading_real(o.re)) < DIV_TOL:
-                raise DivisionByPureDual(f"division by pure-dual number {o!r}")
+            small = abs(leading_real(o.re)) < DIV_TOL
+            if _any(small):
+                raise DivisionByPureDual("division by a pure-dual number",
+                                         index=int(np.argmax(small)) if np.ndim(small) else None)
             rr = o.re * o.re
             return DualScalar(self.re / o.re, (self.du * o.re - self.re * o.du) / rr)
-        if isinstance(o, (int, float)):
+        if isinstance(o, _REAL):
             return DualScalar(self.re / o, self.du / o)
         return NotImplemented
 
     def __rtruediv__(self, o):
-        if isinstance(o, (int, float)):
+        if isinstance(o, _REAL):
             return DualScalar(o, 0.0) / self
         return NotImplemented
 
@@ -123,59 +141,63 @@ def leading_real(x):
 
 
 # ---------------------------------------------------------------------------
-# analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x)
+# analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x); a float leaf goes
+# through math, an array (or numpy scalar) leaf through numpy
 
 def sinh(x):
     if isinstance(x, DualScalar):
         return DualScalar(sinh(x.re), x.du * cosh(x.re))
-    return math.sinh(x)
+    return math.sinh(x) if type(x) is float else np.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, DualScalar):
         return DualScalar(cosh(x.re), x.du * sinh(x.re))
-    return math.cosh(x)
+    return math.cosh(x) if type(x) is float else np.cosh(x)
 
 
 def tanh(x):
     if isinstance(x, DualScalar):
         t = tanh(x.re)
         return DualScalar(t, x.du * (1.0 - t * t))
-    return math.tanh(x)
+    return math.tanh(x) if type(x) is float else np.tanh(x)
 
 
 def exp(x):
     if isinstance(x, DualScalar):
         e = exp(x.re)
         return DualScalar(e, x.du * e)
-    return math.exp(x)
+    return math.exp(x) if type(x) is float else np.exp(x)
 
 
 def sqrt(x):
     if isinstance(x, DualScalar):
         r = sqrt(x.re)
         return DualScalar(r, x.du / (2.0 * r))
-    if x <= 0.0:
-        raise DomainError(f"dual sqrt requires a positive real part, got {x}")
-    return math.sqrt(x)
+    bad = x <= 0.0
+    if _any(bad):
+        i = int(np.argmax(bad))
+        raise DomainError(f"dual sqrt requires a positive real part, got {np.ravel(x)[i]}",
+                          index=i if np.ndim(bad) else None)
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
 
 
 def sin(x):
     if isinstance(x, DualScalar):
         return DualScalar(sin(x.re), x.du * cos(x.re))
-    return math.sin(x)
+    return math.sin(x) if type(x) is float else np.sin(x)
 
 
 def cos(x):
     if isinstance(x, DualScalar):
         return DualScalar(cos(x.re), -(x.du * sin(x.re)))
-    return math.cos(x)
+    return math.cos(x) if type(x) is float else np.cos(x)
 
 
 def arctan(x):
     if isinstance(x, DualScalar):
         return DualScalar(arctan(x.re), x.du / (1.0 + x.re * x.re))
-    return math.atan(x)
+    return math.atan(x) if type(x) is float else np.arctan(x)
 
 
 LIFTS = {
@@ -276,12 +298,12 @@ def dual_norm(x: DualVec3, tol: float = 1e-12) -> DualScalar:
     Lightlike or zero real parts have no dual norm.
     """
     q = lorentz_dot(x.re, x.re)
-    if abs(q) <= tol:
-        raise NullRealPart("dual norm undefined for lightlike/zero real part")
-    n = math.sqrt(abs(q))
-    moment = lorentz_dot(x.re, x.du)
-    sign = 1.0 if q > 0.0 else -1.0
-    return DualScalar(n, sign * moment / n)
+    null = abs(q) <= tol
+    if _any(null):
+        raise NullRealPart("dual norm undefined for lightlike/zero real part",
+                           index=int(np.argmax(null)) if np.ndim(null) else None)
+    n = sqrt(abs(q))
+    return DualScalar(n, np.sign(q) * lorentz_dot(x.re, x.du) / n)
 
 
 def is_dual_unit(x: DualVec3, *, timelike: bool = False, tol: float = 1e-9) -> bool:

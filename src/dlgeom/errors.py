@@ -2,7 +2,17 @@
 
 
 class GeometryError(Exception):
-    """Base class for all kernel errors."""
+    """Base class for all kernel errors.
+
+    ``index`` is the position of the first offending element when the error
+    was raised on an array of samples; the evaluation that passed the array
+    re-raises it naming the sample's parameter instead (see
+    :func:`dlgeom.numerics.at_points`).
+    """
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DivisionByPureDual(GeometryError, ZeroDivisionError):

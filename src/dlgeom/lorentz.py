@@ -9,13 +9,16 @@ which ties to the determinant through ``<a x b, c> = -det(a, b, c)``.
 
 Components are duck-typed: ordinarily floats, but any scalar supporting
 ring arithmetic (in particular :class:`~dlgeom.dual.DualScalar`) works,
-which is how curves get differentiated exactly.
+which is how curves get differentiated exactly.  Float arrays work too,
+componentwise, which is how a block of samples is evaluated in one call.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+
+import numpy as np
 
 from .errors import NonFinite
 
@@ -24,17 +27,29 @@ CAUSAL_TOL = 1e-12
 
 
 def _check_finite(v) -> None:
-    # type-is fast path first, then float subclasses such as np.float64.  Dual
-    # scalars are not inspected: DualVec3.from_components rejects a non-finite
-    # slot when it splits them, which every measured frame node goes through.
-    if (type(v) is float or isinstance(v, float)) and not math.isfinite(v):
-        raise NonFinite(f"non-finite vector component: {v!r}")
+    # type-is fast path first, then float subclasses such as np.float64, then
+    # arrays (a block of samples; the error carries the first bad index).
+    # Dual scalars are not inspected: DualVec3.from_components rejects a
+    # non-finite slot when it splits them, which every measured frame node
+    # goes through.
+    if type(v) is float or isinstance(v, float):
+        if not math.isfinite(v):
+            raise NonFinite(f"non-finite vector component: {v!r}")
+    elif isinstance(v, np.ndarray):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFinite(f"non-finite vector component: {float(v.flat[i])!r}",
+                            index=i if v.ndim else None)
 
 
 class Vec3L:
     """Vector of Minkowski 3-space, components (x1, x2, x3), x1 timelike."""
 
     __slots__ = ("x1", "x2", "x3")
+
+    # numpy defers ``array * vector`` to Vec3L.__rmul__
+    __array_ufunc__ = None
 
     def __init__(self, x1, x2, x3):
         _check_finite(x1)

@@ -17,7 +17,8 @@ invariants have closed forms in (gamma, delta, Delta, theta, theta*):
 
 The offset is built in the base spec's own parameter u, with
 theta(u) = c - s(u) and theta*(u) = c* - s*(u) continued between the grid
-nodes by their exact u-rates, so no arc-length reparametrization is needed.
+nodes by their exact u-rates, so no arc-length reparametrization is needed;
+like every spec's, its closures evaluate whole arrays of samples.
 :func:`verify_offset` builds the offset, re-measures those invariants from
 the constructed geometry alone, and reports residuals against the closed
 forms, which makes every relation above an executable check.
@@ -55,7 +56,7 @@ class MannheimParams:
     c_star: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffsetAngle:
     """Offset angle theta and offset distance theta* at base arc length s."""
 
@@ -70,7 +71,7 @@ class OffsetAngle:
         return DualAngle(self.theta, self.theta_star)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantRecord:
     """Offset invariants, either closed-form predictions or measurements."""
 
@@ -82,7 +83,7 @@ class InvariantRecord:
     R1_dual: DualScalar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffsetSample:
     s: float
     theta: float
@@ -139,7 +140,9 @@ class _GridAntiderivative:
     Real evaluations start from the nearest node's value and add a local
     quadrature correction; dual evaluations carry the rate in the dual
     slot.  A caller already holding the rate at ``u.re`` may pass it, and
-    its real part then serves the next nesting level.
+    its real part then serves the next nesting level.  ``u`` may be an
+    array: the node lookup is elementwise, and the corrections of all
+    off-node elements are one :func:`~dlgeom.numerics.integrate` call.
     """
 
     def __init__(self, rate, grid, values):
@@ -152,14 +155,17 @@ class _GridAntiderivative:
             if rate is None:
                 rate = self.rate(u.re)
             return DualScalar(self(u.re, re_part(rate)), u.du * rate)
-        j = int(np.searchsorted(self.grid, u))
-        j = min(max(j, 1), len(self.grid) - 1)
-        i = j - 1 if abs(u - self.grid[j - 1]) <= abs(u - self.grid[j]) else j
-        node = float(self.grid[i])
-        out = float(self.values[i])
-        if u != node:
-            out = out + _signed_integral(self.rate, node, u)
-        return out
+        shape = np.shape(u)
+        u = np.ravel(u).astype(float)
+        j = np.clip(np.searchsorted(self.grid, u), 1, len(self.grid) - 1)
+        left, right = self.grid[j - 1], self.grid[j]
+        i = np.where(np.abs(u - left) <= np.abs(u - right), j - 1, j)
+        node = self.grid[i]
+        out = self.values[i]
+        off = u != node
+        if off.any():
+            out[off] += _signed_integral(self.rate, node[off], u[off])
+        return out.reshape(shape)[()]
 
 
 def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
@@ -171,7 +177,9 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
     by theta* along g.  theta(u) = c - s(u) and theta*(u) = c* - s*(u) take
     the angles' values at the grid nodes and the rates -ds/du and
     -Delta*ds/du in between.  Every derivative is exact, whatever derivative
-    mode measured ``frames``.
+    mode measured ``frames``.  The offset's closures accept arrays like any
+    spec's: each evaluates theta (or theta*) off the nodes with one local
+    quadrature call for its whole array.
     """
     if not len(frames) == len(angles) == base.samples:
         raise ValueError("frames and angles must sample the base grid")

@@ -6,17 +6,24 @@ closed forms differentiate to roundoff.  Central finite differences remain
 available as an independent cross-check mode of the measurement layer; the
 configuration selects nothing else.  Quadrature is composite Simpson
 throughout, and the frame ODE runs a fixed ``ODE_STEPS_PER_UNIT``.
+
+Integrands are evaluated over arrays: :func:`integrate` and
+:func:`cumulative_integrate` call their integrand once, on the 1-D array of
+all the points they need, and expect one value per point back (see
+:func:`integrate`).  Closures evaluated that way run inside
+:func:`at_points`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dual import DualScalar, DualVec3
-from .errors import NonFinite, StepSizeError
+from .errors import GeometryError, NonFinite, StepSizeError
 from .lorentz import Vec3L, lorentz_cross, lorentz_dot
 
 QUAD_PANELS_PER_UNIT = 256
@@ -61,35 +68,91 @@ class NumericsConfig:
 DEFAULT_CONFIG = NumericsConfig()
 
 
-def _assert_finite(v, where: str) -> None:
+@contextmanager
+def at_points(points):
+    """Context for evaluating closures on an array of parameter values ``points``.
+
+    numpy's floating-point warnings are off inside, because the kernel's
+    finiteness checks reject what overflows or turns NaN.  A kernel error
+    raised with the index of its first offending array element is re-raised
+    naming that element's point, so an error on a block of samples reads
+    like the error on the one sample.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except GeometryError as exc:
+            if exc.index is None or exc.index >= np.size(points):
+                raise
+            raise type(exc)(f"{exc} at u={float(np.ravel(points)[exc.index])!r}") from None
+
+
+def _leafwise(fn, v):
+    """``fn`` applied to every real leaf of a (nested) dual scalar."""
     if isinstance(v, DualScalar):
-        _assert_finite(v.re, where)
-        _assert_finite(v.du, where)
-    elif not np.all(np.isfinite(v)):
-        raise NonFinite(f"non-finite value in {where}: {v!r}")
+        return DualScalar(_leafwise(fn, v.re), _leafwise(fn, v.du))
+    return fn(v)
 
 
-def integrate(f, a: float, b: float):
+def _finite_values(v, points) -> np.ndarray:
+    """Integrand values as one row per point; NonFinite names the first bad point."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        v = np.broadcast_to(v, points.shape)
+    bad = ~np.isfinite(v.reshape(len(points), -1)).all(axis=1)
+    if bad.any():
+        raise NonFinite(f"non-finite integrand at u={float(points[np.argmax(bad)])!r}")
+    return v
+
+
+def integrate(f, a, b):
     """Definite integral of ``f`` over [a, b] by the composite Simpson rule.
 
-    Exact through cubics.  The integrand may return floats or dual scalars
-    (the sum is generic).
+    Exact through cubics.  Each interval gets ``QUAD_PANELS_PER_UNIT``
+    panels per unit length, at least ``MIN_QUAD_PANELS``, rounded up to an
+    even count.  ``a`` and ``b`` may be equal-shape arrays, one interval per
+    element; the result then has that shape, followed by the shape of one
+    value.
+
+    ``f`` is called once, on the 1-D float array of every quadrature point
+    of every interval, and returns one value per point: a float array with
+    the points along its first axis (rows of fixed length are integrated
+    componentwise), a dual scalar with such components, or a constant.
+    Empty intervals integrate to 0 without a call.
     """
-    if not a <= b:
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not np.all(a_arr <= b_arr):
         raise ValueError(f"integrate needs a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    n = max(MIN_QUAD_PANELS, int(math.ceil((b - a) * QUAD_PANELS_PER_UNIT)))
-    if n % 2:
-        n += 1
-    h = (b - a) / n
-    total = f(a) + f(b)
-    for i in range(1, n):
-        v = f(a + i * h)
-        total = total + (4.0 * v if i % 2 else 2.0 * v)
-    result = total * (h / 3.0)
-    _assert_finite(result, "integrate")
-    return result
+    shape = a_arr.shape
+    a_arr, b_arr = a_arr.ravel(), b_arr.ravel()
+    live = a_arr < b_arr
+    if not live.any():
+        return np.zeros(shape) if shape else 0.0
+    a_l, b_l = a_arr[live], b_arr[live]
+    n = np.maximum(MIN_QUAD_PANELS, np.ceil((b_l - a_l) * QUAD_PANELS_PER_UNIT)).astype(int)
+    n += n % 2
+    h = (b_l - a_l) / n
+    ends = np.cumsum(n + 1)
+    starts = ends - (n + 1)
+    k = np.arange(ends[-1]) - np.repeat(starts, n + 1)  # point index within its interval
+    points = np.repeat(a_l, n + 1) + k * np.repeat(h, n + 1)
+    points[ends - 1] = b_l
+    weights = np.where(k % 2, 4.0, 2.0)
+    weights[starts] = 1.0
+    weights[ends - 1] = 1.0
+    with at_points(points):
+        values = f(points)
+
+    def fold(v):
+        v = _finite_values(v, points)
+        tail = (1,) * (v.ndim - 1)
+        # np.add.reduceat, not a matrix product: the sum needs no BLAS
+        sums = np.add.reduceat(weights.reshape((-1,) + tail) * v, starts, axis=0)
+        out = np.zeros((len(a_arr),) + v.shape[1:])
+        out[live] = sums * (h / 3.0).reshape((-1,) + tail)
+        return out.reshape(shape + v.shape[1:])[()]
+
+    return _leafwise(fold, values)
 
 
 def cumulative_integrate(f, grid: np.ndarray, nodes) -> np.ndarray:
@@ -97,16 +160,22 @@ def cumulative_integrate(f, grid: np.ndarray, nodes) -> np.ndarray:
 
     ``nodes`` holds f at every grid point, so ``f`` itself is called only at
     the Simpson midpoints, one per interval, which makes each panel exact
-    through cubics.  Values may be floats or fixed-length float arrays,
-    integrated componentwise (the result then has one row per node).
+    through cubics; it is called once, on the array of all midpoints, and
+    returns one value per midpoint (see :func:`integrate`).  Values may be
+    floats or fixed-length float arrays, integrated componentwise (the
+    result then has one row per node).
     """
     grid = np.asarray(grid, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
+    if len(grid) < 2:
+        return np.zeros_like(nodes)
     h = np.diff(grid).reshape((-1,) + (1,) * (nodes.ndim - 1))
-    mids = np.array([f(float(u)) for u in 0.5 * (grid[:-1] + grid[1:])],
-                    dtype=float).reshape(nodes[1:].shape)
+    points = 0.5 * (grid[:-1] + grid[1:])
+    with at_points(points):
+        mids = np.broadcast_to(_finite_values(f(points), points), nodes[1:].shape)
     pieces = h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:])
-    _assert_finite(pieces, "cumulative_integrate")
+    if not np.all(np.isfinite(pieces)):
+        raise NonFinite("non-finite value in cumulative_integrate")
     return np.concatenate([np.zeros_like(nodes[:1]), np.cumsum(pieces, axis=0)])
 
 
@@ -154,8 +223,11 @@ class FrameState:
 
 
 def frame_residual(e: Vec3L, t: Vec3L, g: Vec3L, signs=(1.0, -1.0, 1.0)) -> float:
-    """Max deviation from Lorentz-orthonormality with the given signature."""
-    return max(
+    """Max deviation from Lorentz-orthonormality with the given signature.
+
+    Elementwise for frames whose components are arrays.
+    """
+    terms = (
         abs(lorentz_dot(e, e) - signs[0]),
         abs(lorentz_dot(t, t) - signs[1]),
         abs(lorentz_dot(g, g) - signs[2]),
@@ -163,6 +235,9 @@ def frame_residual(e: Vec3L, t: Vec3L, g: Vec3L, signs=(1.0, -1.0, 1.0)) -> floa
         abs(lorentz_dot(e, g)),
         abs(lorentz_dot(t, g)),
     )
+    if any(isinstance(x, np.ndarray) for x in terms):
+        return np.maximum.reduce(np.broadcast_arrays(*terms))
+    return max(terms)
 
 
 def lorentz_gram_schmidt(e: Vec3L, t: Vec3L, g: Vec3L):

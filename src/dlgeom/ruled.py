@@ -22,6 +22,11 @@ scalars, so every derivative is exact forward differentiation; central
 finite differences remain available for the frame through the numerics
 config, while s, s* and the striction check stay exact in both modes.
 Constructions (striction solve, reconstruction) take no config.
+
+Closures are evaluated over arrays of samples: the measurement passes
+blocks of at most ``BLOCK`` parameter values per call (float arrays, or
+dual scalars with array leaves), and every check reports the first
+offending parameter of its block.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from .dual import DualScalar, DualVec3, dual_norm, leading_real
 from .errors import DegenerateIndicatrix, FrameDegeneracy, GeometryError, NullDarboux
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
 from .numerics import (DEFAULT_CONFIG, DUAL_AD, ODE_STEPS_PER_UNIT, NumericsConfig,
-                       FrameState, cumulative_integrate, frame_residual, integrate,
-                       rk4_frame_step, scalar_derivative, value_and_derivative)
+                       FrameState, at_points, cumulative_integrate, frame_residual,
+                       integrate, rk4_frame_step, scalar_derivative, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -48,6 +53,9 @@ SPEED_TOL = 1e-10
 
 #: orthonormality ceiling for computed frames
 FRAME_TOL = 1e-6
+
+#: most parameter values per batched closure call; bounds the transient arrays
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ class RuledSurfaceSpec:
         return 1.0 if self.kind == SPACELIKE_SURFACE else -1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameSample:
     """Frame and invariants of one ruling.
 
@@ -154,27 +162,36 @@ class InvariantProfile:
 # ---------------------------------------------------------------------------
 # parametrization and striction
 
-def _signed_integral(f, a: float, b: float):
-    if a <= b:
-        return integrate(f, a, b)
-    out = integrate(f, b, a)
-    return -out
+def _signed_integral(f, a, b):
+    """int_a^b f for a, b in either order; equal-shape arrays give one integral each."""
+    flip = np.greater(a, b)
+    out = integrate(f, np.where(flip, b, a), np.where(flip, a, b))
+    return out * np.where(flip, -1.0, 1.0)
+
+
+def _first_u(mask, u) -> float:
+    """The first parameter value of ``u`` (scalar, array or dual) where ``mask`` holds."""
+    u = np.asarray(leading_real(u), dtype=float)
+    return float(u.ravel()[np.argmax(np.broadcast_to(mask, u.shape).ravel())])
 
 
 def tangent_speed(ep, sign: float, u):
-    """Indicatrix speed ds/du = sqrt(-sign*<e', e'>), dual-capable.
+    """Indicatrix speed ds/du = sqrt(-sign*<e', e'>), dual- and array-capable.
 
     ``sign`` is the ruling sign; the tangent e' must have the opposite
     causal character.  A vanishing speed raises DegenerateIndicatrix, a
-    tangent of the wrong character FrameDegeneracy (``u`` is for messages).
+    tangent of the wrong character FrameDegeneracy, each naming the first
+    offending parameter of ``u``.
     """
     q = -sign * lorentz_dot(ep, ep)
     q_re = leading_real(q)
-    if abs(q_re) < SPEED_TOL ** 2:
-        raise DegenerateIndicatrix(f"indicatrix speed vanishes near u={leading_real(u)}")
-    if q_re < 0.0:
+    stalled = np.abs(q_re) < SPEED_TOL ** 2
+    if np.any(stalled):
+        raise DegenerateIndicatrix(f"indicatrix speed vanishes near u={_first_u(stalled, u)}")
+    wrong = q_re < 0.0
+    if np.any(wrong):
         raise FrameDegeneracy(
-            f"indicatrix tangent has the wrong causal character near u={leading_real(u)}")
+            f"indicatrix tangent has the wrong causal character near u={_first_u(wrong, u)}")
     return dual.sqrt(q)
 
 
@@ -201,8 +218,10 @@ def striction_jet(spec: RuledSurfaceSpec):
     def jet(u):
         e, ep = value_and_derivative(ind, u)
         q = lorentz_dot(ep, ep)
-        if abs(leading_real(q)) < SPEED_TOL ** 2:
-            raise DegenerateIndicatrix(f"striction undefined: e' vanishes near u={leading_real(u)}")
+        stalled = np.abs(leading_real(q)) < SPEED_TOL ** 2
+        if np.any(stalled):
+            raise DegenerateIndicatrix(
+                f"striction undefined: e' vanishes near u={_first_u(stalled, u)}")
         p, pp = value_and_derivative(base, u)
         lam = -lorentz_dot(pp, ep) / q
         return p + lam * e, e, ep
@@ -261,37 +280,47 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     at parameter 0.  The inverse map is solved by a dense cumulative table
     plus Newton refinement, and its derivative comes from the
     inverse-function rule 1/|e'|, so reparametrized curves stay exactly
-    differentiable over dual scalars.  Specs already at unit speed are
-    returned unchanged.  Raises GeometryError if Newton stalls or if the
-    arc length of u(s) misses s by more than 1e-8 on the output grid.
+    differentiable over dual scalars.  The inverse works elementwise on
+    arrays of s.  Specs already at unit speed are returned unchanged.
+    Raises GeometryError if Newton stalls or if the arc length of u(s)
+    misses s by more than 1e-8 on the output grid.
     """
     v = speed_closure(spec)
+
+    def speeds(us):
+        # v on a long 1-D array: the table and the round trip need thousands of points
+        return np.concatenate(_blockwise(v, us))
+
     grid = spec.grid()
-    speeds = np.array([v(float(u)) for u in grid])
-    if np.max(np.abs(speeds - 1.0)) <= 1e-10:
+    if np.max(np.abs(speeds(grid) - 1.0)) <= 1e-10:
         return spec
 
     u0, u1 = spec.domain
     n_dense = max(512, 8 * max(spec.samples - 1, 1))
     dense = np.linspace(u0, u1, n_dense + 1)
-    table = (_signed_integral(v, 0.0, u0)
-             + cumulative_integrate(v, dense, [v(float(u)) for u in dense]))
+    table = _signed_integral(speeds, 0.0, u0) + cumulative_integrate(speeds, dense, speeds(dense))
 
     def u_of_s(sb):
         if isinstance(sb, DualScalar):
             ub = u_of_s(sb.re)
             return DualScalar(ub, sb.du / v(ub))
-        i = int(np.searchsorted(table, sb))
-        i = min(max(i, 1), n_dense)
-        w = (sb - table[i - 1]) / (table[i] - table[i - 1])
-        u = float(dense[i - 1] + w * (dense[i] - dense[i - 1]))
+        s_arr = np.ravel(sb).astype(float)
+        i = np.clip(np.searchsorted(table, s_arr), 1, n_dense)
+        w = (s_arr - table[i - 1]) / (table[i] - table[i - 1])
+        u = dense[i - 1] + w * (dense[i] - dense[i - 1])
+        # Newton per element; an element stops once its own step is small
+        active = np.ones(u.shape, dtype=bool)
+        step = np.zeros(u.shape)
         for _ in range(8):
-            s_here = table[i - 1] + _signed_integral(v, float(dense[i - 1]), u)
-            step = float((s_here - sb) / v(u))
-            u = u - step
-            if abs(step) <= 1e-14 * max(1.0, abs(u)):
-                return u
-        raise GeometryError(f"reparametrization: Newton stalled at s={sb} (last step {step:.3e})")
+            ia, ua = i[active], u[active]
+            s_here = table[ia - 1] + _signed_integral(speeds, dense[ia - 1], ua)
+            step[active] = (s_here - s_arr[active]) / speeds(ua)
+            u[active] = ua - step[active]
+            active &= np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(u))
+            if not active.any():
+                return u.reshape(np.shape(sb))[()]
+        raise GeometryError(f"reparametrization: Newton stalled at s={_first_u(active, s_arr)} "
+                            f"(last step {step[active].flat[0]:.3e})")
 
     out = RuledSurfaceSpec(
         indicatrix=lambda sb: spec.indicatrix(u_of_s(sb)),
@@ -303,8 +332,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     )
     # round trip through an independent quadrature from parameter 0, so a
     # wrong table cannot confirm itself
-    worst = max(abs(_signed_integral(v, 0.0, u_of_s(float(sb))) - sb)
-                for sb in out.grid())
+    s_grid = out.grid()
+    worst = np.max(np.abs(_signed_integral(speeds, 0.0, u_of_s(s_grid)) - s_grid))
     if worst > 1e-8:
         raise GeometryError(f"reparametrization failed: arc-length round trip off by {worst:.3e}")
     return out
@@ -312,6 +341,25 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
 
 # ---------------------------------------------------------------------------
 # frames and invariants
+
+def _blockwise(fn, us: np.ndarray) -> list:
+    """``fn`` on consecutive blocks of at most ``BLOCK`` values of ``us``, one result per block.
+
+    Each block runs inside :func:`~dlgeom.numerics.at_points`, so an error
+    names the block's first offending parameter.
+    """
+    out = []
+    for i in range(0, len(us), BLOCK):
+        block = us[i:i + BLOCK]
+        with at_points(block):
+            out.append(fn(block))
+    return out
+
+
+def _columns(u: np.ndarray, *values) -> np.ndarray:
+    """One row per parameter value of ``u``; constants are broadcast down their column."""
+    return np.column_stack([np.broadcast_to(x, u.shape) for x in values])
+
 
 def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSample]:
     """Frame samples of either causal class, per unit arc length, on the spec's grid.
@@ -324,42 +372,55 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
     -<dg/ds, t> = det(e, e', e'')/v^3.  s and s* accumulate from parameter 0.
     The striction condition <c', t> = 0 belongs to the constructed striction
     curve, so it is checked on exact nodes in both modes.
+
+    The grid nodes, the Simpson midpoints of s and s* and the head integral
+    from parameter 0 are each evaluated as arrays, in blocks of at most
+    ``BLOCK`` values per closure call; the FrameSample list is built once
+    at the end.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
 
-    def rates(u):
-        return np.array(_arc_rates(_exact_node(jet, u), sign, u))
+    def rates(us):
+        # (ds/du, ds*/du) rows from exact nodes
+        return np.concatenate(_blockwise(
+            lambda u: _columns(u, *_arc_rates(_exact_node(jet, u), sign, u)), us))
 
-    grid = [float(u) for u in spec.grid()]
-    nodes = [_node(jet, u, cfg) for u in grid]
-    # fd nodes feed only the frame; s, s* and the striction check use exact nodes
-    exact = nodes if cfg.derivative_mode == DUAL_AD else [_exact_node(jet, u) for u in grid]
-    arcs = (_signed_integral(rates, 0.0, grid[0])
-            + cumulative_integrate(rates, grid,
-                                   [_arc_rates(n, sign, u) for n, u in zip(exact, grid)]))
-
-    out = []
-    for u, node, exact_node, (s, s_star) in zip(grid, nodes, exact, arcs):
+    def block(u):
+        node = _node(jet, u, cfg)
+        # fd nodes feed only the frame; s, s* and the striction check use exact nodes
+        exact = node if cfg.derivative_mode == DUAL_AD else _exact_node(jet, u)
         point, cp, e, ep, epp = node
         v = tangent_speed(ep, sign, u)
         t = ep / v
         g = -lorentz_cross(e, t)
         res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
-        if res > FRAME_TOL:
-            raise FrameDegeneracy(f"frame residual {res:.3e} at u={u}")
+        bad = res > FRAME_TOL
+        if np.any(bad):
+            raise FrameDegeneracy(
+                f"frame residual up to {np.max(res):.3e}, first over {FRAME_TOL:.0e} "
+                f"at u={_first_u(bad, u)}")
         gamma = det3(e, ep, epp) / (v * v * v)
-        if abs(lorentz_dot(exact_node[1], t)) > 1e-8:
-            raise FrameDegeneracy(f"striction condition violated at u={u}")
+        off = np.abs(lorentz_dot(exact[1], t)) > 1e-8
+        if np.any(off):
+            raise FrameDegeneracy(f"striction condition violated at u={_first_u(off, u)}")
         cs = cp / v
-        delta = lorentz_dot(cs, e)
-        Delta = det3(cs, e, t)
+        return _columns(u, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v,
+                        *_arc_rates(exact, sign, u))
+
+    grid = spec.grid()
+    table = np.concatenate(_blockwise(block, grid))
+    arcs = _signed_integral(rates, 0.0, grid[0]) + cumulative_integrate(rates, grid, table[:, -2:])
+
+    out = []
+    for row, (s, s_star) in zip(table.tolist(), arcs.tolist()):
+        p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = row
         out.append(FrameSample(
-            s=float(s), e=e, t=t, g=g,
+            s=s, e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3),
             gamma=gamma, delta=delta, Delta=Delta,
-            s_star=float(s_star),
+            s_star=s_star,
             gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
-            striction_point=point,
+            striction_point=Vec3L(p1, p2, p3),
             ds_du=v,
         ))
     return out
@@ -472,30 +533,30 @@ _QUINTIC = (
 )
 
 class _HermiteCurve:
-    """Piecewise quintic Hermite interpolant on uniform nodes, dual-evaluable.
+    """Piecewise quintic Hermite interpolant on uniform nodes, dual- and array-evaluable.
 
     Values, first and second derivatives at the nodes make node accuracy
     carry through two derivative orders.  Evaluation outside the node span
-    extrapolates with the end segment.
+    extrapolates with the end segment.  Node data are stored as (n, 3)
+    arrays, so an array of parameters gathers its segments by index.
     """
 
     def __init__(self, s0: float, h: float, values: Sequence[Vec3L],
                  deriv1: Sequence[Vec3L], deriv2: Sequence[Vec3L]):
         self.s0 = s0
         self.h = h
-        self.values = list(values)
-        self.deriv1 = list(deriv1)
-        self.deriv2 = list(deriv2)
+        self.values = np.array([tuple(x) for x in values], dtype=float)
+        self.deriv1 = np.array([tuple(x) for x in deriv1], dtype=float)
+        self.deriv2 = np.array([tuple(x) for x in deriv2], dtype=float)
 
     def __call__(self, u):
         x = (u - self.s0) / self.h
-        i = int(math.floor(leading_real(x)))
-        i = min(max(i, 0), len(self.values) - 2)
+        i = np.clip(np.floor(leading_real(x)).astype(int), 0, len(self.values) - 2)
         tau = x - i
         h = self.h
-        f0, f1 = self.values[i], self.values[i + 1]
-        d0, d1 = self.deriv1[i], self.deriv1[i + 1]
-        a0, a1 = self.deriv2[i], self.deriv2[i + 1]
+        f0, f1 = Vec3L(*self.values[i].T), Vec3L(*self.values[i + 1].T)
+        d0, d1 = Vec3L(*self.deriv1[i].T), Vec3L(*self.deriv1[i + 1].T)
+        a0, a1 = Vec3L(*self.deriv2[i].T), Vec3L(*self.deriv2[i + 1].T)
         h0, h1, h2, h3, h4, h5 = (basis(tau) for basis in _QUINTIC)
         return (f0 * h0 + (h * d0) * h1 + ((h * h) * a0) * h2
                 + f1 * h3 + (h * d1) * h4 + ((h * h) * a1) * h5)
@@ -515,8 +576,18 @@ class _TaylorCurve:
         return self.f + self.d * x + self.a * (0.5 * x * x)
 
 
+def _where(mask, a, b):
+    """Elementwise ``a`` where ``mask`` holds, else ``b``, through vectors and dual scalars."""
+    if isinstance(a, Vec3L):
+        return Vec3L(*(_where(mask, x, y) for x, y in zip(a, b)))
+    if isinstance(a, DualScalar) or isinstance(b, DualScalar):
+        return DualScalar(_where(mask, dual.re_part(a), dual.re_part(b)),
+                          _where(mask, dual.du_part(a), dual.du_part(b)))
+    return np.where(mask, a, b)
+
+
 class _JoinedCurve:
-    """``left`` below the parameter ``at``, ``right`` from it on."""
+    """``left`` below the parameter ``at``, ``right`` from it on (by mask on arrays)."""
 
     def __init__(self, at: float, left, right):
         self.at = at
@@ -524,7 +595,12 @@ class _JoinedCurve:
         self.right = right
 
     def __call__(self, u):
-        return self.left(u) if leading_real(u) < self.at else self.right(u)
+        below = leading_real(u) < self.at
+        if np.all(below):
+            return self.left(u)
+        if not np.any(below):
+            return self.right(u)
+        return _where(below, self.left(u), self.right(u))
 
 
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:

@@ -3,8 +3,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +121,39 @@ def test_frames_central_fd_custom_spec_matches_dual_ad(tmp_path, w):
     for a, b in zip(rows["dual-ad"], rows["central-fd"]):
         for key in ("gamma", "delta", "Delta"):
             assert float(b[key]) == pytest.approx(float(a[key]), abs=1e-6)
+
+
+@pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
+@pytest.mark.parametrize("expr,code,error,u", [
+    ("exp(800*u)", 2, "NonFinite", "u=0.9"),
+    ("0.01/(u-0.5)", 3, "DivisionByPureDual", "u=0.5"),
+], ids=["overflow", "pure-dual-division"])
+def test_frames_bad_custom_expression_names_the_sample(tmp_path, mode, expr, code, error, u):
+    # run as a child process: the exit code, the last stderr line and any
+    # numpy RuntimeWarning are what a user sees
+    payload = {"catalog": "custom",
+               "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
+               "custom": {"e": ["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6"],
+                          "c": ["0.1*u", "0.2*u*u", expr]}}
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "dlgeom.cli", "frames", "--input", _spec(tmp_path, payload),
+         "--out", str(tmp_path / "x.csv"), "--deriv", mode],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    last = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert last["error"] == error
+    assert last["message"].endswith(u)
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_frames_overflowing_constant_is_a_spec_error(tmp_path):
+    payload = {"catalog": "custom",
+               "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
+               "custom": {"e": ["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6"],
+                          "c": ["0.1*u", "0.2*u*u", "exp(800.0)"]}}
+    assert main(["frames", "--input", _spec(tmp_path, payload),
+                 "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_custom_expression_rejects_unsafe_code(tmp_path):

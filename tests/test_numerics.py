@@ -8,7 +8,7 @@ from dlgeom import catalog
 from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite, StepSizeError
 from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
-from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FrameState, NumericsConfig,
+from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FrameState, NumericsConfig, at_points,
                              cumulative_integrate, differentiate, frame_residual, integrate,
                              lorentz_gram_schmidt, rk4_frame_step, scalar_derivative,
                              value_and_derivative)
@@ -50,7 +50,7 @@ def test_integrate_linear_exact():
 
 
 def test_integrate_sine():
-    assert integrate(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-8)
+    assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_simpson_exact_on_cubics():
@@ -77,7 +77,7 @@ def test_integrate_over_dual_values():
 
 def test_cumulative_matches_integrate():
     grid = np.linspace(0.0, 1.0, 101)
-    out = cumulative_integrate(math.sin, grid, [math.sin(s) for s in grid])
+    out = cumulative_integrate(np.sin, grid, [math.sin(s) for s in grid])
     assert out[0] == 0.0
     for i, s in enumerate(grid):
         assert out[i] == pytest.approx(1.0 - math.cos(s), abs=1e-11)
@@ -87,16 +87,42 @@ def test_cumulative_evaluates_each_point_once():
     seen = []
 
     def f(s):
-        seen.append(s)
-        return np.array([1.0, s])
+        seen.extend(np.ravel(s).tolist())
+        return np.column_stack([np.ones_like(s), s])
 
     grid = np.linspace(0.5, 1.5, 11)
-    out = cumulative_integrate(f, grid, [f(float(s)) for s in grid])
+    out = cumulative_integrate(f, grid, f(grid))
     assert len(seen) == len(set(seen)) == 2 * len(grid) - 1
     # componentwise: the antiderivatives of 1 and s from the first node
     assert out.shape == (11, 2)
     assert np.max(np.abs(out[:, 0] - (grid - 0.5))) < 1e-14
     assert np.max(np.abs(out[:, 1] - 0.5 * (grid ** 2 - 0.25))) < 1e-14
+
+
+def test_integrate_many_intervals_in_one_call():
+    calls = []
+
+    def f(s):
+        calls.append(len(s))
+        return np.sin(s)
+
+    a = np.array([0.0, 0.3, 1.0, 0.5])
+    b = np.array([math.pi, 0.31, 1.0, 2.0])
+    out = integrate(f, a, b)
+    assert len(calls) == 1
+    assert out[2] == 0.0
+    for x, y, got in zip(a, b, out):
+        assert got == pytest.approx(integrate(np.sin, float(x), float(y)), abs=1e-15)
+        assert got == pytest.approx(math.cos(x) - math.cos(y), abs=1e-8)
+
+
+def test_at_points_names_the_offending_point():
+    u = np.array([0.25, 0.5, 0.75])
+    with pytest.raises(NonFinite, match=r"nan at u=0\.5$"):
+        with at_points(u):
+            Vec3L(np.array([1.0, math.nan, math.inf]), 0.0 * u, 0.0 * u)
+    with pytest.raises(NonFinite, match=r"u=0\.75$"):
+        integrate(lambda s: 1.0 / (s - 0.75), 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------

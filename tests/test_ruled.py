@@ -14,13 +14,13 @@ from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
 from dlgeom.errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                            NullDarboux)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
-from dlgeom.mannheim import MannheimParams, verify_offset
+from dlgeom.mannheim import MannheimParams, construct_offset, offset_angles, verify_offset
 from dlgeom.numerics import CENTRAL_FD, NumericsConfig, differentiate
 from dlgeom.ruled import (SPACELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
-                          striction_curve, timelike_radius, BRANCH_SPACELIKE_DARBOUX,
-                          BRANCH_TIMELIKE_DARBOUX)
+                          striction_curve, timelike_invariants, timelike_radius,
+                          BRANCH_SPACELIKE_DARBOUX, BRANCH_TIMELIKE_DARBOUX)
 
 AD = NumericsConfig()
 FD = NumericsConfig(derivative_mode=CENTRAL_FD)
@@ -102,6 +102,19 @@ def test_reparametrize_raises_when_newton_stalls(monkeypatch):
                         lambda f, a, b: real(f, a, b) + next(noise))
     with pytest.raises(GeometryError, match="Newton"):
         arclength_reparametrize(_double_speed_cone())
+
+
+def test_reparametrized_warped_spec_matches_the_catalog():
+    # darboux_frame evaluates the reparametrized closures on arrays of s, so
+    # the inverse u(s) works elementwise
+    out = arclength_reparametrize(_warped(catalog.helicoidal(domain=(0.2, 1.0), samples=21), 0.3))
+    assert out.domain == pytest.approx((0.2 + 0.3 * 0.2 ** 2, 1.3), abs=1e-12)
+    ref = catalog.helicoidal(domain=out.domain, samples=21)
+    for f, r in zip(darboux_frame(out), darboux_frame(ref)):
+        got = (f.s, *f.e, *f.t, *f.g, f.gamma, f.delta, f.Delta, f.s_star, *f.striction_point)
+        want = (r.s, *r.e, *r.t, *r.g, r.gamma, r.delta, r.Delta, r.s_star, *r.striction_point)
+        assert max(abs(x - y) for x, y in zip(got, want)) < 1e-12
+        assert f.ds_du == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reparametrize_rejects_constant_indicatrix():
@@ -246,7 +259,7 @@ def test_darboux_frame_evaluates_each_node_and_midpoint_once():
     seen = []
 
     def base(u):
-        seen.append(dual.leading_real(u))
+        seen.extend(np.ravel(dual.leading_real(u)).tolist())
         return spec.base_curve(u)
 
     darboux_frame(dataclasses.replace(spec, base_curve=base), AD)
@@ -259,6 +272,63 @@ def test_darboux_frame_evaluates_each_node_and_midpoint_once():
     assert counts[grid[0]] == 2
     head = [u for u in seen if u < grid[0]]
     assert len(head) == len(set(head)) > 0
+
+
+def _counted(spec):
+    """The spec with both closures recording, per call, the real parameters they see."""
+    calls = {"indicatrix": [], "base_curve": []}
+
+    def counted(name, fn):
+        def f(u):
+            calls[name].append(np.ravel(dual.leading_real(u)).tolist())
+            return fn(u)
+        return f
+
+    spec = dataclasses.replace(spec, indicatrix=counted("indicatrix", spec.indicatrix),
+                               base_curve=counted("base_curve", spec.base_curve))
+    return spec, calls
+
+
+def _assert_batched(calls, grid):
+    # nodes, Simpson midpoints and the head integral from 0 each go in
+    # blocks of at most BLOCK points, a few closure calls per block
+    blocks = 2 * math.ceil(len(grid) / ruled.BLOCK) + 1
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    for seen in calls.values():
+        assert len(seen) <= 2 * blocks
+        assert max(len(points) for points in seen) <= ruled.BLOCK
+        # the points evaluated are those of the per-sample measurement: every
+        # node and midpoint once, plus the head quadrature ending on grid[0]
+        counts = Counter(u for points in seen for u in points)
+        assert Counter({u: n for u, n in counts.items() if u > grid[0]}) == Counter([*grid[1:], *mids])
+        assert counts[grid[0]] == 2
+        head = [u for points in seen for u in points if u < grid[0]]
+        assert len(head) == len(set(head)) > 0
+
+
+def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
+    spec, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=1001))
+    darboux_frame(spec, AD)
+    _assert_batched(calls, spec.grid())
+
+
+def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
+    base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
+    frames = darboux_frame(base, AD)
+    offset = construct_offset(base, frames, offset_angles(frames, MannheimParams(1.0, 0.1)))
+    spec, calls = _counted(offset)
+    timelike_invariants(spec, AD)
+    _assert_batched(calls, spec.grid())
+
+
+def test_tangent_speed_names_the_first_offending_parameter():
+    u = np.linspace(0.0, 2.0, 9)
+    stall = Vec3L(np.where(u < 0.75, 1.0, 0.0), 0.0 * u, 0.0 * u)
+    with pytest.raises(DegenerateIndicatrix, match=r"u=0\.75$"):
+        ruled.tangent_speed(stall, 1.0, u)
+    flip = Vec3L(1.0 + 0.0 * u, np.where(u < 1.5, 0.0, 2.0), 0.0 * u)
+    with pytest.raises(FrameDegeneracy, match=r"u=1\.5$"):
+        ruled.tangent_speed(flip, 1.0, u)
 
 
 def test_darboux_frame_rejects_a_non_finite_dual_node():
