@@ -20,7 +20,7 @@ from .ruled import (FrameSample, InvariantProfile, RuledSurfaceSpec, SPACELIKE_S
                     timelike_invariants, timelike_radius)
 from .mannheim import (MannheimParams, OffsetAngle, OffsetReport, construct_offset,
                        developability_check, mannheim_condition_residual, offset_angles,
-                       predicted_invariants, radius_relations_check, verify_offset)
+                       predicted_invariants, verify_offset)
 from . import catalog
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "timelike_invariants", "timelike_radius",
     "MannheimParams", "OffsetAngle", "OffsetReport", "construct_offset",
     "developability_check", "mannheim_condition_residual", "offset_angles",
-    "predicted_invariants", "radius_relations_check", "verify_offset",
+    "predicted_invariants", "verify_offset",
     "catalog",
 ]

@@ -34,7 +34,7 @@ from .numerics import CENTRAL_FD, DUAL_AD, NumericsConfig, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
                     striction_curve, timelike_invariants, timelike_radius)
-from .mannheim import MannheimParams, construct_offset, offset_angles, verify_offset
+from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, offset_angles, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
 
@@ -50,9 +50,6 @@ _DEGENERACY_ERRORS = (DegenerateIndicatrix, DegenerateOffset, FrameDegeneracy,
 FRAMES_HEADER = ["s", "e1", "e2", "e3", "t1", "t2", "t3", "g1", "g2", "g3",
                  "gamma", "delta", "Delta", "s_star", "gamma_dual_re", "gamma_dual_du",
                  "R_re", "R_du"]
-
-OFFSET_QUANTITIES = ["ds1_ds", "Delta1", "delta1", "gamma1",
-                     "gamma1_dual_re", "gamma1_dual_du", "R1_re", "R1_du"]
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +220,51 @@ def _print_error(exc: Exception) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _frame_table(spec, cfg):
-    """Frame samples plus the kind-appropriate dual radius per sample."""
-    if spec.kind == TIMELIKE_SURFACE:
-        frames = timelike_invariants(spec, cfg)
-        return frames, [timelike_radius(f.gamma_dual).radius for f in frames]
-    frames = darboux_frame(spec, cfg)
-    return frames, [dual_curvature_elements(f).R_dual for f in frames]
+def _write_csv(path: str, header: list, columns: list) -> None:
+    """A CSV of equal-length columns; each float is written as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(np.column_stack(columns).tolist())
+
+
+def _frame_columns(frames, R) -> list:
+    """The FRAMES_HEADER columns of frame columns and their dual radius R."""
+    return [frames.s, *frames.e, *frames.t, *frames.g, frames.gamma, frames.delta, frames.Delta,
+            frames.s_star, frames.gamma_dual.re, frames.gamma_dual.du, R.re, R.du]
 
 
 def cmd_frames(args) -> int:
     cfg = _config_from_args(args)
     spec = load_surface_spec(args.input, args.samples)
-    frames, radii = _frame_table(spec, cfg)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAMES_HEADER)
-        for f, R in zip(frames, radii):
-            writer.writerow([repr(float(x)) for x in (
-                f.s, *f.e, *f.t, *f.g, f.gamma, f.delta, f.Delta, f.s_star,
-                f.gamma_dual.re, f.gamma_dual.du, R.re, R.du)])
+    if spec.kind == TIMELIKE_SURFACE:
+        frames = timelike_invariants(spec, cfg)
+        R = timelike_radius(frames.gamma_dual).radius
+    else:
+        frames = darboux_frame(spec, cfg)
+        R = dual_curvature_elements(frames).R_dual
+    _write_csv(args.out, FRAMES_HEADER, _frame_columns(frames, R))
     return EXIT_OK
 
 
+def _rows(columns: dict) -> list:
+    """One dict per sample of a dict of equal-length columns."""
+    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
+
+
+def _record_json(rec) -> list:
+    """The JSON object of each sample of an invariant record's columns."""
+    return [{"ds1_ds": q["ds1_ds"], "Delta1": q["Delta1"], "delta1": q["delta1"],
+             "gamma1": q["gamma1"], "gamma1_dual": [q["gamma1_dual_re"], q["gamma1_dual_du"]],
+             "R1": [q["R1_re"], q["R1_du"]]} for q in _rows(rec.quantities())]
+
+
 def _report_payload(report, spec, args) -> dict:
-    rows = []
-    for r in report.samples:
-        rows.append({
-            "s": r.s, "theta": r.theta, "theta_star": r.theta_star,
-            "predicted": _record_payload(r.predicted),
-            "measured": _record_payload(r.measured),
-            "residuals": {k: float(v) for k, v in r.residuals.items()},
-        })
+    cols = report.samples
+    rows = [{**angle, "predicted": p, "measured": m, "residuals": r}
+            for angle, p, m, r in zip(
+                _rows({"s": cols.s, "theta": cols.theta, "theta_star": cols.theta_star}),
+                _record_json(cols.predicted), _record_json(cols.measured), _rows(cols.residuals))]
     dev = report.developability
     return {
         "metadata": {
@@ -268,26 +278,14 @@ def _report_payload(report, spec, args) -> dict:
                         "domain": list(spec.domain), "samples": spec.samples},
         },
         "samples": rows,
-        "summary": {
-            "max": {k: float(v) for k, v in report.residual_max.items()},
-            "mean": {k: float(v) for k, v in report.residual_mean.items()},
-        },
+        "summary": {"max": report.residual_max, "mean": report.residual_mean},
         "verdicts": {
             "passed": report.passed,
             "base_developable": dev.base_developable,
             "theta_star_constant": dev.theta_star_constant,
-            "offset_developable_samples": [float(s) for s in dev.offset_developable_locus],
-            "coth_singularities": [float(s) for s in dev.coth_singularities],
+            "offset_developable_samples": dev.offset_developable_locus,
+            "coth_singularities": dev.coth_singularities,
         },
-    }
-
-
-def _record_payload(rec) -> dict:
-    return {
-        "ds1_ds": float(rec.ds1_ds), "Delta1": float(rec.Delta1),
-        "delta1": float(rec.delta1), "gamma1": float(rec.gamma1),
-        "gamma1_dual": [float(rec.gamma1_dual.re), float(rec.gamma1_dual.du)],
-        "R1": [float(rec.R1_dual.re), float(rec.R1_dual.du)],
     }
 
 
@@ -307,37 +305,21 @@ def cmd_offset(args) -> int:
 
     json_path, csv_path = _offset_out_paths(args.out)
     _write_json(json_path, _report_payload(report, spec, args))
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["s", "theta", "theta_star"]
-        for key in OFFSET_QUANTITIES:
-            header += [f"{key}_pred", f"{key}_meas"]
-        writer.writerow(header)
-        for r in report.samples:
-            row = [r.s, r.theta, r.theta_star]
-            for key in OFFSET_QUANTITIES:
-                row += [_record_field(r.predicted, key), _record_field(r.measured, key)]
-            writer.writerow([repr(float(x)) for x in row])
+    cols = report.samples
+    pred, meas = cols.predicted.quantities(), cols.measured.quantities()
+    _write_csv(csv_path,
+               ["s", "theta", "theta_star",
+                *(f"{k}_{side}" for k in RESIDUAL_KEYS for side in ("pred", "meas"))],
+               [cols.s, cols.theta, cols.theta_star,
+                *(x[k] for k in RESIDUAL_KEYS for x in (pred, meas))])
     return EXIT_OK if report.passed else EXIT_TOLERANCE
-
-
-def _record_field(rec, key: str) -> float:
-    if key == "gamma1_dual_re":
-        return rec.gamma1_dual.re
-    if key == "gamma1_dual_du":
-        return rec.gamma1_dual.du
-    if key == "R1_re":
-        return rec.R1_dual.re
-    if key == "R1_du":
-        return rec.R1_dual.du
-    return getattr(rec, key)
 
 
 def cmd_mesh(args) -> int:
     cfg = _config_from_args(args)
     spec = load_surface_spec(args.input, args.samples)
     try:
-        v_min, v_max = (float(x) for x in args.v_range.split(","))
+        v_min, v_max = (_number(x, "--v-range") for x in args.v_range.split(","))
     except ValueError:
         raise SpecFileError(f"--v-range expects 'v_min,v_max', got {args.v_range!r}") from None
     _require(v_min < v_max, f"mesh needs v_min < v_max, got [{v_min}, {v_max}]")
@@ -421,23 +403,17 @@ def cmd_reconstruct(args) -> int:
     frames = darboux_frame(reconstruct_from_invariants(profile, grid), cfg)
 
     json_path, csv_path = _offset_out_paths(args.out)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRAMES_HEADER + ["c1", "c2", "c3"])
-        for f in frames:
-            R = dual_curvature_elements(f).R_dual
-            writer.writerow([repr(float(x)) for x in (
-                f.s, *f.e, *f.t, *f.g, f.gamma, f.delta, f.Delta, f.s_star,
-                f.gamma_dual.re, f.gamma_dual.du, R.re, R.du, *f.striction_point)])
+    _write_csv(csv_path, FRAMES_HEADER + ["c1", "c2", "c3"],
+               _frame_columns(frames, dual_curvature_elements(frames).R_dual)
+               + [*frames.striction_point])
 
-    residuals = {"gamma": [], "delta": [], "Delta": []}
-    for f in frames:
-        residuals["gamma"].append(abs(f.gamma - profile.gamma(f.s)))
-        residuals["delta"].append(abs(f.delta - profile.delta(f.s)))
-        residuals["Delta"].append(abs(f.Delta - profile.Delta(f.s)))
+    residuals = {"gamma": np.abs(frames.gamma - profile.gamma(frames.s)),
+                 "delta": np.abs(frames.delta - profile.delta(frames.s)),
+                 "Delta": np.abs(frames.Delta - profile.Delta(frames.s))}
     payload = {
-        "max": {k: max(v) for k, v in residuals.items()},
-        "mean": {k: sum(v) / len(v) for k, v in residuals.items()},
+        "max": {k: float(np.max(v)) for k, v in residuals.items()},
+        # summed in sample order, as a reader summing the rows would
+        "mean": {k: sum(v.tolist()) / len(v) for k, v in residuals.items()},
         "samples": len(frames),
     }
     _write_json(json_path, payload)

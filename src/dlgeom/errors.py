@@ -60,7 +60,7 @@ class NonFinite(GeometryError):
 
 
 class DegenerateOffset(GeometryError):
-    """Offset indicatrix stalls: gamma * cosh(theta) vanishes on the grid."""
+    """Offset indicatrix stalls or blows up: gamma * cosh(theta) vanishes or overflows."""
 
 
 class ZeroConicalCurvature(GeometryError):

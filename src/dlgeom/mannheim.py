@@ -21,23 +21,24 @@ nodes by their exact u-rates, so no arc-length reparametrization is needed;
 like every spec's, its closures evaluate whole arrays of samples.
 :func:`verify_offset` builds the offset, re-measures those invariants from
 the constructed geometry alone, and reports residuals against the closed
-forms, which makes every relation above an executable check.
+forms, which makes every relation above an executable check.  Angles,
+invariant records and report samples are column records like the frames
+(:class:`~dlgeom.ruled.Columns`): the closed forms and residuals run on
+whole columns, and indexing gives one sample's row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import dual
-from .dual import DualAngle, DualScalar, re_part
+from .dual import DualScalar, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
-from .ruled import (TIMELIKE_SURFACE, FrameSample, RuledSurfaceSpec, darboux_frame,
+from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
                     speed_closure, striction_jet, tangent_speed, timelike_invariants,
                     timelike_radius, _arc_rates, _exact_node, _signed_integral)
 
@@ -56,9 +57,13 @@ class MannheimParams:
     c_star: float
 
 
+RESIDUAL_KEYS = ("ds1_ds", "Delta1", "delta1", "gamma1",
+                 "gamma1_dual_re", "gamma1_dual_du", "R1_re", "R1_du")
+
+
 @dataclass(frozen=True, slots=True)
-class OffsetAngle:
-    """Offset angle theta and offset distance theta* at base arc length s."""
+class OffsetAngle(Columns):
+    """Offset angle theta and offset distance theta* along base arc length s."""
 
     s: float
     theta: float
@@ -67,12 +72,9 @@ class OffsetAngle:
     def as_dual(self) -> DualScalar:
         return DualScalar(self.theta, self.theta_star)
 
-    def as_angle(self) -> DualAngle:
-        return DualAngle(self.theta, self.theta_star)
-
 
 @dataclass(frozen=True, slots=True)
-class InvariantRecord:
+class InvariantRecord(Columns):
     """Offset invariants, either closed-form predictions or measurements."""
 
     ds1_ds: float
@@ -82,9 +84,20 @@ class InvariantRecord:
     gamma1_dual: DualScalar
     R1_dual: DualScalar
 
+    def quantities(self) -> dict:
+        """The compared quantities, keyed by :data:`RESIDUAL_KEYS`."""
+        return dict(zip(RESIDUAL_KEYS, (
+            self.ds1_ds, self.Delta1, self.delta1, self.gamma1,
+            self.gamma1_dual.re, self.gamma1_dual.du, self.R1_dual.re, self.R1_dual.du)))
+
 
 @dataclass(frozen=True, slots=True)
-class OffsetSample:
+class OffsetSample(Columns):
+    """Angles, predicted and measured invariants and residuals along the base grid.
+
+    ``residuals`` maps each of :data:`RESIDUAL_KEYS` to |predicted - measured|.
+    """
+
     s: float
     theta: float
     theta_star: float
@@ -100,19 +113,21 @@ class DevelopabilityReport:
     The base surface is developable iff its distribution parameter
     vanishes, equivalently iff the offset distance is constant; the offset
     is developable exactly where theta* = (delta/gamma)*coth(theta),
-    equivalently where Delta1 = 0.
+    equivalently where Delta1 = 0.  ``coth_singularities`` lists the s
+    where theta is too small for that corollary.
     """
 
     base_developable: bool
     theta_star_constant: bool
     offset_developable_locus: list
-    corollary_locus: list
     coth_singularities: list
 
 
 @dataclass(frozen=True)
 class OffsetReport:
-    samples: list
+    """Outcome of :func:`verify_offset`: the sample columns and residual summaries."""
+
+    samples: OffsetSample
     residual_max: dict
     residual_mean: dict
     developability: DevelopabilityReport
@@ -120,18 +135,14 @@ class OffsetReport:
     passed: bool
 
 
-RESIDUAL_KEYS = ("ds1_ds", "Delta1", "delta1", "gamma1",
-                 "gamma1_dual_re", "gamma1_dual_du", "R1_re", "R1_du")
-
-
-def offset_angles(frames: Sequence[FrameSample], params: MannheimParams) -> list[OffsetAngle]:
+def offset_angles(frames: FrameSample, params: MannheimParams) -> OffsetAngle:
     """Offset angle/distance along the base grid.
 
     theta falls at unit rate in arc length; theta* accumulates the
-    negative distribution parameter (already integrated into each frame's
+    negative distribution parameter (already integrated into the frames'
     s_star, on the same grid).
     """
-    return [OffsetAngle(f.s, params.c - f.s, params.c_star - f.s_star) for f in frames]
+    return OffsetAngle(frames.s, params.c - frames.s, params.c_star - frames.s_star)
 
 
 class _GridAntiderivative:
@@ -168,8 +179,8 @@ class _GridAntiderivative:
         return out.reshape(shape)[()]
 
 
-def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
-                     angles: Sequence[OffsetAngle]) -> RuledSurfaceSpec:
+def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
+                     angles: OffsetAngle) -> RuledSurfaceSpec:
     """Build the Mannheim offset surface of a spacelike base, in the base's parameter.
 
     The ruling is rotated into the timelike direction
@@ -179,25 +190,29 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
     -Delta*ds/du in between.  Every derivative is exact, whatever derivative
     mode measured ``frames``.  The offset's closures accept arrays like any
     spec's: each evaluates theta (or theta*) off the nodes with one local
-    quadrature call for its whole array.
+    quadrature call for its whole array.  A stalling or non-finite
+    gamma*cosh(theta) raises DegenerateOffset naming the first such s.
     """
     if not len(frames) == len(angles) == base.samples:
         raise ValueError("frames and angles must sample the base grid")
-    c_const = angles[0].theta + angles[0].s
-    for f, a in zip(frames, angles):
-        if abs(f.s - a.s) > 1e-12 or abs(a.theta - (c_const - a.s)) > 1e-9:
-            raise ValueError("offset angles do not follow theta = -s + c on the frame grid")
-        if abs(f.gamma * math.cosh(a.theta)) < OFFSET_DEGENERACY_TOL:
-            raise DegenerateOffset(
-                f"gamma*cosh(theta) = {f.gamma * math.cosh(a.theta):.3e} at s={f.s}")
+    c_const = angles.theta[0] + angles.s[0]
+    if (np.any(np.abs(frames.s - angles.s) > 1e-12)
+            or np.any(np.abs(angles.theta - (c_const - angles.s)) > 1e-9)):
+        raise ValueError("offset angles do not follow theta = -s + c on the frame grid")
+    with np.errstate(over="ignore"):
+        speed1 = np.abs(frames.gamma * np.cosh(angles.theta))
+    bad = ~np.isfinite(speed1) | (speed1 < OFFSET_DEGENERACY_TOL)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise DegenerateOffset(f"gamma*cosh(theta) = {speed1[i]:.3e} at s={frames.s[i]}")
 
     ind = base.indicatrix
     base_jet = striction_jet(base)
     speed = speed_closure(base)
     grid = base.grid()
-    theta = _GridAntiderivative(lambda u: -speed(u), grid, [a.theta for a in angles])
+    theta = _GridAntiderivative(lambda u: -speed(u), grid, angles.theta)
     theta_star = _GridAntiderivative(lambda u: -_arc_rates(_exact_node(base_jet, u), 1.0, u)[1],
-                                     grid, [a.theta_star for a in angles])
+                                     grid, angles.theta_star)
 
     def offset_indicatrix(u):
         e, ep = value_and_derivative(ind, u)
@@ -220,16 +235,19 @@ def construct_offset(base: RuledSurfaceSpec, frames: Sequence[FrameSample],
     )
 
 
-def predicted_invariants(gamma: float, delta: float, Delta: float,
-                         angle: OffsetAngle) -> InvariantRecord:
-    """Closed-form offset invariants from the base invariants and the angle."""
-    if abs(gamma) < OFFSET_DEGENERACY_TOL:
+def predicted_invariants(gamma, delta, Delta, angle: OffsetAngle) -> InvariantRecord:
+    """Closed-form offset invariants from the base invariants and the angle.
+
+    Takes one sample (floats and a row angle) or columns (arrays and a
+    column angle) alike.
+    """
+    if np.any(np.abs(gamma) < OFFSET_DEGENERACY_TOL):
         raise ZeroConicalCurvature("offset invariants divide by gamma")
     th, ths = angle.theta, angle.theta_star
     thbar = angle.as_dual()
-    tanh_th = math.tanh(th)
+    tanh_th = dual.tanh(th)
     return InvariantRecord(
-        ds1_ds=gamma * math.cosh(th),
+        ds1_ds=gamma * dual.cosh(th),
         Delta1=-ths * tanh_th + delta / gamma,
         delta1=(delta / gamma) * tanh_th - ths,
         gamma1=-tanh_th,
@@ -254,107 +272,57 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     The base may be in any regular parametrization.  The measured side
     re-derives every invariant from the constructed curves alone (timelike
     measurement pipeline), with ds1/ds as the offset speed over the base
-    speed; the predicted side evaluates the closed forms.  Per-sample
-    residuals, their maxima and means, and developability verdicts are
-    returned; ``passed`` means all maxima sit below the configured theorem
-    tolerance.
+    speed; the predicted side evaluates the closed forms.  Both sides and
+    the residuals are computed as columns over the grid and returned as one
+    :class:`OffsetSample`, with the residuals' maxima and means and the
+    developability verdicts; ``passed`` means all maxima sit below the
+    configured theorem tolerance.
     """
     frames = darboux_frame(base, cfg)
     angles = offset_angles(frames, params)
     offset = construct_offset(base, frames, angles)
-    measured_frames = timelike_invariants(offset, cfg)
+    m = timelike_invariants(offset, cfg)
 
-    rows = []
-    for f, a, m in zip(frames, angles, measured_frames):
-        pred = predicted_invariants(f.gamma, f.delta, f.Delta, a)
-        meas = InvariantRecord(
-            ds1_ds=m.ds_du / f.ds_du,
-            Delta1=m.Delta,
-            delta1=m.delta,
-            gamma1=m.gamma,
-            gamma1_dual=m.gamma_dual,
-            R1_dual=timelike_radius(m.gamma_dual).radius,
-        )
-        residuals = {
-            "ds1_ds": abs(pred.ds1_ds - meas.ds1_ds),
-            "Delta1": abs(pred.Delta1 - meas.Delta1),
-            "delta1": abs(pred.delta1 - meas.delta1),
-            "gamma1": abs(pred.gamma1 - meas.gamma1),
-            "gamma1_dual_re": abs(pred.gamma1_dual.re - meas.gamma1_dual.re),
-            "gamma1_dual_du": abs(pred.gamma1_dual.du - meas.gamma1_dual.du),
-            "R1_re": abs(pred.R1_dual.re - meas.R1_dual.re),
-            "R1_du": abs(pred.R1_dual.du - meas.R1_dual.du),
-        }
-        rows.append(OffsetSample(s=f.s, theta=a.theta, theta_star=a.theta_star,
-                                 predicted=pred, measured=meas, residuals=residuals))
+    pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
+    meas = InvariantRecord(
+        ds1_ds=m.ds_du / frames.ds_du,
+        Delta1=m.Delta,
+        delta1=m.delta,
+        gamma1=m.gamma,
+        gamma1_dual=m.gamma_dual,
+        R1_dual=timelike_radius(m.gamma_dual).radius,
+    )
+    p, q = pred.quantities(), meas.quantities()
+    residuals = {k: np.abs(p[k] - q[k]) for k in RESIDUAL_KEYS}
 
-    residual_max = {k: max(r.residuals[k] for r in rows) for k in RESIDUAL_KEYS}
-    residual_mean = {k: sum(r.residuals[k] for r in rows) / len(rows) for k in RESIDUAL_KEYS}
+    residual_max = {k: float(np.max(v)) for k, v in residuals.items()}
+    # summed in sample order, as a reader summing the reported rows would
+    residual_mean = {k: sum(v.tolist()) / len(v) for k, v in residuals.items()}
     tol = cfg.tolerance_theorem
-    dev = developability_check(frames, angles, measured_frames, tol=tol)
     return OffsetReport(
-        samples=rows,
+        samples=OffsetSample(s=frames.s, theta=angles.theta, theta_star=angles.theta_star,
+                             predicted=pred, measured=meas, residuals=residuals),
         residual_max=residual_max,
         residual_mean=residual_mean,
-        developability=dev,
+        developability=developability_check(frames, angles, m, tol=tol),
         tolerance=tol,
         passed=all(v <= tol for v in residual_max.values()),
     )
 
 
-def developability_check(frames: Sequence[FrameSample], angles: Sequence[OffsetAngle],
-                         measured_frames: Sequence[FrameSample],
+def developability_check(frames: FrameSample, angles: OffsetAngle,
+                         measured_frames: FrameSample,
                          tol: float = 1e-8) -> DevelopabilityReport:
     """Developability verdicts for the base surface and its offset.
 
     Base: max|Delta| under tol, equivalently constant offset distance.
-    Offset: samples where the measured Delta1 vanishes; the corollary
-    locus re-derives the same set from theta* = (delta/gamma)*coth(theta),
-    skipping samples where theta is too small for coth (recorded, not
-    fatal).
+    Offset: samples where the measured Delta1 vanishes.  Samples where
+    theta is too small for the coth corollary are recorded, not fatal.
     """
-    base_developable = bool(max(abs(f.Delta) for f in frames) <= tol)
-    spread = max(a.theta_star for a in angles) - min(a.theta_star for a in angles)
-    theta_star_constant = bool(spread <= tol * max(1.0, frames[-1].s - frames[0].s))
-
-    locus = [m_s for m_s, m in zip((f.s for f in frames), measured_frames)
-             if abs(m.Delta) <= tol]
-    corollary = []
-    singular = []
-    for f, a in zip(frames, angles):
-        if abs(a.theta) < COTH_TOL:
-            singular.append(f.s)
-            continue
-        coth_value = (f.delta / f.gamma) / math.tanh(a.theta)
-        if abs(a.theta_star - coth_value) * abs(math.tanh(a.theta)) <= tol:
-            corollary.append(f.s)
+    spread = np.max(angles.theta_star) - np.min(angles.theta_star)
     return DevelopabilityReport(
-        base_developable=base_developable,
-        theta_star_constant=theta_star_constant,
-        offset_developable_locus=locus,
-        corollary_locus=corollary,
-        coth_singularities=singular,
-    )
-
-
-@dataclass(frozen=True)
-class RadiusCheck:
-    radius: DualScalar
-    expected: DualScalar
-    residual_re: float
-    residual_du: float
-    dual_magnitude_residual: float
-
-
-def radius_relations_check(gamma1_dual: DualScalar, angle: OffsetAngle) -> RadiusCheck:
-    """Check R1 = cosh(theta_dual) and |dual(R1)| = |theta*|*sinh|theta|."""
-    radius = timelike_radius(gamma1_dual).radius
-    expected = dual.cosh(angle.as_dual())
-    return RadiusCheck(
-        radius=radius,
-        expected=expected,
-        residual_re=abs(radius.re - expected.re),
-        residual_du=abs(radius.du - expected.du),
-        dual_magnitude_residual=abs(abs(radius.du)
-                                    - abs(angle.theta_star) * math.sinh(abs(angle.theta))),
+        base_developable=bool(np.max(np.abs(frames.Delta)) <= tol),
+        theta_star_constant=bool(spread <= tol * max(1.0, frames.s[-1] - frames.s[0])),
+        offset_developable_locus=frames.s[np.abs(measured_frames.Delta) <= tol].tolist(),
+        coth_singularities=frames.s[np.abs(angles.theta) < COTH_TOL].tolist(),
     )

@@ -27,6 +27,11 @@ Closures are evaluated over arrays of samples: the measurement passes
 blocks of at most ``BLOCK`` parameter values per call (float arrays, or
 dual scalars with array leaves), and every check reports the first
 offending parameter of its block.
+
+Measurements come back as one record per grid, holding one column per
+field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
+``frames[i]`` is the same record for sample i, with float leaves.  The
+closed forms of this module and of :mod:`dlgeom.mannheim` run on either.
 """
 
 from __future__ import annotations
@@ -92,14 +97,48 @@ class RuledSurfaceSpec:
         return 1.0 if self.kind == SPACELIKE_SURFACE else -1.0
 
 
+def _row(x, i: int):
+    """Element ``i`` of a column: an array, a Vec3L, DualScalar or dict of arrays, or a record."""
+    if isinstance(x, np.ndarray):
+        return x.item(i)
+    if isinstance(x, Vec3L):
+        return Vec3L(x.x1.item(i), x.x2.item(i), x.x3.item(i))
+    if isinstance(x, DualScalar):
+        return DualScalar(x.re.item(i), x.du.item(i))
+    if isinstance(x, dict):
+        return {k: _row(v, i) for k, v in x.items()}
+    return x[i]
+
+
+class Columns:
+    """Rows of a frozen slots dataclass whose fields each hold one column.
+
+    A column is a 1-D float array, or a Vec3L, DualScalar or dict of such
+    arrays, or another such record.  ``len`` is the length of the first
+    field, and ``record[i]`` is the same class with Python-float leaves, so
+    iteration, ``zip`` and negative indices work as on a list of rows;
+    ``record[len(record)]`` raises IndexError.  A row has no length.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, i: int):
+        return type(self)(*(_row(getattr(self, name), i) for name in self.__slots__))
+
+
 @dataclass(frozen=True, slots=True)
-class FrameSample:
-    """Frame and invariants of one ruling.
+class FrameSample(Columns):
+    """Frames and invariants of the rulings of a grid, one column per field.
 
     ``s`` is the indicatrix arc length and ``s_star`` the dual slot of the
     dual arc length (the accumulated distribution parameter), both anchored
     at parameter 0.  ``gamma_dual`` packs the dual conical curvature and
-    ``ds_du`` is the indicatrix speed in the spec's own parameter.
+    ``ds_du`` is the indicatrix speed in the spec's own parameter.  A
+    measurement returns one record with array leaves; ``frames[i]`` is the
+    record of sample i, with float leaves.
     """
 
     s: float
@@ -361,8 +400,8 @@ def _columns(u: np.ndarray, *values) -> np.ndarray:
     return np.column_stack([np.broadcast_to(x, u.shape) for x in values])
 
 
-def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSample]:
-    """Frame samples of either causal class, per unit arc length, on the spec's grid.
+def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
+    """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
     Each sample comes from one node (c, c', e, e', e'') in the spec's
     parameter u; derivatives are divided by the indicatrix speed v = ds/du.
@@ -375,8 +414,8 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
 
     The grid nodes, the Simpson midpoints of s and s* and the head integral
     from parameter 0 are each evaluated as arrays, in blocks of at most
-    ``BLOCK`` values per closure call; the FrameSample list is built once
-    at the end.
+    ``BLOCK`` values per closure call, and the table's columns are the
+    returned record's fields.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
@@ -411,24 +450,20 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> list[FrameSa
     grid = spec.grid()
     table = np.concatenate(_blockwise(block, grid))
     arcs = _signed_integral(rates, 0.0, grid[0]) + cumulative_integrate(rates, grid, table[:, -2:])
-
-    out = []
-    for row, (s, s_star) in zip(table.tolist(), arcs.tolist()):
-        p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = row
-        out.append(FrameSample(
-            s=s, e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3),
-            gamma=gamma, delta=delta, Delta=Delta,
-            s_star=s_star,
-            gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
-            striction_point=Vec3L(p1, p2, p3),
-            ds_du=v,
-        ))
-    return out
+    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table.T
+    return FrameSample(
+        s=arcs[:, 0], e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3),
+        gamma=gamma, delta=delta, Delta=Delta,
+        s_star=arcs[:, 1],
+        gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
+        striction_point=Vec3L(p1, p2, p3),
+        ds_du=v,
+    )
 
 
 def darboux_frame(spec: RuledSurfaceSpec,
-                  cfg: NumericsConfig = DEFAULT_CONFIG) -> list[FrameSample]:
-    """Frame samples of a spacelike-ruling spec, in any regular parametrization.
+                  cfg: NumericsConfig = DEFAULT_CONFIG) -> FrameSample:
+    """Frame columns of a spacelike-ruling spec, in any regular parametrization.
 
     gamma = -<dg/ds, t> (valid because <t,t> = -1), delta = <dc/ds, e>,
     Delta = det(dc/ds, e, t); the dual conical curvature combines them as
@@ -467,6 +502,7 @@ def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
     R = 1/sqrt(1 + gamma_dual^2); the unit Darboux vector is
     (-gamma_dual*e + g) scaled by R; the spherical radius rho solves
     sin(rho) = R, cos(rho) = -gamma_dual*R via two-argument recovery.
+    On frame columns every element is a column too.
     """
     gbar = fs.gamma_dual
     root = dual.sqrt(1.0 + gbar * gbar)
@@ -476,15 +512,15 @@ def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
     sin_rho = R
     cos_rho = (-gbar) * R
     rho = DualScalar(
-        math.atan2(sin_rho.re, cos_rho.re),
+        np.arctan2(sin_rho.re, cos_rho.re),
         sin_rho.du * cos_rho.re - cos_rho.du * sin_rho.re,
     )
     return DualCurvature(R_dual=R, rho_dual=rho, darboux=d, darboux_unit=d0)
 
 
 def timelike_invariants(spec: RuledSurfaceSpec,
-                        cfg: NumericsConfig = DEFAULT_CONFIG) -> list[FrameSample]:
-    """Frame samples of a timelike-ruling spec, in any regular parametrization.
+                        cfg: NumericsConfig = DEFAULT_CONFIG) -> FrameSample:
+    """Frame columns of a timelike-ruling spec, in any regular parametrization.
 
     The frame has signature (-, +, +); gamma_1 = -<dg1/ds1, t1> with
     <t1,t1> = +1, the dual slot of gamma_dual is +(delta_1 + gamma_1*Delta_1),
@@ -508,15 +544,19 @@ def timelike_radius(gamma1_dual: DualScalar, tol: float = 1e-10) -> TimelikeRadi
     """Dual radius of curvature 1/sqrt(|1 - gamma1^2|) of a timelike surface.
 
     The branch flag records which side of |gamma1| = 1 the Darboux vector
-    sits on; at |gamma1| = 1 it is lightlike and the radius blows up.
+    sits on; at |gamma1| = 1 it is lightlike and the radius blows up.  On
+    array leaves the radius and the branch flag are elementwise, and
+    NullDarboux names the first offending |gamma1|.
     """
     g = gamma1_dual
-    if abs(abs(g.re) - 1.0) < tol:
-        raise NullDarboux(f"|gamma1| = {abs(g.re)} is at the lightlike-Darboux boundary")
+    null = np.abs(np.abs(g.re) - 1.0) < tol
+    if np.any(null):
+        raise NullDarboux(f"|gamma1| = {np.ravel(np.abs(g.re))[np.argmax(null)]} "
+                          "is at the lightlike-Darboux boundary")
     q = 1.0 - g * g
-    if q.re > 0.0:
-        return TimelikeRadius(1.0 / dual.sqrt(q), BRANCH_SPACELIKE_DARBOUX)
-    return TimelikeRadius(1.0 / dual.sqrt(-q), BRANCH_TIMELIKE_DARBOUX)
+    spacelike = q.re > 0.0
+    branch = np.where(spacelike, BRANCH_SPACELIKE_DARBOUX, BRANCH_TIMELIKE_DARBOUX)[()]
+    return TimelikeRadius(1.0 / dual.sqrt(np.where(spacelike, 1.0, -1.0) * q), branch)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -267,6 +268,22 @@ def test_offset_warped_custom_spec_passes(tmp_path):
     assert report["verdicts"]["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["offset", "mesh"])
+@pytest.mark.parametrize("c", ["800", "-800"])
+def test_overflowing_offset_angle_is_degenerate(tmp_path, capsys, command, c):
+    # cosh(theta) overflows: a typed degeneracy, not a traceback or a numpy warning
+    out = tmp_path / ("m.obj" if command == "mesh" else "r")
+    flags = ["--offset"] if command == "mesh" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--input", _spec(tmp_path, HELI), "--out", str(out), *flags,
+                     f"--mannheim-c={c}"])
+    assert code == 3
+    last = _last_error(capsys)
+    assert last["error"] == "DegenerateOffset" and "inf" in last["message"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_offset_zero_gamma_degenerate(tmp_path):
     spec = _spec(tmp_path, {"catalog": "cone", "params": {"a": 0.0, "b": 1.0},
                             "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 11}})
@@ -313,6 +330,13 @@ def test_mesh_rejects_degenerate_band(tmp_path):
     spec = _spec(tmp_path, CONE)
     assert main(["mesh", "--input", spec, "--out", str(tmp_path / "m.obj"),
                  "--v-range", "0,0", "--v-samples", "2"]) == 2
+
+
+@pytest.mark.parametrize("v_range", ["0,inf", "-inf,0", "nan,1", "0,x", "0,1,2"])
+def test_mesh_malformed_v_range_exits_2(tmp_path, capsys, v_range):
+    assert main(["mesh", "--input", _spec(tmp_path, CONE), "--out", str(tmp_path / "m.obj"),
+                 f"--v-range={v_range}"]) == 2
+    assert _last_error(capsys)["error"] == "SpecFileError"
 
 
 def test_mesh_offset_object(tmp_path):

@@ -9,12 +9,12 @@ import dlgeom.dual as dual
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, TIMELIKE_ANGLE, dual_angle_between
 from dlgeom.errors import DegenerateOffset, ZeroConicalCurvature
-from dlgeom.lorentz import lorentz_dot
-from dlgeom.mannheim import (MannheimParams, OffsetAngle, construct_offset,
+from dlgeom.lorentz import Vec3L, lorentz_dot
+from dlgeom.mannheim import (RESIDUAL_KEYS, MannheimParams, OffsetAngle, construct_offset,
                              developability_check, mannheim_condition_residual, offset_angles,
-                             predicted_invariants, radius_relations_check, verify_offset)
+                             predicted_invariants, verify_offset)
 from dlgeom.numerics import CENTRAL_FD, NumericsConfig, value_and_derivative
-from dlgeom.ruled import darboux_frame, speed_closure, timelike_invariants
+from dlgeom.ruled import darboux_frame, speed_closure, timelike_invariants, timelike_radius
 
 AD = NumericsConfig()
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
@@ -178,7 +178,7 @@ def test_degenerate_offset_rejected():
 def test_mismatched_angles_rejected():
     base = _heli(samples=11)
     frames = darboux_frame(base)
-    bad = [OffsetAngle(f.s, 0.5, 0.0) for f in frames]
+    bad = OffsetAngle(frames.s, np.full(len(frames), 0.5), np.zeros(len(frames)))
     with pytest.raises(ValueError):
         construct_offset(base, frames, bad)
 
@@ -256,6 +256,50 @@ def test_verify_offset_report_shape():
     assert rep.residual_max.keys() == rep.residual_mean.keys()
 
 
+def _leaves(x):
+    """The float or array leaves of a record, in field order."""
+    if isinstance(x, Vec3L):
+        return list(x)
+    if isinstance(x, DualScalar):
+        return [x.re, x.du]
+    if isinstance(x, dict):
+        return [v for k in sorted(x) for v in _leaves(x[k])]
+    if dataclasses.is_dataclass(x):
+        return [v for f in dataclasses.fields(x) for v in _leaves(getattr(x, f.name))]
+    return [x]
+
+
+def test_report_rows_agree_with_columns():
+    rep = verify_offset(_heli(samples=11), PARAMS, AD)
+    cols = rep.samples
+    assert len(cols) == 11 and len(list(cols)) == 11
+    assert set(cols.residuals) == set(RESIDUAL_KEYS)
+    columns = _leaves(cols)
+    for i in (0, 4, -1):
+        row = _leaves(cols[i])
+        assert len(row) == len(columns)
+        assert all(type(x) is float for x in row)
+        assert row == [c[i] for c in columns]
+    with pytest.raises(IndexError):
+        cols[11]
+
+
+def test_verify_offset_builds_vectors_per_grid_not_per_sample(monkeypatch):
+    # columns hold one Vec3L per field; rows are built only when indexed
+    built = 0
+    init = Vec3L.__init__
+
+    def counting_init(self, x1, x2, x3):
+        nonlocal built
+        built += 1
+        init(self, x1, x2, x3)
+
+    monkeypatch.setattr(Vec3L, "__init__", counting_init)
+    rep = verify_offset(_heli(samples=1001), PARAMS, AD)
+    assert rep.passed
+    assert built < 1001
+
+
 # ---------------------------------------------------------------------------
 # developability
 
@@ -317,31 +361,37 @@ def test_developability_check_flags_coth_singularity():
 # radius relations
 
 def test_radius_relations_frozen():
+    # R1 = cosh(theta_dual) and |dual(R1)| = |theta*|*sinh|theta| at one sample
+    angle = OffsetAngle(s=0.5, theta=0.5, theta_star=-0.05)
     g = DualScalar(-math.tanh(0.5), 0.05 / math.cosh(0.5) ** 2)
-    out = radius_relations_check(g, OffsetAngle(s=0.5, theta=0.5, theta_star=-0.05))
-    assert out.radius.re == pytest.approx(1.1276259652063807, abs=1e-12)
-    assert out.radius.du == pytest.approx(-0.02605476527468737, abs=1e-12)
-    assert out.residual_re < 1e-12 and out.residual_du < 1e-12
-    assert out.dual_magnitude_residual < 1e-12
+    radius = timelike_radius(g).radius
+    expected = predicted_invariants(0.75, 0.2, 0.1, angle).R1_dual
+    assert radius.re == pytest.approx(1.1276259652063807, abs=1e-12)
+    assert radius.du == pytest.approx(-0.02605476527468737, abs=1e-12)
+    assert abs(radius.re - expected.re) < 1e-12 and abs(radius.du - expected.du) < 1e-12
+    assert abs(abs(radius.du) - abs(angle.theta_star) * math.sinh(abs(angle.theta))) < 1e-12
 
 
 def test_radius_relations_trivial_angle():
-    out = radius_relations_check(DualScalar(0.0, 0.0), OffsetAngle(s=0.0, theta=0.0,
-                                                                   theta_star=0.0))
-    assert out.radius == DualScalar(1.0, 0.0)
-    assert out.residual_re == 0.0 and out.residual_du == 0.0
+    radius = timelike_radius(DualScalar(0.0, 0.0)).radius
+    expected = predicted_invariants(0.75, 0.2, 0.1, OffsetAngle(s=0.0, theta=0.0,
+                                                                theta_star=0.0)).R1_dual
+    assert radius == DualScalar(1.0, 0.0)
+    assert radius.re - expected.re == 0.0 and radius.du - expected.du == 0.0
 
 
 def test_radius_dual_magnitude_identity_random():
+    # 50 random angles as one column call; |theta| < 1e-3 is skipped
     rng = np.random.default_rng(17)
-    for _ in range(50):
-        th = float(rng.uniform(-1.5, 1.5))
-        ths = float(rng.uniform(-0.5, 0.5))
-        if abs(th) < 1e-3:
-            continue
-        g = -dual.tanh(DualScalar(th, ths))
-        out = radius_relations_check(g, OffsetAngle(s=0.0, theta=th, theta_star=ths))
-        assert out.dual_magnitude_residual < 1e-9
+    th, ths = rng.uniform([-1.5, -0.5], [1.5, 0.5], size=(50, 2)).T
+    keep = np.abs(th) >= 1e-3
+    angles = OffsetAngle(np.zeros(keep.sum()), th[keep], ths[keep])
+    pred = predicted_invariants(0.75, 0.2, 0.1, angles)
+    radius = timelike_radius(pred.gamma1_dual).radius
+    assert np.max(np.abs(radius.re - pred.R1_dual.re)) < 1e-9
+    assert np.max(np.abs(radius.du - pred.R1_dual.du)) < 1e-9
+    want = np.abs(angles.theta_star) * np.sinh(np.abs(angles.theta))
+    assert np.max(np.abs(np.abs(radius.du) - want)) < 1e-9
 
 
 def test_verify_offset_measured_radius_follows_theorem():

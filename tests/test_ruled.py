@@ -190,6 +190,24 @@ def test_cone_frame_at_zero():
     assert f.gamma_dual == DualScalar(0.75, -0.0)
 
 
+def test_frame_rows_agree_with_columns():
+    frames = darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=9))
+
+    def leaves(f):
+        return [f.s, *f.e, *f.t, *f.g, f.gamma, f.delta, f.Delta, f.s_star,
+                f.gamma_dual.re, f.gamma_dual.du, *f.striction_point, f.ds_du]
+
+    assert len(frames) == 9 and len(list(frames)) == 9
+    columns = leaves(frames)
+    for i in (0, 4, -1):
+        row = leaves(frames[i])
+        assert all(type(x) is float for x in row)
+        assert row == [c[i] for c in columns]
+    assert [f.s for f in frames] == frames.s.tolist()
+    with pytest.raises(IndexError):
+        frames[9]
+
+
 def test_gamma_against_fd_oracle():
     spec = catalog.cone(domain=(0.0, 1.0), samples=5)
 
