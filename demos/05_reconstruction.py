@@ -2,8 +2,9 @@
 
 (gamma, delta, Delta) pin a spacelike ruled surface up to placement.  The
 kernel integrates e' = t, t' = e + gamma g, g' = gamma t, c' = delta e +
-Delta g with RK4 plus Lorentzian re-orthonormalization, then re-measures
-the invariants from the reconstructed curves.
+Delta g with a batched fourth-order Magnus flow plus Lorentzian
+re-orthonormalization, then re-measures the invariants from the
+reconstructed curves.
 """
 
 import numpy as np

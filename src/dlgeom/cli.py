@@ -26,9 +26,9 @@ import numpy as np
 
 from . import dual as dualmod
 from .dual import DualVec3
-from .errors import (DegenerateIndicatrix, DegenerateOffset, FrameDegeneracy, GeometryError,
-                     InvalidDirection, NonFinite, NotUnit, NullDarboux, SpecFileError,
-                     StepSizeError, ZeroConicalCurvature)
+from .errors import (DegenerateIndicatrix, DegenerateOffset, DivisionByPureDual, FrameDegeneracy,
+                     GeometryError, InvalidDirection, NonFinite, NotUnit, NullDarboux,
+                     SpecFileError, StepSizeError, ZeroConicalCurvature)
 from .lorentz import Vec3L
 from .numerics import CENTRAL_FD, DUAL_AD, NumericsConfig, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
@@ -96,10 +96,15 @@ def compile_scalar_expr(source: str):
     env.update(_EXPR_FUNCS)
 
     def f(u):
+        # float leaves (constants, or a float u) raise where arrays give inf;
+        # a dual division raises DivisionByPureDual itself, naming its index
         try:
             return eval(code, env, {"u": u})  # noqa: S307 - AST whitelisted above
+        except GeometryError:
+            raise
+        except ZeroDivisionError:
+            raise DivisionByPureDual(f"expression {source!r} divides by zero") from None
         except OverflowError:
-            # math lifts raise on float leaves (constants); arrays give inf instead
             raise NonFinite(f"expression {source!r} overflows") from None
 
     return f

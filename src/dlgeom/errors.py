@@ -52,7 +52,7 @@ class FrameDegeneracy(GeometryError):
 
 
 class StepSizeError(GeometryError):
-    """Frame drifted too far from orthonormality within a single ODE step."""
+    """An integrated frame drifted too far from orthonormality before re-orthonormalization."""
 
 
 class NonFinite(GeometryError):

@@ -1,11 +1,16 @@
-"""Shared numerical services: quadrature, curve differentiation, frame ODE.
+"""Shared numerical services: quadrature, curve differentiation, frame checks.
 
 Derivatives default to dual-scalar forward differentiation: a curve closure
 is evaluated at ``u + eps`` and the dual slot is read back, so catalog
 closed forms differentiate to roundoff.  Central finite differences remain
 available as an independent cross-check mode of the measurement layer; the
 configuration selects nothing else.  Quadrature is composite Simpson
-throughout, and the frame ODE runs a fixed ``ODE_STEPS_PER_UNIT``.
+throughout.  The frame ODE is integrated at a fixed ``ODE_STEPS_PER_UNIT``:
+reconstruction runs it as one batched Magnus flow (see
+:func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all its node
+frames at once with :func:`lorentz_gram_schmidt`, which works elementwise on
+arrays as :func:`frame_residual` does; :func:`rk4_frame_step` is an
+independent classical integrator kept as the tests' reference.
 
 Integrands are evaluated over arrays: :func:`integrate` and
 :func:`cumulative_integrate` call their integrand once, on the 1-D array of
@@ -22,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dual
 from .dual import DualScalar, DualVec3
 from .errors import GeometryError, NonFinite, StepSizeError
 from .lorentz import Vec3L, lorentz_cross, lorentz_dot
@@ -30,7 +36,7 @@ QUAD_PANELS_PER_UNIT = 256
 MIN_QUAD_PANELS = 2
 ODE_STEPS_PER_UNIT = 1000
 
-#: largest orthonormality drift of one raw RK4 frame step
+#: largest orthonormality drift of a raw integrated frame, before projection
 DRIFT_TOL = 1e-6
 
 DUAL_AD = "dual-ad"
@@ -203,12 +209,6 @@ def value_and_derivative(curve, u):
     return v.re, v.du
 
 
-def scalar_derivative(f, u):
-    """Exact derivative of a scalar function from one dual evaluation."""
-    v = f(DualScalar(u, 1.0))
-    return v.du if isinstance(v, DualScalar) else 0.0
-
-
 # ---------------------------------------------------------------------------
 # frame ODE
 
@@ -240,22 +240,28 @@ def frame_residual(e: Vec3L, t: Vec3L, g: Vec3L, signs=(1.0, -1.0, 1.0)) -> floa
     return max(terms)
 
 
+def _require_character(ok, message: str) -> None:
+    """StepSizeError unless ``ok`` holds everywhere, carrying the first failing index."""
+    if not np.all(ok):
+        raise StepSizeError(message, index=int(np.argmin(ok)) if np.ndim(ok) else None)
+
+
 def lorentz_gram_schmidt(e: Vec3L, t: Vec3L, g: Vec3L):
     """Re-orthonormalize in the order t, e, g for signature (+, -, +).
 
     t is normalized timelike, e is projected off t and normalized
     spacelike, and g is completed as -e x t (the frame's own definition,
-    which also pins the orientation).
+    which also pins the orientation).  Elementwise for frames whose
+    components are arrays; a lost causal character raises StepSizeError
+    with the index of the first such frame.
     """
     qt = lorentz_dot(t, t)
-    if qt >= 0.0:
-        raise StepSizeError("tangent lost its timelike character")
-    t = t / math.sqrt(-qt)
+    _require_character(qt < 0.0, "tangent lost its timelike character")
+    t = t / dual.sqrt(-qt)
     e = e + lorentz_dot(e, t) * t
     qe = lorentz_dot(e, e)
-    if qe <= 0.0:
-        raise StepSizeError("ruling lost its spacelike character")
-    e = e / math.sqrt(qe)
+    _require_character(qe > 0.0, "ruling lost its spacelike character")
+    e = e / dual.sqrt(qe)
     g = -lorentz_cross(e, t)
     return e, t, g
 

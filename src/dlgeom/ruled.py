@@ -38,17 +38,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dual
 from .dual import DualScalar, DualVec3, dual_norm, leading_real
-from .errors import DegenerateIndicatrix, FrameDegeneracy, GeometryError, NullDarboux
+from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
+                     NullDarboux, StepSizeError)
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
-from .numerics import (DEFAULT_CONFIG, DUAL_AD, ODE_STEPS_PER_UNIT, NumericsConfig,
-                       FrameState, at_points, cumulative_integrate, frame_residual,
-                       integrate, rk4_frame_step, scalar_derivative, value_and_derivative)
+from .numerics import (DEFAULT_CONFIG, DRIFT_TOL, DUAL_AD, ODE_STEPS_PER_UNIT, NumericsConfig,
+                       at_points, cumulative_integrate, frame_residual, integrate,
+                       lorentz_gram_schmidt, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -110,14 +111,28 @@ def _row(x, i: int):
     return x[i]
 
 
+def _rows(x) -> list:
+    """Every element of a column, as :func:`_row` gives them, converting each leaf array once."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, Vec3L):
+        return [Vec3L(*row) for row in zip(*(v.tolist() for v in x))]
+    if isinstance(x, DualScalar):
+        return [DualScalar(*row) for row in zip(x.re.tolist(), x.du.tolist())]
+    if isinstance(x, dict):
+        return [dict(zip(x, row)) for row in zip(*(_rows(v) for v in x.values()))]
+    return list(x)
+
+
 class Columns:
     """Rows of a frozen slots dataclass whose fields each hold one column.
 
     A column is a 1-D float array, or a Vec3L, DualScalar or dict of such
     arrays, or another such record.  ``len`` is the length of the first
     field, and ``record[i]`` is the same class with Python-float leaves, so
-    iteration, ``zip`` and negative indices work as on a list of rows;
-    ``record[len(record)]`` raises IndexError.  A row has no length.
+    ``zip`` and negative indices work as on a list of rows;
+    ``record[len(record)]`` raises IndexError.  Iteration gives the same
+    rows, converting each column once.  A row has no length.
     """
 
     __slots__ = ()
@@ -127,6 +142,10 @@ class Columns:
 
     def __getitem__(self, i: int):
         return type(self)(*(_row(getattr(self, name), i) for name in self.__slots__))
+
+    def __iter__(self):
+        cls = type(self)
+        return (cls(*row) for row in zip(*(_rows(getattr(self, name)) for name in self.__slots__)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -575,19 +594,16 @@ _QUINTIC = (
 class _HermiteCurve:
     """Piecewise quintic Hermite interpolant on uniform nodes, dual- and array-evaluable.
 
-    Values, first and second derivatives at the nodes make node accuracy
-    carry through two derivative orders.  Evaluation outside the node span
-    extrapolates with the end segment.  Node data are stored as (n, 3)
-    arrays, so an array of parameters gathers its segments by index.
+    Values, first and second derivatives at the nodes, given as (n, 3)
+    arrays, make node accuracy carry through two derivative orders.
+    Evaluation outside the node span extrapolates with the end segment; an
+    array of parameters gathers its segments by index.
     """
 
-    def __init__(self, s0: float, h: float, values: Sequence[Vec3L],
-                 deriv1: Sequence[Vec3L], deriv2: Sequence[Vec3L]):
-        self.s0 = s0
-        self.h = h
-        self.values = np.array([tuple(x) for x in values], dtype=float)
-        self.deriv1 = np.array([tuple(x) for x in deriv1], dtype=float)
-        self.deriv2 = np.array([tuple(x) for x in deriv2], dtype=float)
+    def __init__(self, s0: float, h: float, values: np.ndarray,
+                 deriv1: np.ndarray, deriv2: np.ndarray):
+        self.s0, self.h = s0, h
+        self.values, self.deriv1, self.deriv2 = values, deriv1, deriv2
 
     def __call__(self, u):
         x = (u - self.s0) / self.h
@@ -603,13 +619,11 @@ class _HermiteCurve:
 
 
 class _TaylorCurve:
-    """Second-order expansion around a single node (zero-span grids)."""
+    """Second-order expansion around a single node (zero-span grids); data as 3-arrays."""
 
-    def __init__(self, s0: float, f: Vec3L, d: Vec3L, a: Vec3L):
+    def __init__(self, s0: float, f: np.ndarray, d: np.ndarray, a: np.ndarray):
         self.s0 = s0
-        self.f = f
-        self.d = d
-        self.a = a
+        self.f, self.d, self.a = (Vec3L(*x.tolist()) for x in (f, d, a))
 
     def __call__(self, u):
         x = u - self.s0
@@ -643,74 +657,168 @@ class _JoinedCurve:
         return _where(below, self.left(u), self.right(u))
 
 
+#: weight of the commutator in the fourth-order Magnus step
+_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
+
+#: two-point Gauss-Legendre nodes on [0, 1]
+_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+
+#: Gram matrix of an orthonormal frame [e t g]
+_SIGNATURE = np.diag([1.0, -1.0, 1.0])
+
+
+def _profile_values(f, s: np.ndarray, slope: bool = False) -> np.ndarray:
+    """Rows (f,) or, with ``slope``, (f, f') of a profile function on the nodes ``s``.
+
+    One call on the whole array; the slope is the dual slot of the same
+    evaluation, and constant returns are broadcast.  A non-finite value
+    raises NonFinite naming its node.
+    """
+    with at_points(s):
+        v = f(DualScalar(s, 1.0)) if slope else f(s)
+    parts = (dual.re_part(v), dual.du_part(v)) if slope else (v,)
+    out = np.array([np.broadcast_to(np.asarray(x, dtype=float), s.shape) for x in parts])
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        raise NonFinite(f"non-finite profile value at s={float(s[np.argmax(bad)])!r}")
+    return out
+
+
+def _exp_so21(w: np.ndarray) -> np.ndarray:
+    """exp of a stack of (3, 3) generators w of the frame group, in closed form.
+
+    Each w satisfies w^3 = k*w with k = tr(w^2)/2, so exp w = I + a*w + b*w^2
+    with a = sinh(r)/r and b = 2*sinh(r/2)^2/r^2 for k = r^2 > 0, sin in
+    place of sinh for k = -r^2 < 0, and their Taylor series for small |k|.
+    """
+    w2 = w @ w
+    k = 0.5 * np.trace(w2, axis1=1, axis2=2)
+    small = np.abs(k) < 1e-3
+    r = np.where(small, 1.0, np.sqrt(np.abs(k)))
+    a = np.where(k > 0.0, np.sinh(r), np.sin(r)) / r
+    b = 2.0 * (np.where(k > 0.0, np.sinh(0.5 * r), np.sin(0.5 * r)) / r) ** 2
+    # 1 + k/3! + k^2/5! + k^3/7! and 1/2! + k/4! + k^2/6! + k^3/8!
+    a = np.where(small, 1.0 + k / 6.0 * (1.0 + k / 20.0 * (1.0 + k / 42.0)), a)
+    b = np.where(small, 0.5 + k / 24.0 * (1.0 + k / 30.0 * (1.0 + k / 56.0)), b)
+    return np.eye(3) + a[:, None, None] * w + b[:, None, None] * w2
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Running products m[0] @ m[1] @ ... @ m[i] of a matrix stack, in log2(n) matmuls."""
+    m = m.copy()
+    d = 1
+    while d < len(m):
+        m[d:] = m[:-d] @ m[d:]
+        d *= 2
+    return m
+
+
+def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
+    """Nodes s from a to b and the frame rows (e, t, g) there, by the Magnus flow.
+
+    ``frame`` is [e t g] as columns at a; with F' = F*K(gamma),
+    K = [[0, 1, 0], [1, 0, gamma], [0, gamma, 0]], each step multiplies by
+    exp(Omega), Omega = h/2*(K1 + K2) + (sqrt 3/12)*h^2*[K1, K2] at the two
+    Gauss points of the step.  The raw frames must stay within ``DRIFT_TOL``
+    of orthonormality (else StepSizeError, also for frames that overflow)
+    and are then re-orthonormalized.
+    """
+    n = max(1, int(math.ceil(abs(b - a) * ODE_STEPS_PER_UNIT)))
+    h = (b - a) / n
+    s = a + h * np.arange(n + 1)
+    s[-1] = b
+    g1, g2 = _profile_values(gamma, (s[:-1, None] + h * _GAUSS).ravel())[0].reshape(n, 2).T
+    with at_points(s):
+        w = np.zeros((n, 3, 3))
+        w[:, 0, 1] = w[:, 1, 0] = h
+        w[:, 1, 2] = w[:, 2, 1] = 0.5 * h * (g1 + g2)
+        # [K1, K2] = (gamma2 - gamma1)*(E02 - E20)
+        w[:, 0, 2] = _MAGNUS_COMMUTATOR * h * h * (g2 - g1)
+        w[:, 2, 0] = -w[:, 0, 2]
+        frames = _prefix_products(np.concatenate([frame[None], _exp_so21(w)]))
+        # Gram matrices <F_j, F_k>; their distance from diag(1, -1, 1) is frame_residual
+        gram = np.einsum("nij,i,nik->njk", frames, [-1.0, 1.0, 1.0], frames)
+        drift = np.max(np.abs(gram - _SIGNATURE), axis=(1, 2))
+        bad = ~(drift <= DRIFT_TOL)
+        if np.any(bad):
+            raise StepSizeError(f"frame drift {np.max(drift):.3e} exceeds {DRIFT_TOL:.1e} "
+                                f"at s={float(s[np.argmax(bad)])!r}")
+        # one Newton step toward the signature first leaves Gram-Schmidt only
+        # roundoff to correct, which keeps the measured invariants at roundoff too
+        frames = frames @ (1.5 * np.eye(3) - 0.5 * _SIGNATURE @ gram)
+        e, t, g = lorentz_gram_schmidt(*(Vec3L(*frames[:, :, j].T) for j in range(3)))
+    return s, h, *(np.column_stack(v.components()) for v in (e, t, g))
+
+
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:
     """Integrate the frame system to a surface with the given invariants.
 
-    Runs RK4 at a fixed ``ODE_STEPS_PER_UNIT`` steps per unit of s, with
-    per-step Lorentzian re-orthonormalization, on
+    Solves
 
-        e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g,
+        e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g
 
-    then packages the dense solution as quintic Hermite curves whose node
-    derivatives come from the ODE rates themselves.  The frame seed sits at
-    the first grid point.  Frame measurement anchors s and s* at parameter
-    0, so a grid that does not contain 0 is continued to it by integrating
-    the same system there (the profile must be defined in between); a
-    single grid point off 0 is served by that continuation alone.  Every
-    derivative, c'' included, is exact.  Feeding the result back through
-    darboux_frame reproduces the profile and its arc length.
+    at a fixed ``ODE_STEPS_PER_UNIT`` steps per unit of s in one array pass:
+    the frame by the fourth-order Magnus flow of :func:`_frame_flow`, and c
+    by the end-corrected trapezoid rule on c' and c'' (exact for cubics).
+    Each profile function is called once per array of points.  The nodes
+    are packaged as quintic Hermite curves whose node derivatives come from
+    the ODE rates themselves.  The frame seed sits at the first grid point.
+    Frame measurement anchors s and s* at parameter 0, so a grid that does
+    not contain 0 is continued to it by integrating the same system there
+    (the profile must be defined in between); a single grid point off 0 is
+    served by that continuation alone.  Every derivative, c'' included, is
+    exact.  Feeding the result back through darboux_frame reproduces the
+    profile and its arc length.  A profile value that is not finite raises
+    NonFinite, and a division by zero in a profile DivisionByPureDual, each
+    naming its s.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
-    seed = FrameState(profile.e0, profile.t0, profile.g0, profile.c0)
+    seed = np.column_stack([profile.e0.components(), profile.t0.components(),
+                            profile.g0.components()])
+    c_seed = np.array(profile.c0.components(), dtype=float)
 
-    def accel(si: float, st: FrameState) -> Vec3L:
-        return st.e + profile.gamma(si) * st.g
+    def rates(s, e, t, g):
+        """e'', c' and c'' at the nodes s, as rows like the frame rows e, t, g."""
+        gamma, = _profile_values(profile.gamma, s)[:, :, None]
+        delta, delta_p = _profile_values(profile.delta, s, slope=True)[:, :, None]
+        Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
+        # (delta*e + Delta*g)' with the frame rates substituted in; an overflow
+        # here or in c is left to the Vec3L checks of the curves' evaluations
+        with at_points(s):
+            return (e + gamma * g, delta * e + Delta * g,
+                    delta_p * e + Delta_p * g + (delta + Delta * gamma) * t)
 
-    def cdot(si: float, st: FrameState) -> Vec3L:
-        return profile.delta(si) * st.e + profile.Delta(si) * st.g
-
-    def cddot(si: float, st: FrameState) -> Vec3L:
-        # (delta*e + Delta*g)' with the frame rates substituted in
-        dd = scalar_derivative(profile.delta, si)
-        DD = scalar_derivative(profile.Delta, si)
-        return (dd * st.e + DD * st.g
-                + (profile.delta(si) + profile.Delta(si) * profile.gamma(si)) * st.t)
-
-    def flow(state: FrameState, a: float, b: float):
-        """Hermite curves (e, c) on RK4 nodes from a to b, and the state at b."""
-        n_steps = max(1, int(math.ceil(abs(b - a) * ODE_STEPS_PER_UNIT)))
-        h = (b - a) / n_steps
-        nodes = [(a, state)]
-        for k in range(n_steps):
-            sk = a + k * h
-            state = rk4_frame_step(state, sk, h, profile.gamma, profile.delta, profile.Delta)
-            nodes.append((sk + h, state))
+    def flow(frame, c, a, b):
+        """Hermite curves (e, c) on the flow's nodes from a to b, and frame and c at b."""
+        s, h, e, t, g = _frame_flow(profile.gamma, frame, a, b)
+        accel, cdot, cddot = rates(s, e, t, g)
+        with at_points(s):
+            steps = 0.5 * h * (cdot[:-1] + cdot[1:]) + h * h / 12.0 * (cddot[:-1] - cddot[1:])
+            c = c + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+        end = np.column_stack([e[-1], t[-1], g[-1]]), c[-1]
         if h < 0.0:
-            nodes.reverse()
-        ind = _HermiteCurve(min(a, b), abs(h), [st.e for _, st in nodes],
-                            [st.t for _, st in nodes], [accel(si, st) for si, st in nodes])
-        base = _HermiteCurve(min(a, b), abs(h), [st.c for _, st in nodes],
-                             [cdot(si, st) for si, st in nodes],
-                             [cddot(si, st) for si, st in nodes])
-        return ind, base, state
+            e, t, accel, c, cdot, cddot = (x[::-1] for x in (e, t, accel, c, cdot, cddot))
+        return (_HermiteCurve(min(a, b), abs(h), e, t, accel),
+                _HermiteCurve(min(a, b), abs(h), c, cdot, cddot), end)
 
     if s_end == s0 == 0.0:
-        ind = _TaylorCurve(s0, seed.e, seed.t, accel(s0, seed))
-        base = _TaylorCurve(s0, seed.c, cdot(s0, seed), cddot(s0, seed))
+        accel, cdot, cddot = rates(np.array([s0]), *seed.T[:, None])
+        ind = _TaylorCurve(s0, seed[:, 0], seed[:, 1], accel[0])
+        base = _TaylorCurve(s0, c_seed, cdot[0], cddot[0])
     elif s_end == s0:
         # the continuation to 0 alone serves both sides of s0, so differences
         # there straddle no seam
-        ind, base, _ = flow(seed, s0, 0.0)
+        ind, base, _ = flow(seed, c_seed, s0, 0.0)
     else:
-        ind, base, last = flow(seed, s0, s_end)
+        ind, base, last = flow(seed, c_seed, s0, s_end)
         if s0 > 0.0:
-            head_ind, head_base, _ = flow(seed, s0, 0.0)
+            head_ind, head_base, _ = flow(seed, c_seed, s0, 0.0)
             ind, base = _JoinedCurve(s0, head_ind, ind), _JoinedCurve(s0, head_base, base)
         elif s_end < 0.0:
-            tail_ind, tail_base, _ = flow(last, s_end, 0.0)
+            tail_ind, tail_base, _ = flow(*last, s_end, 0.0)
             ind, base = _JoinedCurve(s_end, ind, tail_ind), _JoinedCurve(s_end, base, tail_base)
     return RuledSurfaceSpec(ind, base, (s0, s_end), len(s_grid),
                             SPACELIKE_SURFACE, "reconstructed")

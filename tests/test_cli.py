@@ -10,10 +10,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import dlgeom.cli as cli
+import dlgeom.ruled as ruled
 from dlgeom.cli import build_parser, main
+from dlgeom.dual import DualScalar
+from dlgeom.errors import DivisionByPureDual
 from dlgeom.lorentz import Vec3L
 
 CONE = {"catalog": "cone", "params": {"a": 0.6, "b": 0.8},
@@ -124,28 +128,34 @@ def test_frames_central_fd_custom_spec_matches_dual_ad(tmp_path, w):
             assert float(b[key]) == pytest.approx(float(a[key]), abs=1e-6)
 
 
+def _child_error(*argv) -> tuple[int, dict]:
+    """Exit code and last stderr line of dlgeom run as a child process.
+
+    That, and any numpy RuntimeWarning (asserted absent), is what a user sees.
+    """
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "dlgeom.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert "RuntimeWarning" not in proc.stderr
+    return proc.returncode, json.loads(proc.stderr.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
 @pytest.mark.parametrize("expr,code,error,u", [
     ("exp(800*u)", 2, "NonFinite", "u=0.9"),
     ("0.01/(u-0.5)", 3, "DivisionByPureDual", "u=0.5"),
 ], ids=["overflow", "pure-dual-division"])
 def test_frames_bad_custom_expression_names_the_sample(tmp_path, mode, expr, code, error, u):
-    # run as a child process: the exit code, the last stderr line and any
-    # numpy RuntimeWarning are what a user sees
     payload = {"catalog": "custom",
                "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
                "custom": {"e": ["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6"],
                           "c": ["0.1*u", "0.2*u*u", expr]}}
-    src = pathlib.Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "dlgeom.cli", "frames", "--input", _spec(tmp_path, payload),
-         "--out", str(tmp_path / "x.csv"), "--deriv", mode],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code, proc.stderr
-    last = json.loads(proc.stderr.strip().splitlines()[-1])
+    returncode, last = _child_error("frames", "--input", _spec(tmp_path, payload),
+                                    "--out", str(tmp_path / "x.csv"), "--deriv", mode)
+    assert returncode == code, last
     assert last["error"] == error
     assert last["message"].endswith(u)
-    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_frames_overflowing_constant_is_a_spec_error(tmp_path):
@@ -470,6 +480,36 @@ def test_reconstruct_single_row_sees_a_wrong_surface(tmp_path, monkeypatch):
     assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 0
     residuals = json.loads((tmp_path / "r.json").read_text())
     assert residuals["max"]["gamma"] == pytest.approx(0.05, abs=1e-8)
+
+
+@pytest.mark.parametrize("entry,domain,code,error,where", [
+    ({"Delta": "0.01/(u-0.5)"}, {"s_min": 0.0, "s_max": 1.0}, 3, "DivisionByPureDual", "u=0.5"),
+    ({"Delta": "0.01/u"}, {"s_min": 0.0, "s_max": 0.0}, 3, "DivisionByPureDual", "u=0.0"),
+    ({"gamma": "exp(800*u)"}, {"s_min": 0.0, "s_max": 1.0}, 2, "NonFinite", "s=0.887"),
+], ids=["pole-on-a-node", "pole-zero-span", "overflow"])
+def test_reconstruct_bad_profile_expression_names_s(tmp_path, entry, domain, code, error, where):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload(**entry, domain=domain)))
+    returncode, last = _child_error("reconstruct", "--input", str(path),
+                                    "--out", str(tmp_path / "r"))
+    assert returncode == code, last
+    assert last["error"] == error
+    assert where in last["message"]
+
+
+def test_reconstruct_drift_over_tolerance_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ruled, "DRIFT_TOL", 0.0)
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload()))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 3
+    assert _last_error(capsys)["error"] == "StepSizeError"
+
+
+@pytest.mark.parametrize("source,u", [("0.01/u", 0.0), ("0.01/u", DualScalar(0.0, 1.0)),
+                                      ("1/0 + u", np.zeros(3))])
+def test_expression_division_by_zero_is_typed(source, u):
+    with pytest.raises(DivisionByPureDual):
+        cli.compile_scalar_expr(source)(u)
 
 
 def test_reconstruct_rejects_skew_frame(tmp_path):

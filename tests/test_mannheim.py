@@ -10,8 +10,8 @@ from dlgeom import catalog
 from dlgeom.dual import DualScalar, TIMELIKE_ANGLE, dual_angle_between
 from dlgeom.errors import DegenerateOffset, ZeroConicalCurvature
 from dlgeom.lorentz import Vec3L, lorentz_dot
-from dlgeom.mannheim import (RESIDUAL_KEYS, MannheimParams, OffsetAngle, construct_offset,
-                             developability_check, mannheim_condition_residual, offset_angles,
+from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, OffsetAngle,
+                             construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
 from dlgeom.numerics import CENTRAL_FD, NumericsConfig, value_and_derivative
 from dlgeom.ruled import darboux_frame, speed_closure, timelike_invariants, timelike_radius
@@ -282,6 +282,14 @@ def test_report_rows_agree_with_columns():
         assert row == [c[i] for c in columns]
     with pytest.raises(IndexError):
         cols[11]
+
+
+def test_report_iteration_gives_the_indexed_rows():
+    # nested records and the residual dict are converted column by column
+    cols = verify_offset(_heli(samples=11), PARAMS, AD).samples
+    rows = list(cols)
+    assert rows == [cols[i] for i in range(len(cols))]
+    assert isinstance(rows[0].measured, InvariantRecord) and type(rows[0].residuals) is dict
 
 
 def test_verify_offset_builds_vectors_per_grid_not_per_sample(monkeypatch):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-import dlgeom.dual as dual
 from dlgeom import catalog
 from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite, StepSizeError
 from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FrameState, NumericsConfig, at_points,
                              cumulative_integrate, differentiate, frame_residual, integrate,
-                             lorentz_gram_schmidt, rk4_frame_step, scalar_derivative,
-                             value_and_derivative)
+                             lorentz_gram_schmidt, rk4_frame_step, value_and_derivative)
 
 AD = NumericsConfig(derivative_mode=DUAL_AD)
 FD = NumericsConfig(derivative_mode=CENTRAL_FD)
@@ -158,11 +156,6 @@ def test_value_and_derivative_consistency():
     assert max(abs(x - y) for x, y in zip(d, d2)) < 1e-12
 
 
-def test_scalar_derivative():
-    assert scalar_derivative(dual.sinh, 0.7) == pytest.approx(math.cosh(0.7), abs=1e-14)
-    assert scalar_derivative(lambda u: 4.2, 0.7) == 0.0
-
-
 def test_second_derivative_by_nesting():
     spec = catalog.cone()
 
@@ -237,6 +230,26 @@ def test_gram_schmidt_restores_orthonormality():
     e2, t2, g2 = lorentz_gram_schmidt(e, t, g)
     assert frame_residual(e2, t2, g2) < 1e-12
     assert max(abs(x - y) for x, y in zip(g2, -lorentz_cross(e2, t2))) == 0.0
+
+
+def test_gram_schmidt_works_elementwise_on_arrays():
+    rng = np.random.default_rng(7)
+    base = [np.array(tuple(v)) for v in (CONE_E0, CONE_T0, CONE_G0)]
+    noisy = [b + 1e-4 * rng.standard_normal((5, 3)) for b in base]
+    e, t, g = lorentz_gram_schmidt(*(Vec3L(*x.T) for x in noisy))
+    assert np.max(frame_residual(e, t, g)) < 1e-12
+    for i in range(5):
+        rows = lorentz_gram_schmidt(*(Vec3L(*x[i]) for x in noisy))
+        for got, want in zip((e, t, g), rows):
+            assert [c[i] for c in got] == list(want)
+
+
+def test_gram_schmidt_names_the_first_lost_character():
+    t = Vec3L(np.array([1.0, 1.0, 0.1]), np.zeros(3), np.array([0.0, 0.0, 1.0]))
+    e = Vec3L(np.zeros(3), np.full(3, 0.8), np.full(3, 0.6))
+    with pytest.raises(StepSizeError, match="timelike") as info:
+        lorentz_gram_schmidt(e, t, e)
+    assert info.value.index == 2
 
 
 def test_frame_residual_signature():

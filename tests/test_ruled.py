@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 from collections import Counter
@@ -11,11 +12,12 @@ import dlgeom.dual as dual
 import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
-from dlgeom.errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
-                           NullDarboux)
+from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegeneracy,
+                           GeometryError, NonFinite, NullDarboux, StepSizeError)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, offset_angles, verify_offset
-from dlgeom.numerics import CENTRAL_FD, NumericsConfig, differentiate
+from dlgeom.numerics import (CENTRAL_FD, FrameState, NumericsConfig, differentiate,
+                             frame_residual, rk4_frame_step, value_and_derivative)
 from dlgeom.ruled import (SPACELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
@@ -206,6 +208,11 @@ def test_frame_rows_agree_with_columns():
     assert [f.s for f in frames] == frames.s.tolist()
     with pytest.raises(IndexError):
         frames[9]
+
+
+def test_frame_iteration_gives_the_indexed_rows():
+    frames = darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=9))
+    assert list(frames) == [frames[i] for i in range(len(frames))]
 
 
 def test_gamma_against_fd_oracle():
@@ -637,3 +644,105 @@ def test_reconstruct_nonconstant_profile_round_trip():
         assert f.gamma == pytest.approx(0.75 + 0.1 * math.sin(f.s), abs=1e-7)
         assert f.delta == pytest.approx(0.2 * math.cos(f.s), abs=1e-7)
         assert f.Delta == pytest.approx(0.1 + 0.05 * f.s, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the Magnus frame flow against an independent integrator
+
+def _wavy_profile():
+    return InvariantProfile(gamma=lambda s: 0.75 + 0.3 * dual.sin(s),
+                            delta=lambda s: 0.2 * dual.cos(s),
+                            Delta=lambda s: 0.1 + 0.05 * s,
+                            e0=CONE_E0, t0=CONE_T0, g0=CONE_G0, c0=ORIGIN)
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_at_one(n_steps=4000):
+    """Frame and striction point at s = 1 by classical RK4, the reference integrator."""
+    prof = _wavy_profile()
+    state, h = FrameState(CONE_E0, CONE_T0, CONE_G0, ORIGIN), 1.0 / n_steps
+    for k in range(n_steps):
+        state = rk4_frame_step(state, k * h, h, prof.gamma, prof.delta, prof.Delta)
+    return state
+
+
+def _error_at_one(spec) -> float:
+    # s = 1 is the last flow node; g = -e x t holds exactly on projected nodes
+    e, t = value_and_derivative(spec.indicatrix, 1.0)
+    got = (e, t, -lorentz_cross(e, t), spec.base_curve(1.0))
+    ref = _rk4_at_one()
+    return max(abs(x - y) for a, b in zip(got, (ref.e, ref.t, ref.g, ref.c)) for x, y in zip(a, b))
+
+
+def _wavy_round_trip(spec) -> float:
+    prof = _wavy_profile()
+    f = darboux_frame(spec)
+    return max(np.max(np.abs(x - fn(f.s))) for x, fn in
+               ((f.gamma, prof.gamma), (f.delta, prof.delta), (f.Delta, prof.Delta)))
+
+
+def test_magnus_flow_matches_rk4_on_variable_gamma():
+    spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
+    assert _error_at_one(spec) < 1e-11
+
+
+def test_flipped_commutator_fails_the_rk4_oracle_but_not_the_round_trip(monkeypatch):
+    # the round trip measures the Hermite curves' own frames, so it cannot see
+    # a flow that integrates the wrong frame system consistently
+    monkeypatch.setattr(ruled, "_MAGNUS_COMMUTATOR", -ruled._MAGNUS_COMMUTATOR)
+    spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
+    assert _error_at_one(spec) > 1e-9
+    assert _wavy_round_trip(spec) < 1e-7
+
+
+def test_magnus_flow_node_frames_stay_orthonormal():
+    spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
+    nodes = np.linspace(0.0, 1.0, ruled.ODE_STEPS_PER_UNIT + 1)
+    e, t = value_and_derivative(spec.indicatrix, nodes)
+    assert np.max(frame_residual(e, t, -lorentz_cross(e, t))) <= 1e-14
+    assert _wavy_round_trip(spec) < 1e-12
+
+
+def test_magnus_flow_is_fourth_order(monkeypatch):
+    # constant gamma is integrated exactly, so only a varying one shows the order
+    errors = []
+    for steps in (50, 100):
+        monkeypatch.setattr(ruled, "ODE_STEPS_PER_UNIT", steps)
+        errors.append(_error_at_one(
+            reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))))
+    assert math.log2(errors[0] / errors[1]) >= 3.8
+
+
+def test_reconstruct_calls_each_profile_function_per_array():
+    calls = Counter()
+
+    def counted(name, f):
+        def g(s):
+            calls[name] += 1
+            return f(s)
+        return g
+
+    prof = _wavy_profile()
+    prof = dataclasses.replace(prof, **{name: counted(name, getattr(prof, name))
+                                        for name in ("gamma", "delta", "Delta")})
+    reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
+    # gamma on the Gauss points and on the nodes; delta and Delta once each, dual
+    assert calls == {"gamma": 2, "delta": 1, "Delta": 1}
+
+
+def test_reconstruct_drift_check_can_fail(monkeypatch):
+    monkeypatch.setattr(ruled, "DRIFT_TOL", 0.0)
+    with pytest.raises(StepSizeError, match="exceeds"):
+        reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
+
+
+def test_reconstruct_overflowing_profile_names_s():
+    prof = dataclasses.replace(_wavy_profile(), gamma=lambda s: dual.exp(800.0 * s))
+    with pytest.raises(NonFinite, match=r"s=0\.887"):
+        reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
+
+
+def test_reconstruct_profile_pole_on_a_node_names_s():
+    prof = dataclasses.replace(_wavy_profile(), Delta=lambda s: 0.01 / (s - 0.5))
+    with pytest.raises(DivisionByPureDual, match=r"u=0\.5$"):
+        reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
