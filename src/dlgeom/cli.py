@@ -30,10 +30,10 @@ from .errors import (DegenerateIndicatrix, DegenerateOffset, DivisionByPureDual,
                      GeometryError, InvalidDirection, NonFinite, NotUnit, NullDarboux,
                      SpecFileError, StepSizeError, ZeroConicalCurvature)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, NumericsConfig, at_points
+from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, NumericsConfig, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
-                    striction_curve, timelike_invariants, timelike_radius)
+                    striction_curve, timelike_invariants, timelike_radius, _rows)
 from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, offset_angles, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
@@ -202,11 +202,7 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
 
 def _config_from_args(args) -> NumericsConfig:
     try:
-        return NumericsConfig(
-            derivative_mode=args.deriv,
-            fd_step=args.fd_step,
-            tolerance_theorem=args.tolerance,
-        )
+        return NumericsConfig(derivative_mode=args.deriv, tolerance_theorem=args.tolerance)
     except ValueError as exc:
         raise SpecFileError(str(exc)) from None
 
@@ -252,11 +248,6 @@ def cmd_frames(args) -> int:
     return EXIT_OK
 
 
-def _rows(columns: dict) -> list:
-    """One dict per sample of a dict of equal-length columns."""
-    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
-
-
 def _record_json(rec) -> list:
     """The JSON object of each sample of an invariant record's columns."""
     return [{"ds1_ds": q["ds1_ds"], "Delta1": q["Delta1"], "delta1": q["delta1"],
@@ -276,7 +267,7 @@ def _report_payload(report, spec, args) -> dict:
             "input": args.input,
             "mannheim": {"c": args.mannheim_c, "c_star": args.mannheim_cstar},
             "config": {
-                "derivative_mode": args.deriv, "fd_step": args.fd_step,
+                "derivative_mode": args.deriv, "fd_step": FD_STEP,
                 "tolerance": report.tolerance,
             },
             "surface": {"name": spec.name, "kind": spec.kind,
@@ -458,7 +449,6 @@ def _add_numerics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=None, help="override sample count")
     p.add_argument("--deriv", choices=[DUAL_AD, CENTRAL_FD], default=DUAL_AD,
                    help="derivative mode")
-    p.add_argument("--fd-step", type=float, default=1e-4, dest="fd_step")
     p.add_argument("--tolerance", type=float, default=None,
                    help="theorem tolerance (default 1e-8 dual-ad / 1e-6 central-fd)")
 

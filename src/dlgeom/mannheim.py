@@ -257,12 +257,13 @@ def predicted_invariants(gamma, delta, Delta, angle: OffsetAngle) -> InvariantRe
 
 
 def mannheim_condition_residual(base_frame: FrameSample, offset_frame: FrameSample) -> float:
-    """Max componentwise gap in the dual-vector condition t1_dual = g_dual."""
-    lhs = offset_frame.dual_t()
-    rhs = base_frame.dual_g()
-    diff_re = lhs.re - rhs.re
-    diff_du = lhs.du - rhs.du
-    return max(abs(x) for x in (*diff_re, *diff_du))
+    """Largest componentwise gap in the dual-vector condition t1_dual = g_dual.
+
+    Takes one sample's rows or whole frame columns; on columns the gap is
+    the largest over the grid.
+    """
+    lhs, rhs = offset_frame.dual_t(), base_frame.dual_g()
+    return float(np.max(np.abs([*(lhs.re - rhs.re), *(lhs.du - rhs.du)])))
 
 
 def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,

@@ -2,15 +2,15 @@
 
 Derivatives default to dual-scalar forward differentiation: a curve closure
 is evaluated at ``u + eps`` and the dual slot is read back, so catalog
-closed forms differentiate to roundoff.  Central finite differences remain
-available as an independent cross-check mode of the measurement layer; the
-configuration selects nothing else.  Quadrature is composite Simpson
-throughout.  The frame ODE is integrated at a fixed ``ODE_STEPS_PER_UNIT``:
-reconstruction runs it as one batched Magnus flow (see
-:func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all its node
-frames at once with :func:`lorentz_gram_schmidt`, which works elementwise on
-arrays as :func:`frame_residual` does; :func:`rk4_frame_step` is an
-independent classical integrator kept as the tests' reference.
+closed forms differentiate to roundoff.  Central finite differences, at the
+fixed step ``FD_STEP``, remain available as an independent cross-check mode
+of the measurement layer; the configuration selects nothing else.
+Quadrature is composite Simpson throughout.  The frame ODE is integrated at
+a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
+flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all
+its node frames at once with :func:`lorentz_gram_schmidt`, which works
+elementwise on arrays as :func:`frame_residual` does; :func:`rk4_frame_step`
+is an independent classical integrator kept as the tests' reference.
 
 Integrands are evaluated over arrays: :func:`integrate` and
 :func:`cumulative_integrate` call their integrand once, on the 1-D array of
@@ -42,10 +42,13 @@ DRIFT_TOL = 1e-6
 DUAL_AD = "dual-ad"
 CENTRAL_FD = "central-fd"
 
+#: step of the central differences of the central-fd mode
+FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Settings of the measurement layer: derivative mode, FD step, theorem tolerance.
+    """Settings of the measurement layer: derivative mode and theorem tolerance.
 
     ``derivative_mode`` selects how measured frames and invariants are
     differentiated; constructions (striction solve, offset, reconstruction)
@@ -55,14 +58,11 @@ class NumericsConfig:
     """
 
     derivative_mode: str = DUAL_AD
-    fd_step: float = 1e-4
     tolerance_theorem: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.derivative_mode not in (DUAL_AD, CENTRAL_FD):
             raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
-        if not 0.0 < self.fd_step < math.inf:
-            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
         if self.tolerance_theorem is None:
             tol = 1e-8 if self.derivative_mode == DUAL_AD else 1e-6
             object.__setattr__(self, "tolerance_theorem", tol)
@@ -195,8 +195,7 @@ def differentiate(curve, u, cfg: NumericsConfig = DEFAULT_CONFIG) -> Vec3L:
     if cfg.derivative_mode == DUAL_AD:
         v = curve(DualScalar(u, 1.0))
         return DualVec3.from_components(v).du
-    h = cfg.fd_step
-    return (curve(u + h) - curve(u - h)) / (2.0 * h)
+    return (curve(u + FD_STEP) - curve(u - FD_STEP)) / (2.0 * FD_STEP)
 
 
 def value_and_derivative(curve, u):

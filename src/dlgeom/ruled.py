@@ -47,8 +47,8 @@ from .dual import DualScalar, DualVec3, dual_norm, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                      NullDarboux, StepSizeError)
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
-from .numerics import (DEFAULT_CONFIG, DRIFT_TOL, DUAL_AD, ODE_STEPS_PER_UNIT, NumericsConfig,
-                       at_points, cumulative_integrate, frame_residual, integrate,
+from .numerics import (DEFAULT_CONFIG, DRIFT_TOL, DUAL_AD, FD_STEP, ODE_STEPS_PER_UNIT,
+                       NumericsConfig, at_points, cumulative_integrate, frame_residual, integrate,
                        lorentz_gram_schmidt, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
@@ -310,11 +310,12 @@ def _node(jet, u, cfg: NumericsConfig):
     """(c, c', e, e', e'') at u in the configured derivative mode.
 
     Dual-ad mode is :func:`_exact_node`.  Central-fd mode takes c, e, e'
-    from the real jet at u and c', e'' from its central differences at u +- h.
+    from the real jet at u and c', e'' from its central differences at
+    u +- FD_STEP.
     """
     if cfg.derivative_mode == DUAL_AD:
         return _exact_node(jet, u)
-    h = cfg.fd_step
+    h = FD_STEP
     (c, e, ep), (c_hi, _, ep_hi), (c_lo, _, ep_lo) = jet(u), jet(u + h), jet(u - h)
     return c, (c_hi - c_lo) / (2.0 * h), e, ep, (ep_hi - ep_lo) / (2.0 * h)
 
@@ -592,69 +593,38 @@ _QUINTIC = (
 )
 
 class _HermiteCurve:
-    """Piecewise quintic Hermite interpolant on uniform nodes, dual- and array-evaluable.
+    """Piecewise quintic Hermite interpolant on increasing nodes, dual- and array-evaluable.
 
     Values, first and second derivatives at the nodes, given as (n, 3)
-    arrays, make node accuracy carry through two derivative orders.
+    arrays, make node accuracy carry through two derivative orders.  Each
+    segment scales by its own step, so the nodes need not be uniform.  A
+    parameter u is expanded about its nearest node j toward the neighbour o
+    on its side, in tau = (u - s_j)/(s_o - s_j): the basis is symmetric, so
+    this is the segment's interpolant, and at a node tau is exactly 0, which
+    keeps the rounding of tau out of the second derivative there.
     Evaluation outside the node span extrapolates with the end segment; an
     array of parameters gathers its segments by index.
     """
 
-    def __init__(self, s0: float, h: float, values: np.ndarray,
+    def __init__(self, nodes: np.ndarray, values: np.ndarray,
                  deriv1: np.ndarray, deriv2: np.ndarray):
-        self.s0, self.h = s0, h
+        self.nodes = nodes
         self.values, self.deriv1, self.deriv2 = values, deriv1, deriv2
 
     def __call__(self, u):
-        x = (u - self.s0) / self.h
-        i = np.clip(np.floor(leading_real(x)).astype(int), 0, len(self.values) - 2)
-        tau = x - i
-        h = self.h
-        f0, f1 = Vec3L(*self.values[i].T), Vec3L(*self.values[i + 1].T)
-        d0, d1 = Vec3L(*self.deriv1[i].T), Vec3L(*self.deriv1[i + 1].T)
-        a0, a1 = Vec3L(*self.deriv2[i].T), Vec3L(*self.deriv2[i + 1].T)
+        s, x = self.nodes, leading_real(u)
+        # s[k - 1] < x <= s[k] inside the span, k = 1 or n - 1 past its ends
+        k = np.searchsorted(s[1:-1], x) + 1
+        j = k - (x - s[k - 1] <= s[k] - x)
+        o = 2 * k - 1 - j
+        h = s[o] - s[j]
+        tau = (u - s[j]) / h
+        f0, f1 = Vec3L(*self.values[j].T), Vec3L(*self.values[o].T)
+        d0, d1 = Vec3L(*self.deriv1[j].T), Vec3L(*self.deriv1[o].T)
+        a0, a1 = Vec3L(*self.deriv2[j].T), Vec3L(*self.deriv2[o].T)
         h0, h1, h2, h3, h4, h5 = (basis(tau) for basis in _QUINTIC)
-        return (f0 * h0 + (h * d0) * h1 + ((h * h) * a0) * h2
-                + f1 * h3 + (h * d1) * h4 + ((h * h) * a1) * h5)
-
-
-class _TaylorCurve:
-    """Second-order expansion around a single node (zero-span grids); data as 3-arrays."""
-
-    def __init__(self, s0: float, f: np.ndarray, d: np.ndarray, a: np.ndarray):
-        self.s0 = s0
-        self.f, self.d, self.a = (Vec3L(*x.tolist()) for x in (f, d, a))
-
-    def __call__(self, u):
-        x = u - self.s0
-        return self.f + self.d * x + self.a * (0.5 * x * x)
-
-
-def _where(mask, a, b):
-    """Elementwise ``a`` where ``mask`` holds, else ``b``, through vectors and dual scalars."""
-    if isinstance(a, Vec3L):
-        return Vec3L(*(_where(mask, x, y) for x, y in zip(a, b)))
-    if isinstance(a, DualScalar) or isinstance(b, DualScalar):
-        return DualScalar(_where(mask, dual.re_part(a), dual.re_part(b)),
-                          _where(mask, dual.du_part(a), dual.du_part(b)))
-    return np.where(mask, a, b)
-
-
-class _JoinedCurve:
-    """``left`` below the parameter ``at``, ``right`` from it on (by mask on arrays)."""
-
-    def __init__(self, at: float, left, right):
-        self.at = at
-        self.left = left
-        self.right = right
-
-    def __call__(self, u):
-        below = leading_real(u) < self.at
-        if np.all(below):
-            return self.left(u)
-        if not np.any(below):
-            return self.right(u)
-        return _where(below, self.left(u), self.right(u))
+        return (f0 * h0 + (d0 * h) * h1 + (a0 * (h * h)) * h2
+                + f1 * h3 + (d1 * h) * h4 + (a1 * (h * h)) * h5)
 
 
 #: weight of the commutator in the fourth-order Magnus step
@@ -714,7 +684,7 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
 
 
 def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
-    """Nodes s from a to b and the frame rows (e, t, g) there, by the Magnus flow.
+    """Rows (s, e, t, g) of the Magnus flow's nodes from a to b, in increasing s.
 
     ``frame`` is [e t g] as columns at a; with F' = F*K(gamma),
     K = [[0, 1, 0], [1, 0, gamma], [0, gamma, 0]], each step multiplies by
@@ -747,7 +717,8 @@ def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
         # roundoff to correct, which keeps the measured invariants at roundoff too
         frames = frames @ (1.5 * np.eye(3) - 0.5 * _SIGNATURE @ gram)
         e, t, g = lorentz_gram_schmidt(*(Vec3L(*frames[:, :, j].T) for j in range(3)))
-    return s, h, *(np.column_stack(v.components()) for v in (e, t, g))
+    rows = np.column_stack([s, *e, *t, *g])
+    return rows[::-1] if b < a else rows
 
 
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:
@@ -760,15 +731,20 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     at a fixed ``ODE_STEPS_PER_UNIT`` steps per unit of s in one array pass:
     the frame by the fourth-order Magnus flow of :func:`_frame_flow`, and c
     by the end-corrected trapezoid rule on c' and c'' (exact for cubics).
-    Each profile function is called once per array of points.  The nodes
-    are packaged as quintic Hermite curves whose node derivatives come from
-    the ODE rates themselves.  The frame seed sits at the first grid point.
-    Frame measurement anchors s and s* at parameter 0, so a grid that does
-    not contain 0 is continued to it by integrating the same system there
-    (the profile must be defined in between); a single grid point off 0 is
-    served by that continuation alone.  Every derivative, c'' included, is
-    exact.  Feeding the result back through darboux_frame reproduces the
-    profile and its arc length.  A profile value that is not finite raises
+    The frame seed sits at the first grid point.  Frame measurement anchors
+    s and s* at parameter 0, so a grid that does not contain 0 is continued
+    to it by integrating the same system there (the profile must be defined
+    in between): back from the seed when the grid lies above 0, on from the
+    grid's end frame when it lies below.  A one-point grid at 0 takes one
+    step to 1/ODE_STEPS_PER_UNIT.  The flows' nodes make one increasing
+    table; gamma is called once on each flow's Gauss points, and every
+    profile function once on the table.  One quintic Hermite curve for e and
+    one for c interpolate the table, with node derivatives from the ODE
+    rates themselves, so every derivative, c'' included, is exact.  Feeding
+    the result back through darboux_frame reproduces the profile and its
+    arc length: to roundoff at the flow's nodes, but only to about 1e-9
+    between them, because the quintic's second derivative amplifies node
+    rounding by about 60/h^2.  A profile value that is not finite raises
     NonFinite, and a division by zero in a profile DivisionByPureDual, each
     naming its s.
     """
@@ -778,47 +754,33 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
     seed = np.column_stack([profile.e0.components(), profile.t0.components(),
                             profile.g0.components()])
-    c_seed = np.array(profile.c0.components(), dtype=float)
-
-    def rates(s, e, t, g):
-        """e'', c' and c'' at the nodes s, as rows like the frame rows e, t, g."""
-        gamma, = _profile_values(profile.gamma, s)[:, :, None]
-        delta, delta_p = _profile_values(profile.delta, s, slope=True)[:, :, None]
-        Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
-        # (delta*e + Delta*g)' with the frame rates substituted in; an overflow
-        # here or in c is left to the Vec3L checks of the curves' evaluations
-        with at_points(s):
-            return (e + gamma * g, delta * e + Delta * g,
-                    delta_p * e + Delta_p * g + (delta + Delta * gamma) * t)
-
-    def flow(frame, c, a, b):
-        """Hermite curves (e, c) on the flow's nodes from a to b, and frame and c at b."""
-        s, h, e, t, g = _frame_flow(profile.gamma, frame, a, b)
-        accel, cdot, cddot = rates(s, e, t, g)
-        with at_points(s):
-            steps = 0.5 * h * (cdot[:-1] + cdot[1:]) + h * h / 12.0 * (cddot[:-1] - cddot[1:])
-            c = c + np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
-        end = np.column_stack([e[-1], t[-1], g[-1]]), c[-1]
-        if h < 0.0:
-            e, t, accel, c, cdot, cddot = (x[::-1] for x in (e, t, accel, c, cdot, cddot))
-        return (_HermiteCurve(min(a, b), abs(h), e, t, accel),
-                _HermiteCurve(min(a, b), abs(h), c, cdot, cddot), end)
-
-    if s_end == s0 == 0.0:
-        accel, cdot, cddot = rates(np.array([s0]), *seed.T[:, None])
-        ind = _TaylorCurve(s0, seed[:, 0], seed[:, 1], accel[0])
-        base = _TaylorCurve(s0, c_seed, cdot[0], cddot[0])
-    elif s_end == s0:
-        # the continuation to 0 alone serves both sides of s0, so differences
-        # there straddle no seam
-        ind, base, _ = flow(seed, c_seed, s0, 0.0)
-    else:
-        ind, base, last = flow(seed, c_seed, s0, s_end)
-        if s0 > 0.0:
-            head_ind, head_base, _ = flow(seed, c_seed, s0, 0.0)
-            ind, base = _JoinedCurve(s0, head_ind, ind), _JoinedCurve(s0, head_base, base)
-        elif s_end < 0.0:
-            tail_ind, tail_base, _ = flow(*last, s_end, 0.0)
-            ind, base = _JoinedCurve(s_end, ind, tail_ind), _JoinedCurve(s_end, base, tail_base)
-    return RuledSurfaceSpec(ind, base, (s0, s_end), len(s_grid),
-                            SPACELIKE_SURFACE, "reconstructed")
+    flows = []
+    if s0 > 0.0:
+        flows.append(_frame_flow(profile.gamma, seed, s0, 0.0))
+    if s_end > s0:
+        flows.append(_frame_flow(profile.gamma, seed, s0, s_end))
+    if s_end < 0.0:
+        end = flows[-1][-1, 1:].reshape(3, 3).T if flows else seed
+        flows.append(_frame_flow(profile.gamma, end, s_end, 0.0))
+    if not flows:
+        flows.append(_frame_flow(profile.gamma, seed, 0.0, 1.0 / ODE_STEPS_PER_UNIT))
+    # consecutive flows share their seam node
+    table = np.concatenate(flows[:1] + [rows[1:] for rows in flows[1:]])
+    s, e, t, g = table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:]
+    gamma, = _profile_values(profile.gamma, s)[:, :, None]
+    delta, delta_p = _profile_values(profile.delta, s, slope=True)[:, :, None]
+    Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
+    h = np.diff(s)[:, None]
+    # c' = delta*e + Delta*g and its derivative with the frame rates substituted
+    # in; an overflow here or in c is left to the Vec3L checks of the curves'
+    # evaluations
+    with at_points(s):
+        accel = e + gamma * g
+        cdot = delta * e + Delta * g
+        cddot = delta_p * e + Delta_p * g + (delta + Delta * gamma) * t
+        steps = 0.5 * h * (cdot[:-1] + cdot[1:]) + h * h / 12.0 * (cddot[:-1] - cddot[1:])
+        c = np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+        # c0 belongs to the seed's node
+        c += np.array(profile.c0.components()) - c[np.searchsorted(s, s0)]
+    return RuledSurfaceSpec(_HermiteCurve(s, e, t, accel), _HermiteCurve(s, c, cdot, cddot),
+                            (s0, s_end), len(s_grid), SPACELIKE_SURFACE, "reconstructed")

@@ -2,7 +2,8 @@
 
 ``perfbench/workloads.py`` reads the kernel's records (``len(frames)``, row
 fields, ``report.residual_max`` and ``report.passed``); one seeded cycle of
-each in-process workload must pass its checks.
+each in-process workload must pass its checks.  ``perfbench/tracing.py``
+wraps the kernel's functions by name, so every name it traces must exist.
 """
 
 import importlib.util
@@ -13,18 +14,19 @@ import pytest
 
 import dlgeom
 
-_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-wl = _load_workloads()
+wl = _load("workloads")
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("workload", ["offset-unit", "offset-warped", "reconstruct"])
@@ -34,3 +36,9 @@ def test_benchmark_cycle_passes_its_checks(workload):
     for op in ops:
         _, failure, incorrect = wl.run_op(op)
         assert failure is None and not incorrect, failure
+
+
+@pytest.mark.parametrize("module,attr", sorted(tracing.TRACED.values()))
+def test_traced_name_resolves_in_the_package(module, attr):
+    # the traced run looks each name up with a bare getattr
+    assert hasattr(importlib.import_module(module), attr)

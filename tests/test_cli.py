@@ -198,14 +198,13 @@ def _last_error(capsys):
     ({"samples": "x"}, {}, []),
     ({}, {"c0": [0, 0]}, []),
     ({"s_max": math.inf}, {}, []),
-    ({}, {}, ["--fd-step", "0"]),
     ({}, {}, ["--samples", "0"]),
     ({}, {}, ["--tolerance", "nan"]),
     ({}, {}, ["--tolerance", "-1"]),
     ({}, {}, ["--tolerance", "0"]),
     ({}, {}, ["--tolerance", "inf"]),
 ], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite",
-        "fd-step-zero", "samples-zero", "tolerance-nan", "tolerance-negative",
+        "samples-zero", "tolerance-nan", "tolerance-negative",
         "tolerance-zero", "tolerance-infinite"])
 def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags):
     payload = {**HELI, "domain": {**HELI["domain"], **domain},

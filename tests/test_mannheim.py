@@ -93,21 +93,35 @@ def test_mannheim_condition_dual_vector_equality():
         assert mannheim_condition_residual(f, m) < 1e-8
 
 
-def test_prose_striction_variant_breaks_dual_condition():
+def _prose_striction_variant(base, off):
     # negative control: shift the striction line by theta* along t instead of
     # g; on the unit-speed catalog helicoidal theta* = c* - 0.1*u in closed form
-    base = _heli()
-    frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
-
     def along_t(u):
         _, t = value_and_derivative(base.indicatrix, u)
         return base.base_curve(u) + (PARAMS.c_star - 0.1 * u) * t
 
-    measured = timelike_invariants(dataclasses.replace(off, base_curve=along_t))
+    return timelike_invariants(dataclasses.replace(off, base_curve=along_t))
+
+
+def test_prose_striction_variant_breaks_dual_condition():
+    base = _heli()
+    frames = darboux_frame(base)
+    angles = offset_angles(frames, PARAMS)
+    off = construct_offset(base, frames, angles)
+    measured = _prose_striction_variant(base, off)
     worst = max(mannheim_condition_residual(f, m) for f, m in zip(frames, measured))
     assert worst > 1e-3  # the real parts agree but the moments cannot
+
+
+def test_mannheim_condition_on_columns_is_the_worst_row():
+    base = _heli()
+    frames = darboux_frame(base)
+    angles = offset_angles(frames, PARAMS)
+    off = construct_offset(base, frames, angles)
+    measured = timelike_invariants(off)
+    rows = [mannheim_condition_residual(f, m) for f, m in zip(frames, measured)]
+    assert mannheim_condition_residual(frames, measured) == max(rows)
+    assert mannheim_condition_residual(frames, _prose_striction_variant(base, off)) > 1e-3
 
 
 def test_frame_transform_matrix():

@@ -27,10 +27,6 @@ def test_config_defaults_per_mode():
 def test_config_validation():
     with pytest.raises(ValueError):
         NumericsConfig(derivative_mode="complex-step")
-    with pytest.raises(ValueError):
-        NumericsConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
-        NumericsConfig(fd_step=math.inf)
     for tol in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(ValueError):
             NumericsConfig(tolerance_theorem=tol)

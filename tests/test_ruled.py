@@ -746,3 +746,69 @@ def test_reconstruct_profile_pole_on_a_node_names_s():
     prof = dataclasses.replace(_wavy_profile(), Delta=lambda s: 0.01 / (s - 0.5))
     with pytest.raises(DivisionByPureDual, match=r"u=0\.5$"):
         reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
+
+
+# ---------------------------------------------------------------------------
+# the node table: one Hermite curve pair over every flow
+
+def test_hermite_curve_reproduces_a_quintic_on_uneven_nodes():
+    # a quintic is its own quintic Hermite interpolant on each segment, so only
+    # a segment scaled by the wrong step can move it
+    polys = [np.polynomial.Polynomial(c) for c in
+             ([0.3, -1.0, 0.5, 2.0, -0.7, 0.4], [1.0, 0.2, -0.3, 0.1, 0.9, -0.5],
+              [-0.2, 0.7, 1.1, -1.3, 0.2, 0.6])]
+    nodes = np.array([-0.4, -0.1, 0.05, 0.5, 0.6, 1.3])
+    curve = ruled._HermiteCurve(nodes, *(np.column_stack([p.deriv(k)(nodes) for p in polys])
+                                         for k in range(3)))
+    # past both ends, on nodes, between them and on a segment's midpoint
+    u = np.array([-0.7, -0.4, -0.25, -0.1, 0.05, 0.3, 0.55, 0.95, 1.3, 1.6])
+    got = curve(DualScalar(DualScalar(u, 1.0), 1.0))
+    for x, p in zip(got, polys):
+        assert np.max(np.abs(x.re.re - p(u))) < 1e-13
+        assert np.max(np.abs(x.re.du - p.deriv(1)(u))) < 1e-12
+        assert np.max(np.abs(x.du.du - p.deriv(2)(u))) < 1e-11
+    assert curve(0.5) == Vec3L(*(float(p(0.5)) for p in polys))
+
+
+def test_hermite_curve_returns_its_node_data_at_every_node():
+    # ODE-sized uneven steps: expanding about a segment's far end would amplify
+    # the rounding of tau by 1/h^2 in the second derivative
+    rng = np.random.default_rng(1)
+    nodes = np.concatenate([np.linspace(0.0, 0.2503, 252), np.linspace(0.2503, 0.8, 551)[1:]])
+    data = [rng.uniform(-1.0, 1.0, size=(len(nodes), 3)) for _ in range(3)]
+    got = ruled._HermiteCurve(nodes, *data)(DualScalar(DualScalar(nodes, 1.0), 1.0))
+    for k, x in enumerate(got):
+        for value, want in zip((x.re.re, x.re.du, x.du.du), data):
+            assert np.max(np.abs(value - want[:, k])) <= 1e-15
+
+
+@pytest.mark.parametrize("cfg,tol", [(AD, 1e-12), (FD, 1e-8)])
+def test_reconstruct_joins_flows_of_different_steps(cfg, tol):
+    # the grid lies above 0: the flow back to 0 and the flow over the grid
+    # take different steps, and the grid points fall on the second one's nodes
+    c0 = Vec3L(0.3, -0.2, 0.5)
+    prof = dataclasses.replace(_wavy_profile(), c0=c0)
+    grid = np.linspace(0.2503, 0.8, 11)
+    spec = reconstruct_from_invariants(prof, grid)
+    steps = np.diff(spec.indicatrix.nodes)
+    assert abs(steps[0] - steps[-1]) > 1e-6
+    for got, want in ((spec.indicatrix(grid[0]), CONE_E0), (spec.base_curve(grid[0]), c0)):
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-15
+    f = darboux_frame(spec, cfg)
+    assert np.max(np.abs(f.s - grid)) < 1e-12
+    assert np.max(np.abs(f.s_star - (0.1 * grid + 0.025 * grid ** 2))) < 1e-12
+    for x, fn in ((f.gamma, prof.gamma), (f.delta, prof.delta), (f.Delta, prof.Delta)):
+        assert np.max(np.abs(x - fn(grid))) < tol
+
+
+@pytest.mark.parametrize("grid,span", [
+    ([0.0], (0.0, 0.001)), ([0.3], (0.0, 0.3)), ([-0.3], (-0.3, 0.0)),
+    (np.linspace(0.5, 1.0, 11), (0.0, 1.0)), (np.linspace(-1.0, -0.5, 11), (-1.0, 0.0)),
+    (np.linspace(-0.5, 0.5, 11), (-0.5, 0.5)),
+], ids=["zero", "above", "below", "span-above", "span-below", "span-across"])
+def test_reconstruct_builds_one_curve_pair_on_increasing_nodes(grid, span):
+    spec = reconstruct_from_invariants(_wavy_profile(), grid)
+    for curve in (spec.indicatrix, spec.base_curve):
+        assert type(curve) is ruled._HermiteCurve
+        assert np.all(np.diff(curve.nodes) > 0.0)
+        assert (curve.nodes[0], curve.nodes[-1]) == span
