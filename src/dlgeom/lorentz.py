@@ -60,6 +60,19 @@ class Vec3L:
         self.x3 = x3
 
     @classmethod
+    def from_checked(cls, x1, x2, x3) -> "Vec3L":
+        """A vector from components already known to be finite, not checked again.
+
+        For the rows of a vector whose array components passed the check
+        when it was built.
+        """
+        v = object.__new__(cls)
+        v.x1 = x1
+        v.x2 = x2
+        v.x3 = x3
+        return v
+
+    @classmethod
     def from_iterable(cls, seq) -> "Vec3L":
         x1, x2, x3 = seq
         return cls(float(x1), float(x2), float(x3))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .dual import DualScalar, re_part
+from .dual import DualScalar, DualVec3, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
@@ -150,8 +150,8 @@ class _GridAntiderivative:
 
     Real evaluations start from the nearest node's value and add a local
     quadrature correction; dual evaluations carry the rate in the dual
-    slot.  A caller already holding the rate at ``u.re`` may pass it, and
-    its real part then serves the next nesting level.  ``u`` may be an
+    slot, which the caller passes: ``rate`` is F' at ``u.re``, and its real
+    part then serves the next nesting level.  ``u`` may be an
     array: the node lookup is elementwise, and the corrections of all
     off-node elements are one :func:`~dlgeom.numerics.integrate` call.
     """
@@ -163,8 +163,6 @@ class _GridAntiderivative:
 
     def __call__(self, u, rate=None):
         if isinstance(u, DualScalar):
-            if rate is None:
-                rate = self.rate(u.re)
             return DualScalar(self(u.re, re_part(rate)), u.du * rate)
         shape = np.shape(u)
         u = np.ravel(u).astype(float)
@@ -188,9 +186,13 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     by theta* along g.  theta(u) = c - s(u) and theta*(u) = c* - s*(u) take
     the angles' values at the grid nodes and the rates -ds/du and
     -Delta*ds/du in between.  Every derivative is exact, whatever derivative
-    mode measured ``frames``.  The offset's closures accept arrays like any
-    spec's: each evaluates theta (or theta*) off the nodes with one local
-    quadrature call for its whole array.  A stalling or non-finite
+    mode measured ``frames``.  At a dual parameter u the offset's striction
+    curve evaluates the base striction jet once, as the node (c, c', e, e',
+    e'') at u.re: c, e and e' at u are lifted from it as x + eps*u.du*x',
+    and theta*'s rate -det(c', e, e')/|e'| at u.re comes from the same node.
+    The offset's closures accept arrays like any spec's: each evaluates
+    theta (or theta*) off the nodes with one local quadrature call for its
+    whole array.  A stalling or non-finite
     gamma*cosh(theta) raises DegenerateOffset naming the first such s.
     """
     if not len(frames) == len(angles) == base.samples:
@@ -221,9 +223,21 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
         return dual.sinh(th) * e + (dual.cosh(th) / v) * ep
 
     def offset_striction(u):
-        c, e, ep = base_jet(u)
+        if isinstance(u, DualScalar):
+            # one base node at u.re serves the jet at u and theta*'s rate there
+            node = _exact_node(base_jet, u.re)
+            c, cp, e, ep, epp = node
+
+            def lift(x, dx):
+                return DualVec3(x, dx * u.du).components()
+
+            c, e, ep = lift(c, cp), lift(e, ep), lift(ep, epp)
+            th_star = theta_star(u, -_arc_rates(node, 1.0, u.re)[1])
+        else:
+            c, e, ep = base_jet(u)
+            th_star = theta_star(u)
         g = -lorentz_cross(e, ep) / tangent_speed(ep, 1.0, u)
-        return c + theta_star(u) * g
+        return c + th_star * g
 
     return RuledSurfaceSpec(
         indicatrix=offset_indicatrix,

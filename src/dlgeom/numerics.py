@@ -12,11 +12,14 @@ its node frames at once with :func:`lorentz_gram_schmidt`, which works
 elementwise on arrays as :func:`frame_residual` does; :func:`rk4_frame_step`
 is an independent classical integrator kept as the tests' reference.
 
-Integrands are evaluated over arrays: :func:`integrate` and
-:func:`cumulative_integrate` call their integrand once, on the 1-D array of
-all the points they need, and expect one value per point back (see
-:func:`integrate`).  Closures evaluated that way run inside
-:func:`at_points`.
+Integrands are evaluated over arrays, once per point.  :func:`simpson_rule`
+lays out the quadrature points of one or many intervals and folds one value
+per point into the integrals, so a caller can evaluate those points together
+with others in a single pass; :func:`integrate` is that layout plus one call
+of its integrand on the whole array.  :func:`cumulative_integrate` takes the
+values at the grid nodes and at the grid's :func:`simpson_midpoints` from its
+caller.
+Closures evaluated on such arrays run inside :func:`at_points`.
 """
 
 from __future__ import annotations
@@ -111,20 +114,20 @@ def _finite_values(v, points) -> np.ndarray:
     return v
 
 
-def integrate(f, a, b):
-    """Definite integral of ``f`` over [a, b] by the composite Simpson rule.
+def simpson_rule(a, b):
+    """Points and fold of the composite Simpson rule over [a, b].
 
     Exact through cubics.  Each interval gets ``QUAD_PANELS_PER_UNIT``
     panels per unit length, at least ``MIN_QUAD_PANELS``, rounded up to an
     even count.  ``a`` and ``b`` may be equal-shape arrays, one interval per
-    element; the result then has that shape, followed by the shape of one
-    value.
-
-    ``f`` is called once, on the 1-D float array of every quadrature point
-    of every interval, and returns one value per point: a float array with
-    the points along its first axis (rows of fixed length are integrated
-    componentwise), a dual scalar with such components, or a constant.
-    Empty intervals integrate to 0 without a call.
+    element.  Returns ``(points, fold)``: ``points`` is the 1-D float array
+    of every quadrature point of every interval, in increasing order within
+    each interval, and ``fold(values)`` turns one value per point into the
+    integrals, with the shape of ``a`` followed by the shape of one value.
+    A value is a float array with the points along its first axis (rows of
+    fixed length are integrated componentwise), a dual scalar with such
+    components, or a constant; a non-finite one raises NonFinite naming its
+    point.  Empty intervals get no points and integrate to 0.
     """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not np.all(a_arr <= b_arr):
@@ -133,7 +136,7 @@ def integrate(f, a, b):
     a_arr, b_arr = a_arr.ravel(), b_arr.ravel()
     live = a_arr < b_arr
     if not live.any():
-        return np.zeros(shape) if shape else 0.0
+        return np.zeros(0), lambda values: np.zeros(shape) if shape else 0.0
     a_l, b_l = a_arr[live], b_arr[live]
     n = np.maximum(MIN_QUAD_PANELS, np.ceil((b_l - a_l) * QUAD_PANELS_PER_UNIT)).astype(int)
     n += n % 2
@@ -146,10 +149,8 @@ def integrate(f, a, b):
     weights = np.where(k % 2, 4.0, 2.0)
     weights[starts] = 1.0
     weights[ends - 1] = 1.0
-    with at_points(points):
-        values = f(points)
 
-    def fold(v):
+    def fold_leaf(v):
         v = _finite_values(v, points)
         tail = (1,) * (v.ndim - 1)
         # np.add.reduceat, not a matrix product: the sum needs no BLAS
@@ -158,27 +159,45 @@ def integrate(f, a, b):
         out[live] = sums * (h / 3.0).reshape((-1,) + tail)
         return out.reshape(shape + v.shape[1:])[()]
 
-    return _leafwise(fold, values)
+    return points, lambda values: _leafwise(fold_leaf, values)
 
 
-def cumulative_integrate(f, grid: np.ndarray, nodes) -> np.ndarray:
+def integrate(f, a, b):
+    """Definite integral of ``f`` over [a, b] by the composite Simpson rule.
+
+    The points and the fold are those of :func:`simpson_rule`: ``f`` is
+    called once, on the 1-D float array of every quadrature point of every
+    interval, and returns one value per point.  Empty intervals integrate
+    to 0 without a call.
+    """
+    points, fold = simpson_rule(a, b)
+    if not len(points):
+        return fold(None)
+    with at_points(points):
+        values = f(points)
+    return fold(values)
+
+
+def simpson_midpoints(grid: np.ndarray) -> np.ndarray:
+    """The midpoint of each interval of a grid, where :func:`cumulative_integrate` needs f."""
+    return 0.5 * (grid[:-1] + grid[1:])
+
+
+def cumulative_integrate(grid: np.ndarray, nodes, mids) -> np.ndarray:
     """Antiderivative values F(grid[i]) - F(grid[0]) on an increasing grid.
 
-    ``nodes`` holds f at every grid point, so ``f`` itself is called only at
-    the Simpson midpoints, one per interval, which makes each panel exact
-    through cubics; it is called once, on the array of all midpoints, and
-    returns one value per midpoint (see :func:`integrate`).  Values may be
-    floats or fixed-length float arrays, integrated componentwise (the
-    result then has one row per node).
+    ``nodes`` holds f at every grid point and ``mids`` f at its
+    :func:`simpson_midpoints`, one per interval, which makes each panel
+    exact through cubics.  Values may be floats or fixed-length
+    float arrays, integrated componentwise (the result then has one row per
+    node); a non-finite midpoint value raises NonFinite naming its point.
     """
     grid = np.asarray(grid, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     if len(grid) < 2:
         return np.zeros_like(nodes)
     h = np.diff(grid).reshape((-1,) + (1,) * (nodes.ndim - 1))
-    points = 0.5 * (grid[:-1] + grid[1:])
-    with at_points(points):
-        mids = np.broadcast_to(_finite_values(f(points), points), nodes[1:].shape)
+    mids = np.broadcast_to(_finite_values(mids, simpson_midpoints(grid)), nodes[1:].shape)
     pieces = h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:])
     if not np.all(np.isfinite(pieces)):
         raise NonFinite("non-finite value in cumulative_integrate")

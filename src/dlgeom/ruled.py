@@ -49,7 +49,8 @@ from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFi
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
 from .numerics import (DEFAULT_CONFIG, DRIFT_TOL, DUAL_AD, FD_STEP, ODE_STEPS_PER_UNIT,
                        NumericsConfig, at_points, cumulative_integrate, frame_residual, integrate,
-                       lorentz_gram_schmidt, value_and_derivative)
+                       lorentz_gram_schmidt, simpson_midpoints, simpson_rule,
+                       value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -103,7 +104,7 @@ def _row(x, i: int):
     if isinstance(x, np.ndarray):
         return x.item(i)
     if isinstance(x, Vec3L):
-        return Vec3L(x.x1.item(i), x.x2.item(i), x.x3.item(i))
+        return Vec3L.from_checked(x.x1.item(i), x.x2.item(i), x.x3.item(i))
     if isinstance(x, DualScalar):
         return DualScalar(x.re.item(i), x.du.item(i))
     if isinstance(x, dict):
@@ -112,11 +113,16 @@ def _row(x, i: int):
 
 
 def _rows(x) -> list:
-    """Every element of a column, as :func:`_row` gives them, converting each leaf array once."""
+    """Every element of a column, as :func:`_row` gives them, converting each leaf array once.
+
+    A Vec3L column was checked finite when it was built, so its rows are
+    not checked again.
+    """
     if isinstance(x, np.ndarray):
         return x.tolist()
     if isinstance(x, Vec3L):
-        return [Vec3L(*row) for row in zip(*(v.tolist() for v in x))]
+        rows = Vec3L.from_checked
+        return [rows(*row) for row in zip(*(v.tolist() for v in x))]
     if isinstance(x, DualScalar):
         return [DualScalar(*row) for row in zip(x.re.tolist(), x.du.tolist())]
     if isinstance(x, dict):
@@ -357,7 +363,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     u0, u1 = spec.domain
     n_dense = max(512, 8 * max(spec.samples - 1, 1))
     dense = np.linspace(u0, u1, n_dense + 1)
-    table = _signed_integral(speeds, 0.0, u0) + cumulative_integrate(speeds, dense, speeds(dense))
+    table = _signed_integral(speeds, 0.0, u0) + cumulative_integrate(
+        dense, speeds(dense), speeds(simpson_midpoints(dense)))
 
     def u_of_s(sb):
         if isinstance(sb, DualScalar):
@@ -420,6 +427,15 @@ def _columns(u: np.ndarray, *values) -> np.ndarray:
     return np.column_stack([np.broadcast_to(x, u.shape) for x in values])
 
 
+def _node_rows(node, rows: slice):
+    """The rows ``rows`` of a node (c, c', e, e', e'') evaluated on an array of parameters.
+
+    Components that came back constant stay constant.
+    """
+    return tuple(Vec3L.from_checked(*(x[rows] if np.ndim(x) else x for x in vec))
+                 for vec in node)
+
+
 def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
@@ -432,23 +448,23 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
     The striction condition <c', t> = 0 belongs to the constructed striction
     curve, so it is checked on exact nodes in both modes.
 
-    The grid nodes, the Simpson midpoints of s and s* and the head integral
-    from parameter 0 are each evaluated as arrays, in blocks of at most
-    ``BLOCK`` values per closure call, and the table's columns are the
-    returned record's fields.
+    Every point the measurement needs is evaluated once, in one pass: the
+    grid nodes, then the Simpson points of the head integral of the u-rates
+    of s and s* from parameter 0 (but its end, the first node), then the
+    Simpson midpoints of their cumulative integral over the grid.  The pass
+    goes in blocks of at most ``BLOCK`` points, each one exact node
+    evaluation (one call of each spec closure).  The grid rows of a block
+    give the frame columns and their checks, the other rows the rates, whose
+    speed is checked too, so an error names the first offending point in
+    that order.  Central-fd mode adds the real jets at u +- FD_STEP for the
+    frame, on the grid rows only.  The table's columns are the returned
+    record's fields.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
 
-    def rates(us):
-        # (ds/du, ds*/du) rows from exact nodes
-        return np.concatenate(_blockwise(
-            lambda u: _columns(u, *_arc_rates(_exact_node(jet, u), sign, u)), us))
-
-    def block(u):
-        node = _node(jet, u, cfg)
-        # fd nodes feed only the frame; s, s* and the striction check use exact nodes
-        exact = node if cfg.derivative_mode == DUAL_AD else _exact_node(jet, u)
+    def frame_columns(u, node, exact):
+        # the frame comes from ``node``; s, s* and the striction check from ``exact``
         point, cp, e, ep, epp = node
         v = tangent_speed(ep, sign, u)
         t = ep / v
@@ -468,8 +484,29 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
                         *_arc_rates(exact, sign, u))
 
     grid = spec.grid()
-    table = np.concatenate(_blockwise(block, grid))
-    arcs = _signed_integral(rates, 0.0, grid[0]) + cumulative_integrate(rates, grid, table[:, -2:])
+    head, head_fold = simpson_rule(*sorted((0.0, float(grid[0]))))
+    # the head integral ends on the first node, whose rates come with the frame
+    on_node = head == grid[0]
+    points = np.concatenate([grid, head[~on_node], simpson_midpoints(grid)])
+    frames, rates = [], [np.zeros((0, 2))]
+    for start in range(0, len(points), BLOCK):
+        u = points[start:start + BLOCK]
+        k = max(0, min(len(u), len(grid) - start))  # grid rows of this block
+        with at_points(u):
+            fd = None if cfg.derivative_mode == DUAL_AD or not k else _node(jet, u[:k], cfg)
+            node = _exact_node(jet, u)
+            if k:
+                exact = _node_rows(node, slice(None, k))
+                frames.append(frame_columns(u[:k], exact if fd is None else fd, exact))
+            if k < len(u):
+                rates.append(_columns(u[k:], *_arc_rates(_node_rows(node, slice(k, None)),
+                                                         sign, u[k:])))
+    table, rates = np.concatenate(frames), np.concatenate(rates)
+    m = np.count_nonzero(~on_node)
+    head_rates = np.empty((len(head), 2))
+    head_rates[on_node], head_rates[~on_node] = table[0, -2:], rates[:m]
+    head_arcs = head_fold(head_rates) * (-1.0 if grid[0] < 0.0 else 1.0)
+    arcs = head_arcs + cumulative_integrate(grid, table[:, -2:], rates[m:])
     p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table.T
     return FrameSample(
         s=arcs[:, 0], e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3),
@@ -691,9 +728,14 @@ def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
     exp(Omega), Omega = h/2*(K1 + K2) + (sqrt 3/12)*h^2*[K1, K2] at the two
     Gauss points of the step.  The raw frames must stay within ``DRIFT_TOL``
     of orthonormality (else StepSizeError, also for frames that overflow)
-    and are then re-orthonormalized.
+    and are then re-orthonormalized.  The step count is |b - a| per
+    1/ODE_STEPS_PER_UNIT, rounded up unless it is within the rounding of a,
+    b and their difference of a whole number (0.9 - 0.3 is 600 steps, not
+    601), so grids of decimal spans fall on the flow's nodes.
     """
-    n = max(1, int(math.ceil(abs(b - a) * ODE_STEPS_PER_UNIT)))
+    steps = abs(b - a) * ODE_STEPS_PER_UNIT
+    slack = (math.ulp(a) + math.ulp(b) + math.ulp(b - a)) * ODE_STEPS_PER_UNIT + math.ulp(steps)
+    n = max(1, round(steps) if abs(steps - round(steps)) <= slack else math.ceil(steps))
     h = (b - a) / n
     s = a + h * np.arange(n + 1)
     s[-1] = b

@@ -9,7 +9,8 @@ from dlgeom.errors import NonFinite, StepSizeError
 from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FrameState, NumericsConfig, at_points,
                              cumulative_integrate, differentiate, frame_residual, integrate,
-                             lorentz_gram_schmidt, rk4_frame_step, value_and_derivative)
+                             lorentz_gram_schmidt, rk4_frame_step, simpson_midpoints, simpson_rule,
+                             value_and_derivative)
 
 AD = NumericsConfig(derivative_mode=DUAL_AD)
 FD = NumericsConfig(derivative_mode=CENTRAL_FD)
@@ -71,7 +72,7 @@ def test_integrate_over_dual_values():
 
 def test_cumulative_matches_integrate():
     grid = np.linspace(0.0, 1.0, 101)
-    out = cumulative_integrate(np.sin, grid, [math.sin(s) for s in grid])
+    out = cumulative_integrate(grid, np.sin(grid), np.sin(simpson_midpoints(grid)))
     assert out[0] == 0.0
     for i, s in enumerate(grid):
         assert out[i] == pytest.approx(1.0 - math.cos(s), abs=1e-11)
@@ -85,7 +86,9 @@ def test_cumulative_evaluates_each_point_once():
         return np.column_stack([np.ones_like(s), s])
 
     grid = np.linspace(0.5, 1.5, 11)
-    out = cumulative_integrate(f, grid, f(grid))
+    # the caller evaluates nodes and midpoints in one call and splits the rows
+    values = f(np.concatenate([grid, simpson_midpoints(grid)]))
+    out = cumulative_integrate(grid, values[:len(grid)], values[len(grid):])
     assert len(seen) == len(set(seen)) == 2 * len(grid) - 1
     # componentwise: the antiderivatives of 1 and s from the first node
     assert out.shape == (11, 2)
@@ -108,6 +111,26 @@ def test_integrate_many_intervals_in_one_call():
     for x, y, got in zip(a, b, out):
         assert got == pytest.approx(integrate(np.sin, float(x), float(y)), abs=1e-15)
         assert got == pytest.approx(math.cos(x) - math.cos(y), abs=1e-8)
+
+
+def test_cumulative_rejects_a_non_finite_midpoint():
+    grid = np.linspace(0.0, 1.0, 5)
+    mids = np.array([1.0, 1.0, math.inf, 1.0])
+    with pytest.raises(NonFinite, match=r"u=0\.625$"):
+        cumulative_integrate(grid, np.ones(5), mids)
+
+
+def test_simpson_rule_folds_values_evaluated_elsewhere():
+    # the points can be evaluated together with others and folded later
+    a, b = np.array([0.0, 1.0, 0.2]), np.array([1.0, 1.0, 2.5])
+    points, fold = simpson_rule(a, b)
+    values = np.sin(np.concatenate([np.linspace(3.0, 4.0, 7), points]))[7:]
+    assert np.array_equal(fold(values), integrate(np.sin, a, b))
+    assert fold(np.column_stack([values, 2.0 * values])).shape == (3, 2)
+    empty, zero = simpson_rule(0.5, 0.5)
+    assert len(empty) == 0 and zero(None) == 0.0
+    with pytest.raises(NonFinite, match=r"u=0\.0$"):
+        fold(np.where(points == 0.0, math.nan, values))
 
 
 def test_at_points_names_the_offending_point():

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlgeom.dual as dual
+import dlgeom.lorentz as lorentz
 import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
@@ -17,7 +19,7 @@ from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegene
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, offset_angles, verify_offset
 from dlgeom.numerics import (CENTRAL_FD, FrameState, NumericsConfig, differentiate,
-                             frame_residual, rk4_frame_step, value_and_derivative)
+                             frame_residual, rk4_frame_step, simpson_rule, value_and_derivative)
 from dlgeom.ruled import (SPACELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
@@ -92,7 +94,7 @@ def test_reparametrize_round_trip_catches_a_shifted_table(monkeypatch):
     # the independent quadrature of the round trip can see it
     real = ruled.cumulative_integrate
     monkeypatch.setattr(ruled, "cumulative_integrate",
-                        lambda f, grid, nodes: real(f, grid, nodes) + 1e-3)
+                        lambda grid, nodes, mids: real(grid, nodes, mids) + 1e-3)
     with pytest.raises(GeometryError, match="round trip"):
         arclength_reparametrize(_double_speed_cone())
 
@@ -215,6 +217,22 @@ def test_frame_iteration_gives_the_indexed_rows():
     assert list(frames) == [frames[i] for i in range(len(frames))]
 
 
+def test_rows_reuse_the_check_their_column_passed(monkeypatch):
+    # a column is checked finite once, when it is built; its rows are not re-checked
+    with pytest.raises(NonFinite, match="inf"):
+        Vec3L(np.array([1.0, math.inf]), np.zeros(2), np.zeros(2))
+    column = Vec3L(np.array([1.0, 2.0]), np.zeros(2), np.ones(2))
+
+    def no_recheck(v):
+        raise AssertionError(f"component {v!r} checked again")
+
+    monkeypatch.setattr(lorentz, "_check_finite", no_recheck)
+    rows = ruled._rows(column)
+    assert rows == [Vec3L.from_checked(1.0, 0.0, 1.0), Vec3L.from_checked(2.0, 0.0, 1.0)]
+    assert all(type(r) is Vec3L for r in rows)
+    assert ruled._row(column, 1) == rows[1]
+
+
 def test_gamma_against_fd_oracle():
     spec = catalog.cone(domain=(0.0, 1.0), samples=5)
 
@@ -292,20 +310,29 @@ def test_darboux_frame_evaluates_each_node_and_midpoint_once():
     mids = 0.5 * (grid[:-1] + grid[1:])
     counts = Counter(seen)
     # one evaluation per node and per Simpson midpoint; the head integral
-    # from parameter 0 samples [0, grid[0]] once per point, ending on grid[0]
+    # from parameter 0 samples [0, grid[0]) once per point and ends on the
+    # first node, which is not evaluated again
     assert Counter({u: n for u, n in counts.items() if u > grid[0]}) == Counter([*grid[1:], *mids])
-    assert counts[grid[0]] == 2
+    assert counts[grid[0]] == 1
     head = [u for u in seen if u < grid[0]]
     assert len(head) == len(set(head)) > 0
 
 
+def _order(u) -> int:
+    """Dual nesting depth of a closure argument."""
+    order = 0
+    while isinstance(u, DualScalar):
+        u, order = u.re, order + 1
+    return order
+
+
 def _counted(spec):
-    """The spec with both closures recording, per call, the real parameters they see."""
+    """The spec with both closures recording, per call, (dual order, real parameters)."""
     calls = {"indicatrix": [], "base_curve": []}
 
     def counted(name, fn):
         def f(u):
-            calls[name].append(np.ravel(dual.leading_real(u)).tolist())
+            calls[name].append((_order(u), np.ravel(dual.leading_real(u)).tolist()))
             return fn(u)
         return f
 
@@ -315,20 +342,17 @@ def _counted(spec):
 
 
 def _assert_batched(calls, grid):
-    # nodes, Simpson midpoints and the head integral from 0 each go in
-    # blocks of at most BLOCK points, a few closure calls per block
-    blocks = 2 * math.ceil(len(grid) / ruled.BLOCK) + 1
+    # one pass over the nodes, the head integral from 0 and the Simpson
+    # midpoints, in that order: one call of each closure per block of BLOCK
     mids = 0.5 * (grid[:-1] + grid[1:])
     for seen in calls.values():
-        assert len(seen) <= 2 * blocks
-        assert max(len(points) for points in seen) <= ruled.BLOCK
-        # the points evaluated are those of the per-sample measurement: every
-        # node and midpoint once, plus the head quadrature ending on grid[0]
-        counts = Counter(u for points in seen for u in points)
-        assert Counter({u: n for u, n in counts.items() if u > grid[0]}) == Counter([*grid[1:], *mids])
-        assert counts[grid[0]] == 2
-        head = [u for points in seen for u in points if u < grid[0]]
-        assert len(head) == len(set(head)) > 0
+        points = [u for _, block in seen for u in block]
+        full, rest = divmod(len(points), ruled.BLOCK)
+        assert [len(block) for _, block in seen] == [ruled.BLOCK] * full + [rest] * (rest > 0)
+        head = points[len(grid):len(points) - len(mids)]
+        assert points == [*grid, *head, *mids]
+        # the head ends on grid[0], which the nodes already evaluated
+        assert len(head) == len(set(head)) > 0 and max(head) < grid[0]
 
 
 def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
@@ -344,6 +368,44 @@ def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
     spec, calls = _counted(offset)
     timelike_invariants(spec, AD)
     _assert_batched(calls, spec.grid())
+
+
+def test_offset_measurement_evaluates_each_base_point_once_per_use():
+    # the offset's striction curve reads the base jet and theta*'s rate off one
+    # base node, so at the deepest order the base curve is evaluated once per
+    # point and the base indicatrix twice (once more for the offset's ruling)
+    base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
+    frames = darboux_frame(base, AD)
+    offset = construct_offset(base, frames, offset_angles(frames, MannheimParams(1.0, 0.1)))
+    timelike_invariants(offset, AD)
+    for name, most in (("indicatrix", 2), ("base_curve", 1)):
+        counts = Counter(u for order, block in calls[name] if order == 3 for u in block)
+        assert len(counts) > 0 and max(counts.values()) == most, name
+
+
+def _nan_at(spec, u_bad):
+    """The spec with a base curve that is NaN at the single parameter ``u_bad``."""
+    def base(u):
+        poison = np.where(np.asarray(dual.leading_real(u)) == u_bad, math.nan, 0.0)
+        return spec.base_curve(u) + Vec3L(poison, 0.0 * poison, 0.0 * poison)
+
+    return dataclasses.replace(spec, base_curve=base)
+
+
+@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+@pytest.mark.parametrize("where", ["midpoint", "head"])
+def test_points_off_the_grid_are_checked(cfg, where):
+    # the one pass evaluates the quadrature points with the nodes; a bad value
+    # at one of them alone must still raise, naming it
+    spec = catalog.helicoidal(domain=(0.05, 0.95), samples=11)
+    grid = spec.grid()
+    if where == "midpoint":
+        u_bad = 0.5 * (grid[3] + grid[4])
+    else:
+        u_bad = simpson_rule(0.0, grid[0])[0][5]
+    assert u_bad not in grid
+    with pytest.raises(NonFinite, match=re.escape(f"at u={float(u_bad)!r}") + "$"):
+        darboux_frame(_nan_at(spec, u_bad), cfg)
 
 
 def test_tangent_speed_names_the_first_offending_parameter():
@@ -799,6 +861,14 @@ def test_reconstruct_joins_flows_of_different_steps(cfg, tol):
     assert np.max(np.abs(f.s_star - (0.1 * grid + 0.025 * grid ** 2))) < 1e-12
     for x, fn in ((f.gamma, prof.gamma), (f.delta, prof.delta), (f.Delta, prof.Delta)):
         assert np.max(np.abs(x - fn(grid))) < tol
+
+
+def test_reconstruct_grid_with_a_decimal_span_falls_on_the_nodes():
+    # 0.9 - 0.3 is 0.6000000000000001: the flow must still take 600 steps, so
+    # the grid lands on its nodes and the round trip stays at roundoff
+    spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.3, 0.9, 11))
+    assert len(spec.indicatrix.nodes) == 301 + 600
+    assert _wavy_round_trip(spec) < 1e-12
 
 
 @pytest.mark.parametrize("grid,span", [
