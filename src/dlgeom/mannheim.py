@@ -20,11 +20,12 @@ theta(u) = c - s(u) and theta*(u) = c* - s*(u) continued between the grid
 nodes by their exact u-rates, so no arc-length reparametrization is needed;
 like every spec's, its closures evaluate whole arrays of samples.
 :func:`verify_offset` builds the offset, re-measures those invariants from
-the constructed geometry alone, and reports residuals against the closed
-forms, which makes every relation above an executable check.  Angles,
-invariant records and report samples are column records like the frames
-(:class:`~dlgeom.ruled.Columns`): the closed forms and residuals run on
-whole columns, and indexing gives one sample's row.
+the constructed geometry alone, at the grid nodes only (the relations are
+pointwise, so the offset's own s1 and s1* are not computed), and reports
+residuals against the closed forms, which makes every relation above an
+executable check.  Angles, invariant records and report samples are column
+records like the frames (:class:`~dlgeom.ruled.Columns`): the closed forms
+and residuals run on whole columns, and indexing gives one sample's row.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
 from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
 from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
-                    speed_closure, striction_jet, tangent_speed, timelike_invariants,
-                    timelike_radius, _arc_rates, _exact_node, _signed_integral)
+                    speed_closure, striction_jet, tangent_speed, timelike_radius, _arc_rates,
+                    _exact_node, _node_pass, _signed_integral)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -190,10 +191,10 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     curve evaluates the base striction jet once, as the node (c, c', e, e',
     e'') at u.re: c, e and e' at u are lifted from it as x + eps*u.du*x',
     and theta*'s rate -det(c', e, e')/|e'| at u.re comes from the same node.
-    The offset's closures accept arrays like any spec's: each evaluates
-    theta (or theta*) off the nodes with one local quadrature call for its
-    whole array.  A stalling or non-finite
-    gamma*cosh(theta) raises DegenerateOffset naming the first such s.
+    The closures take arrays: each evaluates theta (or theta*) off the nodes
+    with one local quadrature call per array.  A stalling or non-finite
+    gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
+    so does a gamma that changes sign between two nodes, naming both s.
     """
     if not len(frames) == len(angles) == base.samples:
         raise ValueError("frames and angles must sample the base grid")
@@ -207,6 +208,12 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     if np.any(bad):
         i = np.argmax(bad)
         raise DegenerateOffset(f"gamma*cosh(theta) = {speed1[i]:.3e} at s={frames.s[i]}")
+    # where gamma = 0 the offset ruling stalls: de1/ds = gamma*cosh(theta)*g
+    flips = np.signbit(frames.gamma[1:]) != np.signbit(frames.gamma[:-1])
+    if np.any(flips):
+        i = np.argmax(flips)
+        raise DegenerateOffset(
+            f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
 
     ind = base.indicatrix
     base_jet = striction_jet(base)
@@ -285,18 +292,19 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     """Construct the offset and compare measured invariants to closed forms.
 
     The base may be in any regular parametrization.  The measured side
-    re-derives every invariant from the constructed curves alone (timelike
-    measurement pipeline), with ds1/ds as the offset speed over the base
-    speed; the predicted side evaluates the closed forms.  Both sides and
-    the residuals are computed as columns over the grid and returned as one
-    :class:`OffsetSample`, with the residuals' maxima and means and the
-    developability verdicts; ``passed`` means all maxima sit below the
-    configured theorem tolerance.
+    re-derives every invariant from the constructed curves alone, by the
+    timelike measurement on the grid nodes only (every compared quantity is
+    pointwise, so the offset's s1 and s1* are not integrated), with ds1/ds
+    as the offset speed over the base speed; the predicted side evaluates
+    the closed forms.  Both sides and the residuals are computed as columns
+    over the grid and returned as one :class:`OffsetSample`, with the
+    residuals' maxima and means and the developability verdicts; ``passed``
+    means all maxima sit below the configured theorem tolerance.
     """
     frames = darboux_frame(base, cfg)
     angles = offset_angles(frames, params)
     offset = construct_offset(base, frames, angles)
-    m = timelike_invariants(offset, cfg)
+    m = _node_pass(offset, cfg)[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
     meas = InvariantRecord(
@@ -325,14 +333,14 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     )
 
 
-def developability_check(frames: FrameSample, angles: OffsetAngle,
-                         measured_frames: FrameSample,
+def developability_check(frames: FrameSample, angles: OffsetAngle, measured_frames,
                          tol: float = 1e-8) -> DevelopabilityReport:
     """Developability verdicts for the base surface and its offset.
 
     Base: max|Delta| under tol, equivalently constant offset distance.
-    Offset: samples where the measured Delta1 vanishes.  Samples where
-    theta is too small for the coth corollary are recorded, not fatal.
+    Offset: samples where the measured Delta1 (``measured_frames.Delta``,
+    the one column read) vanishes.  Samples where theta is too small for
+    the coth corollary are recorded, not fatal.
     """
     spread = np.max(angles.theta_star) - np.min(angles.theta_star)
     return DevelopabilityReport(

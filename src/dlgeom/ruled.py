@@ -37,6 +37,7 @@ closed forms of this module and of :mod:`dlgeom.mannheim` run on either.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -436,29 +437,30 @@ def _node_rows(node, rows: slice):
                  for vec in node)
 
 
-def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
-    """Frame columns of either causal class, per unit arc length, on the spec's grid.
+#: frame columns on a spec's grid: the fields of FrameSample but s and s_star
+_NodeFrames = namedtuple("_NodeFrames", "e t g gamma delta Delta gamma_dual striction_point ds_du")
 
-    Each sample comes from one node (c, c', e, e', e'') in the spec's
+
+def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
+    """Frame columns on the spec's grid, and the u-rates of s and s* there and at ``extra``.
+
+    Each grid sample comes from one node (c, c', e, e', e'') in the spec's
     parameter u; derivatives are divided by the indicatrix speed v = ds/du.
     The ruling sign fixes the frame signature, (+, -, +) or (-, +, +), the
     sign of s* (+int Delta ds or -int Delta ds) and that of gamma_dual's
     dual slot (-(delta + gamma*Delta) or +).  In both classes gamma =
-    -<dg/ds, t> = det(e, e', e'')/v^3.  s and s* accumulate from parameter 0.
-    The striction condition <c', t> = 0 belongs to the constructed striction
-    curve, so it is checked on exact nodes in both modes.
+    -<dg/ds, t> = det(e, e', e'')/v^3.  The striction condition <c', t> = 0
+    belongs to the constructed striction curve, so it is checked on exact
+    nodes in both modes.
 
-    Every point the measurement needs is evaluated once, in one pass: the
-    grid nodes, then the Simpson points of the head integral of the u-rates
-    of s and s* from parameter 0 (but its end, the first node), then the
-    Simpson midpoints of their cumulative integral over the grid.  The pass
-    goes in blocks of at most ``BLOCK`` points, each one exact node
+    Every point is evaluated once, in one pass over the grid nodes and then
+    ``extra``, in blocks of at most ``BLOCK`` points, each one exact node
     evaluation (one call of each spec closure).  The grid rows of a block
     give the frame columns and their checks, the other rows the rates, whose
     speed is checked too, so an error names the first offending point in
     that order.  Central-fd mode adds the real jets at u +- FD_STEP for the
-    frame, on the grid rows only.  The table's columns are the returned
-    record's fields.
+    frame, on the grid rows only.  Returns the node columns and the rates
+    (ds/du, ds*/du) as rows, on the grid and on ``extra``.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
@@ -484,10 +486,7 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
                         *_arc_rates(exact, sign, u))
 
     grid = spec.grid()
-    head, head_fold = simpson_rule(*sorted((0.0, float(grid[0]))))
-    # the head integral ends on the first node, whose rates come with the frame
-    on_node = head == grid[0]
-    points = np.concatenate([grid, head[~on_node], simpson_midpoints(grid)])
+    points = np.concatenate([grid, extra])
     frames, rates = [], [np.zeros((0, 2))]
     for start in range(0, len(points), BLOCK):
         u = points[start:start + BLOCK]
@@ -501,21 +500,34 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
             if k < len(u):
                 rates.append(_columns(u[k:], *_arc_rates(_node_rows(node, slice(k, None)),
                                                          sign, u[k:])))
-    table, rates = np.concatenate(frames), np.concatenate(rates)
+    table = np.concatenate(frames)
+    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table.T
+    nodes = _NodeFrames(
+        e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3), gamma=gamma, delta=delta,
+        Delta=Delta, gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
+        striction_point=Vec3L(p1, p2, p3), ds_du=v)
+    return nodes, table[:, -2:], np.concatenate(rates)
+
+
+def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
+    """Frame columns of either causal class, per unit arc length, on the spec's grid.
+
+    s and s* accumulate from parameter 0: the node pass also evaluates the
+    Simpson points of their head integral from 0 (but its end, the first
+    node), then the Simpson midpoints of their integral over the grid.
+    """
+    grid = spec.grid()
+    head, head_fold = simpson_rule(*sorted((0.0, float(grid[0]))))
+    # the head integral ends on the first node, whose rates come with the frame
+    on_node = head == grid[0]
+    nodes, node_rates, rates = _node_pass(
+        spec, cfg, np.concatenate([head[~on_node], simpson_midpoints(grid)]))
     m = np.count_nonzero(~on_node)
     head_rates = np.empty((len(head), 2))
-    head_rates[on_node], head_rates[~on_node] = table[0, -2:], rates[:m]
+    head_rates[on_node], head_rates[~on_node] = node_rates[0], rates[:m]
     head_arcs = head_fold(head_rates) * (-1.0 if grid[0] < 0.0 else 1.0)
-    arcs = head_arcs + cumulative_integrate(grid, table[:, -2:], rates[m:])
-    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table.T
-    return FrameSample(
-        s=arcs[:, 0], e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3),
-        gamma=gamma, delta=delta, Delta=Delta,
-        s_star=arcs[:, 1],
-        gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
-        striction_point=Vec3L(p1, p2, p3),
-        ds_du=v,
-    )
+    arcs = head_arcs + cumulative_integrate(grid, node_rates, rates[m:])
+    return FrameSample(s=arcs[:, 0], s_star=arcs[:, 1], **nodes._asdict())
 
 
 def darboux_frame(spec: RuledSurfaceSpec,

@@ -299,6 +299,20 @@ def test_offset_zero_gamma_degenerate(tmp_path):
     assert main(["offset", "--input", spec, "--out", str(tmp_path / "r")]) == 3
 
 
+def test_offset_gamma_sign_change_degenerate(tmp_path, capsys):
+    # gamma changes sign between two nodes near u = 0.5, where the offset ruling stalls
+    phi = "(0.2*u + 0.3*(u - 0.5)*(u - 0.5)*(u - 0.5))"
+    spec = _spec(tmp_path, {
+        "catalog": "custom",
+        "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 11},
+        "custom": {"e": ["sinh(u)", f"cosh(u)*cos{phi}", f"cosh(u)*sin{phi}"],
+                   "c": ["0.1*u", "0.2*u*u", "0.15*u"]},
+    })
+    assert main(["offset", "--input", spec, "--out", str(tmp_path / "r")]) == 3
+    last = _last_error(capsys)
+    assert last["error"] == "DegenerateOffset" and "gamma changes sign" in last["message"]
+
+
 # ---------------------------------------------------------------------------
 # mesh
 

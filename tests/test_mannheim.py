@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import dlgeom.dual as dual
+import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, TIMELIKE_ANGLE, dual_angle_between
 from dlgeom.errors import DegenerateOffset, ZeroConicalCurvature
@@ -14,9 +16,11 @@ from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, Off
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
 from dlgeom.numerics import CENTRAL_FD, NumericsConfig, value_and_derivative
-from dlgeom.ruled import darboux_frame, speed_closure, timelike_invariants, timelike_radius
+from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, timelike_invariants,
+                          timelike_radius)
 
 AD = NumericsConfig()
+FD = NumericsConfig(derivative_mode=CENTRAL_FD)
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
 
 
@@ -26,6 +30,16 @@ def _heli(samples=41, domain=(0.05, 0.95)):
 
 def _cone(samples=21, domain=(0.05, 0.95)):
     return catalog.cone(domain=domain, samples=samples)
+
+
+def _turning(domain=(0.05, 0.95), samples=11):
+    """A spacelike base whose conical curvature changes sign near u = 0.5."""
+    def e(u):
+        w = u - 0.5
+        phi = 0.2 * u + 0.3 * w * w * w
+        return Vec3L(dual.sinh(u), dual.cosh(u) * dual.cos(phi), dual.cosh(u) * dual.sin(phi))
+
+    return RuledSurfaceSpec(e, lambda u: Vec3L(0.1 * u, 0.2 * u * u, 0.15 * u), domain, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +203,30 @@ def test_degenerate_offset_rejected():
         construct_offset(base, frames, angles)
 
 
+def test_gamma_sign_change_between_nodes_is_degenerate():
+    # gamma is 0.0059 and -0.2197 at the nodes either side of its root, so the
+    # speed check at the nodes passes; the offset ruling stalls in between
+    base = _turning()
+    frames = darboux_frame(base)
+    i = np.flatnonzero(np.diff(np.sign(frames.gamma)))
+    assert len(i) == 1 and np.min(np.abs(frames.gamma)) > 1e-3
+    i = int(i[0])
+    expected = f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}"
+    with pytest.raises(DegenerateOffset, match=re.escape(expected) + "$"):
+        construct_offset(base, frames, offset_angles(frames, PARAMS))
+    with pytest.raises(DegenerateOffset, match="gamma changes sign"):
+        verify_offset(base, PARAMS, AD)
+
+
+def test_turning_base_builds_where_gamma_keeps_its_sign():
+    assert verify_offset(_turning(domain=(0.05, 0.4)), PARAMS, AD).passed
+    # gamma < 0 on the whole grid is no stall: the offset is built
+    base = _turning(domain=(0.6, 0.95))
+    frames = darboux_frame(base)
+    assert np.all(frames.gamma < 0.0)
+    construct_offset(base, frames, offset_angles(frames, PARAMS))
+
+
 def test_mismatched_angles_rejected():
     base = _heli(samples=11)
     frames = darboux_frame(base)
@@ -243,6 +281,45 @@ def test_verify_offset_fd_mode():
     rep = verify_offset(_heli(samples=41), PARAMS, cfg)
     for key, val in rep.residual_max.items():
         assert val < 1e-6, key
+
+
+@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+@pytest.mark.parametrize("samples", [101, 1001])
+def test_verify_offset_measures_the_offset_nodes_bit_for_bit(cfg, samples):
+    # verify_offset measures the offset on its grid nodes alone; its columns
+    # are the node columns of the full timelike measurement
+    base, params = _heli(samples=samples), MannheimParams(1.0, 0.1)
+    rep = verify_offset(base, params, cfg)
+    frames = darboux_frame(base, cfg)
+    m = timelike_invariants(construct_offset(base, frames, offset_angles(frames, params)), cfg)
+    full = InvariantRecord(m.ds_du / frames.ds_du, m.Delta, m.delta, m.gamma, m.gamma_dual,
+                           timelike_radius(m.gamma_dual).radius)
+    got, want = rep.samples.measured.quantities(), full.quantities()
+    for key in RESIDUAL_KEYS:
+        assert np.array_equal(got[key], want[key]), key
+    assert rep.developability == developability_check(frames, offset_angles(frames, params),
+                                                      m, tol=rep.tolerance)
+
+
+def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
+    # in dual-AD every offset closure argument is a grid node, so theta and
+    # theta* never need a local quadrature correction
+    calls = 0
+    integrate = ruled.integrate
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ruled, "integrate", counted)
+    base = _heli(samples=101)
+    assert verify_offset(base, PARAMS, AD).passed
+    assert calls == 0
+    # the counter sees the corrections of the full measurement's off-grid points
+    frames = darboux_frame(base, AD)
+    timelike_invariants(construct_offset(base, frames, offset_angles(frames, PARAMS)), AD)
+    assert calls > 0
 
 
 def test_verify_offset_cone_delta1_is_minus_theta_star():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import dlgeom.dual as dual
 import dlgeom.lorentz as lorentz
+import dlgeom.mannheim as mannheim
 import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
@@ -381,6 +382,24 @@ def test_offset_measurement_evaluates_each_base_point_once_per_use():
     for name, most in (("indicatrix", 2), ("base_curve", 1)):
         counts = Counter(u for order, block in calls[name] if order == 3 for u in block)
         assert len(counts) > 0 and max(counts.values()) == most, name
+
+
+def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
+    # every residual is pointwise, so the offset is measured on the grid nodes
+    # alone, in blocks of BLOCK nodes: no head or midpoint points
+    seen = {}
+
+    def counted_offset(*args):
+        spec, seen["calls"] = _counted(construct_offset(*args))
+        return spec
+
+    monkeypatch.setattr(mannheim, "construct_offset", counted_offset)
+    base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
+    assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
+    grid = base.grid().tolist()
+    for name, calls in seen["calls"].items():
+        assert [len(block) for _, block in calls] == [ruled.BLOCK, len(grid) - ruled.BLOCK], name
+        assert [u for _, block in calls for u in block] == grid, name
 
 
 def _nan_at(spec, u_bad):
