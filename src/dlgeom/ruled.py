@@ -26,7 +26,9 @@ Constructions (striction solve, reconstruction) take no config.
 Closures are evaluated over arrays of samples: the measurement passes
 blocks of at most ``BLOCK`` parameter values per call (float arrays, or
 dual scalars with array leaves), and every check reports the first
-offending parameter of its block.
+offending parameter of its block.  With ``BLOCK`` = 4096 a grid of up to
+about 2000 samples is one closure call per pass, its quadrature points
+included (a 1001-sample grid measures about 2015 points).
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -62,8 +64,11 @@ SPEED_TOL = 1e-10
 #: orthonormality ceiling for computed frames
 FRAME_TOL = 1e-6
 
-#: most parameter values per batched closure call; bounds the transient arrays
-BLOCK = 512
+#: most parameter values per batched closure call; bounds the transient arrays.
+#: Swept over 512..32768 on verify_offset (helicoidal, N = 1001..16001): the
+#: fixed numpy calls of each pass stop dominating near 4096, and larger blocks
+#: gain nothing while their transients grow (BENCH_11.json)
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -327,14 +332,16 @@ def _node(jet, u, cfg: NumericsConfig):
     return c, (c_hi - c_lo) / (2.0 * h), e, ep, (ep_hi - ep_lo) / (2.0 * h)
 
 
-def _arc_rates(node, sign: float, u):
+def _arc_rates(node, sign: float, u, v=None):
     """(ds/du, ds*/du) = (|e'|, sign*det(c', e, e')/|e'|) from a node (c, c', e, e', e'').
 
     ``sign`` is the ruling sign; it fixes the sign of s* and the causal
-    character e' must have.
+    character e' must have.  ``v``, if given, is the speed
+    ``tangent_speed(e', sign, u)`` of this node, already computed and checked.
     """
     _, cp, e, ep, _ = node
-    v = tangent_speed(ep, sign, u)
+    if v is None:
+        v = tangent_speed(ep, sign, u)
     return v, sign * det3(cp, e, ep) / v
 
 
@@ -424,8 +431,11 @@ def _blockwise(fn, us: np.ndarray) -> list:
 
 
 def _columns(u: np.ndarray, *values) -> np.ndarray:
-    """One row per parameter value of ``u``; constants are broadcast down their column."""
-    return np.column_stack([np.broadcast_to(x, u.shape) for x in values])
+    """One row per value, one column per parameter value of ``u``; constants fill their row."""
+    out = np.empty((len(values), len(u)))
+    for row, x in zip(out, values):
+        row[...] = x
+    return out
 
 
 def _node_rows(node, rows: slice):
@@ -455,19 +465,25 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
 
     Every point is evaluated once, in one pass over the grid nodes and then
     ``extra``, in blocks of at most ``BLOCK`` points, each one exact node
-    evaluation (one call of each spec closure).  The grid rows of a block
-    give the frame columns and their checks, the other rows the rates, whose
-    speed is checked too, so an error names the first offending point in
-    that order.  Central-fd mode adds the real jets at u +- FD_STEP for the
-    frame, on the grid rows only.  Returns the node columns and the rates
-    (ds/du, ds*/du) as rows, on the grid and on ``extra``.
+    evaluation (one call of each spec closure); a grid of up to about 2000
+    samples with its quadrature points is one block.  Central-fd mode adds
+    the real jets at u +- FD_STEP for the frame, on the grid rows only.
+    Within a block the checks run in this order, so an error names the
+    first offending point of the first check that fails: the closure
+    outputs as they are split into nodes (the central-fd jets first), then
+    the frame checks on the grid rows, then the speed of the other rows.
+    A grid that spans several blocks runs the whole order block by block.
+    Returns the node columns and the rates (ds/du, ds*/du) as rows, on the
+    grid and on ``extra``.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
 
-    def frame_columns(u, node, exact):
-        # the frame comes from ``node``; s, s* and the striction check from ``exact``
-        point, cp, e, ep, epp = node
+    def frame_columns(u, exact, fd):
+        # the frame comes from ``fd`` in central-fd mode and from ``exact`` in
+        # dual-ad mode, which then shares its speed with the rates; s, s* and
+        # the striction check come from ``exact``
+        point, cp, e, ep, epp = exact if fd is None else fd
         v = tangent_speed(ep, sign, u)
         t = ep / v
         g = -lorentz_cross(e, t)
@@ -483,11 +499,11 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
             raise FrameDegeneracy(f"striction condition violated at u={_first_u(off, u)}")
         cs = cp / v
         return _columns(u, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v,
-                        *_arc_rates(exact, sign, u))
+                        *_arc_rates(exact, sign, u, v if fd is None else None))
 
     grid = spec.grid()
     points = np.concatenate([grid, extra])
-    frames, rates = [], [np.zeros((0, 2))]
+    frames, rates = [], [np.zeros((2, 0))]
     for start in range(0, len(points), BLOCK):
         u = points[start:start + BLOCK]
         k = max(0, min(len(u), len(grid) - start))  # grid rows of this block
@@ -495,18 +511,17 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
             fd = None if cfg.derivative_mode == DUAL_AD or not k else _node(jet, u[:k], cfg)
             node = _exact_node(jet, u)
             if k:
-                exact = _node_rows(node, slice(None, k))
-                frames.append(frame_columns(u[:k], exact if fd is None else fd, exact))
+                frames.append(frame_columns(u[:k], _node_rows(node, slice(None, k)), fd))
             if k < len(u):
                 rates.append(_columns(u[k:], *_arc_rates(_node_rows(node, slice(k, None)),
                                                          sign, u[k:])))
-    table = np.concatenate(frames)
-    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table.T
+    table = np.concatenate(frames, axis=1)
+    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table
     nodes = _NodeFrames(
         e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3), gamma=gamma, delta=delta,
         Delta=Delta, gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
         striction_point=Vec3L(p1, p2, p3), ds_du=v)
-    return nodes, table[:, -2:], np.concatenate(rates)
+    return nodes, table[-2:].T, np.concatenate(rates, axis=1).T
 
 
 def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:

@@ -356,13 +356,16 @@ def _assert_batched(calls, grid):
         assert len(head) == len(set(head)) > 0 and max(head) < grid[0]
 
 
-def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
+def test_darboux_frame_evaluates_whole_blocks_per_closure_call(monkeypatch):
+    # a block smaller than the pass, so it spans several blocks
+    monkeypatch.setattr(ruled, "BLOCK", 512)
     spec, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=1001))
     darboux_frame(spec, AD)
     _assert_batched(calls, spec.grid())
 
 
-def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
+def test_timelike_invariants_evaluates_whole_blocks_per_closure_call(monkeypatch):
+    monkeypatch.setattr(ruled, "BLOCK", 512)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
     frames = darboux_frame(base, AD)
     offset = construct_offset(base, frames, offset_angles(frames, MannheimParams(1.0, 0.1)))
@@ -384,9 +387,8 @@ def test_offset_measurement_evaluates_each_base_point_once_per_use():
         assert len(counts) > 0 and max(counts.values()) == most, name
 
 
-def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
-    # every residual is pointwise, so the offset is measured on the grid nodes
-    # alone, in blocks of BLOCK nodes: no head or midpoint points
+def _count_offset_calls(monkeypatch) -> dict:
+    """Make construct_offset return counted specs; their calls land under ``"calls"``."""
     seen = {}
 
     def counted_offset(*args):
@@ -394,12 +396,72 @@ def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
         return spec
 
     monkeypatch.setattr(mannheim, "construct_offset", counted_offset)
+    return seen
+
+
+def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
+    # every residual is pointwise, so the offset is measured on the grid nodes
+    # alone, in blocks of BLOCK nodes: no head or midpoint points
+    seen = _count_offset_calls(monkeypatch)
+    monkeypatch.setattr(ruled, "BLOCK", 512)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
     assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
     grid = base.grid().tolist()
     for name, calls in seen["calls"].items():
         assert [len(block) for _, block in calls] == [ruled.BLOCK, len(grid) - ruled.BLOCK], name
         assert [u for _, block in calls for u in block] == grid, name
+
+
+def test_a_1001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
+    # at the default BLOCK a 1001-sample grid with its quadrature points is
+    # one block: each closure of the base and of the offset is called once
+    base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=1001))
+    darboux_frame(base, AD)
+    assert {name: len(c) for name, c in calls.items()} == {"indicatrix": 1, "base_curve": 1}
+    seen = _count_offset_calls(monkeypatch)
+    assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
+    assert {name: len(c) for name, c in seen["calls"].items()} == {"indicatrix": 1,
+                                                                   "base_curve": 1}
+
+
+def _leaves(x) -> list:
+    """Every float array of a measured record, depth first."""
+    if isinstance(x, ruled.Columns):
+        return [a for name in x.__slots__ for a in _leaves(getattr(x, name))]
+    if isinstance(x, Vec3L):
+        return [np.asarray(c) for c in x]
+    if isinstance(x, DualScalar):
+        return _leaves(x.re) + _leaves(x.du)
+    if isinstance(x, dict):
+        return [a for v in x.values() for a in _leaves(v)]
+    return [np.asarray(x)]
+
+
+def _hermite_spec(samples):
+    prof = InvariantProfile(lambda s: 0.75, lambda s: 0.2, lambda s: 0.1 + 0.05 * s,
+                            CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    return reconstruct_from_invariants(prof, np.linspace(0.2, 1.0, samples))
+
+
+@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+@pytest.mark.parametrize("make", [
+    lambda: catalog.helicoidal(domain=(0.05, 0.95), samples=1001),
+    lambda: _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=1001), 0.3),
+    lambda: _hermite_spec(1001),
+], ids=["helicoidal", "warped", "hermite"])
+def test_measurement_does_not_depend_on_the_block_size(monkeypatch, make, cfg):
+    # every point is evaluated elementwise, so splitting a pass into blocks
+    # must not change a single bit of the frames or of the offset report
+    spec, params = make(), MannheimParams(1.0, 0.1)
+    runs = []
+    for block in (64, ruled.BLOCK):
+        monkeypatch.setattr(ruled, "BLOCK", block)
+        runs.append(_leaves(darboux_frame(spec, cfg))
+                    + _leaves(verify_offset(spec, params, cfg).samples))
+    small, default = runs
+    assert len(small) == len(default) > 0
+    for i, (a, b) in enumerate(zip(small, default)):
+        assert a.shape == b.shape == (1001,) and np.array_equal(a, b), i
 
 
 def _nan_at(spec, u_bad):
