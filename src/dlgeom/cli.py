@@ -421,15 +421,14 @@ def cmd_study(args) -> int:
 
     if args.direction == "line-to-dual" or ("point" in data and args.direction == "auto"):
         _require("point" in data and "dir" in data, "line input needs 'point' and 'dir'")
-        line = OrientedLine(Vec3L.from_iterable(data["point"]),
-                            Vec3L.from_iterable(data["dir"]))
+        line = OrientedLine(_vector(data["point"], "point"), _vector(data["dir"], "dir"))
         d = line_to_dual(line)
         back = line_to_dual(dual_to_line(d))
         ok = max(abs(x - y) for x, y in zip((*d.re, *d.du), (*back.re, *back.du))) <= 1e-9
         payload = {"a": list(d.re), "a_star": list(d.du), "round_trip_ok": ok}
     else:
         _require("a" in data and "a_star" in data, "dual input needs 'a' and 'a_star'")
-        d = DualVec3(Vec3L.from_iterable(data["a"]), Vec3L.from_iterable(data["a_star"]))
+        d = DualVec3(_vector(data["a"], "a"), _vector(data["a_star"], "a_star"))
         line = dual_to_line(d)
         back = line_to_dual(line)
         ok = max(abs(x - y) for x, y in zip((*d.re, *d.du), (*back.re, *back.du))) <= 1e-9

@@ -72,11 +72,6 @@ class Vec3L:
         v.x3 = x3
         return v
 
-    @classmethod
-    def from_iterable(cls, seq) -> "Vec3L":
-        x1, x2, x3 = seq
-        return cls(float(x1), float(x2), float(x3))
-
     def components(self):
         return (self.x1, self.x2, self.x3)
 

@@ -23,12 +23,11 @@ finite differences remain available for the frame through the numerics
 config, while s, s* and the striction check stay exact in both modes.
 Constructions (striction solve, reconstruction) take no config.
 
-Closures are evaluated over arrays of samples: the measurement passes
-blocks of at most ``BLOCK`` parameter values per call (float arrays, or
-dual scalars with array leaves), and every check reports the first
-offending parameter of its block.  With ``BLOCK`` = 4096 a grid of up to
-about 2000 samples is one closure call per pass, its quadrature points
-included (a 1001-sample grid measures about 2015 points).
+Closures are evaluated over arrays of samples: a measurement is one pass
+that calls each closure once on all of its parameter values (float arrays,
+or dual scalars with array leaves), the quadrature points included (a
+1001-sample grid measures about 2015 points), and every check reports the
+first offending parameter of the pass.
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -63,12 +62,6 @@ SPEED_TOL = 1e-10
 
 #: orthonormality ceiling for computed frames
 FRAME_TOL = 1e-6
-
-#: most parameter values per batched closure call; bounds the transient arrays.
-#: Swept over 512..32768 on verify_offset (helicoidal, N = 1001..16001): the
-#: fixed numpy calls of each pass stop dominating near 4096, and larger blocks
-#: gain nothing while their transients grow (BENCH_11.json)
-BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -318,15 +311,12 @@ def _exact_node(jet, u):
     return c.re, c.du, e.re, ep.re, ep.du
 
 
-def _node(jet, u, cfg: NumericsConfig):
-    """(c, c', e, e', e'') at u in the configured derivative mode.
+def _fd_node(jet, u):
+    """(c, c', e, e', e'') at u for central-fd frames.
 
-    Dual-ad mode is :func:`_exact_node`.  Central-fd mode takes c, e, e'
-    from the real jet at u and c', e'' from its central differences at
-    u +- FD_STEP.
+    c, e, e' come from the real jet at u and c', e'' from its central
+    differences at u +- FD_STEP.
     """
-    if cfg.derivative_mode == DUAL_AD:
-        return _exact_node(jet, u)
     h = FD_STEP
     (c, e, ep), (c_hi, _, ep_hi), (c_lo, _, ep_lo) = jet(u), jet(u + h), jet(u - h)
     return c, (c_hi - c_lo) / (2.0 * h), e, ep, (ep_hi - ep_lo) / (2.0 * h)
@@ -361,8 +351,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     v = speed_closure(spec)
 
     def speeds(us):
-        # v on a long 1-D array: the table and the round trip need thousands of points
-        return np.concatenate(_blockwise(v, us))
+        with at_points(us):
+            return v(us)
 
     grid = spec.grid()
     if np.max(np.abs(speeds(grid) - 1.0)) <= 1e-10:
@@ -416,20 +406,6 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
 # ---------------------------------------------------------------------------
 # frames and invariants
 
-def _blockwise(fn, us: np.ndarray) -> list:
-    """``fn`` on consecutive blocks of at most ``BLOCK`` values of ``us``, one result per block.
-
-    Each block runs inside :func:`~dlgeom.numerics.at_points`, so an error
-    names the block's first offending parameter.
-    """
-    out = []
-    for i in range(0, len(us), BLOCK):
-        block = us[i:i + BLOCK]
-        with at_points(block):
-            out.append(fn(block))
-    return out
-
-
 def _columns(u: np.ndarray, *values) -> np.ndarray:
     """One row per value, one column per parameter value of ``u``; constants fill their row."""
     out = np.empty((len(values), len(u)))
@@ -464,17 +440,14 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
     nodes in both modes.
 
     Every point is evaluated once, in one pass over the grid nodes and then
-    ``extra``, in blocks of at most ``BLOCK`` points, each one exact node
-    evaluation (one call of each spec closure); a grid of up to about 2000
-    samples with its quadrature points is one block.  Central-fd mode adds
-    the real jets at u +- FD_STEP for the frame, on the grid rows only.
-    Within a block the checks run in this order, so an error names the
-    first offending point of the first check that fails: the closure
-    outputs as they are split into nodes (the central-fd jets first), then
-    the frame checks on the grid rows, then the speed of the other rows.
-    A grid that spans several blocks runs the whole order block by block.
-    Returns the node columns and the rates (ds/du, ds*/du) as rows, on the
-    grid and on ``extra``.
+    ``extra``: one exact node evaluation, that is one call of each spec
+    closure on all the points.  Central-fd mode adds the real jets at
+    u +- FD_STEP for the frame, on the grid only.  The checks run in this
+    order over the whole pass, so an error names the first offending point
+    of the first check that fails: the closure outputs as they are split
+    into nodes (the central-fd jets first), then the frame checks on the
+    grid, then the speed at ``extra``.  Returns the node columns and the
+    rates (ds/du, ds*/du) as rows, on the grid and on ``extra``.
     """
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
@@ -502,26 +475,21 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
                         *_arc_rates(exact, sign, u, v if fd is None else None))
 
     grid = spec.grid()
+    k = len(grid)
     points = np.concatenate([grid, extra])
-    frames, rates = [], [np.zeros((2, 0))]
-    for start in range(0, len(points), BLOCK):
-        u = points[start:start + BLOCK]
-        k = max(0, min(len(u), len(grid) - start))  # grid rows of this block
-        with at_points(u):
-            fd = None if cfg.derivative_mode == DUAL_AD or not k else _node(jet, u[:k], cfg)
-            node = _exact_node(jet, u)
-            if k:
-                frames.append(frame_columns(u[:k], _node_rows(node, slice(None, k)), fd))
-            if k < len(u):
-                rates.append(_columns(u[k:], *_arc_rates(_node_rows(node, slice(k, None)),
-                                                         sign, u[k:])))
-    table = np.concatenate(frames, axis=1)
+    with at_points(points):
+        fd = None if cfg.derivative_mode == DUAL_AD else _fd_node(jet, grid)
+        node = _exact_node(jet, points)
+        table = frame_columns(grid, _node_rows(node, slice(None, k)), fd)
+        rates = np.zeros((2, 0))
+        if len(extra):
+            rates = _columns(extra, *_arc_rates(_node_rows(node, slice(k, None)), sign, extra))
     p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table
     nodes = _NodeFrames(
         e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3), gamma=gamma, delta=delta,
         Delta=Delta, gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
         striction_point=Vec3L(p1, p2, p3), ds_du=v)
-    return nodes, table[-2:].T, np.concatenate(rates, axis=1).T
+    return nodes, table[-2:].T, rates.T
 
 
 def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
@@ -558,20 +526,20 @@ def darboux_frame(spec: RuledSurfaceSpec,
     return _measure_frames(spec, cfg)
 
 
-def dual_arclength(spec: RuledSurfaceSpec, s: float,
-                   cfg: NumericsConfig = DEFAULT_CONFIG) -> DualScalar:
+def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
     """Dual arc length of the dual spherical image, from parameter 0 to s.
 
     Integrates the dual norm of the dual curve's derivative in dual
-    arithmetic; for unit-speed specs this is s + eps*int(Delta) on the
-    spacelike side and s1 - eps*int(Delta1) on the timelike side (the sign
-    difference falls out of the norm's causal character).
+    arithmetic, on exact nodes; for unit-speed specs this is
+    s + eps*int(Delta) on the spacelike side and s1 - eps*int(Delta1) on
+    the timelike side (the sign difference falls out of the norm's causal
+    character).
     """
     jet = striction_jet(spec)
 
     def f(u):
         # the dual curve e + eps*(c x e) differentiates to e' + eps*(c' x e + c x e')
-        c, cp, e, ep, _ = _node(jet, u, cfg)
+        c, cp, e, ep, _ = _exact_node(jet, u)
         return dual_norm(DualVec3(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
     val = _signed_integral(f, 0.0, s)

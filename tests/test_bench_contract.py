@@ -1,9 +1,10 @@
 """The benchmark's own correctness checks, run on the kernel at its real sizes.
 
 ``perfbench/workloads.py`` reads the kernel's records (``len(frames)``, row
-fields, ``report.residual_max`` and ``report.passed``); one seeded cycle of
-each in-process workload must pass its checks.  ``perfbench/tracing.py``
-wraps the kernel's functions by name, so every name it traces must exist.
+fields, ``report.residual_max`` and ``report.passed``) and the CLI's output
+files; one seeded cycle of each workload must pass its checks, with the CLI
+operations run in process.  ``perfbench/tracing.py`` wraps the kernel's
+functions by name, so every name it traces must exist.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import dlgeom
+import dlgeom.cli
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,9 +31,16 @@ wl = _load("workloads")
 tracing = _load("tracing")
 
 
-@pytest.mark.parametrize("workload", ["offset-unit", "offset-warped", "reconstruct"])
-def test_benchmark_cycle_passes_its_checks(workload):
-    ops = wl.build_cycle(workload, 41, 0, wl.Context(dlgeom))
+@pytest.mark.parametrize("workload", ["offset-unit", "offset-warped", "reconstruct", "cli"])
+def test_benchmark_cycle_passes_its_checks(workload, tmp_path, monkeypatch, capsys):
+    def run_child(ctx, argv):
+        # the exit code and last stderr line of a child process, from main in process
+        code = dlgeom.cli.main(argv)
+        lines = capsys.readouterr().err.strip().splitlines()
+        return code, lines[-1] if lines else ""
+
+    monkeypatch.setattr(wl, "run_child", run_child)
+    ops = wl.build_cycle(workload, 41, 0, wl.Context(dlgeom, workdir=tmp_path))
     assert ops
     for op in ops:
         _, failure, incorrect = wl.run_op(op)

@@ -214,6 +214,21 @@ def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags)
     assert _last_error(capsys)["error"] == "SpecFileError"
 
 
+@pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
+@pytest.mark.parametrize("e,error,message", [
+    (["sinh(u)", "cosh(u)", "0.5"], "FrameDegeneracy",
+     "frame residual up to 2.500e-01, first over 1e-06 at u=0.0"),
+    (["0.8*sinh((u-0.5)*(u-0.5)/0.8)", "0.8*cosh((u-0.5)*(u-0.5)/0.8)", "0.6"],
+     "DegenerateIndicatrix", "striction undefined: e' vanishes near u=0.5"),
+], ids=["non-unit-ruling", "stalled-ruling"])
+def test_frames_degenerate_ruling_exits_3(tmp_path, capsys, mode, e, error, message):
+    payload = {"catalog": "custom", "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
+               "custom": {"e": e, "c": ["0", "0", "0"]}}
+    assert main(["frames", "--input", _spec(tmp_path, payload),
+                 "--out", str(tmp_path / "x.csv"), "--deriv", mode]) == 3
+    assert _last_error(capsys) == {"error": error, "message": message}
+
+
 # ---------------------------------------------------------------------------
 # offset
 
@@ -579,6 +594,18 @@ def test_study_lightlike_direction_fails(tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps({"point": [0, 0, 0], "dir": [1, 1, 0]}))
     assert main(["study", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"point": [1, 2], "dir": [1, 0, 0]},
+    {"point": [0, 0, 0], "dir": [0, "x", 0]},
+    {"a": [0, 1, 0], "a_star": None},
+], ids=["two-element-point", "text-component", "null-vector"])
+def test_study_malformed_vector_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(data))
+    assert main(["study", "--input", str(path)]) == 2
+    assert _last_error(capsys)["error"] == "SpecFileError"
 
 
 def test_study_non_unit_dual_fails(tmp_path):

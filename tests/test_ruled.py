@@ -344,28 +344,24 @@ def _counted(spec):
 
 def _assert_batched(calls, grid):
     # one pass over the nodes, the head integral from 0 and the Simpson
-    # midpoints, in that order: one call of each closure per block of BLOCK
+    # midpoints, in that order: one call of each closure on all of them
     mids = 0.5 * (grid[:-1] + grid[1:])
     for seen in calls.values():
-        points = [u for _, block in seen for u in block]
-        full, rest = divmod(len(points), ruled.BLOCK)
-        assert [len(block) for _, block in seen] == [ruled.BLOCK] * full + [rest] * (rest > 0)
+        assert len(seen) == 1
+        points = seen[0][1]
         head = points[len(grid):len(points) - len(mids)]
         assert points == [*grid, *head, *mids]
         # the head ends on grid[0], which the nodes already evaluated
         assert len(head) == len(set(head)) > 0 and max(head) < grid[0]
 
 
-def test_darboux_frame_evaluates_whole_blocks_per_closure_call(monkeypatch):
-    # a block smaller than the pass, so it spans several blocks
-    monkeypatch.setattr(ruled, "BLOCK", 512)
+def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
     spec, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=1001))
     darboux_frame(spec, AD)
     _assert_batched(calls, spec.grid())
 
 
-def test_timelike_invariants_evaluates_whole_blocks_per_closure_call(monkeypatch):
-    monkeypatch.setattr(ruled, "BLOCK", 512)
+def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
     frames = darboux_frame(base, AD)
     offset = construct_offset(base, frames, offset_angles(frames, MannheimParams(1.0, 0.1)))
@@ -401,67 +397,26 @@ def _count_offset_calls(monkeypatch) -> dict:
 
 def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
     # every residual is pointwise, so the offset is measured on the grid nodes
-    # alone, in blocks of BLOCK nodes: no head or midpoint points
+    # alone, in one call: no head or midpoint points
     seen = _count_offset_calls(monkeypatch)
-    monkeypatch.setattr(ruled, "BLOCK", 512)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
     assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
     grid = base.grid().tolist()
     for name, calls in seen["calls"].items():
-        assert [len(block) for _, block in calls] == [ruled.BLOCK, len(grid) - ruled.BLOCK], name
-        assert [u for _, block in calls for u in block] == grid, name
+        assert [block for _, block in calls] == [grid], name
 
 
-def test_a_1001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
-    # at the default BLOCK a 1001-sample grid with its quadrature points is
-    # one block: each closure of the base and of the offset is called once
-    base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=1001))
+def test_a_5001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
+    # a pass is one call however many points it has: the base pass here
+    # measures about 10015 points and the offset pass 5001
+    base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=5001))
     darboux_frame(base, AD)
     assert {name: len(c) for name, c in calls.items()} == {"indicatrix": 1, "base_curve": 1}
+    assert len(calls["base_curve"][0][1]) > 10000
     seen = _count_offset_calls(monkeypatch)
     assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
     assert {name: len(c) for name, c in seen["calls"].items()} == {"indicatrix": 1,
                                                                    "base_curve": 1}
-
-
-def _leaves(x) -> list:
-    """Every float array of a measured record, depth first."""
-    if isinstance(x, ruled.Columns):
-        return [a for name in x.__slots__ for a in _leaves(getattr(x, name))]
-    if isinstance(x, Vec3L):
-        return [np.asarray(c) for c in x]
-    if isinstance(x, DualScalar):
-        return _leaves(x.re) + _leaves(x.du)
-    if isinstance(x, dict):
-        return [a for v in x.values() for a in _leaves(v)]
-    return [np.asarray(x)]
-
-
-def _hermite_spec(samples):
-    prof = InvariantProfile(lambda s: 0.75, lambda s: 0.2, lambda s: 0.1 + 0.05 * s,
-                            CONE_E0, CONE_T0, CONE_G0, ORIGIN)
-    return reconstruct_from_invariants(prof, np.linspace(0.2, 1.0, samples))
-
-
-@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
-@pytest.mark.parametrize("make", [
-    lambda: catalog.helicoidal(domain=(0.05, 0.95), samples=1001),
-    lambda: _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=1001), 0.3),
-    lambda: _hermite_spec(1001),
-], ids=["helicoidal", "warped", "hermite"])
-def test_measurement_does_not_depend_on_the_block_size(monkeypatch, make, cfg):
-    # every point is evaluated elementwise, so splitting a pass into blocks
-    # must not change a single bit of the frames or of the offset report
-    spec, params = make(), MannheimParams(1.0, 0.1)
-    runs = []
-    for block in (64, ruled.BLOCK):
-        monkeypatch.setattr(ruled, "BLOCK", block)
-        runs.append(_leaves(darboux_frame(spec, cfg))
-                    + _leaves(verify_offset(spec, params, cfg).samples))
-    small, default = runs
-    assert len(small) == len(default) > 0
-    for i, (a, b) in enumerate(zip(small, default)):
-        assert a.shape == b.shape == (1001,) and np.array_equal(a, b), i
 
 
 def _nan_at(spec, u_bad):
@@ -524,6 +479,25 @@ def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, 
     monkeypatch.setattr(ruled, "striction_jet", sliding_jet)
     with pytest.raises(FrameDegeneracy, match="striction condition"):
         darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=11), cfg)
+
+
+def _stalled_ruling(u):
+    # e' = 2(u - 0.5)*(cosh w, sinh w, 0) vanishes at the node u = 0.5
+    w = (u - 0.5) * (u - 0.5) / 0.8
+    return Vec3L(0.8 * dual.sinh(w), 0.8 * dual.cosh(w), 0.6)
+
+
+@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+@pytest.mark.parametrize("indicatrix,error,message", [
+    # <e, e> = 1.25, so the frame is off orthonormality by 0.25 everywhere
+    (lambda u: Vec3L(dual.sinh(u), dual.cosh(u), 0.5), FrameDegeneracy,
+     "frame residual up to 2.500e-01, first over 1e-06 at u=0.0"),
+    (_stalled_ruling, DegenerateIndicatrix, "striction undefined: e' vanishes near u=0.5"),
+], ids=["non-unit-ruling", "stalled-ruling"])
+def test_darboux_frame_rejects_a_degenerate_ruling(cfg, indicatrix, error, message):
+    spec = RuledSurfaceSpec(indicatrix, lambda u: ORIGIN, (0.0, 1.0), 11)
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        darboux_frame(spec, cfg)
 
 
 @pytest.mark.parametrize("cfg,tol", [(AD, 1e-8), (FD, 1e-6)])
@@ -630,6 +604,18 @@ def test_dual_arclength_helicoidal():
     out = dual_arclength(spec, 0.5)
     assert out.re == pytest.approx(0.5, abs=1e-10)
     assert out.du == pytest.approx(0.05, abs=1e-10)
+
+
+@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+def test_dual_arclength_matches_the_frame_arc_lengths(cfg):
+    # the dual-norm quadrature against the frames' fold of det-rates, on a
+    # parametrization that is not unit speed; s and s* are exact in both modes
+    spec = _warped(catalog.helicoidal(domain=(0.0, 1.0), samples=11), 0.3)
+    frames = darboux_frame(spec, cfg)
+    for i in (1, 4, 7, 10):
+        out = dual_arclength(spec, spec.grid()[i])
+        assert out.re == pytest.approx(frames.s[i], abs=1e-12)
+        assert out.du == pytest.approx(frames.s_star[i], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
