@@ -12,8 +12,8 @@ from .lorentz import (CausalCharacter, Vec3L, causal_character, det3, lorentz_cr
 from .dual import (DualAngle, DualScalar, DualVec3, dual_angle_between, dual_lift,
                    dual_lorentz_cross, dual_lorentz_dot, dual_norm)
 from .lines import OrientedLine, PluckerPair, dual_to_line, line_to_dual
-from .numerics import (NumericsConfig, FrameState, cumulative_integrate, differentiate,
-                       integrate, lorentz_gram_schmidt, rk4_frame_step)
+from .numerics import (FrameState, cumulative_integrate, integrate, lorentz_gram_schmidt,
+                       rk4_frame_step)
 from .ruled import (FrameSample, InvariantProfile, RuledSurfaceSpec, SPACELIKE_SURFACE,
                     TIMELIKE_SURFACE, arclength_reparametrize, darboux_frame, dual_arclength,
                     dual_curvature_elements, reconstruct_from_invariants, striction_curve,
@@ -29,8 +29,8 @@ __all__ = [
     "DualAngle", "DualScalar", "DualVec3", "dual_angle_between", "dual_lift",
     "dual_lorentz_cross", "dual_lorentz_dot", "dual_norm",
     "OrientedLine", "PluckerPair", "dual_to_line", "line_to_dual",
-    "NumericsConfig", "FrameState", "cumulative_integrate", "differentiate",
-    "integrate", "lorentz_gram_schmidt", "rk4_frame_step",
+    "FrameState", "cumulative_integrate", "integrate", "lorentz_gram_schmidt",
+    "rk4_frame_step",
     "FrameSample", "InvariantProfile", "RuledSurfaceSpec", "SPACELIKE_SURFACE",
     "TIMELIKE_SURFACE", "arclength_reparametrize", "darboux_frame", "dual_arclength",
     "dual_curvature_elements", "reconstruct_from_invariants", "striction_curve",

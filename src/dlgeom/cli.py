@@ -30,7 +30,7 @@ from .errors import (DegenerateIndicatrix, DegenerateOffset, DivisionByPureDual,
                      GeometryError, InvalidDirection, NonFinite, NotUnit, NullDarboux,
                      SpecFileError, StepSizeError, ZeroConicalCurvature)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, NumericsConfig, at_points
+from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
                     striction_curve, timelike_invariants, timelike_radius, _rows)
@@ -200,13 +200,6 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     raise SpecFileError(f"unknown catalog entry {kind!r}")
 
 
-def _config_from_args(args) -> NumericsConfig:
-    try:
-        return NumericsConfig(derivative_mode=args.deriv, tolerance_theorem=args.tolerance)
-    except ValueError as exc:
-        raise SpecFileError(str(exc)) from None
-
-
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -236,13 +229,12 @@ def _frame_columns(frames, R) -> list:
 
 
 def cmd_frames(args) -> int:
-    cfg = _config_from_args(args)
     spec = load_surface_spec(args.input, args.samples)
     if spec.kind == TIMELIKE_SURFACE:
-        frames = timelike_invariants(spec, cfg)
+        frames = timelike_invariants(spec, args.deriv)
         R = timelike_radius(frames.gamma_dual).radius
     else:
-        frames = darboux_frame(spec, cfg)
+        frames = darboux_frame(spec, args.deriv)
         R = dual_curvature_elements(frames).R_dual
     _write_csv(args.out, FRAMES_HEADER, _frame_columns(frames, R))
     return EXIT_OK
@@ -291,13 +283,22 @@ def _offset_out_paths(out: str) -> tuple[str, str]:
     return out + ".json", out + ".csv"
 
 
+def _mannheim_params(args) -> MannheimParams:
+    return MannheimParams(_number(args.mannheim_c, "--mannheim-c"),
+                          _number(args.mannheim_cstar, "--mannheim-cstar"))
+
+
 def cmd_offset(args) -> int:
-    cfg = _config_from_args(args)
     spec = load_surface_spec(args.input, args.samples)
     _require(spec.kind == SPACELIKE_SURFACE,
              "offset verification needs a spacelike base surface")
-    params = MannheimParams(args.mannheim_c, args.mannheim_cstar)
-    report = verify_offset(spec, params, cfg)
+    params = _mannheim_params(args)
+    try:
+        report = verify_offset(spec, params, args.deriv, args.tolerance)
+    except ValueError as exc:
+        # the spec kind is checked above and the parser picks the mode, so
+        # the ValueError left for verify_offset's argument checks is --tolerance
+        raise SpecFileError(str(exc)) from None
 
     json_path, csv_path = _offset_out_paths(args.out)
     _write_json(json_path, _report_payload(report, spec, args))
@@ -312,7 +313,6 @@ def cmd_offset(args) -> int:
 
 
 def cmd_mesh(args) -> int:
-    cfg = _config_from_args(args)
     spec = load_surface_spec(args.input, args.samples)
     try:
         v_min, v_max = (_number(x, "--v-range") for x in args.v_range.split(","))
@@ -325,9 +325,8 @@ def cmd_mesh(args) -> int:
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
-        frames = darboux_frame(spec, cfg)
-        params = MannheimParams(args.mannheim_c, args.mannheim_cstar)
-        angles = offset_angles(frames, params)
+        frames = darboux_frame(spec)
+        angles = offset_angles(frames, _mannheim_params(args))
         off = construct_offset(spec, frames, angles)
         meshes.append(("offset", striction_curve(off), off.indicatrix))
 
@@ -394,9 +393,8 @@ def load_profile(path: str, samples_override: int | None = None):
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _config_from_args(args)
     profile, grid = load_profile(args.input, args.samples)
-    frames = darboux_frame(reconstruct_from_invariants(profile, grid), cfg)
+    frames = darboux_frame(reconstruct_from_invariants(profile, grid), args.deriv)
 
     json_path, csv_path = _offset_out_paths(args.out)
     _write_csv(csv_path, FRAMES_HEADER + ["c1", "c2", "c3"],
@@ -419,20 +417,18 @@ def cmd_reconstruct(args) -> int:
 def cmd_study(args) -> int:
     data = _load_object(args.input, "study input")
 
-    if args.direction == "line-to-dual" or ("point" in data and args.direction == "auto"):
-        _require("point" in data and "dir" in data, "line input needs 'point' and 'dir'")
-        line = OrientedLine(_vector(data["point"], "point"), _vector(data["dir"], "dir"))
-        d = line_to_dual(line)
-        back = line_to_dual(dual_to_line(d))
-        ok = max(abs(x - y) for x, y in zip((*d.re, *d.du), (*back.re, *back.du))) <= 1e-9
-        payload = {"a": list(d.re), "a_star": list(d.du), "round_trip_ok": ok}
+    if "point" in data:
+        _require("dir" in data, "line input needs 'point' and 'dir'")
+        d = line_to_dual(OrientedLine(_vector(data["point"], "point"), _vector(data["dir"], "dir")))
+        payload = {"a": list(d.re), "a_star": list(d.du)}
     else:
         _require("a" in data and "a_star" in data, "dual input needs 'a' and 'a_star'")
         d = DualVec3(_vector(data["a"], "a"), _vector(data["a_star"], "a_star"))
         line = dual_to_line(d)
-        back = line_to_dual(line)
-        ok = max(abs(x - y) for x, y in zip((*d.re, *d.du), (*back.re, *back.du))) <= 1e-9
-        payload = {"point": list(line.point), "dir": list(line.direction), "round_trip_ok": ok}
+        payload = {"point": list(line.point), "dir": list(line.direction)}
+    back = line_to_dual(dual_to_line(d))
+    payload["round_trip_ok"] = max(
+        abs(x - y) for x, y in zip((*d.re, *d.du), (*back.re, *back.du))) <= 1e-9
 
     if args.out:
         _write_json(args.out, payload)
@@ -444,12 +440,13 @@ def cmd_study(args) -> int:
 # ---------------------------------------------------------------------------
 # parser / dispatch
 
-def _add_numerics_flags(p: argparse.ArgumentParser) -> None:
+def _add_samples_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=None, help="override sample count")
+
+
+def _add_deriv_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deriv", choices=[DUAL_AD, CENTRAL_FD], default=DUAL_AD,
-                   help="derivative mode")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="theorem tolerance (default 1e-8 dual-ad / 1e-6 central-fd)")
+                   help="derivative mode of the measurement")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frames", help="frame/invariant CSV for a surface spec")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    _add_numerics_flags(p)
+    _add_samples_flag(p)
+    _add_deriv_flag(p)
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("offset", help="verify a Mannheim offset (JSON report + CSV)")
@@ -469,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output base path (.json/.csv)")
     p.add_argument("--mannheim-c", type=float, default=1.0, dest="mannheim_c")
     p.add_argument("--mannheim-cstar", type=float, default=0.0, dest="mannheim_cstar")
-    _add_numerics_flags(p)
+    _add_samples_flag(p)
+    _add_deriv_flag(p)
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="theorem tolerance (default 1e-8 dual-ad / 1e-6 central-fd)")
     p.set_defaults(func=cmd_offset)
 
     p = sub.add_parser("mesh", help="Wavefront OBJ mesh of the surface")
@@ -481,20 +482,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the Mannheim offset surface as a second object")
     p.add_argument("--mannheim-c", type=float, default=1.0, dest="mannheim_c")
     p.add_argument("--mannheim-cstar", type=float, default=0.0, dest="mannheim_cstar")
-    _add_numerics_flags(p)
+    _add_samples_flag(p)
     p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("reconstruct", help="integrate an invariant profile to a surface")
     p.add_argument("--input", required=True, help="profile JSON")
     p.add_argument("--out", required=True, help="output base path (.json/.csv)")
-    _add_numerics_flags(p)
+    _add_samples_flag(p)
+    _add_deriv_flag(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("study", help="convert line <-> dual unit vector")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--direction", choices=["auto", "line-to-dual", "dual-to-line"],
-                   default="auto")
     p.set_defaults(func=cmd_study)
     return parser
 

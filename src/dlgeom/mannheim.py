@@ -38,7 +38,7 @@ from . import dual
 from .dual import DualScalar, DualVec3, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
-from .numerics import DEFAULT_CONFIG, NumericsConfig, value_and_derivative
+from .numerics import DUAL_AD, value_and_derivative
 from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
                     speed_closure, striction_jet, tangent_speed, timelike_radius, _arc_rates,
                     _exact_node, _node_pass, _signed_integral)
@@ -287,8 +287,8 @@ def mannheim_condition_residual(base_frame: FrameSample, offset_frame: FrameSamp
     return float(np.max(np.abs([*(lhs.re - rhs.re), *(lhs.du - rhs.du)])))
 
 
-def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
-                  cfg: NumericsConfig = DEFAULT_CONFIG) -> OffsetReport:
+def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = DUAL_AD,
+                  tolerance: float | None = None) -> OffsetReport:
     """Construct the offset and compare measured invariants to closed forms.
 
     The base may be in any regular parametrization.  The measured side
@@ -299,12 +299,21 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     the closed forms.  Both sides and the residuals are computed as columns
     over the grid and returned as one :class:`OffsetSample`, with the
     residuals' maxima and means and the developability verdicts; ``passed``
-    means all maxima sit below the configured theorem tolerance.
+    means all maxima sit below the theorem tolerance.
+
+    ``deriv`` is the derivative mode of both measurements (see
+    :func:`dlgeom.ruled.darboux_frame`).  ``tolerance`` defaults to 1e-8 in
+    dual-AD mode and 1e-6 in central-fd mode; one that is not positive and
+    finite raises ValueError, as does an unknown ``deriv``.
     """
-    frames = darboux_frame(base, cfg)
+    if tolerance is None:
+        tolerance = 1e-8 if deriv == DUAL_AD else 1e-6
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    frames = darboux_frame(base, deriv)
     angles = offset_angles(frames, params)
     offset = construct_offset(base, frames, angles)
-    m = _node_pass(offset, cfg)[0]
+    m = _node_pass(offset, deriv)[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
     meas = InvariantRecord(
@@ -321,15 +330,14 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams,
     residual_max = {k: float(np.max(v)) for k, v in residuals.items()}
     # summed in sample order, as a reader summing the reported rows would
     residual_mean = {k: sum(v.tolist()) / len(v) for k, v in residuals.items()}
-    tol = cfg.tolerance_theorem
     return OffsetReport(
         samples=OffsetSample(s=frames.s, theta=angles.theta, theta_star=angles.theta_star,
                              predicted=pred, measured=meas, residuals=residuals),
         residual_max=residual_max,
         residual_mean=residual_mean,
-        developability=developability_check(frames, angles, m, tol=tol),
-        tolerance=tol,
-        passed=all(v <= tol for v in residual_max.values()),
+        developability=developability_check(frames, angles, m, tol=tolerance),
+        tolerance=tolerance,
+        passed=all(v <= tolerance for v in residual_max.values()),
     )
 
 

@@ -3,8 +3,10 @@
 Derivatives default to dual-scalar forward differentiation: a curve closure
 is evaluated at ``u + eps`` and the dual slot is read back, so catalog
 closed forms differentiate to roundoff.  Central finite differences, at the
-fixed step ``FD_STEP``, remain available as an independent cross-check mode
-of the measurement layer; the configuration selects nothing else.
+fixed step ``FD_STEP``, are the other derivative mode: the measurements
+(:func:`dlgeom.ruled.darboux_frame`, :func:`dlgeom.ruled.timelike_invariants`
+and :func:`dlgeom.mannheim.verify_offset`) take ``deriv=CENTRAL_FD`` as an
+independent cross-check, and the mode selects nothing else.
 Quadrature is composite Simpson throughout.  The frame ODE is integrated at
 a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
 flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all
@@ -24,9 +26,8 @@ Closures evaluated on such arrays run inside :func:`at_points`.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,34 +48,6 @@ CENTRAL_FD = "central-fd"
 
 #: step of the central differences of the central-fd mode
 FD_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Settings of the measurement layer: derivative mode and theorem tolerance.
-
-    ``derivative_mode`` selects how measured frames and invariants are
-    differentiated; constructions (striction solve, offset, reconstruction)
-    take no config and always differentiate exactly via dual evaluation.
-    ``tolerance_theorem`` defaults per derivative mode: 1e-8 for dual-ad,
-    1e-6 for central-fd.
-    """
-
-    derivative_mode: str = DUAL_AD
-    tolerance_theorem: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.derivative_mode not in (DUAL_AD, CENTRAL_FD):
-            raise ValueError(f"unknown derivative mode {self.derivative_mode!r}")
-        if self.tolerance_theorem is None:
-            tol = 1e-8 if self.derivative_mode == DUAL_AD else 1e-6
-            object.__setattr__(self, "tolerance_theorem", tol)
-        if not 0.0 < self.tolerance_theorem < math.inf:
-            raise ValueError("tolerance_theorem must be positive and finite, "
-                             f"got {self.tolerance_theorem}")
-
-
-DEFAULT_CONFIG = NumericsConfig()
 
 
 @contextmanager
@@ -202,19 +175,6 @@ def cumulative_integrate(grid: np.ndarray, nodes, mids) -> np.ndarray:
     if not np.all(np.isfinite(pieces)):
         raise NonFinite("non-finite value in cumulative_integrate")
     return np.concatenate([np.zeros_like(nodes[:1]), np.cumsum(pieces, axis=0)])
-
-
-def differentiate(curve, u, cfg: NumericsConfig = DEFAULT_CONFIG) -> Vec3L:
-    """Derivative of a Vec3L-valued curve at parameter u.
-
-    In dual-ad mode the curve is evaluated at ``u + eps`` and the dual slot
-    is the derivative; ``u`` may itself be a dual scalar, which nests one
-    differentiation order deeper.
-    """
-    if cfg.derivative_mode == DUAL_AD:
-        v = curve(DualScalar(u, 1.0))
-        return DualVec3.from_components(v).du
-    return (curve(u + FD_STEP) - curve(u - FD_STEP)) / (2.0 * FD_STEP)
 
 
 def value_and_derivative(curve, u):

@@ -49,10 +49,9 @@ from .dual import DualScalar, DualVec3, dual_norm, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                      NullDarboux, StepSizeError)
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
-from .numerics import (DEFAULT_CONFIG, DRIFT_TOL, DUAL_AD, FD_STEP, ODE_STEPS_PER_UNIT,
-                       NumericsConfig, at_points, cumulative_integrate, frame_residual, integrate,
-                       lorentz_gram_schmidt, simpson_midpoints, simpson_rule,
-                       value_and_derivative)
+from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, ODE_STEPS_PER_UNIT, at_points,
+                       cumulative_integrate, frame_residual, integrate, lorentz_gram_schmidt,
+                       simpson_midpoints, simpson_rule, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -427,7 +426,7 @@ def _node_rows(node, rows: slice):
 _NodeFrames = namedtuple("_NodeFrames", "e t g gamma delta Delta gamma_dual striction_point ds_du")
 
 
-def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
+def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
     """Frame columns on the spec's grid, and the u-rates of s and s* there and at ``extra``.
 
     Each grid sample comes from one node (c, c', e, e', e'') in the spec's
@@ -447,8 +446,11 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
     of the first check that fails: the closure outputs as they are split
     into nodes (the central-fd jets first), then the frame checks on the
     grid, then the speed at ``extra``.  Returns the node columns and the
-    rates (ds/du, ds*/du) as rows, on the grid and on ``extra``.
+    rates (ds/du, ds*/du) as rows, on the grid and on ``extra``.  A
+    ``deriv`` other than DUAL_AD or CENTRAL_FD raises ValueError.
     """
+    if deriv not in (DUAL_AD, CENTRAL_FD):
+        raise ValueError(f"unknown derivative mode {deriv!r}")
     sign = spec.ruling_sign()
     jet = striction_jet(spec)
 
@@ -478,7 +480,7 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
     k = len(grid)
     points = np.concatenate([grid, extra])
     with at_points(points):
-        fd = None if cfg.derivative_mode == DUAL_AD else _fd_node(jet, grid)
+        fd = None if deriv == DUAL_AD else _fd_node(jet, grid)
         node = _exact_node(jet, points)
         table = frame_columns(grid, _node_rows(node, slice(None, k)), fd)
         rates = np.zeros((2, 0))
@@ -492,7 +494,7 @@ def _node_pass(spec: RuledSurfaceSpec, cfg: NumericsConfig, extra=np.empty(0)):
     return nodes, table[-2:].T, rates.T
 
 
-def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
+def _measure_frames(spec: RuledSurfaceSpec, deriv: str) -> FrameSample:
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
     s and s* accumulate from parameter 0: the node pass also evaluates the
@@ -504,7 +506,7 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
     # the head integral ends on the first node, whose rates come with the frame
     on_node = head == grid[0]
     nodes, node_rates, rates = _node_pass(
-        spec, cfg, np.concatenate([head[~on_node], simpson_midpoints(grid)]))
+        spec, deriv, np.concatenate([head[~on_node], simpson_midpoints(grid)]))
     m = np.count_nonzero(~on_node)
     head_rates = np.empty((len(head), 2))
     head_rates[on_node], head_rates[~on_node] = node_rates[0], rates[:m]
@@ -513,17 +515,18 @@ def _measure_frames(spec: RuledSurfaceSpec, cfg: NumericsConfig) -> FrameSample:
     return FrameSample(s=arcs[:, 0], s_star=arcs[:, 1], **nodes._asdict())
 
 
-def darboux_frame(spec: RuledSurfaceSpec,
-                  cfg: NumericsConfig = DEFAULT_CONFIG) -> FrameSample:
+def darboux_frame(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSample:
     """Frame columns of a spacelike-ruling spec, in any regular parametrization.
 
     gamma = -<dg/ds, t> (valid because <t,t> = -1), delta = <dc/ds, e>,
     Delta = det(dc/ds, e, t); the dual conical curvature combines them as
     gamma - eps*(delta + gamma*Delta), and s* accumulates +Delta ds.
+    ``deriv`` is the derivative mode of the frame, DUAL_AD (exact) or
+    CENTRAL_FD (steps of FD_STEP); s and s* are exact in both.
     """
     if spec.kind != SPACELIKE_SURFACE:
         raise ValueError("darboux_frame expects a spacelike-surface spec")
-    return _measure_frames(spec, cfg)
+    return _measure_frames(spec, deriv)
 
 
 def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
@@ -570,17 +573,17 @@ def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
     return DualCurvature(R_dual=R, rho_dual=rho, darboux=d, darboux_unit=d0)
 
 
-def timelike_invariants(spec: RuledSurfaceSpec,
-                        cfg: NumericsConfig = DEFAULT_CONFIG) -> FrameSample:
+def timelike_invariants(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSample:
     """Frame columns of a timelike-ruling spec, in any regular parametrization.
 
     The frame has signature (-, +, +); gamma_1 = -<dg1/ds1, t1> with
     <t1,t1> = +1, the dual slot of gamma_dual is +(delta_1 + gamma_1*Delta_1),
     and s1* accumulates -Delta_1 ds1 (the dual slot of the dual arc length).
+    ``deriv`` selects the derivative mode as in :func:`darboux_frame`.
     """
     if spec.kind != TIMELIKE_SURFACE:
         raise ValueError("timelike_invariants expects a timelike-surface spec")
-    return _measure_frames(spec, cfg)
+    return _measure_frames(spec, deriv)
 
 
 BRANCH_SPACELIKE_DARBOUX = "|gamma1|<1"

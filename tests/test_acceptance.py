@@ -20,12 +20,10 @@ from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
 from dlgeom.lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (MannheimParams, construct_offset, mannheim_condition_residual,
                              offset_angles, verify_offset)
-from dlgeom.numerics import (ODE_STEPS_PER_UNIT, FrameState, NumericsConfig, differentiate,
-                             rk4_frame_step)
+from dlgeom.numerics import (ODE_STEPS_PER_UNIT, FrameState, rk4_frame_step,
+                             value_and_derivative)
 from dlgeom.ruled import (InvariantProfile, RuledSurfaceSpec, TIMELIKE_SURFACE, darboux_frame,
                           reconstruct_from_invariants, striction_curve, timelike_invariants)
-
-AD = NumericsConfig()
 
 CONE_E0 = Vec3L(0.0, 0.8, 0.6)
 CONE_T0 = Vec3L(1.0, 0.0, 0.0)
@@ -54,11 +52,11 @@ def mannheim_run():
     """Criterion-7 configuration, shared by criteria 7, 8 and 10."""
     base = catalog.helicoidal(a=0.6, b=0.8, delta0=0.2, Delta0=0.1,
                               domain=(0.05, 0.95), samples=1001)
-    frames = darboux_frame(base, AD)
+    frames = darboux_frame(base)
     angles = offset_angles(frames, MANNHEIM_PARAMS)
     offset = construct_offset(base, frames, angles)
-    measured = timelike_invariants(offset, AD)
-    report = verify_offset(base, MANNHEIM_PARAMS, AD)
+    measured = timelike_invariants(offset)
+    report = verify_offset(base, MANNHEIM_PARAMS)
     return base, frames, angles, offset, measured, report
 
 
@@ -112,7 +110,12 @@ def test_criterion_3_study_round_trip():
         count += 1
 
 
-def _dual_frame_curves(spec, cfg):
+def _derivative(curve, u):
+    """Exact derivative of a curve by one dual evaluation; ``u`` may be dual."""
+    return value_and_derivative(curve, u)[1]
+
+
+def _dual_frame_curves(spec):
     c_curve = striction_curve(spec)
     ind = spec.indicatrix
 
@@ -123,13 +126,13 @@ def _dual_frame_curves(spec, cfg):
         return lorentz_cross(c_curve(u), ind(u))
 
     def t_re(u):
-        return differentiate(ind, u, cfg)
+        return _derivative(ind, u)
 
     def t_du(u):
-        return lorentz_cross(c_curve(u), differentiate(ind, u, cfg))
+        return lorentz_cross(c_curve(u), _derivative(ind, u))
 
     def g_re(u):
-        return -lorentz_cross(ind(u), differentiate(ind, u, cfg))
+        return -lorentz_cross(ind(u), _derivative(ind, u))
 
     def g_du(u):
         return lorentz_cross(c_curve(u), g_re(u))
@@ -137,12 +140,12 @@ def _dual_frame_curves(spec, cfg):
     return (e_re, e_du), (t_re, t_du), (g_re, g_du)
 
 
-def _dual_vec_at(pair, u, cfg):
+def _dual_vec_at(pair, u):
     return DualVec3(pair[0](u), pair[1](u))
 
 
-def _dual_vec_derivative(pair, u, cfg):
-    return DualVec3(differentiate(pair[0], u, cfg), differentiate(pair[1], u, cfg))
+def _dual_vec_derivative(pair, u):
+    return DualVec3(_derivative(pair[0], u), _derivative(pair[1], u))
 
 
 def _max_abs_dual(v: DualVec3) -> float:
@@ -156,44 +159,44 @@ def test_criterion_4_darboux_formulae():
         catalog.helicoidal(domain=(0.05, 0.95), samples=101),
     ]
     for spec in surfaces:
-        frames = darboux_frame(spec, AD)
-        e_pair, t_pair, g_pair = _dual_frame_curves(spec, AD)
+        frames = darboux_frame(spec)
+        e_pair, t_pair, g_pair = _dual_frame_curves(spec)
         ind = spec.indicatrix
 
         def t_curve(u):
-            return differentiate(ind, u, AD)
+            return _derivative(ind, u)
 
         def g_curve(u):
-            return -lorentz_cross(ind(u), differentiate(ind, u, AD))
+            return -lorentz_cross(ind(u), _derivative(ind, u))
 
         for f in frames:
             # real system: e' = t, t' = e + gamma*g, g' = gamma*t
-            r1 = differentiate(ind, f.s, AD) - f.t
-            r2 = differentiate(t_curve, f.s, AD) - (f.e + f.gamma * f.g)
-            r3 = differentiate(g_curve, f.s, AD) - f.gamma * f.t
+            r1 = _derivative(ind, f.s) - f.t
+            r2 = _derivative(t_curve, f.s) - (f.e + f.gamma * f.g)
+            r3 = _derivative(g_curve, f.s) - f.gamma * f.t
             assert max(abs(x) for x in (*r1, *r2, *r3)) < 1e-7
 
             # dual system, chain rule d/ds_bar = (1 + eps*Delta)^-1 d/ds
             sbar_rate = DualScalar(1.0, f.Delta)
-            e_d = _dual_vec_at(e_pair, f.s, AD)
-            t_d = _dual_vec_at(t_pair, f.s, AD)
-            g_d = _dual_vec_at(g_pair, f.s, AD)
+            e_d = _dual_vec_at(e_pair, f.s)
+            t_d = _dual_vec_at(t_pair, f.s)
+            g_d = _dual_vec_at(g_pair, f.s)
             inv = 1.0 / sbar_rate
-            de = _dual_vec_derivative(e_pair, f.s, AD) * inv - t_d
-            dt = (_dual_vec_derivative(t_pair, f.s, AD) * inv
+            de = _dual_vec_derivative(e_pair, f.s) * inv - t_d
+            dt = (_dual_vec_derivative(t_pair, f.s) * inv
                   - (e_d + f.gamma_dual * g_d))
-            dg = _dual_vec_derivative(g_pair, f.s, AD) * inv - f.gamma_dual * t_d
+            dg = _dual_vec_derivative(g_pair, f.s) * inv - f.gamma_dual * t_d
             assert max(_max_abs_dual(v) for v in (de, dt, dg)) < 1e-7
 
             # dual tangent norm: |e_dual'| = 1 + eps*Delta
-            ep_dual = _dual_vec_derivative(e_pair, f.s, AD)
+            ep_dual = _dual_vec_derivative(e_pair, f.s)
             n = dual_norm(ep_dual)
             assert abs(n.re - 1.0) < 1e-8
             assert abs(n.du - f.Delta) < 1e-8
 
             # rate coefficient: -<g_dual', t_dual> = gamma - eps*delta
             # (this only balances with c' = delta*e + Delta*g)
-            gp_dual = _dual_vec_derivative(g_pair, f.s, AD)
+            gp_dual = _dual_vec_derivative(g_pair, f.s)
             coeff = -dual_lorentz_dot(gp_dual, t_d)
             assert abs(coeff.re - f.gamma) < 1e-8
             assert abs(coeff.du + f.delta) < 1e-8
@@ -207,7 +210,7 @@ def test_criterion_5_cone_reconstruction():
     profile = InvariantProfile.from_constants(0.75, 0.0, 0.0,
                                               CONE_E0, CONE_T0, CONE_G0, ORIGIN)
     spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 101))
-    drift = max(max(abs(x) for x in f.striction_point) for f in darboux_frame(spec, AD))
+    drift = max(max(abs(x) for x in f.striction_point) for f in darboux_frame(spec))
     assert drift < 1e-9
 
 
@@ -227,7 +230,7 @@ def test_criterion_6_reconstruction_round_trip():
                                               CONE_E0, CONE_T0, CONE_G0, ORIGIN)
     assert ODE_STEPS_PER_UNIT == 1000
     spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 101))
-    for f in darboux_frame(spec, AD):
+    for f in darboux_frame(spec):
         assert abs(f.gamma - 0.75) < 1e-7
         assert abs(f.delta - 0.2) < 1e-7
         assert abs(f.Delta - 0.1) < 1e-7
@@ -280,18 +283,18 @@ def test_criterion_9_developability():
     for params in (MannheimParams(1.0, 0.0), MannheimParams(2.0, -0.7),
                    MannheimParams(0.5, 0.25)):
         cone_report = verify_offset(catalog.cone(domain=(0.05, 0.95), samples=101),
-                                    params, AD)
+                                    params)
         dev = cone_report.developability
         assert dev.base_developable and dev.theta_star_constant
     heli_report = verify_offset(catalog.helicoidal(domain=(0.05, 0.95), samples=101),
-                                MannheimParams(1.0, 0.0), AD)
+                                MannheimParams(1.0, 0.0))
     dev = heli_report.developability
     assert (not dev.base_developable) and (not dev.theta_star_constant)
 
     # offset locus: measured Delta1 crosses zero exactly at the closed-form root
     params = MannheimParams(1.0, 0.5)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=181)
-    frames = darboux_frame(base, AD)
+    frames = darboux_frame(base)
     angles = offset_angles(frames, params)
     offset = construct_offset(base, frames, angles)
 
@@ -303,7 +306,7 @@ def test_criterion_9_developability():
     def delta1_measured(s):
         window = RuledSurfaceSpec(offset.indicatrix, offset.base_curve,
                                   (s - 1e-3, s + 1e-3), 3, TIMELIKE_SURFACE)
-        return timelike_invariants(window, AD)[1].Delta
+        return timelike_invariants(window)[1].Delta
 
     root_measured = brentq(delta1_measured, root_closed - 0.05, root_closed + 0.05,
                            xtol=1e-10)

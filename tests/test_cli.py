@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -199,13 +200,7 @@ def _last_error(capsys):
     ({}, {"c0": [0, 0]}, []),
     ({"s_max": math.inf}, {}, []),
     ({}, {}, ["--samples", "0"]),
-    ({}, {}, ["--tolerance", "nan"]),
-    ({}, {}, ["--tolerance", "-1"]),
-    ({}, {}, ["--tolerance", "0"]),
-    ({}, {}, ["--tolerance", "inf"]),
-], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite",
-        "samples-zero", "tolerance-nan", "tolerance-negative",
-        "tolerance-zero", "tolerance-infinite"])
+], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite", "samples-zero"])
 def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags):
     payload = {**HELI, "domain": {**HELI["domain"], **domain},
                "params": {**HELI["params"], **params}}
@@ -271,6 +266,27 @@ def test_offset_tolerance_failure_exit_code(tmp_path):
     code = main(["offset", "--input", spec, "--out", str(tmp_path / "r"),
                  "--tolerance", "1e-18"])
     assert code == 4
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"],
+                         ids=["tolerance-nan", "tolerance-negative", "tolerance-zero",
+                              "tolerance-infinite"])
+def test_offset_malformed_tolerance_exits_2(tmp_path, capsys, tolerance):
+    assert main(["offset", "--input", _spec(tmp_path, HELI), "--out", str(tmp_path / "r"),
+                 "--tolerance", tolerance]) == 2
+    assert _last_error(capsys)["error"] == "SpecFileError"
+
+
+@pytest.mark.parametrize("command", ["offset", "mesh"])
+@pytest.mark.parametrize("flag", ["--mannheim-c", "--mannheim-cstar"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_mannheim_constant_exits_2(tmp_path, capsys, command, flag, value):
+    out = tmp_path / ("m.obj" if command == "mesh" else "r")
+    flags = ["--offset"] if command == "mesh" else []
+    assert main([command, "--input", _spec(tmp_path, HELI), "--out", str(out), *flags,
+                 f"{flag}={value}"]) == 2
+    last = _last_error(capsys)
+    assert last["error"] == "SpecFileError" and last["message"].startswith(f"{flag} "), last
 
 
 def test_offset_rejects_timelike_base(tmp_path):
@@ -631,18 +647,71 @@ def test_outputs_deterministic(tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+#: a value other than the default for every optional flag of every subcommand
+NON_DEFAULT = {
+    "--samples": ["--samples", "7"],
+    "--deriv": ["--deriv", "central-fd"],
+    "--tolerance": ["--tolerance", "1e-18"],
+    "--mannheim-c": ["--mannheim-c", "1.3"],
+    "--mannheim-cstar": ["--mannheim-cstar", "0.2"],
+    "--v-range": ["--v-range", "0,2"],
+    "--v-samples": ["--v-samples", "3"],
+    "--offset": ["--offset"],
+}
+#: flags that act only together with another one, which both runs then pass
+TOGETHER_WITH = {("mesh", "--mannheim-c"): ["--offset"],
+                 ("mesh", "--mannheim-cstar"): ["--offset"]}
+
+
+def test_every_flag_changes_the_output_or_the_exit_code(tmp_path):
+    # a flag that leaves every output byte and the exit code as they are is
+    # one nothing reads
+    spec = _spec(tmp_path, {**HELI, "domain": {**HELI["domain"], "samples": 11}})
+    inputs = {"frames": spec, "offset": spec, "mesh": spec,
+              "reconstruct": _spec(tmp_path, _profile_payload(), "profile.json"),
+              "study": _spec(tmp_path, {"point": [1, 0, 0], "dir": [0, 1, 0]}, "line.json")}
+    runs = itertools.count()
+
+    def run(command, flags):
+        out = tmp_path / f"run{next(runs)}"
+        out.mkdir()
+        code = main([command, "--input", inputs[command], "--out", str(out / "result"), *flags])
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    idle = []
+    for command, parser in sub.choices.items():
+        for flag in (o for a in parser._actions for o in a.option_strings
+                     if o not in ("--input", "--out", "-h", "--help")):
+            if flag not in NON_DEFAULT:
+                idle.append((command, flag, "no value in NON_DEFAULT"))
+                continue
+            context = TOGETHER_WITH.get((command, flag), [])
+            if run(command, context) == run(command, [*context, *NON_DEFAULT[flag]]):
+                idle.append((command, flag, "same output and exit code"))
+    assert not idle
+
+
 # ---------------------------------------------------------------------------
 # documentation
 
 def test_readme_shared_flags_match_the_parser():
-    # the README sentence names exactly the flags the four surface commands share
+    # each clause of the README sentence names flags and the surface commands
+    # that take them; a clause that names no command means all four
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = re.search(r"Shared flags:(.*?)\.\s", readme, re.S).group(1)
-    named = dict(re.findall(r"`(--[\w-]+)(?: \{([^}]*)\})?`", sentence))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = [{o: a for a in sub.choices[name]._actions for o in a.option_strings}
-             for name in ("frames", "offset", "mesh", "reconstruct")]
-    shared = set.intersection(*(set(f) for f in flags)) - {"-h", "--help"}
-    assert set(named) == shared
-    for flag, choices in named.items():
-        assert (choices.split(",") if choices else None) == flags[0][flag].choices
+    surface = ("frames", "offset", "mesh", "reconstruct")
+    flags = {name: {o: a for a in sub.choices[name]._actions for o in a.option_strings}
+             for name in surface}
+    everywhere = set.intersection(*(set(f) for f in flags.values())) - {"-h", "--help"}
+    named_everywhere = set()
+    for clause in sentence.split(";"):
+        commands = set(re.findall(r"`([a-z]+)`", clause)) or set(surface)
+        for flag, choices in re.findall(r"`(--[\w-]+)(?: \{([^}]*)\})?`", clause):
+            assert {name for name in surface if flag in flags[name]} == commands, flag
+            for name in commands:
+                assert (choices.split(",") if choices else None) == flags[name][flag].choices
+            if commands == set(surface):
+                named_everywhere.add(flag)
+    assert named_everywhere == everywhere

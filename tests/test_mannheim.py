@@ -15,12 +15,10 @@ from dlgeom.lorentz import Vec3L, lorentz_dot
 from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, OffsetAngle,
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
-from dlgeom.numerics import CENTRAL_FD, NumericsConfig, value_and_derivative
+from dlgeom.numerics import CENTRAL_FD, DUAL_AD, value_and_derivative
 from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, timelike_invariants,
                           timelike_radius)
 
-AD = NumericsConfig()
-FD = NumericsConfig(derivative_mode=CENTRAL_FD)
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
 
 
@@ -215,11 +213,11 @@ def test_gamma_sign_change_between_nodes_is_degenerate():
     with pytest.raises(DegenerateOffset, match=re.escape(expected) + "$"):
         construct_offset(base, frames, offset_angles(frames, PARAMS))
     with pytest.raises(DegenerateOffset, match="gamma changes sign"):
-        verify_offset(base, PARAMS, AD)
+        verify_offset(base, PARAMS)
 
 
 def test_turning_base_builds_where_gamma_keeps_its_sign():
-    assert verify_offset(_turning(domain=(0.05, 0.4)), PARAMS, AD).passed
+    assert verify_offset(_turning(domain=(0.05, 0.4)), PARAMS).passed
     # gamma < 0 on the whole grid is no stall: the offset is built
     base = _turning(domain=(0.6, 0.95))
     frames = darboux_frame(base)
@@ -270,28 +268,57 @@ def test_predicted_invariants_zero_gamma():
 # end-to-end verification
 
 def test_verify_offset_helicoidal_all_residuals():
-    rep = verify_offset(_heli(samples=101), PARAMS, AD)
+    rep = verify_offset(_heli(samples=101), PARAMS)
     assert rep.passed
     for key, val in rep.residual_max.items():
         assert val < 1e-8, key
 
 
 def test_verify_offset_fd_mode():
-    cfg = NumericsConfig(derivative_mode=CENTRAL_FD)
-    rep = verify_offset(_heli(samples=41), PARAMS, cfg)
+    rep = verify_offset(_heli(samples=41), PARAMS, CENTRAL_FD)
     for key, val in rep.residual_max.items():
         assert val < 1e-6, key
 
 
-@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+def test_verify_offset_tolerance_defaults_per_mode():
+    spec = _heli(samples=11)
+    assert verify_offset(spec, PARAMS).tolerance == 1e-8
+    assert verify_offset(spec, PARAMS, CENTRAL_FD).tolerance == 1e-6
+    assert verify_offset(spec, PARAMS, tolerance=1e-5).tolerance == 1e-5
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
+def test_verify_offset_rejects_a_tolerance_that_is_not_positive_and_finite(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        verify_offset(_heli(samples=11), PARAMS, tolerance=tolerance)
+
+
+def _heli_offset():
+    base = _heli(samples=11)
+    frames = darboux_frame(base)
+    return construct_offset(base, frames, offset_angles(frames, PARAMS))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda deriv: darboux_frame(_heli(samples=11), deriv),
+    lambda deriv: timelike_invariants(_heli_offset(), deriv),
+    lambda deriv: verify_offset(_heli(samples=11), PARAMS, deriv),
+], ids=["darboux_frame", "timelike_invariants", "verify_offset"])
+def test_an_unknown_derivative_mode_is_rejected(measure):
+    # a misspelt mode must not fall through to central-fd
+    with pytest.raises(ValueError, match="unknown derivative mode 'dual_ad'"):
+        measure("dual_ad")
+
+
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 @pytest.mark.parametrize("samples", [101, 1001])
-def test_verify_offset_measures_the_offset_nodes_bit_for_bit(cfg, samples):
+def test_verify_offset_measures_the_offset_nodes_bit_for_bit(deriv, samples):
     # verify_offset measures the offset on its grid nodes alone; its columns
     # are the node columns of the full timelike measurement
     base, params = _heli(samples=samples), MannheimParams(1.0, 0.1)
-    rep = verify_offset(base, params, cfg)
-    frames = darboux_frame(base, cfg)
-    m = timelike_invariants(construct_offset(base, frames, offset_angles(frames, params)), cfg)
+    rep = verify_offset(base, params, deriv)
+    frames = darboux_frame(base, deriv)
+    m = timelike_invariants(construct_offset(base, frames, offset_angles(frames, params)), deriv)
     full = InvariantRecord(m.ds_du / frames.ds_du, m.Delta, m.delta, m.gamma, m.gamma_dual,
                            timelike_radius(m.gamma_dual).radius)
     got, want = rep.samples.measured.quantities(), full.quantities()
@@ -314,23 +341,23 @@ def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
 
     monkeypatch.setattr(ruled, "integrate", counted)
     base = _heli(samples=101)
-    assert verify_offset(base, PARAMS, AD).passed
+    assert verify_offset(base, PARAMS).passed
     assert calls == 0
     # the counter sees the corrections of the full measurement's off-grid points
-    frames = darboux_frame(base, AD)
-    timelike_invariants(construct_offset(base, frames, offset_angles(frames, PARAMS)), AD)
+    frames = darboux_frame(base)
+    timelike_invariants(construct_offset(base, frames, offset_angles(frames, PARAMS)))
     assert calls > 0
 
 
 def test_verify_offset_cone_delta1_is_minus_theta_star():
-    rep = verify_offset(_cone(), MannheimParams(c=1.0, c_star=0.3), AD)
+    rep = verify_offset(_cone(), MannheimParams(c=1.0, c_star=0.3))
     for row in rep.samples:
         assert row.measured.delta1 == pytest.approx(-row.theta_star, abs=1e-8)
 
 
 def test_dual_slot_identity():
     # measured delta1 + gamma1*Delta1 = -theta* sech^2(theta) pointwise
-    rep = verify_offset(_heli(samples=41), PARAMS, AD)
+    rep = verify_offset(_heli(samples=41), PARAMS)
     for row in rep.samples:
         m = row.measured
         lhs = m.delta1 + m.gamma1 * m.Delta1
@@ -339,7 +366,7 @@ def test_dual_slot_identity():
 
 
 def test_verify_offset_report_shape():
-    rep = verify_offset(_heli(samples=11), PARAMS, AD)
+    rep = verify_offset(_heli(samples=11), PARAMS)
     assert len(rep.samples) == 11
     row = rep.samples[0]
     assert set(row.residuals) == {"ds1_ds", "Delta1", "delta1", "gamma1",
@@ -361,7 +388,7 @@ def _leaves(x):
 
 
 def test_report_rows_agree_with_columns():
-    rep = verify_offset(_heli(samples=11), PARAMS, AD)
+    rep = verify_offset(_heli(samples=11), PARAMS)
     cols = rep.samples
     assert len(cols) == 11 and len(list(cols)) == 11
     assert set(cols.residuals) == set(RESIDUAL_KEYS)
@@ -377,7 +404,7 @@ def test_report_rows_agree_with_columns():
 
 def test_report_iteration_gives_the_indexed_rows():
     # nested records and the residual dict are converted column by column
-    cols = verify_offset(_heli(samples=11), PARAMS, AD).samples
+    cols = verify_offset(_heli(samples=11), PARAMS).samples
     rows = list(cols)
     assert rows == [cols[i] for i in range(len(cols))]
     assert isinstance(rows[0].measured, InvariantRecord) and type(rows[0].residuals) is dict
@@ -394,7 +421,7 @@ def test_verify_offset_builds_vectors_per_grid_not_per_sample(monkeypatch):
         init(self, x1, x2, x3)
 
     monkeypatch.setattr(Vec3L, "__init__", counting_init)
-    rep = verify_offset(_heli(samples=1001), PARAMS, AD)
+    rep = verify_offset(_heli(samples=1001), PARAMS)
     assert rep.passed
     assert built < 1001
 
@@ -404,10 +431,10 @@ def test_verify_offset_builds_vectors_per_grid_not_per_sample(monkeypatch):
 
 def test_cone_base_developable_iff_theta_star_constant():
     for params in (PARAMS, MannheimParams(c=2.0, c_star=-0.7), MannheimParams(c=0.5, c_star=0.0)):
-        rep = verify_offset(_cone(), params, AD)
+        rep = verify_offset(_cone(), params)
         dev = rep.developability
         assert dev.base_developable and dev.theta_star_constant
-    rep = verify_offset(_heli(), PARAMS, AD)
+    rep = verify_offset(_heli(), PARAMS)
     dev = rep.developability
     assert (not dev.base_developable) and (not dev.theta_star_constant)
 
@@ -416,7 +443,7 @@ def test_offset_developable_locus_matches_root():
     # with c* = 0.5 the measured Delta1 changes sign inside (0.05, 0.95)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=181)
     params = MannheimParams(c=1.0, c_star=0.5)
-    rep = verify_offset(base, params, AD)
+    rep = verify_offset(base, params)
 
     def delta1_closed(s):
         th = 1.0 - s
@@ -494,7 +521,7 @@ def test_radius_dual_magnitude_identity_random():
 
 
 def test_verify_offset_measured_radius_follows_theorem():
-    rep = verify_offset(_heli(samples=41), PARAMS, AD)
+    rep = verify_offset(_heli(samples=41), PARAMS)
     for row in rep.samples:
         want_re = math.cosh(row.theta)
         want_du = row.theta_star * math.sinh(row.theta)

@@ -19,16 +19,17 @@ from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegene
                            GeometryError, NonFinite, NullDarboux, StepSizeError)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, offset_angles, verify_offset
-from dlgeom.numerics import (CENTRAL_FD, FrameState, NumericsConfig, differentiate,
-                             frame_residual, rk4_frame_step, simpson_rule, value_and_derivative)
+from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, FrameState, frame_residual,
+                             rk4_frame_step, simpson_rule, value_and_derivative)
 from dlgeom.ruled import (SPACELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
                           striction_curve, timelike_invariants, timelike_radius,
                           BRANCH_SPACELIKE_DARBOUX, BRANCH_TIMELIKE_DARBOUX)
 
-AD = NumericsConfig()
-FD = NumericsConfig(derivative_mode=CENTRAL_FD)
+# ids that three mode-parametrized tests took when the mode came in a config
+# object, kept so that their names stay the same
+MODE_IDS = {DUAL_AD: "cfg0", CENTRAL_FD: "cfg1"}
 
 CONE_E0 = Vec3L(0.0, 0.8, 0.6)
 CONE_T0 = Vec3L(1.0, 0.0, 0.0)
@@ -42,6 +43,18 @@ ORIGIN = Vec3L(0.0, 0.0, 0.0)
 def _fd_vec(curve, s, h=1e-6):
     a, b = curve(s + h), curve(s - h)
     return Vec3L((a.x1 - b.x1) / (2 * h), (a.x2 - b.x2) / (2 * h), (a.x3 - b.x3) / (2 * h))
+
+
+# ---------------------------------------------------------------------------
+# the derivative of each mode of the measurement
+
+def _ad_vec(curve, s):
+    """The exact derivative, as the dual-AD mode takes it; ``s`` may be dual."""
+    return value_and_derivative(curve, s)[1]
+
+
+#: each derivative mode's derivative of a curve, for checks in that mode
+DERIVATIVE = {DUAL_AD: _ad_vec, CENTRAL_FD: functools.partial(_fd_vec, h=FD_STEP)}
 
 
 def test_catalog_parameter_validation():
@@ -86,7 +99,7 @@ def test_reparametrize_double_speed():
         got = out.indicatrix(float(s))
         want = _double_speed_indicatrix(float(s) / 2.0)
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-10
-        d = differentiate(out.indicatrix, float(s), AD)
+        d = _ad_vec(out.indicatrix, float(s))
         assert lorentz_dot(d, d) == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -286,8 +299,8 @@ def test_darboux_frame_is_parametrization_invariant():
     for k in (0.1, 0.5):
         for samples in (11, 101):
             spec = _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=samples), k)
-            for cfg, tol in ((AD, 1e-12), (FD, 1e-6)):
-                for u, f in zip(spec.grid(), darboux_frame(spec, cfg)):
+            for deriv, tol in ((DUAL_AD, 1e-12), (CENTRAL_FD, 1e-6)):
+                for u, f in zip(spec.grid(), darboux_frame(spec, deriv)):
                     s = u + k * u * u
                     assert f.s == pytest.approx(s, abs=tol)
                     assert f.s_star == pytest.approx(0.1 * s, abs=tol)
@@ -295,7 +308,7 @@ def test_darboux_frame_is_parametrization_invariant():
                     assert f.delta == pytest.approx(0.2, abs=tol)
                     assert f.Delta == pytest.approx(0.1, abs=tol)
                     assert f.ds_du == pytest.approx(1.0 + 2.0 * k * u, abs=tol)
-                assert verify_offset(spec, params, cfg).passed, (k, samples, cfg)
+                assert verify_offset(spec, params, deriv).passed, (k, samples, deriv)
 
 
 def test_darboux_frame_evaluates_each_node_and_midpoint_once():
@@ -306,7 +319,7 @@ def test_darboux_frame_evaluates_each_node_and_midpoint_once():
         seen.extend(np.ravel(dual.leading_real(u)).tolist())
         return spec.base_curve(u)
 
-    darboux_frame(dataclasses.replace(spec, base_curve=base), AD)
+    darboux_frame(dataclasses.replace(spec, base_curve=base))
     grid = spec.grid()
     mids = 0.5 * (grid[:-1] + grid[1:])
     counts = Counter(seen)
@@ -357,16 +370,16 @@ def _assert_batched(calls, grid):
 
 def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
     spec, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=1001))
-    darboux_frame(spec, AD)
+    darboux_frame(spec)
     _assert_batched(calls, spec.grid())
 
 
 def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
-    frames = darboux_frame(base, AD)
+    frames = darboux_frame(base)
     offset = construct_offset(base, frames, offset_angles(frames, MannheimParams(1.0, 0.1)))
     spec, calls = _counted(offset)
-    timelike_invariants(spec, AD)
+    timelike_invariants(spec)
     _assert_batched(calls, spec.grid())
 
 
@@ -375,9 +388,9 @@ def test_offset_measurement_evaluates_each_base_point_once_per_use():
     # base node, so at the deepest order the base curve is evaluated once per
     # point and the base indicatrix twice (once more for the offset's ruling)
     base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
-    frames = darboux_frame(base, AD)
+    frames = darboux_frame(base)
     offset = construct_offset(base, frames, offset_angles(frames, MannheimParams(1.0, 0.1)))
-    timelike_invariants(offset, AD)
+    timelike_invariants(offset)
     for name, most in (("indicatrix", 2), ("base_curve", 1)):
         counts = Counter(u for order, block in calls[name] if order == 3 for u in block)
         assert len(counts) > 0 and max(counts.values()) == most, name
@@ -400,7 +413,7 @@ def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
     # alone, in one call: no head or midpoint points
     seen = _count_offset_calls(monkeypatch)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
-    assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
+    assert verify_offset(base, MannheimParams(1.0, 0.1)).passed
     grid = base.grid().tolist()
     for name, calls in seen["calls"].items():
         assert [block for _, block in calls] == [grid], name
@@ -410,11 +423,11 @@ def test_a_5001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
     # a pass is one call however many points it has: the base pass here
     # measures about 10015 points and the offset pass 5001
     base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=5001))
-    darboux_frame(base, AD)
+    darboux_frame(base)
     assert {name: len(c) for name, c in calls.items()} == {"indicatrix": 1, "base_curve": 1}
     assert len(calls["base_curve"][0][1]) > 10000
     seen = _count_offset_calls(monkeypatch)
-    assert verify_offset(base, MannheimParams(1.0, 0.1), AD).passed
+    assert verify_offset(base, MannheimParams(1.0, 0.1)).passed
     assert {name: len(c) for name, c in seen["calls"].items()} == {"indicatrix": 1,
                                                                    "base_curve": 1}
 
@@ -428,9 +441,9 @@ def _nan_at(spec, u_bad):
     return dataclasses.replace(spec, base_curve=base)
 
 
-@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 @pytest.mark.parametrize("where", ["midpoint", "head"])
-def test_points_off_the_grid_are_checked(cfg, where):
+def test_points_off_the_grid_are_checked(deriv, where):
     # the one pass evaluates the quadrature points with the nodes; a bad value
     # at one of them alone must still raise, naming it
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=11)
@@ -441,7 +454,7 @@ def test_points_off_the_grid_are_checked(cfg, where):
         u_bad = simpson_rule(0.0, grid[0])[0][5]
     assert u_bad not in grid
     with pytest.raises(NonFinite, match=re.escape(f"at u={float(u_bad)!r}") + "$"):
-        darboux_frame(_nan_at(spec, u_bad), cfg)
+        darboux_frame(_nan_at(spec, u_bad), deriv)
 
 
 def test_tangent_speed_names_the_first_offending_parameter():
@@ -459,11 +472,11 @@ def test_darboux_frame_rejects_a_non_finite_dual_node():
     spec = catalog.helicoidal(domain=(0.0, 1.0), samples=5)
     spec = dataclasses.replace(spec, base_curve=lambda u: Vec3L(0.0 * u, 0.0 * u, math.nan * u))
     with pytest.raises(NonFinite):
-        darboux_frame(spec, AD)
+        darboux_frame(spec)
 
 
-@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
-def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, cfg):
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, deriv):
     # sliding the jet's point along the ruling gives <c', t> = -0.1*u*v != 0
     real = ruled.striction_jet
 
@@ -478,7 +491,7 @@ def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, 
 
     monkeypatch.setattr(ruled, "striction_jet", sliding_jet)
     with pytest.raises(FrameDegeneracy, match="striction condition"):
-        darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=11), cfg)
+        darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=11), deriv)
 
 
 def _stalled_ruling(u):
@@ -487,35 +500,36 @@ def _stalled_ruling(u):
     return Vec3L(0.8 * dual.sinh(w), 0.8 * dual.cosh(w), 0.6)
 
 
-@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 @pytest.mark.parametrize("indicatrix,error,message", [
     # <e, e> = 1.25, so the frame is off orthonormality by 0.25 everywhere
     (lambda u: Vec3L(dual.sinh(u), dual.cosh(u), 0.5), FrameDegeneracy,
      "frame residual up to 2.500e-01, first over 1e-06 at u=0.0"),
     (_stalled_ruling, DegenerateIndicatrix, "striction undefined: e' vanishes near u=0.5"),
 ], ids=["non-unit-ruling", "stalled-ruling"])
-def test_darboux_frame_rejects_a_degenerate_ruling(cfg, indicatrix, error, message):
+def test_darboux_frame_rejects_a_degenerate_ruling(deriv, indicatrix, error, message):
     spec = RuledSurfaceSpec(indicatrix, lambda u: ORIGIN, (0.0, 1.0), 11)
     with pytest.raises(error, match=re.escape(message) + "$"):
-        darboux_frame(spec, cfg)
+        darboux_frame(spec, deriv)
 
 
-@pytest.mark.parametrize("cfg,tol", [(AD, 1e-8), (FD, 1e-6)])
-def test_darboux_formula_residuals(cfg, tol):
+@pytest.mark.parametrize("deriv,tol", [(DUAL_AD, 1e-8), (CENTRAL_FD, 1e-6)], ids=MODE_IDS.get)
+def test_darboux_formula_residuals(deriv, tol):
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=9)
     ind = spec.indicatrix
+    d = DERIVATIVE[deriv]
 
     def t_curve(u):
-        return differentiate(ind, u, cfg)
+        return d(ind, u)
 
     def g_curve(u):
-        return -lorentz_cross(ind(u), differentiate(ind, u, cfg))
+        return -lorentz_cross(ind(u), d(ind, u))
 
-    for f in darboux_frame(spec, cfg):
-        tp = differentiate(t_curve, f.s, cfg)
+    for f in darboux_frame(spec, deriv):
+        tp = d(t_curve, f.s)
         want_tp = f.e + f.gamma * f.g
         assert max(abs(x - y) for x, y in zip(tp, want_tp)) < tol
-        gp = differentiate(g_curve, f.s, cfg)
+        gp = d(g_curve, f.s)
         want_gp = f.gamma * f.t
         assert max(abs(x - y) for x, y in zip(gp, want_gp)) < tol
 
@@ -528,8 +542,8 @@ def test_dual_norm_of_dual_tangent_is_one_plus_eps_Delta():
         return lorentz_cross(c(u), spec.indicatrix(u))
 
     for f in darboux_frame(spec):
-        ep = differentiate(spec.indicatrix, f.s, AD)
-        mp = differentiate(moment, f.s, AD)
+        ep = _ad_vec(spec.indicatrix, f.s)
+        mp = _ad_vec(moment, f.s)
         n = dual_norm(DualVec3(ep, mp))
         assert n.re == pytest.approx(1.0, abs=1e-8)
         assert n.du == pytest.approx(f.Delta, abs=1e-8)
@@ -543,7 +557,7 @@ def test_dual_darboux_consistency_pins_cprime_sign():
 
     def g_dual_curve(u):
         e = spec.indicatrix(u)
-        ep = differentiate(spec.indicatrix, u, AD)
+        ep = _ad_vec(spec.indicatrix, u)
         g = -lorentz_cross(e, ep)
         return g, lorentz_cross(c(u), g)
 
@@ -554,7 +568,7 @@ def test_dual_darboux_consistency_pins_cprime_sign():
         return g_dual_curve(u)[1]
 
     for f in darboux_frame(spec):
-        gp = DualVec3(differentiate(g_re, f.s, AD), differentiate(g_du, f.s, AD))
+        gp = DualVec3(_ad_vec(g_re, f.s), _ad_vec(g_du, f.s))
         t_dual = f.dual_t()
         coeff = -dual_lorentz_dot(gp, t_dual)
         assert coeff.re == pytest.approx(f.gamma, abs=1e-8)
@@ -606,12 +620,12 @@ def test_dual_arclength_helicoidal():
     assert out.du == pytest.approx(0.05, abs=1e-10)
 
 
-@pytest.mark.parametrize("cfg", [AD, FD], ids=["dual-ad", "central-fd"])
-def test_dual_arclength_matches_the_frame_arc_lengths(cfg):
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_dual_arclength_matches_the_frame_arc_lengths(deriv):
     # the dual-norm quadrature against the frames' fold of det-rates, on a
     # parametrization that is not unit speed; s and s* are exact in both modes
     spec = _warped(catalog.helicoidal(domain=(0.0, 1.0), samples=11), 0.3)
-    frames = darboux_frame(spec, cfg)
+    frames = darboux_frame(spec, deriv)
     for i in (1, 4, 7, 10):
         out = dual_arclength(spec, spec.grid()[i])
         assert out.re == pytest.approx(frames.s[i], abs=1e-12)
@@ -733,14 +747,14 @@ def test_reconstruct_congruent_to_catalog():
 
 
 @pytest.mark.parametrize("domain", [(0.5, 1.0), (-1.0, -0.5), (-0.5, 0.5)])
-@pytest.mark.parametrize("cfg", [AD, FD])
-def test_reconstruct_keeps_arc_length_off_the_origin(domain, cfg):
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD], ids=MODE_IDS.get)
+def test_reconstruct_keeps_arc_length_off_the_origin(domain, deriv):
     # the seed sits at the first grid point, but s and s* are anchored at
     # parameter 0, so the reconstruction must reach 0 with the same profile
     prof = InvariantProfile(lambda s: 0.75, lambda s: 0.2, lambda s: 0.1 + 0.05 * s,
                             CONE_E0, CONE_T0, CONE_G0, ORIGIN)
     grid = np.linspace(*domain, 11)
-    frames = darboux_frame(reconstruct_from_invariants(prof, grid), cfg)
+    frames = darboux_frame(reconstruct_from_invariants(prof, grid), deriv)
     for u, f in zip(grid, frames):
         assert f.s == pytest.approx(u, abs=1e-12)
         assert f.s_star == pytest.approx(0.1 * u + 0.025 * u * u, abs=1e-12)
@@ -911,8 +925,8 @@ def test_hermite_curve_returns_its_node_data_at_every_node():
             assert np.max(np.abs(value - want[:, k])) <= 1e-15
 
 
-@pytest.mark.parametrize("cfg,tol", [(AD, 1e-12), (FD, 1e-8)])
-def test_reconstruct_joins_flows_of_different_steps(cfg, tol):
+@pytest.mark.parametrize("deriv,tol", [(DUAL_AD, 1e-12), (CENTRAL_FD, 1e-8)], ids=MODE_IDS.get)
+def test_reconstruct_joins_flows_of_different_steps(deriv, tol):
     # the grid lies above 0: the flow back to 0 and the flow over the grid
     # take different steps, and the grid points fall on the second one's nodes
     c0 = Vec3L(0.3, -0.2, 0.5)
@@ -923,7 +937,7 @@ def test_reconstruct_joins_flows_of_different_steps(cfg, tol):
     assert abs(steps[0] - steps[-1]) > 1e-6
     for got, want in ((spec.indicatrix(grid[0]), CONE_E0), (spec.base_curve(grid[0]), c0)):
         assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-15
-    f = darboux_frame(spec, cfg)
+    f = darboux_frame(spec, deriv)
     assert np.max(np.abs(f.s - grid)) < 1e-12
     assert np.max(np.abs(f.s_star - (0.1 * grid + 0.025 * grid ** 2))) < 1e-12
     for x, fn in ((f.gamma, prof.gamma), (f.delta, prof.delta), (f.Delta, prof.Delta)):
