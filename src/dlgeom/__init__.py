@@ -9,9 +9,8 @@ measurements of the constructed geometry.
 
 from .lorentz import (CausalCharacter, Vec3L, causal_character, det3, lorentz_cross,
                       lorentz_dot, lorentz_norm)
-from .dual import (DualAngle, DualScalar, DualVec3, dual_angle_between, dual_lift,
-                   dual_lorentz_cross, dual_lorentz_dot, dual_norm)
-from .lines import OrientedLine, PluckerPair, dual_to_line, line_to_dual
+from .dual import DualAngle, DualScalar, dual_angle_between, dual_lift, dual_norm, dual_vector
+from .lines import OrientedLine, dual_to_line, line_to_dual
 from .numerics import (FrameState, cumulative_integrate, integrate, lorentz_gram_schmidt,
                        rk4_frame_step)
 from .ruled import (FrameSample, InvariantProfile, RuledSurfaceSpec, SPACELIKE_SURFACE,
@@ -26,9 +25,8 @@ from . import catalog
 __all__ = [
     "CausalCharacter", "Vec3L", "causal_character", "det3", "lorentz_cross",
     "lorentz_dot", "lorentz_norm",
-    "DualAngle", "DualScalar", "DualVec3", "dual_angle_between", "dual_lift",
-    "dual_lorentz_cross", "dual_lorentz_dot", "dual_norm",
-    "OrientedLine", "PluckerPair", "dual_to_line", "line_to_dual",
+    "DualAngle", "DualScalar", "dual_angle_between", "dual_lift", "dual_norm", "dual_vector",
+    "OrientedLine", "dual_to_line", "line_to_dual",
     "FrameState", "cumulative_integrate", "integrate", "lorentz_gram_schmidt",
     "rk4_frame_step",
     "FrameSample", "InvariantProfile", "RuledSurfaceSpec", "SPACELIKE_SURFACE",

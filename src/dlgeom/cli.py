@@ -25,10 +25,9 @@ import sys
 import numpy as np
 
 from . import dual as dualmod
-from .dual import DualVec3
-from .errors import (DegenerateIndicatrix, DegenerateOffset, DivisionByPureDual, FrameDegeneracy,
-                     GeometryError, InvalidDirection, NonFinite, NotUnit, NullDarboux,
-                     SpecFileError, StepSizeError, ZeroConicalCurvature)
+from .dual import dual_vector
+from .errors import (DivisionByPureDual, FrameDegeneracy, GeometryError, InvalidDirection,
+                     NonFinite, NotUnit, SpecFileError)
 from .lorentz import Vec3L
 from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
@@ -43,9 +42,6 @@ EXIT_SPEC = 2
 EXIT_DEGENERACY = 3
 EXIT_TOLERANCE = 4
 EXIT_IO = 5
-
-_DEGENERACY_ERRORS = (DegenerateIndicatrix, DegenerateOffset, FrameDegeneracy,
-                      NullDarboux, StepSizeError, ZeroConicalCurvature)
 
 FRAMES_HEADER = ["s", "e1", "e2", "e3", "t1", "t2", "t3", "g1", "g2", "g3",
                  "gamma", "delta", "Delta", "s_star", "gamma_dual_re", "gamma_dual_du",
@@ -320,13 +316,14 @@ def cmd_mesh(args) -> int:
         raise SpecFileError(f"--v-range expects 'v_min,v_max', got {args.v_range!r}") from None
     _require(v_min < v_max, f"mesh needs v_min < v_max, got [{v_min}, {v_max}]")
     _require(args.v_samples >= 2, "mesh needs v_samples >= 2")
+    params = _mannheim_params(args)
 
     meshes = [("base", striction_curve(spec), spec.indicatrix)]
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
         frames = darboux_frame(spec)
-        angles = offset_angles(frames, _mannheim_params(args))
+        angles = offset_angles(frames, params)
         off = construct_offset(spec, frames, angles)
         meshes.append(("offset", striction_curve(off), off.indicatrix))
 
@@ -423,7 +420,7 @@ def cmd_study(args) -> int:
         payload = {"a": list(d.re), "a_star": list(d.du)}
     else:
         _require("a" in data and "a_star" in data, "dual input needs 'a' and 'a_star'")
-        d = DualVec3(_vector(data["a"], "a"), _vector(data["a_star"], "a_star"))
+        d = dual_vector(_vector(data["a"], "a"), _vector(data["a_star"], "a_star"))
         line = dual_to_line(d)
         payload = {"point": list(line.point), "dir": list(line.direction)}
     back = line_to_dual(dual_to_line(d))
@@ -503,13 +500,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecFileError as exc:
-        _print_error(exc)
-        return EXIT_SPEC
-    except _DEGENERACY_ERRORS as exc:
-        _print_error(exc)
-        return EXIT_DEGENERACY
-    except (InvalidDirection, NotUnit, NonFinite) as exc:
+    except (SpecFileError, InvalidDirection, NotUnit, NonFinite) as exc:
         _print_error(exc)
         return EXIT_SPEC
     except GeometryError as exc:

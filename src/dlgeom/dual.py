@@ -10,8 +10,12 @@ derivatives of curve closures.  The innermost components may also be float
 arrays, one element per sample, so one evaluation differentiates a whole
 block of samples.
 
-Dual vectors pair a direction with a moment vector; with the Lorentzian
-products of :mod:`dlgeom.lorentz` they model oriented non-null lines.
+A dual vector ``a + eps*a*`` pairs a direction with a moment vector and
+models an oriented non-null line.  It is a :class:`~dlgeom.lorentz.Vec3L`
+whose components are dual scalars, built by :func:`dual_vector` and split
+by ``v.re`` and ``v.du``; ``lorentz_dot`` and ``lorentz_cross`` over dual
+components are its products, <a,b> + eps*(<a,b*> + <a*,b>) and
+a x b + eps*(a* x b + a x b*).
 """
 
 from __future__ import annotations
@@ -226,70 +230,25 @@ def dual_lift(f: str, x):
 
 
 # ---------------------------------------------------------------------------
-# dual vectors
+# dual vectors: Vec3L over dual scalars, with lorentz_dot and lorentz_cross
+# as their products
 
-class DualVec3:
-    """Dual Lorentzian vector: real direction part plus moment part."""
+#: |<a,a>| at or below this has no dual norm
+NORM_TOL = 1e-12
 
-    __slots__ = ("re", "du")
+#: tolerance of the unit conditions <a,a> = +-1, <a,a*> = 0
+UNIT_TOL = 1e-9
 
-    def __init__(self, re: Vec3L, du: Vec3L):
-        self.re = re
-        self.du = du
-
-    @classmethod
-    def from_components(cls, v: Vec3L) -> "DualVec3":
-        """Split a vector with dual-scalar components into (re, du) vectors."""
-        return cls(
-            Vec3L(re_part(v.x1), re_part(v.x2), re_part(v.x3)),
-            Vec3L(du_part(v.x1), du_part(v.x2), du_part(v.x3)),
-        )
-
-    def components(self) -> Vec3L:
-        """Repack as one vector whose components are dual scalars."""
-        return Vec3L(
-            DualScalar(self.re.x1, self.du.x1),
-            DualScalar(self.re.x2, self.du.x2),
-            DualScalar(self.re.x3, self.du.x3),
-        )
-
-    def __add__(self, o: "DualVec3") -> "DualVec3":
-        return DualVec3(self.re + o.re, self.du + o.du)
-
-    def __sub__(self, o: "DualVec3") -> "DualVec3":
-        return DualVec3(self.re - o.re, self.du - o.du)
-
-    def __neg__(self) -> "DualVec3":
-        return DualVec3(-self.re, -self.du)
-
-    def __mul__(self, s) -> "DualVec3":
-        if isinstance(s, DualScalar):
-            return DualVec3(self.re * s.re, self.du * s.re + self.re * s.du)
-        return DualVec3(self.re * s, self.du * s)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"DualVec3({self.re!r}, {self.du!r})"
+#: half-width of the cosh branch point |<x^,y^>| = 1 of the central angle
+BRANCH_TOL = 1e-9
 
 
-def dual_lorentz_dot(x: DualVec3, y: DualVec3) -> DualScalar:
-    """<x, y> = <a,b> + eps*(<a,b*> + <a*,b>) with the Lorentzian metric."""
-    return DualScalar(
-        lorentz_dot(x.re, y.re),
-        lorentz_dot(x.re, y.du) + lorentz_dot(x.du, y.re),
-    )
+def dual_vector(re: Vec3L, du: Vec3L) -> Vec3L:
+    """The dual vector re + eps*du: a Vec3L whose components are dual scalars."""
+    return Vec3L(DualScalar(re.x1, du.x1), DualScalar(re.x2, du.x2), DualScalar(re.x3, du.x3))
 
 
-def dual_lorentz_cross(x: DualVec3, y: DualVec3) -> DualVec3:
-    """x  x y = a x b + eps*(a* x b + a x b*) with the Lorentzian cross."""
-    return DualVec3(
-        lorentz_cross(x.re, y.re),
-        lorentz_cross(x.du, y.re) + lorentz_cross(x.re, y.du),
-    )
-
-
-def dual_norm(x: DualVec3, tol: float = 1e-12) -> DualScalar:
+def dual_norm(x: Vec3L) -> DualScalar:
     """Dual norm sqrt(|<x,x>|) evaluated in dual arithmetic.
 
     For a spacelike real part this is the classical
@@ -297,20 +256,22 @@ def dual_norm(x: DualVec3, tol: float = 1e-12) -> DualScalar:
     dual slot because the quadratic form sits under an absolute value.
     Lightlike or zero real parts have no dual norm.
     """
-    q = lorentz_dot(x.re, x.re)
-    null = abs(q) <= tol
+    a, a_star = x.re, x.du
+    q = lorentz_dot(a, a)
+    null = abs(q) <= NORM_TOL
     if _any(null):
         raise NullRealPart("dual norm undefined for lightlike/zero real part",
                            index=int(np.argmax(null)) if np.ndim(null) else None)
     n = sqrt(abs(q))
-    return DualScalar(n, np.sign(q) * lorentz_dot(x.re, x.du) / n)
+    return DualScalar(n, np.sign(q) * lorentz_dot(a, a_star) / n)
 
 
-def is_dual_unit(x: DualVec3, *, timelike: bool = False, tol: float = 1e-9) -> bool:
-    """Check <a,a> = +-1 and <a,a*> = 0 within tol."""
+def is_dual_unit(x: Vec3L, *, timelike: bool = False) -> bool:
+    """Check <a,a> = +-1 and <a,a*> = 0 within UNIT_TOL."""
     target = -1.0 if timelike else 1.0
-    return (abs(lorentz_dot(x.re, x.re) - target) <= tol
-            and abs(lorentz_dot(x.re, x.du)) <= tol)
+    a = x.re
+    return (abs(lorentz_dot(a, a) - target) <= UNIT_TOL
+            and abs(lorentz_dot(a, x.du)) <= UNIT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +293,7 @@ TIMELIKE_ANGLE = "timelike-angle"
 CENTRAL_ANGLE = "central-angle"
 
 
-def dual_angle_between(x: DualVec3, y: DualVec3, kind: str, tol: float = 1e-9) -> DualAngle:
+def dual_angle_between(x: Vec3L, y: Vec3L, kind: str) -> DualAngle:
     """Dual angle between two dual vectors.
 
     ``timelike-angle``: x spacelike, y timelike; inverts
@@ -348,20 +309,20 @@ def dual_angle_between(x: DualVec3, y: DualVec3, kind: str, tol: float = 1e-9) -
     if kind == TIMELIKE_ANGLE:
         if cx is not CausalCharacter.SPACELIKE or cy is not CausalCharacter.TIMELIKE:
             raise KindMismatch(f"timelike-angle needs (spacelike, timelike), got ({cx}, {cy})")
-        v = dual_lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
+        v = lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
         theta = math.asinh(v.re)
         return DualAngle(theta, v.du / math.cosh(theta))
     if kind == CENTRAL_ANGLE:
         if cx is not CausalCharacter.SPACELIKE or cy is not CausalCharacter.SPACELIKE:
             raise KindMismatch(f"central-angle needs two spacelike vectors, got ({cx}, {cy})")
-        v = dual_lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
+        v = lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
         vre, vdu = v.re, v.du
         if vre < 0.0:
             vre, vdu = -vre, -vdu
-        if vre < 1.0 - tol:
+        if vre < 1.0 - BRANCH_TOL:
             raise BranchError(f"|cosh| = {vre} < 1: vectors span no timelike subspace")
-        if vre <= 1.0 + tol:
-            if abs(vdu) > tol:
+        if vre <= 1.0 + BRANCH_TOL:
+            if abs(vdu) > BRANCH_TOL:
                 raise BranchError("dual angle undefined at the cosh branch point")
             return DualAngle(0.0, 0.0)
         theta = math.acosh(vre)

@@ -11,21 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dual import DualVec3
+from .dual import UNIT_TOL, dual_vector
 from .errors import InvalidDirection, NotUnit
 from .lorentz import Vec3L, lorentz_cross, lorentz_dot
 
-UNIT_TOL = 1e-9
 
-
-def _unit_sign(direction: Vec3L, tol: float, exc, what: str) -> float:
+def _unit_sign(direction: Vec3L, exc, what: str) -> float:
     """Return <d,d> snapped to +-1, or raise ``exc``."""
     q = lorentz_dot(direction, direction)
-    if abs(q - 1.0) <= tol:
+    if abs(q - 1.0) <= UNIT_TOL:
         return 1.0
-    if abs(q + 1.0) <= tol:
+    if abs(q + 1.0) <= UNIT_TOL:
         return -1.0
-    raise exc(f"{what}: <d,d> = {q!r} is not +-1 within {tol}")
+    raise exc(f"{what}: <d,d> = {q!r} is not +-1 within {UNIT_TOL}")
 
 
 @dataclass(frozen=True)
@@ -36,36 +34,19 @@ class OrientedLine:
     direction: Vec3L
 
     def __post_init__(self):
-        _unit_sign(self.direction, UNIT_TOL, InvalidDirection, "line direction")
+        _unit_sign(self.direction, InvalidDirection, "line direction")
 
     @property
     def timelike(self) -> bool:
         return lorentz_dot(self.direction, self.direction) < 0.0
 
 
-@dataclass(frozen=True)
-class PluckerPair:
-    """Normalized Plucker coordinates (direction, moment)."""
-
-    a: Vec3L
-    a_star: Vec3L
-
-    def __post_init__(self):
-        _unit_sign(self.a, UNIT_TOL, NotUnit, "Plucker direction")
-        m = lorentz_dot(self.a, self.a_star)
-        if abs(m) > UNIT_TOL:
-            raise NotUnit(f"<a, a*> = {m!r} violates the moment condition")
-
-    def as_dual(self) -> DualVec3:
-        return DualVec3(self.a, self.a_star)
+def line_to_dual(line: OrientedLine) -> Vec3L:
+    """Dual unit vector direction + eps*(point x direction) of a line."""
+    return dual_vector(line.direction, lorentz_cross(line.point, line.direction))
 
 
-def line_to_dual(line: OrientedLine) -> DualVec3:
-    """Dual unit vector (direction, point x direction) of a line."""
-    return DualVec3(line.direction, lorentz_cross(line.point, line.direction))
-
-
-def dual_to_line(d: DualVec3, tol: float = UNIT_TOL) -> OrientedLine:
+def dual_to_line(d: Vec3L) -> OrientedLine:
     """Recover the line behind a dual unit vector.
 
     The candidate foot point is ``-<a,a> * (a x a*)``; the sign factor is
@@ -74,13 +55,14 @@ def dual_to_line(d: DualVec3, tol: float = UNIT_TOL) -> OrientedLine:
     The construction is then checked: the recovered point must reproduce
     the moment.
     """
-    sign = _unit_sign(d.re, tol, NotUnit, "dual vector direction part")
-    m = lorentz_dot(d.re, d.du)
-    if abs(m) > tol:
+    a, a_star = d.re, d.du
+    sign = _unit_sign(a, NotUnit, "dual vector direction part")
+    m = lorentz_dot(a, a_star)
+    if abs(m) > UNIT_TOL:
         raise NotUnit(f"<a, a*> = {m!r} violates the unit condition")
-    point = -sign * lorentz_cross(d.re, d.du)
-    back = lorentz_cross(point, d.re)
-    err = max(abs(back.x1 - d.du.x1), abs(back.x2 - d.du.x2), abs(back.x3 - d.du.x3))
+    point = -sign * lorentz_cross(a, a_star)
+    back = lorentz_cross(point, a)
+    err = max(abs(back.x1 - a_star.x1), abs(back.x2 - a_star.x2), abs(back.x3 - a_star.x3))
     if err > 1e-6:
         raise NotUnit(f"recovered point fails moment reproduction by {err:.3e}")
-    return OrientedLine(point, d.re)
+    return OrientedLine(point, a)

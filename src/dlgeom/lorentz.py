@@ -9,7 +9,10 @@ which ties to the determinant through ``<a x b, c> = -det(a, b, c)``.
 
 Components are duck-typed: ordinarily floats, but any scalar supporting
 ring arithmetic (in particular :class:`~dlgeom.dual.DualScalar`) works,
-which is how curves get differentiated exactly.  Float arrays work too,
+which is how curves get differentiated exactly.  A vector over dual
+numbers is a dual vector ``a + eps*a*``, the E. Study image of a line:
+``lorentz_dot`` and ``lorentz_cross`` are then the dual products, and
+``v.re``, ``v.du`` read its two parts.  Float arrays work too,
 componentwise, which is how a block of samples is evaluated in one call.
 """
 
@@ -29,9 +32,9 @@ CAUSAL_TOL = 1e-12
 def _check_finite(v) -> None:
     # type-is fast path first, then float subclasses such as np.float64, then
     # arrays (a block of samples; the error carries the first bad index).
-    # Dual scalars are not inspected: DualVec3.from_components rejects a
-    # non-finite slot when it splits them, which every measured frame node
-    # goes through.
+    # Dual scalars are not inspected: Vec3L.re and Vec3L.du build checked
+    # vectors, so a non-finite slot is rejected when a dual vector is split,
+    # which every measured frame node goes through.
     if type(v) is float or isinstance(v, float):
         if not math.isfinite(v):
             raise NonFinite(f"non-finite vector component: {v!r}")
@@ -72,8 +75,20 @@ class Vec3L:
         v.x3 = x3
         return v
 
-    def components(self):
-        return (self.x1, self.x2, self.x3)
+    # the parts of a dual vector a + eps*a*, read off each component's re and
+    # du slot; a real vector is its own real part and has dual part zero
+
+    @property
+    def re(self) -> "Vec3L":
+        """Real part a, from each component's ``re`` slot."""
+        return Vec3L(getattr(self.x1, "re", self.x1), getattr(self.x2, "re", self.x2),
+                     getattr(self.x3, "re", self.x3))
+
+    @property
+    def du(self) -> "Vec3L":
+        """Dual part a*, from each component's ``du`` slot."""
+        return Vec3L(getattr(self.x1, "du", 0.0), getattr(self.x2, "du", 0.0),
+                     getattr(self.x3, "du", 0.0))
 
     def __iter__(self):
         return iter((self.x1, self.x2, self.x3))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .dual import DualScalar, DualVec3, re_part
+from .dual import DualScalar, dual_vector, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
 from .numerics import DUAL_AD, value_and_derivative
@@ -236,7 +236,7 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
             c, cp, e, ep, epp = node
 
             def lift(x, dx):
-                return DualVec3(x, dx * u.du).components()
+                return dual_vector(x, dx * u.du)
 
             c, e, ep = lift(c, cp), lift(e, ep), lift(ep, epp)
             th_star = theta_star(u, -_arc_rates(node, 1.0, u.re)[1])

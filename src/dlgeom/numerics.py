@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .dual import DualScalar, DualVec3
+from .dual import DualScalar
 from .errors import GeometryError, NonFinite, StepSizeError
 from .lorentz import Vec3L, lorentz_cross, lorentz_dot
 
@@ -183,7 +183,7 @@ def value_and_derivative(curve, u):
     One pass through the closure carries both slots, which matters in the
     nested inner loops; ``u`` may itself be dual.
     """
-    v = DualVec3.from_components(curve(DualScalar(u, 1.0)))
+    v = curve(DualScalar(u, 1.0))
     return v.re, v.du
 
 

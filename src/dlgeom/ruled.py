@@ -19,9 +19,9 @@ chain rule), gamma = det(e, e', e'')/v^3, and s and the accumulated
 distribution parameter s* come from quadrature of their u-rates, so no
 reparametrization is needed.  Curve closures are duck-typed over dual
 scalars, so every derivative is exact forward differentiation; central
-finite differences remain available for the frame through the numerics
-config, while s, s* and the striction check stay exact in both modes.
-Constructions (striction solve, reconstruction) take no config.
+finite differences remain available for the frame through the ``deriv``
+argument, while s, s* and the striction check stay exact in both modes.
+Constructions (striction solve, reconstruction) take no derivative mode.
 
 Closures are evaluated over arrays of samples: a measurement is one pass
 that calls each closure once on all of its parameter values (float arrays,
@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import dual
-from .dual import DualScalar, DualVec3, dual_norm, leading_real
+from .dual import DualScalar, dual_norm, dual_vector, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                      NullDarboux, StepSizeError)
 from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
@@ -176,14 +176,14 @@ class FrameSample(Columns):
     striction_point: Vec3L
     ds_du: float = 1.0
 
-    def dual_e(self) -> DualVec3:
-        return DualVec3(self.e, lorentz_cross(self.striction_point, self.e))
+    def dual_e(self) -> Vec3L:
+        return dual_vector(self.e, lorentz_cross(self.striction_point, self.e))
 
-    def dual_t(self) -> DualVec3:
-        return DualVec3(self.t, lorentz_cross(self.striction_point, self.t))
+    def dual_t(self) -> Vec3L:
+        return dual_vector(self.t, lorentz_cross(self.striction_point, self.t))
 
-    def dual_g(self) -> DualVec3:
-        return DualVec3(self.g, lorentz_cross(self.striction_point, self.g))
+    def dual_g(self) -> Vec3L:
+        return dual_vector(self.g, lorentz_cross(self.striction_point, self.g))
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,8 @@ class DualCurvature:
 
     R_dual: DualScalar
     rho_dual: DualScalar
-    darboux: DualVec3
-    darboux_unit: DualVec3
+    darboux: Vec3L
+    darboux_unit: Vec3L
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def _exact_node(jet, u):
 
     e'' is the dual slot of e', and ``u`` may itself be dual.
     """
-    c, e, ep = (DualVec3.from_components(x) for x in jet(DualScalar(u, 1.0)))
+    c, e, ep = jet(DualScalar(u, 1.0))
     return c.re, c.du, e.re, ep.re, ep.du
 
 
@@ -543,7 +543,7 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
     def f(u):
         # the dual curve e + eps*(c x e) differentiates to e' + eps*(c' x e + c x e')
         c, cp, e, ep, _ = _exact_node(jet, u)
-        return dual_norm(DualVec3(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
+        return dual_norm(dual_vector(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
     val = _signed_integral(f, 0.0, s)
     if isinstance(val, DualScalar):
@@ -595,7 +595,11 @@ class TimelikeRadius(NamedTuple):
     branch: str
 
 
-def timelike_radius(gamma1_dual: DualScalar, tol: float = 1e-10) -> TimelikeRadius:
+#: |gamma1| within this of 1 puts the offset Darboux vector on the light cone
+NULL_DARBOUX_TOL = 1e-10
+
+
+def timelike_radius(gamma1_dual: DualScalar) -> TimelikeRadius:
     """Dual radius of curvature 1/sqrt(|1 - gamma1^2|) of a timelike surface.
 
     The branch flag records which side of |gamma1| = 1 the Darboux vector
@@ -604,7 +608,7 @@ def timelike_radius(gamma1_dual: DualScalar, tol: float = 1e-10) -> TimelikeRadi
     NullDarboux names the first offending |gamma1|.
     """
     g = gamma1_dual
-    null = np.abs(np.abs(g.re) - 1.0) < tol
+    null = np.abs(np.abs(g.re) - 1.0) < NULL_DARBOUX_TOL
     if np.any(null):
         raise NullDarboux(f"|gamma1| = {np.ravel(np.abs(g.re))[np.argmax(null)]} "
                           "is at the lightlike-Darboux boundary")
@@ -792,8 +796,7 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
-    seed = np.column_stack([profile.e0.components(), profile.t0.components(),
-                            profile.g0.components()])
+    seed = np.column_stack([tuple(profile.e0), tuple(profile.t0), tuple(profile.g0)])
     flows = []
     if s0 > 0.0:
         flows.append(_frame_flow(profile.gamma, seed, s0, 0.0))
@@ -821,6 +824,6 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
         steps = 0.5 * h * (cdot[:-1] + cdot[1:]) + h * h / 12.0 * (cddot[:-1] - cddot[1:])
         c = np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
         # c0 belongs to the seed's node
-        c += np.array(profile.c0.components()) - c[np.searchsorted(s, s0)]
+        c += np.array(tuple(profile.c0)) - c[np.searchsorted(s, s0)]
     return RuledSurfaceSpec(_HermiteCurve(s, e, t, accel), _HermiteCurve(s, c, cdot, cddot),
                             (s0, s_end), len(s_grid), SPACELIKE_SURFACE, "reconstructed")

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 import dlgeom.dual as dual
 from dlgeom import catalog
 from dlgeom.cli import main as cli_main
-from dlgeom.dual import DualScalar, DualVec3, dual_lift, dual_lorentz_dot, dual_norm
+from dlgeom.dual import DualScalar, dual_lift, dual_norm, dual_vector
 from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
 from dlgeom.lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (MannheimParams, construct_offset, mannheim_condition_residual,
@@ -141,14 +141,14 @@ def _dual_frame_curves(spec):
 
 
 def _dual_vec_at(pair, u):
-    return DualVec3(pair[0](u), pair[1](u))
+    return dual_vector(pair[0](u), pair[1](u))
 
 
 def _dual_vec_derivative(pair, u):
-    return DualVec3(_derivative(pair[0], u), _derivative(pair[1], u))
+    return dual_vector(_derivative(pair[0], u), _derivative(pair[1], u))
 
 
-def _max_abs_dual(v: DualVec3) -> float:
+def _max_abs_dual(v: Vec3L) -> float:
     return max(abs(x) for x in (*v.re, *v.du))
 
 
@@ -197,7 +197,7 @@ def test_criterion_4_darboux_formulae():
             # rate coefficient: -<g_dual', t_dual> = gamma - eps*delta
             # (this only balances with c' = delta*e + Delta*g)
             gp_dual = _dual_vec_derivative(g_pair, f.s)
-            coeff = -dual_lorentz_dot(gp_dual, t_d)
+            coeff = -lorentz_dot(gp_dual, t_d)
             assert abs(coeff.re - f.gamma) < 1e-8
             assert abs(coeff.du + f.delta) < 1e-8
             back = coeff / sbar_rate

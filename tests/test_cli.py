@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dlgeom.cli as cli
+import dlgeom.errors as errors
 import dlgeom.ruled as ruled
 from dlgeom.cli import build_parser, main
 from dlgeom.dual import DualScalar
@@ -277,14 +278,15 @@ def test_offset_malformed_tolerance_exits_2(tmp_path, capsys, tolerance):
     assert _last_error(capsys)["error"] == "SpecFileError"
 
 
-@pytest.mark.parametrize("command", ["offset", "mesh"])
+@pytest.mark.parametrize("command", ["offset", "mesh", "mesh-without-offset"])
 @pytest.mark.parametrize("flag", ["--mannheim-c", "--mannheim-cstar"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_mannheim_constant_exits_2(tmp_path, capsys, command, flag, value):
-    out = tmp_path / ("m.obj" if command == "mesh" else "r")
+    # mesh reads the constants whether or not it builds the offset
+    out = tmp_path / ("r" if command == "offset" else "m.obj")
     flags = ["--offset"] if command == "mesh" else []
-    assert main([command, "--input", _spec(tmp_path, HELI), "--out", str(out), *flags,
-                 f"{flag}={value}"]) == 2
+    assert main([command.split("-")[0], "--input", _spec(tmp_path, HELI), "--out", str(out),
+                 *flags, f"{flag}={value}"]) == 2
     last = _last_error(capsys)
     assert last["error"] == "SpecFileError" and last["message"].startswith(f"{flag} "), last
 
@@ -636,6 +638,23 @@ def test_study_non_unit_dual_fails(tmp_path):
 def test_missing_input_file_is_io_error(tmp_path):
     assert main(["frames", "--input", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")]) == 5
+
+
+#: errors of bad input, which exit 2; every other GeometryError is a degeneracy, exit 3
+SPEC_ERRORS = {"SpecFileError", "InvalidDirection", "NotUnit", "NonFinite"}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.GeometryError)]
+
+
+@pytest.mark.parametrize("exc", [*ERROR_CLASSES, OSError], ids=lambda c: c.__name__)
+def test_exit_code_of_every_error(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc("stub")
+
+    monkeypatch.setattr(cli, "cmd_study", fail)
+    want = 5 if exc is OSError else 2 if exc.__name__ in SPEC_ERRORS else 3
+    assert main(["study", "--input", "unused.json"]) == want
+    assert _last_error(capsys) == {"error": exc.__name__, "message": "stub"}
 
 
 def test_outputs_deterministic(tmp_path):

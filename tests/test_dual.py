@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dlgeom.dual as dual
-from dlgeom.dual import (CENTRAL_ANGLE, TIMELIKE_ANGLE, DualScalar, DualVec3, dual_angle_between,
-                         dual_lift, dual_lorentz_cross, dual_lorentz_dot, dual_norm,
-                         is_dual_unit)
+from dlgeom.dual import (CENTRAL_ANGLE, TIMELIKE_ANGLE, DualScalar, dual_angle_between, dual_lift,
+                         dual_norm, dual_vector, is_dual_unit)
 from dlgeom.errors import BranchError, DivisionByPureDual, DomainError, KindMismatch, NullRealPart
-from dlgeom.lorentz import Vec3L, lorentz_dot
+from dlgeom.lorentz import E2, Vec3L, lorentz_cross, lorentz_dot
 
 # exactly representable inputs keep the ring laws exact in floating point
 exact = st.integers(min_value=-1000, max_value=1000).map(float)
@@ -124,86 +123,93 @@ def test_lifts_accept_plain_floats():
 # dual vectors
 
 def test_dual_dot_examples():
-    e2 = DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
-    assert dual_lorentz_dot(e2, e2) == DualScalar(1.0, 0.0)
+    e2 = dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
+    assert lorentz_dot(e2, e2) == DualScalar(1.0, 0.0)
 
-    x = DualVec3(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0))
-    assert dual_lorentz_dot(x, x) == DualScalar(-1.0, 0.0)
+    x = dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0))
+    assert lorentz_dot(x, x) == DualScalar(-1.0, 0.0)
 
-    y = DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 2.0, 0.0))
-    assert dual_lorentz_dot(y, y) == DualScalar(1.0, 4.0)
+    y = dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 2.0, 0.0))
+    assert lorentz_dot(y, y) == DualScalar(1.0, 4.0)
 
 
 def test_dual_cross_examples():
-    e1 = DualVec3(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.0, 0.0))
-    e2 = DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
-    out = dual_lorentz_cross(e1, e2)
+    e1 = dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.0, 0.0))
+    e2 = dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
+    out = lorentz_cross(e1, e2)
     assert out.re == Vec3L(0.0, 0.0, -1.0) and out.du == Vec3L(0.0, 0.0, 0.0)
 
-    a = DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(1.0, 2.0, 3.0))
-    self_cross = dual_lorentz_cross(a, a)
+    a = dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(1.0, 2.0, 3.0))
+    self_cross = lorentz_cross(a, a)
     assert self_cross.re == Vec3L(0.0, 0.0, 0.0)
     assert self_cross.du == Vec3L(0.0, 0.0, 0.0)
 
-    x = DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
-    y = DualVec3(Vec3L(0.0, 0.0, 1.0), Vec3L(1.0, 0.0, 0.0))
-    out = dual_lorentz_cross(x, y)
+    x = dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
+    y = dual_vector(Vec3L(0.0, 0.0, 1.0), Vec3L(1.0, 0.0, 0.0))
+    out = lorentz_cross(x, y)
     assert out.re == Vec3L(1.0, 0.0, 0.0)
     assert out.du == Vec3L(0.0, 0.0, 1.0)
 
 
 def test_dual_norm_examples():
-    assert dual_norm(DualVec3(Vec3L(0.0, 3.0, 4.0), Vec3L(0.0, 0.0, 0.0))) == DualScalar(5.0, 0.0)
-    assert dual_norm(DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 2.0, 0.0))) == DualScalar(1.0, 2.0)
+    zero = Vec3L(0.0, 0.0, 0.0)
+    assert dual_norm(dual_vector(Vec3L(0.0, 3.0, 4.0), zero)) == DualScalar(5.0, 0.0)
+    assert dual_norm(dual_vector(E2, Vec3L(0.0, 2.0, 0.0))) == DualScalar(1.0, 2.0)
     with pytest.raises(NullRealPart):
-        dual_norm(DualVec3(Vec3L(1.0, 1.0, 0.0), Vec3L(0.3, 0.1, 0.0)))
+        dual_norm(dual_vector(Vec3L(1.0, 1.0, 0.0), Vec3L(0.3, 0.1, 0.0)))
 
 
 def test_dual_norm_timelike_sign():
     # |<a,a>| flips the dual slot sign when the real part is timelike
-    x = DualVec3(Vec3L(1.0, 0.0, 0.0), Vec3L(2.0, 0.0, 0.0))
+    x = dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(2.0, 0.0, 0.0))
     assert lorentz_dot(x.re, x.du) == -2.0
     assert dual_norm(x) == DualScalar(1.0, 2.0)
 
 
-def test_component_representation_agrees():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        ar, ad, br, bd = (Vec3L(*rng.uniform(-3, 3, 3)) for _ in range(4))
-        x, y = DualVec3(ar, ad), DualVec3(br, bd)
-        packed = lorentz_dot(x.components(), y.components())
-        direct = dual_lorentz_dot(x, y)
-        assert packed.re == pytest.approx(direct.re, abs=1e-12)
-        assert packed.du == pytest.approx(direct.du, abs=1e-12)
-        roundtrip = DualVec3.from_components(x.components())
-        assert roundtrip.re == x.re and roundtrip.du == x.du
+moderate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+vectors = st.builds(Vec3L, moderate, moderate, moderate)
+
+
+@given(vectors, vectors, vectors, vectors)
+def test_dual_products_are_the_lorentz_products_over_dual_components(a, a_star, b, b_star):
+    x, y = dual_vector(a, a_star), dual_vector(b, b_star)
+    # <a,b> + eps*(<a,b*> + <a*,b>)
+    dot = lorentz_dot(x, y)
+    assert dot.re == pytest.approx(lorentz_dot(a, b), abs=1e-12)
+    assert dot.du == pytest.approx(lorentz_dot(a, b_star) + lorentz_dot(a_star, b), abs=1e-12)
+    # a x b + eps*(a* x b + a x b*)
+    cross = lorentz_cross(x, y)
+    want_du = lorentz_cross(a_star, b) + lorentz_cross(a, b_star)
+    assert list(cross.re) == pytest.approx(list(lorentz_cross(a, b)), abs=1e-12)
+    assert list(cross.du) == pytest.approx(list(want_du), abs=1e-12)
+    assert x.re == a and x.du == a_star
 
 
 def test_is_dual_unit():
-    assert is_dual_unit(DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 5.0)))
-    assert is_dual_unit(DualVec3(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0)), timelike=True)
-    assert not is_dual_unit(DualVec3(Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
+    assert is_dual_unit(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 5.0)))
+    assert is_dual_unit(dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0)), timelike=True)
+    assert not is_dual_unit(dual_vector(Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
 
 
 def test_dual_unit_vector_norm_and_square():
     # <a,a> = 1, <a,a*> = 0 gives norm exactly 1 + eps*0 and <x,x> = 1 + eps*0
-    x = DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 7.0))
+    x = dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 7.0))
     assert dual_norm(x) == DualScalar(1.0, 0.0)
-    assert dual_lorentz_dot(x, x) == DualScalar(1.0, 0.0)
-    y = DualVec3(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 2.0, -3.0))
+    assert lorentz_dot(x, x) == DualScalar(1.0, 0.0)
+    y = dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 2.0, -3.0))
     assert dual_norm(y) == DualScalar(1.0, -0.0)
-    assert dual_lorentz_dot(y, y) == DualScalar(-1.0, 0.0)
+    assert lorentz_dot(y, y) == DualScalar(-1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # dual angles
 
 def _unit_spacelike(moment=Vec3L(0.0, 0.0, 0.0)):
-    return DualVec3(Vec3L(0.0, 1.0, 0.0), moment)
+    return dual_vector(Vec3L(0.0, 1.0, 0.0), moment)
 
 
 def _unit_timelike(moment=Vec3L(0.0, 0.0, 0.0)):
-    return DualVec3(Vec3L(1.0, 0.0, 0.0), moment)
+    return dual_vector(Vec3L(1.0, 0.0, 0.0), moment)
 
 
 def test_timelike_angle_orthogonal_pair():
@@ -215,9 +221,9 @@ def test_timelike_angle_sinh_inversion():
     # <x,y> = sinh(0.3) + eps*0.2*cosh(0.3) on unit vectors inverts to 0.3 + eps*0.2
     th, ths = 0.3, 0.2
     x = _unit_spacelike()
-    y = DualVec3(Vec3L(math.cosh(th), math.sinh(th), 0.0),
+    y = dual_vector(Vec3L(math.cosh(th), math.sinh(th), 0.0),
                  Vec3L(ths * math.sinh(th), ths * math.cosh(th), 0.0))
-    product = dual_lorentz_dot(x, y)
+    product = lorentz_dot(x, y)
     assert product.re == pytest.approx(math.sinh(th), abs=1e-15)
     assert product.du == pytest.approx(ths * math.cosh(th), abs=1e-15)
     out = dual_angle_between(x, y, TIMELIKE_ANGLE)
@@ -228,7 +234,7 @@ def test_timelike_angle_sinh_inversion():
 def test_central_angle_cosh_inversion():
     th = 0.5
     x = _unit_spacelike()
-    y = DualVec3(Vec3L(math.sinh(th), math.cosh(th), 0.0), Vec3L(0.0, 0.0, 0.0))
+    y = dual_vector(Vec3L(math.sinh(th), math.cosh(th), 0.0), Vec3L(0.0, 0.0, 0.0))
     out = dual_angle_between(x, y, CENTRAL_ANGLE)
     assert out.theta == pytest.approx(th, abs=1e-12)
     assert out.theta_star == pytest.approx(0.0, abs=1e-15)
@@ -239,9 +245,9 @@ def test_central_angle_dual_slot():
     th, ths = 0.7, -0.25
     target = dual.cosh(DualScalar(th, ths))
     x = _unit_spacelike()
-    y = DualVec3(Vec3L(math.sinh(th), math.cosh(th), 0.0), Vec3L(0.0, 0.0, 0.0))
+    y = dual_vector(Vec3L(math.sinh(th), math.cosh(th), 0.0), Vec3L(0.0, 0.0, 0.0))
     moment_scale = target.du / math.sinh(th)  # aligns <x, y_du> with the wanted dual slot
-    y = DualVec3(y.re, Vec3L(moment_scale * math.cosh(th), moment_scale * math.sinh(th), 0.0))
+    y = dual_vector(y.re, Vec3L(moment_scale * math.cosh(th), moment_scale * math.sinh(th), 0.0))
     out = dual_angle_between(x, y, CENTRAL_ANGLE)
     assert out.theta == pytest.approx(th, abs=1e-12)
     assert out.theta_star == pytest.approx(ths, abs=1e-12)
@@ -253,14 +259,14 @@ def test_angle_kind_mismatch():
     with pytest.raises(KindMismatch):
         dual_angle_between(_unit_spacelike(), _unit_timelike(), CENTRAL_ANGLE)
     # a lightlike argument is a causal-character violation, not a norm error
-    null_vec = DualVec3(Vec3L(1.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
+    null_vec = dual_vector(Vec3L(1.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
     with pytest.raises(KindMismatch):
         dual_angle_between(null_vec, _unit_timelike(), TIMELIKE_ANGLE)
 
 
 def test_central_angle_branch_error():
     x = _unit_spacelike()
-    y = DualVec3(Vec3L(0.0, 0.0, 1.0), Vec3L(0.0, 0.0, 0.0))  # orthogonal: <x,y> = 0
+    y = dual_vector(Vec3L(0.0, 0.0, 1.0), Vec3L(0.0, 0.0, 0.0))  # orthogonal: <x,y> = 0
     with pytest.raises(BranchError):
         dual_angle_between(x, y, CENTRAL_ANGLE)
 

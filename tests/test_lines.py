@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from dlgeom.dual import DualVec3
+from dlgeom.dual import dual_vector
 from dlgeom.errors import InvalidDirection, NotUnit
-from dlgeom.lines import OrientedLine, PluckerPair, dual_to_line, line_to_dual
+from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
 from dlgeom.lorentz import CausalCharacter, Vec3L, causal_character, lorentz_dot, lorentz_norm
 
 
@@ -35,7 +35,7 @@ def test_lightlike_direction_rejected():
 
 
 def test_dual_to_line_examples():
-    line = dual_to_line(DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
+    line = dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
     assert line.direction == Vec3L(0.0, 1.0, 0.0)
     assert lorentz_norm(line.point) == 0.0
 
@@ -45,15 +45,23 @@ def test_dual_to_line_examples():
     assert max(abs(x - y) for x, y in zip(back.du, d.du)) < 1e-12
 
     with pytest.raises(NotUnit):
-        dual_to_line(DualVec3(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 2.0, 0.0)))
+        dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 2.0, 0.0)))
 
 
-def test_plucker_pair_validation():
-    PluckerPair(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, -1.0))
-    with pytest.raises(NotUnit):
-        PluckerPair(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 1.0, 0.0))
-    pair = PluckerPair(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.0, 1.0))
-    assert pair.as_dual().re == Vec3L(1.0, 0.0, 0.0)
+def test_dual_to_line_validation():
+    line = dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, -1.0)))
+    assert line.direction == Vec3L(0.0, 1.0, 0.0)
+    timelike = dual_to_line(dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.0, 1.0)))
+    assert timelike.direction == Vec3L(1.0, 0.0, 0.0) and timelike.timelike
+    # moment not orthogonal to the direction: <a, a*> = 1
+    with pytest.raises(NotUnit, match="violates the unit condition"):
+        dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 1.0, 0.0)))
+    # direction not unit: <a, a> = 4
+    with pytest.raises(NotUnit, match="is not \\+-1"):
+        dual_to_line(dual_vector(Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
+    # lightlike direction: <a, a> = 0
+    with pytest.raises(NotUnit, match="is not \\+-1"):
+        dual_to_line(dual_vector(Vec3L(1.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
 
 
 def test_timelike_line_round_trip():

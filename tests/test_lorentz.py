@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dlgeom.dual import DualScalar, DualVec3
+from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite
 from dlgeom.lorentz import (E1, E2, E3, CausalCharacter, Vec3L, causal_character, det3,
                             lorentz_cross, lorentz_dot, lorentz_norm)
@@ -99,10 +99,20 @@ def test_constructor_rejects_non_finite_float_subclass():
 
 def test_non_finite_dual_slot_rejected_when_split():
     # Vec3L does not look inside dual components; splitting them does
-    for bad in (DualScalar(math.nan, 1.0), DualScalar(0.5, math.inf)):
-        v = Vec3L(0.0, bad, 0.0)
-        with pytest.raises(NonFinite):
-            DualVec3.from_components(v)
+    v = Vec3L(0.0, DualScalar(math.nan, 1.0), 0.0)
+    with pytest.raises(NonFinite):
+        v.re
+    assert v.du == Vec3L(0.0, 1.0, 0.0)
+    w = Vec3L(0.0, 0.0, DualScalar(0.5, math.inf))
+    with pytest.raises(NonFinite):
+        w.du
+    assert w.re == Vec3L(0.0, 0.0, 0.5)
+
+
+def test_a_real_vector_splits_into_itself_and_zero():
+    a = Vec3L(1.0, -2.0, 0.5)
+    assert a.re == a and a.re is not a
+    assert a.du == Vec3L(0.0, 0.0, 0.0)
 
 
 def test_vector_arithmetic():

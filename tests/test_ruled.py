@@ -14,7 +14,7 @@ import dlgeom.lorentz as lorentz
 import dlgeom.mannheim as mannheim
 import dlgeom.ruled as ruled
 from dlgeom import catalog
-from dlgeom.dual import DualScalar, DualVec3, dual_lorentz_dot, dual_norm
+from dlgeom.dual import DualScalar, dual_norm, dual_vector
 from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegeneracy,
                            GeometryError, NonFinite, NullDarboux, StepSizeError)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
@@ -544,7 +544,7 @@ def test_dual_norm_of_dual_tangent_is_one_plus_eps_Delta():
     for f in darboux_frame(spec):
         ep = _ad_vec(spec.indicatrix, f.s)
         mp = _ad_vec(moment, f.s)
-        n = dual_norm(DualVec3(ep, mp))
+        n = dual_norm(dual_vector(ep, mp))
         assert n.re == pytest.approx(1.0, abs=1e-8)
         assert n.du == pytest.approx(f.Delta, abs=1e-8)
 
@@ -568,9 +568,9 @@ def test_dual_darboux_consistency_pins_cprime_sign():
         return g_dual_curve(u)[1]
 
     for f in darboux_frame(spec):
-        gp = DualVec3(_ad_vec(g_re, f.s), _ad_vec(g_du, f.s))
+        gp = dual_vector(_ad_vec(g_re, f.s), _ad_vec(g_du, f.s))
         t_dual = f.dual_t()
-        coeff = -dual_lorentz_dot(gp, t_dual)
+        coeff = -lorentz_dot(gp, t_dual)
         assert coeff.re == pytest.approx(f.gamma, abs=1e-8)
         assert coeff.du == pytest.approx(-f.delta, abs=1e-8)
         back = coeff / DualScalar(1.0, f.Delta)
