@@ -9,7 +9,7 @@ measurements of the constructed geometry.
 
 from .lorentz import (CausalCharacter, Vec3L, causal_character, det3, lorentz_cross,
                       lorentz_dot, lorentz_norm)
-from .dual import DualAngle, DualScalar, dual_angle_between, dual_lift, dual_norm, dual_vector
+from .dual import DualScalar, dual_angle_between, dual_norm, dual_vector
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from .numerics import (FrameState, cumulative_integrate, integrate, lorentz_gram_schmidt,
                        rk4_frame_step)
@@ -25,7 +25,7 @@ from . import catalog
 __all__ = [
     "CausalCharacter", "Vec3L", "causal_character", "det3", "lorentz_cross",
     "lorentz_dot", "lorentz_norm",
-    "DualAngle", "DualScalar", "dual_angle_between", "dual_lift", "dual_norm", "dual_vector",
+    "DualScalar", "dual_angle_between", "dual_norm", "dual_vector",
     "OrientedLine", "dual_to_line", "line_to_dual",
     "FrameState", "cumulative_integrate", "integrate", "lorentz_gram_schmidt",
     "rk4_frame_step",

@@ -33,7 +33,7 @@ from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
                     striction_curve, timelike_invariants, timelike_radius, _rows)
-from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, offset_angles, verify_offset
+from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
 
@@ -228,7 +228,7 @@ def cmd_frames(args) -> int:
     spec = load_surface_spec(args.input, args.samples)
     if spec.kind == TIMELIKE_SURFACE:
         frames = timelike_invariants(spec, args.deriv)
-        R = timelike_radius(frames.gamma_dual).radius
+        R = timelike_radius(frames.gamma_dual)
     else:
         frames = darboux_frame(spec, args.deriv)
         R = dual_curvature_elements(frames).R_dual
@@ -322,9 +322,7 @@ def cmd_mesh(args) -> int:
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
-        frames = darboux_frame(spec)
-        angles = offset_angles(frames, params)
-        off = construct_offset(spec, frames, angles)
+        off = construct_offset(spec, darboux_frame(spec), params)
         meshes.append(("offset", striction_curve(off), off.indicatrix))
 
     u_grid = spec.grid()
@@ -441,6 +439,15 @@ def _add_samples_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=None, help="override sample count")
 
 
+def _add_mannheim_flags(p: argparse.ArgumentParser) -> None:
+    # argparse reads a value such as -8.78e-05 after a space as another option
+    p.add_argument("--mannheim-c", type=float, default=1.0, dest="mannheim_c",
+                   help="offset angle constant c; write a negative value as --mannheim-c=<value>")
+    p.add_argument("--mannheim-cstar", type=float, default=0.0, dest="mannheim_cstar",
+                   help="offset distance constant c*; write a negative value as "
+                        "--mannheim-cstar=<value>")
+
+
 def _add_deriv_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deriv", choices=[DUAL_AD, CENTRAL_FD], default=DUAL_AD,
                    help="derivative mode of the measurement")
@@ -462,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("offset", help="verify a Mannheim offset (JSON report + CSV)")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output base path (.json/.csv)")
-    p.add_argument("--mannheim-c", type=float, default=1.0, dest="mannheim_c")
-    p.add_argument("--mannheim-cstar", type=float, default=0.0, dest="mannheim_cstar")
+    _add_mannheim_flags(p)
     _add_samples_flag(p)
     _add_deriv_flag(p)
     p.add_argument("--tolerance", type=float, default=None,
@@ -477,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-samples", type=int, default=9, dest="v_samples")
     p.add_argument("--offset", action="store_true",
                    help="append the Mannheim offset surface as a second object")
-    p.add_argument("--mannheim-c", type=float, default=1.0, dest="mannheim_c")
-    p.add_argument("--mannheim-cstar", type=float, default=0.0, dest="mannheim_cstar")
+    _add_mannheim_flags(p)
     _add_samples_flag(p)
     p.set_defaults(func=cmd_mesh)
 

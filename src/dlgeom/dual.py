@@ -8,21 +8,23 @@ written against generic ring arithmetic, which means the components of a
 differentiation order is how the kernel obtains exact second and third
 derivatives of curve closures.  The innermost components may also be float
 arrays, one element per sample, so one evaluation differentiates a whole
-block of samples.
+block of samples.  The lifts are plain functions (``sinh``, ``cosh``, ...);
+:data:`LIFTS` names them for the CLI expression grammar.
 
 A dual vector ``a + eps*a*`` pairs a direction with a moment vector and
 models an oriented non-null line.  It is a :class:`~dlgeom.lorentz.Vec3L`
 whose components are dual scalars, built by :func:`dual_vector` and split
 by ``v.re`` and ``v.du``; ``lorentz_dot`` and ``lorentz_cross`` over dual
 components are its products, <a,b> + eps*(<a,b*> + <a*,b>) and
-a x b + eps*(a* x b + a x b*).
+a x b + eps*(a* x b + a x b*).  The dual angle between two such vectors
+is a dual scalar theta + eps*theta*; :func:`dual_angle_between` reads which
+angle it is off the vectors' causal characters.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,6 +206,7 @@ def arctan(x):
     return math.atan(x) if type(x) is float else np.arctan(x)
 
 
+#: the lifts by name, a closed set so every lifted derivative rule is auditable
 LIFTS = {
     "sinh": sinh,
     "cosh": cosh,
@@ -214,19 +217,6 @@ LIFTS = {
     "cos": cos,
     "arctan": arctan,
 }
-
-
-def dual_lift(f: str, x):
-    """Evaluate a named analytic function over dual scalars.
-
-    ``f`` must be one of the fixed ids in :data:`LIFTS`; the set is kept
-    closed so every lifted derivative rule in the kernel is auditable.
-    """
-    try:
-        fn = LIFTS[f]
-    except KeyError:
-        raise ValueError(f"no analytic lift registered for {f!r}") from None
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,65 +256,44 @@ def dual_norm(x: Vec3L) -> DualScalar:
     return DualScalar(n, np.sign(q) * lorentz_dot(a, a_star) / n)
 
 
-def is_dual_unit(x: Vec3L, *, timelike: bool = False) -> bool:
-    """Check <a,a> = +-1 and <a,a*> = 0 within UNIT_TOL."""
-    target = -1.0 if timelike else 1.0
+def is_dual_unit(x: Vec3L) -> bool:
+    """Check |<a,a>| = 1 and <a,a*> = 0 within UNIT_TOL."""
     a = x.re
-    return (abs(lorentz_dot(a, a) - target) <= UNIT_TOL
+    return (abs(abs(lorentz_dot(a, a)) - 1.0) <= UNIT_TOL
             and abs(lorentz_dot(a, x.du)) <= UNIT_TOL)
 
 
 # ---------------------------------------------------------------------------
 # dual angles
 
-@dataclass(frozen=True)
-class DualAngle:
-    """Angle theta with dual slot theta_star (a distance along the common
-    perpendicular when the vectors represent lines)."""
+def dual_angle_between(x: Vec3L, y: Vec3L) -> DualScalar:
+    """Dual angle theta + eps*theta* between two dual vectors.
 
-    theta: float
-    theta_star: float
-
-    def as_dual(self) -> DualScalar:
-        return DualScalar(self.theta, self.theta_star)
-
-
-TIMELIKE_ANGLE = "timelike-angle"
-CENTRAL_ANGLE = "central-angle"
-
-
-def dual_angle_between(x: Vec3L, y: Vec3L, kind: str) -> DualAngle:
-    """Dual angle between two dual vectors.
-
-    ``timelike-angle``: x spacelike, y timelike; inverts
-    ``<x,y> = |x||y| sinh(angle)``, which is bijective.
-
-    ``central-angle``: both spacelike, spanning a timelike subspace
-    (|<x^,y^>| >= 1 on unit real parts); inverts
-    ``<x,y> = |x||y| cosh(angle)`` on the branch theta >= 0.  A product
-    <= -1 is treated as the angle to the opposite vector -y.
+    The causal characters of the real parts pick the angle.  x spacelike,
+    y timelike: inverts ``<x,y> = |x||y| sinh(angle)``, which is bijective.
+    Both spacelike, spanning a timelike subspace (|<x^,y^>| >= 1 on unit
+    real parts): inverts ``<x,y> = |x||y| cosh(angle)`` on the branch
+    theta >= 0, and a product <= -1 is treated as the angle to the opposite
+    vector -y.  Any other pair raises KindMismatch.  theta* is the distance
+    along the common perpendicular when the vectors represent lines.
     """
     cx = causal_character(x.re)
     cy = causal_character(y.re)
-    if kind == TIMELIKE_ANGLE:
-        if cx is not CausalCharacter.SPACELIKE or cy is not CausalCharacter.TIMELIKE:
-            raise KindMismatch(f"timelike-angle needs (spacelike, timelike), got ({cx}, {cy})")
-        v = lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
+    if cx is not CausalCharacter.SPACELIKE or cy is CausalCharacter.LIGHTLIKE:
+        raise KindMismatch("a dual angle needs (spacelike, timelike) or (spacelike, spacelike), "
+                           f"got ({cx}, {cy})")
+    v = lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
+    if cy is CausalCharacter.TIMELIKE:
         theta = math.asinh(v.re)
-        return DualAngle(theta, v.du / math.cosh(theta))
-    if kind == CENTRAL_ANGLE:
-        if cx is not CausalCharacter.SPACELIKE or cy is not CausalCharacter.SPACELIKE:
-            raise KindMismatch(f"central-angle needs two spacelike vectors, got ({cx}, {cy})")
-        v = lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
-        vre, vdu = v.re, v.du
-        if vre < 0.0:
-            vre, vdu = -vre, -vdu
-        if vre < 1.0 - BRANCH_TOL:
-            raise BranchError(f"|cosh| = {vre} < 1: vectors span no timelike subspace")
-        if vre <= 1.0 + BRANCH_TOL:
-            if abs(vdu) > BRANCH_TOL:
-                raise BranchError("dual angle undefined at the cosh branch point")
-            return DualAngle(0.0, 0.0)
-        theta = math.acosh(vre)
-        return DualAngle(theta, vdu / math.sinh(theta))
-    raise ValueError(f"unknown angle kind {kind!r}")
+        return DualScalar(theta, float(v.du / math.cosh(theta)))
+    vre, vdu = v.re, v.du
+    if vre < 0.0:
+        vre, vdu = -vre, -vdu
+    if vre < 1.0 - BRANCH_TOL:
+        raise BranchError(f"|cosh| = {vre} < 1: vectors span no timelike subspace")
+    if vre <= 1.0 + BRANCH_TOL:
+        if abs(vdu) > BRANCH_TOL:
+            raise BranchError("dual angle undefined at the cosh branch point")
+        return DualScalar(0.0, 0.0)
+    theta = math.acosh(vre)
+    return DualScalar(theta, float(vdu / math.sinh(theta)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonFinite
 
-#: default tolerance on the quadratic form <a,a> for causal classification
+#: tolerance on the quadratic form <a,a> for causal classification
 CAUSAL_TOL = 1e-12
 
 
@@ -156,16 +156,16 @@ def det3(a: Vec3L, b: Vec3L, c: Vec3L):
             + c.x3 * (a.x1 * b.x2 - a.x2 * b.x1))
 
 
-def causal_character(a: Vec3L, tol: float = CAUSAL_TOL) -> CausalCharacter:
+def causal_character(a: Vec3L) -> CausalCharacter:
     """Classify a vector by the sign of <a,a>.
 
     The zero vector counts as spacelike; lightlike requires a nonzero
-    vector with |<a,a>| below ``tol``.
+    vector with |<a,a>| at most CAUSAL_TOL.
     """
     q = lorentz_dot(a, a)
-    if q < -tol:
+    if q < -CAUSAL_TOL:
         return CausalCharacter.TIMELIKE
-    if q > tol:
+    if q > CAUSAL_TOL:
         return CausalCharacter.SPACELIKE
     if a.x1 == 0.0 and a.x2 == 0.0 and a.x3 == 0.0:
         return CausalCharacter.SPACELIKE

@@ -18,7 +18,10 @@ invariants have closed forms in (gamma, delta, Delta, theta, theta*):
 The offset is built in the base spec's own parameter u, with
 theta(u) = c - s(u) and theta*(u) = c* - s*(u) continued between the grid
 nodes by their exact u-rates, so no arc-length reparametrization is needed;
-like every spec's, its closures evaluate whole arrays of samples.
+like every spec's, its closures evaluate whole arrays of samples.  The
+base, its measured frames and the constants c + eps*c* (:class:`MannheimParams`)
+fix the offset, so :func:`construct_offset` takes just those and works
+the angles out itself.
 :func:`verify_offset` builds the offset, re-measures those invariants from
 the constructed geometry alone, at the grid nodes only (the relations are
 pointwise, so the offset's own s1 and s1* are not computed), and reports
@@ -179,15 +182,16 @@ class _GridAntiderivative:
 
 
 def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
-                     angles: OffsetAngle) -> RuledSurfaceSpec:
+                     params: MannheimParams) -> RuledSurfaceSpec:
     """Build the Mannheim offset surface of a spacelike base, in the base's parameter.
 
     The ruling is rotated into the timelike direction
     ``e1 = sinh(theta)*e + cosh(theta)*t`` and the striction line shifted
     by theta* along g.  theta(u) = c - s(u) and theta*(u) = c* - s*(u) take
-    the angles' values at the grid nodes and the rates -ds/du and
-    -Delta*ds/du in between.  Every derivative is exact, whatever derivative
-    mode measured ``frames``.  At a dual parameter u the offset's striction
+    the values of ``offset_angles(frames, params)`` at the grid nodes and
+    the rates -ds/du and -Delta*ds/du in between.  Every derivative is
+    exact, whatever derivative mode measured ``frames``, which must sample
+    the base grid.  At a dual parameter u the offset's striction
     curve evaluates the base striction jet once, as the node (c, c', e, e',
     e'') at u.re: c, e and e' at u are lifted from it as x + eps*u.du*x',
     and theta*'s rate -det(c', e, e')/|e'| at u.re comes from the same node.
@@ -196,12 +200,9 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
     so does a gamma that changes sign between two nodes, naming both s.
     """
-    if not len(frames) == len(angles) == base.samples:
-        raise ValueError("frames and angles must sample the base grid")
-    c_const = angles.theta[0] + angles.s[0]
-    if (np.any(np.abs(frames.s - angles.s) > 1e-12)
-            or np.any(np.abs(angles.theta - (c_const - angles.s)) > 1e-9)):
-        raise ValueError("offset angles do not follow theta = -s + c on the frame grid")
+    if len(frames) != base.samples:
+        raise ValueError("frames must sample the base grid")
+    angles = offset_angles(frames, params)
     with np.errstate(over="ignore"):
         speed1 = np.abs(frames.gamma * np.cosh(angles.theta))
     bad = ~np.isfinite(speed1) | (speed1 < OFFSET_DEGENERACY_TOL)
@@ -312,7 +313,7 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = D
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     frames = darboux_frame(base, deriv)
     angles = offset_angles(frames, params)
-    offset = construct_offset(base, frames, angles)
+    offset = construct_offset(base, frames, params)
     m = _node_pass(offset, deriv)[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
@@ -322,7 +323,7 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = D
         delta1=m.delta,
         gamma1=m.gamma,
         gamma1_dual=m.gamma_dual,
-        R1_dual=timelike_radius(m.gamma_dual).radius,
+        R1_dual=timelike_radius(m.gamma_dual),
     )
     p, q = pred.quantities(), meas.quantities()
     residuals = {k: np.abs(p[k] - q[k]) for k in RESIDUAL_KEYS}

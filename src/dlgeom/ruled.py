@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -586,26 +586,16 @@ def timelike_invariants(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSa
     return _measure_frames(spec, deriv)
 
 
-BRANCH_SPACELIKE_DARBOUX = "|gamma1|<1"
-BRANCH_TIMELIKE_DARBOUX = "|gamma1|>1"
-
-
-class TimelikeRadius(NamedTuple):
-    radius: DualScalar
-    branch: str
-
-
 #: |gamma1| within this of 1 puts the offset Darboux vector on the light cone
 NULL_DARBOUX_TOL = 1e-10
 
 
-def timelike_radius(gamma1_dual: DualScalar) -> TimelikeRadius:
+def timelike_radius(gamma1_dual: DualScalar) -> DualScalar:
     """Dual radius of curvature 1/sqrt(|1 - gamma1^2|) of a timelike surface.
 
-    The branch flag records which side of |gamma1| = 1 the Darboux vector
-    sits on; at |gamma1| = 1 it is lightlike and the radius blows up.  On
-    array leaves the radius and the branch flag are elementwise, and
-    NullDarboux names the first offending |gamma1|.
+    At |gamma1| = 1 the Darboux vector is lightlike and the radius blows
+    up, which raises NullDarboux.  On array leaves the radius is
+    elementwise, and NullDarboux names the first offending |gamma1|.
     """
     g = gamma1_dual
     null = np.abs(np.abs(g.re) - 1.0) < NULL_DARBOUX_TOL
@@ -613,9 +603,7 @@ def timelike_radius(gamma1_dual: DualScalar) -> TimelikeRadius:
         raise NullDarboux(f"|gamma1| = {np.ravel(np.abs(g.re))[np.argmax(null)]} "
                           "is at the lightlike-Darboux boundary")
     q = 1.0 - g * g
-    spacelike = q.re > 0.0
-    branch = np.where(spacelike, BRANCH_SPACELIKE_DARBOUX, BRANCH_TIMELIKE_DARBOUX)[()]
-    return TimelikeRadius(1.0 / dual.sqrt(np.where(spacelike, 1.0, -1.0) * q), branch)
+    return 1.0 / dual.sqrt(np.where(q.re > 0.0, 1.0, -1.0) * q)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,22 @@ def test_offset_helicoidal_passes(tmp_path):
     assert report["summary"]["max"]["gamma1"] < 1e-6
 
 
+def test_negative_exponent_cstar_in_the_equals_form_passes(tmp_path):
+    # argparse reads a value such as -8.78e-05 after a space as an option;
+    # the help names the --mannheim-cstar=<value> form, which parses
+    out = tmp_path / "report"
+    assert main(["offset", "--input", _spec(tmp_path, HELI), "--out", str(out),
+                 "--mannheim-cstar=-8.78e-05"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdicts"]["passed"] is True
+    assert report["metadata"]["mannheim"]["c_star"] == -8.78e-05
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("offset", "mesh"):
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        assert "--mannheim-c=<value>" in helps["mannheim_c"]
+        assert "--mannheim-cstar=<value>" in helps["mannheim_cstar"]
+
+
 def test_offset_report_summary_matches_rows(tmp_path):
     spec = _spec(tmp_path, HELI)
     out = tmp_path / "report.json"
@@ -406,12 +422,10 @@ def test_mesh_offset_object(tmp_path):
     assert len(verts) == 2 * 7 * 2
     # offset ruling at each s: vertex(v=1) - vertex(v=0) equals e1(s)
     from dlgeom import catalog
-    from dlgeom.mannheim import MannheimParams, construct_offset, offset_angles
+    from dlgeom.mannheim import MannheimParams, construct_offset
     from dlgeom.ruled import darboux_frame
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=7)
-    frames = darboux_frame(base)
-    angles = offset_angles(frames, MannheimParams(1.0, 0.0))
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, darboux_frame(base), MannheimParams(1.0, 0.0))
     for i, s in enumerate(base.grid()):
         lo = verts[14 + 2 * i]
         hi = verts[14 + 2 * i + 1]

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dlgeom.dual as dual
-from dlgeom.dual import (CENTRAL_ANGLE, TIMELIKE_ANGLE, DualScalar, dual_angle_between, dual_lift,
-                         dual_norm, dual_vector, is_dual_unit)
+from dlgeom.dual import LIFTS, DualScalar, dual_angle_between, dual_norm, dual_vector, is_dual_unit
 from dlgeom.errors import BranchError, DivisionByPureDual, DomainError, KindMismatch, NullRealPart
 from dlgeom.lorentz import E2, Vec3L, lorentz_cross, lorentz_dot
 
@@ -65,29 +64,24 @@ def test_mixed_scalar_arithmetic():
 # analytic lifts
 
 def test_cosh_lift_example():
-    out = dual_lift("cosh", DualScalar(1.0, 2.0))
+    out = dual.cosh(DualScalar(1.0, 2.0))
     assert out.re == pytest.approx(math.cosh(1.0), abs=1e-15)
     assert out.du == pytest.approx(2.0 * math.sinh(1.0), abs=1e-15)
 
 
 def test_sqrt_lift_example():
-    assert dual_lift("sqrt", DualScalar(4.0, 4.0)) == DualScalar(2.0, 1.0)
+    assert dual.sqrt(DualScalar(4.0, 4.0)) == DualScalar(2.0, 1.0)
 
 
 def test_sinh_lift_at_zero():
-    assert dual_lift("sinh", DualScalar(0.0, 5.0)) == DualScalar(0.0, 5.0)
+    assert dual.sinh(DualScalar(0.0, 5.0)) == DualScalar(0.0, 5.0)
 
 
 def test_sqrt_domain_error():
     with pytest.raises(DomainError):
-        dual_lift("sqrt", DualScalar(-1.0, 1.0))
+        dual.sqrt(DualScalar(-1.0, 1.0))
     with pytest.raises(DomainError):
-        dual_lift("sqrt", DualScalar(0.0, 1.0))
-
-
-def test_unknown_lift_rejected():
-    with pytest.raises(ValueError):
-        dual_lift("log", DualScalar(1.0, 0.0))
+        dual.sqrt(DualScalar(0.0, 1.0))
 
 
 _DOMAINS = {
@@ -109,7 +103,7 @@ def test_lift_matches_central_difference(name):
     rng = np.random.default_rng(7)
     for x in rng.uniform(lo + 2 * h, hi - 2 * h, 100):
         want = (f(x + h) - f(x - h)) / (2 * h)
-        got = dual_lift(name, DualScalar(float(x), 1.0)).du
+        got = LIFTS[name](DualScalar(float(x), 1.0)).du
         assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -187,7 +181,7 @@ def test_dual_products_are_the_lorentz_products_over_dual_components(a, a_star, 
 
 def test_is_dual_unit():
     assert is_dual_unit(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 5.0)))
-    assert is_dual_unit(dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0)), timelike=True)
+    assert is_dual_unit(dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0)))
     assert not is_dual_unit(dual_vector(Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
 
 
@@ -213,8 +207,8 @@ def _unit_timelike(moment=Vec3L(0.0, 0.0, 0.0)):
 
 
 def test_timelike_angle_orthogonal_pair():
-    out = dual_angle_between(_unit_spacelike(), _unit_timelike(), TIMELIKE_ANGLE)
-    assert out.theta == 0.0 and out.theta_star == 0.0
+    out = dual_angle_between(_unit_spacelike(), _unit_timelike())
+    assert out == DualScalar(0.0, 0.0)
 
 
 def test_timelike_angle_sinh_inversion():
@@ -226,18 +220,19 @@ def test_timelike_angle_sinh_inversion():
     product = lorentz_dot(x, y)
     assert product.re == pytest.approx(math.sinh(th), abs=1e-15)
     assert product.du == pytest.approx(ths * math.cosh(th), abs=1e-15)
-    out = dual_angle_between(x, y, TIMELIKE_ANGLE)
-    assert out.theta == pytest.approx(th, abs=1e-12)
-    assert out.theta_star == pytest.approx(ths, abs=1e-12)
+    out = dual_angle_between(x, y)
+    assert out.re == pytest.approx(th, abs=1e-12)
+    assert out.du == pytest.approx(ths, abs=1e-12)
+    assert type(out.re) is float and type(out.du) is float
 
 
 def test_central_angle_cosh_inversion():
     th = 0.5
     x = _unit_spacelike()
     y = dual_vector(Vec3L(math.sinh(th), math.cosh(th), 0.0), Vec3L(0.0, 0.0, 0.0))
-    out = dual_angle_between(x, y, CENTRAL_ANGLE)
-    assert out.theta == pytest.approx(th, abs=1e-12)
-    assert out.theta_star == pytest.approx(0.0, abs=1e-15)
+    out = dual_angle_between(x, y)
+    assert out.re == pytest.approx(th, abs=1e-12)
+    assert out.du == pytest.approx(0.0, abs=1e-15)
 
 
 def test_central_angle_dual_slot():
@@ -248,29 +243,28 @@ def test_central_angle_dual_slot():
     y = dual_vector(Vec3L(math.sinh(th), math.cosh(th), 0.0), Vec3L(0.0, 0.0, 0.0))
     moment_scale = target.du / math.sinh(th)  # aligns <x, y_du> with the wanted dual slot
     y = dual_vector(y.re, Vec3L(moment_scale * math.cosh(th), moment_scale * math.sinh(th), 0.0))
-    out = dual_angle_between(x, y, CENTRAL_ANGLE)
-    assert out.theta == pytest.approx(th, abs=1e-12)
-    assert out.theta_star == pytest.approx(ths, abs=1e-12)
+    out = dual_angle_between(x, y)
+    assert out.re == pytest.approx(th, abs=1e-12)
+    assert out.du == pytest.approx(ths, abs=1e-12)
+    assert type(out.re) is float and type(out.du) is float
 
 
 def test_angle_kind_mismatch():
+    # only (spacelike, timelike) and (spacelike, spacelike) have a dual angle
     with pytest.raises(KindMismatch):
-        dual_angle_between(_unit_timelike(), _unit_timelike(), TIMELIKE_ANGLE)
+        dual_angle_between(_unit_timelike(), _unit_timelike())
     with pytest.raises(KindMismatch):
-        dual_angle_between(_unit_spacelike(), _unit_timelike(), CENTRAL_ANGLE)
+        dual_angle_between(_unit_timelike(), _unit_spacelike())
     # a lightlike argument is a causal-character violation, not a norm error
     null_vec = dual_vector(Vec3L(1.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0))
     with pytest.raises(KindMismatch):
-        dual_angle_between(null_vec, _unit_timelike(), TIMELIKE_ANGLE)
+        dual_angle_between(null_vec, _unit_timelike())
+    with pytest.raises(KindMismatch):
+        dual_angle_between(_unit_spacelike(), null_vec)
 
 
 def test_central_angle_branch_error():
     x = _unit_spacelike()
     y = dual_vector(Vec3L(0.0, 0.0, 1.0), Vec3L(0.0, 0.0, 0.0))  # orthogonal: <x,y> = 0
     with pytest.raises(BranchError):
-        dual_angle_between(x, y, CENTRAL_ANGLE)
-
-
-def test_unknown_angle_kind():
-    with pytest.raises(ValueError):
-        dual_angle_between(_unit_spacelike(), _unit_timelike(), "euclidean")
+        dual_angle_between(x, y)

@@ -38,9 +38,11 @@ def test_causal_characters():
 
 
 def test_causal_tolerance_band():
+    # <a,a> = 1e-14 sits inside the band |<a,a>| <= CAUSAL_TOL, 1e-11 outside it
     nearly_null = Vec3L(1.0, math.sqrt(1.0 + 1e-14), 0.0)
     assert causal_character(nearly_null) is CausalCharacter.LIGHTLIKE
-    assert causal_character(nearly_null, tol=1e-16) is CausalCharacter.SPACELIKE
+    assert causal_character(Vec3L(1.0, math.sqrt(1.0 + 1e-11), 0.0)) is CausalCharacter.SPACELIKE
+    assert causal_character(Vec3L(1.0, math.sqrt(1.0 - 1e-11), 0.0)) is CausalCharacter.TIMELIKE
 
 
 def test_norm_examples():

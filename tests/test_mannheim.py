@@ -9,15 +9,15 @@ from scipy.optimize import brentq
 import dlgeom.dual as dual
 import dlgeom.ruled as ruled
 from dlgeom import catalog
-from dlgeom.dual import DualScalar, TIMELIKE_ANGLE, dual_angle_between
+from dlgeom.dual import DualScalar, dual_angle_between
 from dlgeom.errors import DegenerateOffset, ZeroConicalCurvature
 from dlgeom.lorentz import Vec3L, lorentz_dot
 from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, OffsetAngle,
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
 from dlgeom.numerics import CENTRAL_FD, DUAL_AD, value_and_derivative
-from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, timelike_invariants,
-                          timelike_radius)
+from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, striction_curve,
+                          timelike_invariants, timelike_radius)
 
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
 
@@ -72,8 +72,7 @@ def test_offset_angles_at_grid_origin():
 def test_offset_ruling_is_unit_timelike():
     base = _heli()
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     for s in off.grid():
         e1 = off.indicatrix(float(s))
         assert lorentz_dot(e1, e1) == pytest.approx(-1.0, abs=1e-12)
@@ -86,7 +85,7 @@ def test_offset_at_theta_zero_sample():
     sample = frames[5]
     params = MannheimParams(c=sample.s, c_star=0.2)
     angles = offset_angles(frames, params)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, params)
     e1 = off.indicatrix(sample.s)
     assert max(abs(x - y) for x, y in zip(e1, sample.t)) < 1e-12
     c1 = off.base_curve(sample.s)
@@ -98,8 +97,7 @@ def test_offset_at_theta_zero_sample():
 def test_mannheim_condition_dual_vector_equality():
     base = _heli()
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     measured = timelike_invariants(off)
     for f, m in zip(frames, measured):
         assert mannheim_condition_residual(f, m) < 1e-8
@@ -118,8 +116,7 @@ def _prose_striction_variant(base, off):
 def test_prose_striction_variant_breaks_dual_condition():
     base = _heli()
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     measured = _prose_striction_variant(base, off)
     worst = max(mannheim_condition_residual(f, m) for f, m in zip(frames, measured))
     assert worst > 1e-3  # the real parts agree but the moments cannot
@@ -128,8 +125,7 @@ def test_prose_striction_variant_breaks_dual_condition():
 def test_mannheim_condition_on_columns_is_the_worst_row():
     base = _heli()
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     measured = timelike_invariants(off)
     rows = [mannheim_condition_residual(f, m) for f, m in zip(frames, measured)]
     assert mannheim_condition_residual(frames, measured) == max(rows)
@@ -140,7 +136,7 @@ def test_frame_transform_matrix():
     base = _heli(samples=15)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     measured = timelike_invariants(off)
     for f, a, m in zip(frames, angles, measured):
         thbar = a.as_dual()
@@ -160,7 +156,7 @@ def test_offset_frame_derived_g_consistent():
     base = _heli(samples=15)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     for f, a, m in zip(frames, angles, timelike_invariants(off)):
         want = math.cosh(a.theta) * f.e + math.sinh(a.theta) * f.t
         assert max(abs(x - y) for x, y in zip(m.g, want)) < 1e-7
@@ -170,7 +166,7 @@ def test_arc_rate_measured_vs_closed_form():
     base = _heli(samples=21)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     speed = speed_closure(off)
     for f, a in zip(frames, angles):
         assert speed(f.s) == pytest.approx(f.gamma * math.cosh(a.theta), abs=1e-7)
@@ -179,13 +175,8 @@ def test_arc_rate_measured_vs_closed_form():
 def test_offset_angle_rate_is_minus_one():
     base = _heli(samples=41)
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
-    measured = timelike_invariants(off)
-    extracted = []
-    for f, m in zip(frames, measured):
-        ang = dual_angle_between(f.dual_e(), m.dual_e(), TIMELIKE_ANGLE)
-        extracted.append(ang.theta)
+    measured = timelike_invariants(construct_offset(base, frames, PARAMS))
+    extracted = [dual_angle_between(f.dual_e(), m.dual_e()).re for f, m in zip(frames, measured)]
     h = frames[1].s - frames[0].s
     rates = np.gradient(np.asarray(extracted), h)
     # interior samples: the extracted |theta| falls at unit rate; theta > 0
@@ -193,12 +184,53 @@ def test_offset_angle_rate_is_minus_one():
     assert np.max(np.abs(rates[2:-2] + 1.0)) < 1e-6
 
 
+def _warped_heli():
+    """The helicoidal composed with u -> u + 0.3*u^2, so u is not arc length."""
+    base = _heli(samples=21)
+
+    def warp(u):
+        return u + 0.3 * u * u
+
+    return dataclasses.replace(base, indicatrix=lambda u: base.indicatrix(warp(u)),
+                               base_curve=lambda u: base.base_curve(warp(u)))
+
+
+def _study_angle_gap(base, params, mutate=lambda off: off) -> float:
+    """Largest gap between the dual angle of the base and offset rulings and
+    offset_angles' (theta, theta*), over the grid; ``mutate`` edits the offset."""
+    frames = darboux_frame(base)
+    measured = timelike_invariants(mutate(construct_offset(base, frames, params)))
+    gaps = []
+    for f, m, a in zip(frames, measured, offset_angles(frames, params)):
+        angle = dual_angle_between(f.dual_e(), m.dual_e())
+        gaps += [abs(angle.re - a.theta), abs(angle.du - a.theta_star)]
+    return max(gaps)
+
+
+@pytest.mark.parametrize("c_star", [0.3, -0.3])
+@pytest.mark.parametrize("make_base", [_heli, _warped_heli, _cone],
+                         ids=["helicoidal", "warped", "cone"])
+def test_study_angle_between_the_rulings_is_the_offset_angle(make_base, c_star):
+    # <e, e1> = sinh(theta + eps*theta*) on the E. Study images of the rulings
+    assert _study_angle_gap(make_base(), MannheimParams(1.0, c_star)) < 1e-12
+
+
+def test_mirrored_offset_striction_fails_the_study_angle():
+    # negative control: the striction line c - theta*g instead of c + theta*g
+    base = _heli()
+    c = striction_curve(base)
+
+    def mirrored(off):
+        return dataclasses.replace(off, base_curve=lambda u: 2.0 * c(u) - off.base_curve(u))
+
+    assert _study_angle_gap(base, MannheimParams(1.0, 0.3), mirrored) > 0.1
+
+
 def test_degenerate_offset_rejected():
     base = catalog.cone(a=0.0, b=1.0, domain=(0.05, 0.95), samples=11)
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
     with pytest.raises(DegenerateOffset):
-        construct_offset(base, frames, angles)
+        construct_offset(base, frames, PARAMS)
 
 
 def test_gamma_sign_change_between_nodes_is_degenerate():
@@ -211,7 +243,7 @@ def test_gamma_sign_change_between_nodes_is_degenerate():
     i = int(i[0])
     expected = f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}"
     with pytest.raises(DegenerateOffset, match=re.escape(expected) + "$"):
-        construct_offset(base, frames, offset_angles(frames, PARAMS))
+        construct_offset(base, frames, PARAMS)
     with pytest.raises(DegenerateOffset, match="gamma changes sign"):
         verify_offset(base, PARAMS)
 
@@ -222,15 +254,13 @@ def test_turning_base_builds_where_gamma_keeps_its_sign():
     base = _turning(domain=(0.6, 0.95))
     frames = darboux_frame(base)
     assert np.all(frames.gamma < 0.0)
-    construct_offset(base, frames, offset_angles(frames, PARAMS))
+    construct_offset(base, frames, PARAMS)
 
 
-def test_mismatched_angles_rejected():
-    base = _heli(samples=11)
-    frames = darboux_frame(base)
-    bad = OffsetAngle(frames.s, np.full(len(frames), 0.5), np.zeros(len(frames)))
-    with pytest.raises(ValueError):
-        construct_offset(base, frames, bad)
+def test_frames_off_the_base_grid_rejected():
+    frames = darboux_frame(_heli(samples=11))
+    with pytest.raises(ValueError, match="frames must sample the base grid"):
+        construct_offset(_heli(samples=21), frames, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +326,7 @@ def test_verify_offset_rejects_a_tolerance_that_is_not_positive_and_finite(toler
 def _heli_offset():
     base = _heli(samples=11)
     frames = darboux_frame(base)
-    return construct_offset(base, frames, offset_angles(frames, PARAMS))
+    return construct_offset(base, frames, PARAMS)
 
 
 @pytest.mark.parametrize("measure", [
@@ -318,9 +348,9 @@ def test_verify_offset_measures_the_offset_nodes_bit_for_bit(deriv, samples):
     base, params = _heli(samples=samples), MannheimParams(1.0, 0.1)
     rep = verify_offset(base, params, deriv)
     frames = darboux_frame(base, deriv)
-    m = timelike_invariants(construct_offset(base, frames, offset_angles(frames, params)), deriv)
+    m = timelike_invariants(construct_offset(base, frames, params), deriv)
     full = InvariantRecord(m.ds_du / frames.ds_du, m.Delta, m.delta, m.gamma, m.gamma_dual,
-                           timelike_radius(m.gamma_dual).radius)
+                           timelike_radius(m.gamma_dual))
     got, want = rep.samples.measured.quantities(), full.quantities()
     for key in RESIDUAL_KEYS:
         assert np.array_equal(got[key], want[key]), key
@@ -345,7 +375,7 @@ def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
     assert calls == 0
     # the counter sees the corrections of the full measurement's off-grid points
     frames = darboux_frame(base)
-    timelike_invariants(construct_offset(base, frames, offset_angles(frames, PARAMS)))
+    timelike_invariants(construct_offset(base, frames, PARAMS))
     assert calls > 0
 
 
@@ -460,8 +490,7 @@ def test_offset_developable_locus_matches_root():
     assert s0 <= root_pred <= s1
     # refine the measured crossing by bisection on the measured pipeline
     frames = darboux_frame(rep and catalog.helicoidal(domain=(0.05, 0.95), samples=181))
-    angles = offset_angles(frames, params)
-    off = construct_offset(catalog.helicoidal(domain=(0.05, 0.95), samples=181), frames, angles)
+    off = construct_offset(catalog.helicoidal(domain=(0.05, 0.95), samples=181), frames, params)
     from dlgeom.ruled import TIMELIKE_SURFACE, RuledSurfaceSpec
 
     def measured_delta1(s):
@@ -475,8 +504,9 @@ def test_offset_developable_locus_matches_root():
 
 def test_developability_check_flags_coth_singularity():
     frames = darboux_frame(catalog.helicoidal(domain=(0.0, 1.0), samples=11))
-    angles = offset_angles(frames, MannheimParams(c=1.0, c_star=0.0))
-    off = construct_offset(catalog.helicoidal(domain=(0.0, 1.0), samples=11), frames, angles)
+    params = MannheimParams(c=1.0, c_star=0.0)
+    angles = offset_angles(frames, params)
+    off = construct_offset(catalog.helicoidal(domain=(0.0, 1.0), samples=11), frames, params)
     measured = timelike_invariants(off)
     # theta = 1 - s hits zero at the last sample
     dev = developability_check(frames, angles, measured, tol=1e-8)
@@ -490,7 +520,7 @@ def test_radius_relations_frozen():
     # R1 = cosh(theta_dual) and |dual(R1)| = |theta*|*sinh|theta| at one sample
     angle = OffsetAngle(s=0.5, theta=0.5, theta_star=-0.05)
     g = DualScalar(-math.tanh(0.5), 0.05 / math.cosh(0.5) ** 2)
-    radius = timelike_radius(g).radius
+    radius = timelike_radius(g)
     expected = predicted_invariants(0.75, 0.2, 0.1, angle).R1_dual
     assert radius.re == pytest.approx(1.1276259652063807, abs=1e-12)
     assert radius.du == pytest.approx(-0.02605476527468737, abs=1e-12)
@@ -499,7 +529,7 @@ def test_radius_relations_frozen():
 
 
 def test_radius_relations_trivial_angle():
-    radius = timelike_radius(DualScalar(0.0, 0.0)).radius
+    radius = timelike_radius(DualScalar(0.0, 0.0))
     expected = predicted_invariants(0.75, 0.2, 0.1, OffsetAngle(s=0.0, theta=0.0,
                                                                 theta_star=0.0)).R1_dual
     assert radius == DualScalar(1.0, 0.0)
@@ -513,7 +543,7 @@ def test_radius_dual_magnitude_identity_random():
     keep = np.abs(th) >= 1e-3
     angles = OffsetAngle(np.zeros(keep.sum()), th[keep], ths[keep])
     pred = predicted_invariants(0.75, 0.2, 0.1, angles)
-    radius = timelike_radius(pred.gamma1_dual).radius
+    radius = timelike_radius(pred.gamma1_dual)
     assert np.max(np.abs(radius.re - pred.R1_dual.re)) < 1e-9
     assert np.max(np.abs(radius.du - pred.R1_dual.du)) < 1e-9
     want = np.abs(angles.theta_star) * np.sinh(np.abs(angles.theta))
@@ -537,8 +567,7 @@ def test_dual_arclength_of_offset_carries_minus_Delta1():
 
     base = _heli(samples=21)
     frames = darboux_frame(base)
-    angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, angles)
+    off = construct_offset(base, frames, PARAMS)
     s_end = 0.6
 
     def v(u):
