@@ -7,8 +7,7 @@ verification pipeline that compares closed-form invariants against
 measurements of the constructed geometry.
 """
 
-from .lorentz import (CausalCharacter, Vec3L, causal_character, det3, lorentz_cross,
-                      lorentz_dot, lorentz_norm)
+from .lorentz import CausalCharacter, Vec3L, causal_character, det3, lorentz_cross, lorentz_dot
 from .dual import DualScalar, dual_angle_between, dual_norm, dual_vector
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from .numerics import (FrameState, cumulative_integrate, integrate, lorentz_gram_schmidt,
@@ -24,7 +23,7 @@ from . import catalog
 
 __all__ = [
     "CausalCharacter", "Vec3L", "causal_character", "det3", "lorentz_cross",
-    "lorentz_dot", "lorentz_norm",
+    "lorentz_dot",
     "DualScalar", "dual_angle_between", "dual_norm", "dual_vector",
     "OrientedLine", "dual_to_line", "line_to_dual",
     "FrameState", "cumulative_integrate", "integrate", "lorentz_gram_schmidt",

@@ -32,7 +32,7 @@ from .lorentz import Vec3L
 from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
-                    striction_curve, timelike_invariants, timelike_radius, _rows)
+                    striction_jet, timelike_invariants, timelike_radius, _rows)
 from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
@@ -318,22 +318,23 @@ def cmd_mesh(args) -> int:
     _require(args.v_samples >= 2, "mesh needs v_samples >= 2")
     params = _mannheim_params(args)
 
-    meshes = [("base", striction_curve(spec), spec.indicatrix)]
+    # one jet call per surface gives c and e, evaluating the indicatrix once
+    meshes = [("base", striction_jet(spec))]
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
         off = construct_offset(spec, darboux_frame(spec), params)
-        meshes.append(("offset", striction_curve(off), off.indicatrix))
+        meshes.append(("offset", striction_jet(off)))
 
     u_grid = spec.grid()
     v_grid = np.linspace(v_min, v_max, args.v_samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# dlgeom ruled surface mesh: {spec.name}\n")
         base_index = 1
-        for name, c_curve, e_curve in meshes:
+        for name, jet in meshes:
             fh.write(f"o {name}\n")
             with at_points(u_grid):
-                c, e = c_curve(u_grid), e_curve(u_grid)
+                c, e, _ = jet(u_grid)
             # vertex (u, v) is c(u) + v*e(u), rows by u and v within them
             xyz = [(np.broadcast_to(ci, u_grid.shape)[:, None]
                     + np.broadcast_to(ei, u_grid.shape)[:, None] * v_grid).ravel().tolist()
@@ -367,7 +368,9 @@ def load_profile(path: str, samples_override: int | None = None):
              "profile needs 'frame': {'e', 't', 'g', 'c'}")
     s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min <= s_max, "profile domain needs s_min <= s_max")
-    _require(samples >= 1, "profile needs samples >= 1")
+    # a one-point domain is one row whatever the count; an interval needs both ends
+    least = 1 if s_min == s_max else 2
+    _require(samples >= least, f"profile needs samples >= {least}, got {samples}")
     try:
         profile = InvariantProfile(
             gamma=_profile_fn(data["gamma"], "gamma"),
@@ -380,11 +383,7 @@ def load_profile(path: str, samples_override: int | None = None):
         )
     except FrameDegeneracy as exc:
         raise SpecFileError(f"profile frame seed rejected: {exc}") from None
-    if s_min == s_max:
-        grid = np.array([s_min])
-    else:
-        grid = np.linspace(s_min, s_max, max(samples, 2))
-    return profile, grid
+    return profile, np.linspace(s_min, s_max, 1 if s_min == s_max else samples)
 
 
 def cmd_reconstruct(args) -> int:

@@ -226,9 +226,6 @@ LIFTS = {
 #: |<a,a>| at or below this has no dual norm
 NORM_TOL = 1e-12
 
-#: tolerance of the unit conditions <a,a> = +-1, <a,a*> = 0
-UNIT_TOL = 1e-9
-
 #: half-width of the cosh branch point |<x^,y^>| = 1 of the central angle
 BRANCH_TOL = 1e-9
 
@@ -254,13 +251,6 @@ def dual_norm(x: Vec3L) -> DualScalar:
                            index=int(np.argmax(null)) if np.ndim(null) else None)
     n = sqrt(abs(q))
     return DualScalar(n, np.sign(q) * lorentz_dot(a, a_star) / n)
-
-
-def is_dual_unit(x: Vec3L) -> bool:
-    """Check |<a,a>| = 1 and <a,a*> = 0 within UNIT_TOL."""
-    a = x.re
-    return (abs(abs(lorentz_dot(a, a)) - 1.0) <= UNIT_TOL
-            and abs(lorentz_dot(a, x.du)) <= UNIT_TOL)
 
 
 # ---------------------------------------------------------------------------

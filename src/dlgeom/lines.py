@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dual import UNIT_TOL, dual_vector
+from .dual import dual_vector
 from .errors import InvalidDirection, NotUnit
 from .lorentz import Vec3L, lorentz_cross, lorentz_dot
+
+#: tolerance of the unit conditions <a,a> = +-1, <a,a*> = 0
+UNIT_TOL = 1e-9
 
 
 def _unit_sign(direction: Vec3L, exc, what: str) -> float:
@@ -35,10 +38,6 @@ class OrientedLine:
 
     def __post_init__(self):
         _unit_sign(self.direction, InvalidDirection, "line direction")
-
-    @property
-    def timelike(self) -> bool:
-        return lorentz_dot(self.direction, self.direction) < 0.0
 
 
 def line_to_dual(line: OrientedLine) -> Vec3L:

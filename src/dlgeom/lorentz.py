@@ -170,8 +170,3 @@ def causal_character(a: Vec3L) -> CausalCharacter:
     if a.x1 == 0.0 and a.x2 == 0.0 and a.x3 == 0.0:
         return CausalCharacter.SPACELIKE
     return CausalCharacter.LIGHTLIKE
-
-
-def lorentz_norm(a: Vec3L) -> float:
-    """Norm sqrt(|<a,a>|); zero exactly for lightlike vectors."""
-    return math.sqrt(abs(lorentz_dot(a, a)))

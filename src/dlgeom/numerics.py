@@ -5,8 +5,11 @@ is evaluated at ``u + eps`` and the dual slot is read back, so catalog
 closed forms differentiate to roundoff.  Central finite differences, at the
 fixed step ``FD_STEP``, are the other derivative mode: the measurements
 (:func:`dlgeom.ruled.darboux_frame`, :func:`dlgeom.ruled.timelike_invariants`
-and :func:`dlgeom.mannheim.verify_offset`) take ``deriv=CENTRAL_FD`` as an
-independent cross-check, and the mode selects nothing else.
+and :func:`dlgeom.mannheim.verify_offset`) take ``deriv=CENTRAL_FD`` as a
+cross-check.  It evaluates the exact nodes at u +- FD_STEP in the same pass
+as those at u, and replaces c' (in delta and Delta) and e'' (in gamma) by
+the central differences of c and e' there; everything else is read off the
+nodes at u, as in dual-AD.
 Quadrature is composite Simpson throughout.  The frame ODE is integrated at
 a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
 flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all

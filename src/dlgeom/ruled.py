@@ -18,16 +18,18 @@ every u-derivative is divided by the indicatrix speed v = ds/du (exact
 chain rule), gamma = det(e, e', e'')/v^3, and s and the accumulated
 distribution parameter s* come from quadrature of their u-rates, so no
 reparametrization is needed.  Curve closures are duck-typed over dual
-scalars, so every derivative is exact forward differentiation; central
-finite differences remain available for the frame through the ``deriv``
-argument, while s, s* and the striction check stay exact in both modes.
+scalars, so every derivative is exact forward differentiation.  The
+central-fd mode of the ``deriv`` argument differences the same exact nodes
+at u +- FD_STEP, and only for c' in delta and Delta and for e'' in gamma:
+the frame {e, t, g}, s, s* and the striction check are exact in both modes.
 Constructions (striction solve, reconstruction) take no derivative mode.
 
 Closures are evaluated over arrays of samples: a measurement is one pass
 that calls each closure once on all of its parameter values (float arrays,
 or dual scalars with array leaves), the quadrature points included (a
-1001-sample grid measures about 2015 points), and every check reports the
-first offending parameter of the pass.
+1001-sample grid measures about 2015 points, and central-fd adds the 2002
+shifted nodes), and every check reports the first offending parameter of
+the pass.
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -192,7 +194,6 @@ class DualCurvature:
 
     R_dual: DualScalar
     rho_dual: DualScalar
-    darboux: Vec3L
     darboux_unit: Vec3L
 
 
@@ -310,17 +311,6 @@ def _exact_node(jet, u):
     return c.re, c.du, e.re, ep.re, ep.du
 
 
-def _fd_node(jet, u):
-    """(c, c', e, e', e'') at u for central-fd frames.
-
-    c, e, e' come from the real jet at u and c', e'' from its central
-    differences at u +- FD_STEP.
-    """
-    h = FD_STEP
-    (c, e, ep), (c_hi, _, ep_hi), (c_lo, _, ep_lo) = jet(u), jet(u + h), jet(u - h)
-    return c, (c_hi - c_lo) / (2.0 * h), e, ep, (ep_hi - ep_lo) / (2.0 * h)
-
-
 def _arc_rates(node, sign: float, u, v=None):
     """(ds/du, ds*/du) = (|e'|, sign*det(c', e, e')/|e'|) from a node (c, c', e, e', e'').
 
@@ -434,17 +424,17 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
     The ruling sign fixes the frame signature, (+, -, +) or (-, +, +), the
     sign of s* (+int Delta ds or -int Delta ds) and that of gamma_dual's
     dual slot (-(delta + gamma*Delta) or +).  In both classes gamma =
-    -<dg/ds, t> = det(e, e', e'')/v^3.  The striction condition <c', t> = 0
-    belongs to the constructed striction curve, so it is checked on exact
-    nodes in both modes.
+    -<dg/ds, t> = det(e, e', e'')/v^3.
 
-    Every point is evaluated once, in one pass over the grid nodes and then
-    ``extra``: one exact node evaluation, that is one call of each spec
-    closure on all the points.  Central-fd mode adds the real jets at
-    u +- FD_STEP for the frame, on the grid only.  The checks run in this
-    order over the whole pass, so an error names the first offending point
-    of the first check that fails: the closure outputs as they are split
-    into nodes (the central-fd jets first), then the frame checks on the
+    The pass is one exact node evaluation, that is one call of each spec
+    closure, on the grid, then (central-fd mode only) the grid shifted by
+    +FD_STEP and by -FD_STEP, then ``extra``.  In both modes c, e, e', the
+    speed v, t, g, the frame and striction checks and the rates come from
+    the grid nodes; central-fd replaces only the c' of delta and Delta, and
+    e'', by central differences of the real parts of the shifted nodes.
+    The checks run in this order over the whole pass, so an error names the
+    first offending point of the first check that fails: the closure
+    outputs as they are split into nodes, then the frame checks on the
     grid, then the speed at ``extra``.  Returns the node columns and the
     rates (ds/du, ds*/du) as rows, on the grid and on ``extra``.  A
     ``deriv`` other than DUAL_AD or CENTRAL_FD raises ValueError.
@@ -452,14 +442,20 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
     if deriv not in (DUAL_AD, CENTRAL_FD):
         raise ValueError(f"unknown derivative mode {deriv!r}")
     sign = spec.ruling_sign()
-    jet = striction_jet(spec)
-
-    def frame_columns(u, exact, fd):
-        # the frame comes from ``fd`` in central-fd mode and from ``exact`` in
-        # dual-ad mode, which then shares its speed with the rates; s, s* and
-        # the striction check come from ``exact``
-        point, cp, e, ep, epp = exact if fd is None else fd
-        v = tangent_speed(ep, sign, u)
+    grid = spec.grid()
+    k = len(grid)
+    shifts = [grid + FD_STEP, grid - FD_STEP] if deriv == CENTRAL_FD else []
+    points = np.concatenate([grid, *shifts, extra])
+    end = len(points) - len(extra)
+    with at_points(points):
+        node = _exact_node(striction_jet(spec), points)
+        exact, *shifted = (_node_rows(node, slice(i, i + k)) for i in range(0, end, k))
+        point, cp, e, ep, epp = exact
+        dc = cp  # the c' of delta and Delta
+        if shifted:
+            (c_hi, _, _, ep_hi, _), (c_lo, _, _, ep_lo, _) = shifted
+            dc, epp = (c_hi - c_lo) / (2.0 * FD_STEP), (ep_hi - ep_lo) / (2.0 * FD_STEP)
+        v = tangent_speed(ep, sign, grid)
         t = ep / v
         g = -lorentz_cross(e, t)
         res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
@@ -467,25 +463,19 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
         if np.any(bad):
             raise FrameDegeneracy(
                 f"frame residual up to {np.max(res):.3e}, first over {FRAME_TOL:.0e} "
-                f"at u={_first_u(bad, u)}")
+                f"at u={_first_u(bad, grid)}")
         gamma = det3(e, ep, epp) / (v * v * v)
-        off = np.abs(lorentz_dot(exact[1], t)) > 1e-8
+        # the striction condition belongs to the constructed striction curve,
+        # so it reads the exact c' in both modes
+        off = np.abs(lorentz_dot(cp, t)) > 1e-8
         if np.any(off):
-            raise FrameDegeneracy(f"striction condition violated at u={_first_u(off, u)}")
-        cs = cp / v
-        return _columns(u, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v,
-                        *_arc_rates(exact, sign, u, v if fd is None else None))
-
-    grid = spec.grid()
-    k = len(grid)
-    points = np.concatenate([grid, extra])
-    with at_points(points):
-        fd = None if deriv == DUAL_AD else _fd_node(jet, grid)
-        node = _exact_node(jet, points)
-        table = frame_columns(grid, _node_rows(node, slice(None, k)), fd)
+            raise FrameDegeneracy(f"striction condition violated at u={_first_u(off, grid)}")
+        cs = dc / v
+        table = _columns(grid, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v,
+                         *_arc_rates(exact, sign, grid, v))
         rates = np.zeros((2, 0))
         if len(extra):
-            rates = _columns(extra, *_arc_rates(_node_rows(node, slice(k, None)), sign, extra))
+            rates = _columns(extra, *_arc_rates(_node_rows(node, slice(end, None)), sign, extra))
     p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table
     nodes = _NodeFrames(
         e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3), gamma=gamma, delta=delta,
@@ -521,8 +511,9 @@ def darboux_frame(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSample:
     gamma = -<dg/ds, t> (valid because <t,t> = -1), delta = <dc/ds, e>,
     Delta = det(dc/ds, e, t); the dual conical curvature combines them as
     gamma - eps*(delta + gamma*Delta), and s* accumulates +Delta ds.
-    ``deriv`` is the derivative mode of the frame, DUAL_AD (exact) or
-    CENTRAL_FD (steps of FD_STEP); s and s* are exact in both.
+    ``deriv`` is the derivative mode of gamma, delta and Delta, DUAL_AD
+    (exact) or CENTRAL_FD (steps of FD_STEP); the frame, s and s* are exact
+    in both.
     """
     if spec.kind != SPACELIKE_SURFACE:
         raise ValueError("darboux_frame expects a spacelike-surface spec")
@@ -552,7 +543,7 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
 
 
 def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
-    """Dual radius of curvature, spherical radius, and Darboux axes.
+    """Dual radius of curvature, spherical radius, and unit Darboux vector.
 
     R = 1/sqrt(1 + gamma_dual^2); the unit Darboux vector is
     (-gamma_dual*e + g) scaled by R; the spherical radius rho solves
@@ -562,15 +553,14 @@ def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
     gbar = fs.gamma_dual
     root = dual.sqrt(1.0 + gbar * gbar)
     R = 1.0 / root
-    d = (-gbar) * fs.dual_e() + fs.dual_g()
-    d0 = d * R
+    d0 = ((-gbar) * fs.dual_e() + fs.dual_g()) * R
     sin_rho = R
     cos_rho = (-gbar) * R
     rho = DualScalar(
         np.arctan2(sin_rho.re, cos_rho.re),
         sin_rho.du * cos_rho.re - cos_rho.du * sin_rho.re,
     )
-    return DualCurvature(R_dual=R, rho_dual=rho, darboux=d, darboux_unit=d0)
+    return DualCurvature(R_dual=R, rho_dual=rho, darboux_unit=d0)
 
 
 def timelike_invariants(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSample:

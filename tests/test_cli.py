@@ -516,6 +516,19 @@ def test_reconstruct_samples_flag_overrides_the_profile(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["samples"] == 5
 
 
+@pytest.mark.parametrize("flag", [[], ["--samples", "1"]], ids=["file", "flag"])
+def test_reconstruct_rejects_one_sample_on_an_interval(tmp_path, capsys, flag):
+    # an interval has two ends, so one sample is an error, not a silent 2
+    samples = 11 if flag else 1
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload(
+        domain={"s_min": 0.0, "s_max": 1.0, "samples": samples})))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r"), *flag]) == 2
+    last = _last_error(capsys)
+    assert last["error"] == "SpecFileError" and last["message"].endswith("samples >= 2, got 1")
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("s0", [0.3, 0.0, -0.3])
 @pytest.mark.parametrize("deriv", ["dual-ad", "central-fd"])
 def test_reconstruct_single_row_is_measured(tmp_path, s0, deriv):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dlgeom.dual as dual
-from dlgeom.dual import LIFTS, DualScalar, dual_angle_between, dual_norm, dual_vector, is_dual_unit
+from dlgeom.dual import LIFTS, DualScalar, dual_angle_between, dual_norm, dual_vector
 from dlgeom.errors import BranchError, DivisionByPureDual, DomainError, KindMismatch, NullRealPart
 from dlgeom.lorentz import E2, Vec3L, lorentz_cross, lorentz_dot
 
@@ -177,12 +177,6 @@ def test_dual_products_are_the_lorentz_products_over_dual_components(a, a_star, 
     assert list(cross.re) == pytest.approx(list(lorentz_cross(a, b)), abs=1e-12)
     assert list(cross.du) == pytest.approx(list(want_du), abs=1e-12)
     assert x.re == a and x.du == a_star
-
-
-def test_is_dual_unit():
-    assert is_dual_unit(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 5.0)))
-    assert is_dual_unit(dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0)))
-    assert not is_dual_unit(dual_vector(Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
 
 
 def test_dual_unit_vector_norm_and_square():

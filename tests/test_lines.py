@@ -4,7 +4,7 @@ import pytest
 from dlgeom.dual import dual_vector
 from dlgeom.errors import InvalidDirection, NotUnit
 from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
-from dlgeom.lorentz import CausalCharacter, Vec3L, causal_character, lorentz_dot, lorentz_norm
+from dlgeom.lorentz import CausalCharacter, Vec3L, causal_character, lorentz_dot
 
 
 def test_line_through_origin_has_zero_moment():
@@ -37,7 +37,7 @@ def test_lightlike_direction_rejected():
 def test_dual_to_line_examples():
     line = dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
     assert line.direction == Vec3L(0.0, 1.0, 0.0)
-    assert lorentz_norm(line.point) == 0.0
+    assert line.point == Vec3L(0.0, 0.0, 0.0)
 
     # round trip of the moment example
     d = line_to_dual(OrientedLine(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0)))
@@ -48,11 +48,21 @@ def test_dual_to_line_examples():
         dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 2.0, 0.0)))
 
 
+def test_dual_to_line_accepts_dual_units_only():
+    # |<a,a>| = 1 and <a,a*> = 0, in both causal classes; <a,a> = 4 is refused
+    for a, a_star in ((Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, 5.0)),
+                      (Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 1.0, 0.0))):
+        assert dual_to_line(dual_vector(a, a_star)).direction == a
+    with pytest.raises(NotUnit):
+        dual_to_line(dual_vector(Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
+
+
 def test_dual_to_line_validation():
     line = dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 0.0, -1.0)))
     assert line.direction == Vec3L(0.0, 1.0, 0.0)
     timelike = dual_to_line(dual_vector(Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.0, 1.0)))
-    assert timelike.direction == Vec3L(1.0, 0.0, 0.0) and timelike.timelike
+    assert timelike.direction == Vec3L(1.0, 0.0, 0.0)
+    assert causal_character(timelike.direction) is CausalCharacter.TIMELIKE
     # moment not orthogonal to the direction: <a, a*> = 1
     with pytest.raises(NotUnit, match="violates the unit condition"):
         dual_to_line(dual_vector(Vec3L(0.0, 1.0, 0.0), Vec3L(0.0, 1.0, 0.0)))
@@ -69,7 +79,7 @@ def test_timelike_line_round_trip():
     a = Vec3L(1.0, 0.0, 0.0)
     d = line_to_dual(OrientedLine(p, a))
     line = dual_to_line(d)
-    assert line.timelike
+    assert causal_character(line.direction) is CausalCharacter.TIMELIKE
     back = line_to_dual(line)
     assert max(abs(x - y) for x, y in zip(back.du, d.du)) < 1e-12
 

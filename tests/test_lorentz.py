@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite
 from dlgeom.lorentz import (E1, E2, E3, CausalCharacter, Vec3L, causal_character, det3,
-                            lorentz_cross, lorentz_dot, lorentz_norm)
+                            lorentz_cross, lorentz_dot)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 vectors = st.builds(Vec3L, finite, finite, finite)
@@ -43,12 +43,6 @@ def test_causal_tolerance_band():
     assert causal_character(nearly_null) is CausalCharacter.LIGHTLIKE
     assert causal_character(Vec3L(1.0, math.sqrt(1.0 + 1e-11), 0.0)) is CausalCharacter.SPACELIKE
     assert causal_character(Vec3L(1.0, math.sqrt(1.0 - 1e-11), 0.0)) is CausalCharacter.TIMELIKE
-
-
-def test_norm_examples():
-    assert lorentz_norm(E1) == 1.0
-    assert lorentz_norm(Vec3L(0.0, 3.0, 4.0)) == 5.0
-    assert lorentz_norm(Vec3L(2.0, 2.0, 0.0)) == 0.0
 
 
 def test_det3_examples():

@@ -432,6 +432,58 @@ def test_a_5001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
                                                                    "base_curve": 1}
 
 
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_each_pass_calls_each_closure_once_in_both_modes(monkeypatch, deriv):
+    # central-fd differences the exact nodes at u +- FD_STEP, evaluated with
+    # the grid in the same call as the pass's other points
+    base = catalog.helicoidal(domain=(0.05, 0.95), samples=101)
+    grid = base.grid()
+    nodes = [*grid, *grid + FD_STEP, *grid - FD_STEP] if deriv == CENTRAL_FD else [*grid]
+
+    def assert_one_call(calls, grid_only):
+        for name, blocks in calls.items():
+            assert len(blocks) == 1, name
+            points = blocks[0][1]
+            assert (points if grid_only else points[:len(nodes)]) == nodes, name
+
+    counted, calls = _counted(base)
+    frames = darboux_frame(counted, deriv)
+    assert_one_call(calls, grid_only=False)
+    offset, calls = _counted(construct_offset(base, frames, MannheimParams(1.0, 0.1)))
+    timelike_invariants(offset, deriv)
+    assert_one_call(calls, grid_only=False)
+    # verify_offset measures the offset on its nodes alone
+    seen = _count_offset_calls(monkeypatch)
+    assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
+    assert_one_call(seen["calls"], grid_only=True)
+
+
+def test_central_fd_names_a_shifted_point_that_fails():
+    # the closure is NaN only at 0.5 - FD_STEP, which central-fd evaluates and
+    # dual-AD does not
+    spec = catalog.helicoidal(domain=(0.0, 1.0), samples=11)
+    u_bad = spec.grid()[5] - FD_STEP
+    with pytest.raises(NonFinite, match=re.escape(f"at u={float(u_bad)!r}") + "$"):
+        darboux_frame(_nan_at(spec, u_bad), CENTRAL_FD)
+    darboux_frame(_nan_at(spec, u_bad), DUAL_AD)
+
+
+@pytest.mark.parametrize("measure", ["base", "offset"])
+def test_central_fd_frame_and_arc_lengths_are_dual_ad_bits(measure):
+    # central-fd replaces only c' in delta and Delta, and e'' in gamma; every
+    # other column reads the same exact nodes as dual-AD
+    spec = _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=41), 0.3)
+    if measure == "offset":
+        spec = construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.2))
+    ad, fd = (ruled._measure_frames(spec, deriv) for deriv in (DUAL_AD, CENTRAL_FD))
+    for name in ("e", "t", "g", "striction_point"):
+        for x, y in zip(getattr(ad, name), getattr(fd, name)):
+            assert np.array_equal(x, y), name
+    for name in ("s", "s_star", "ds_du"):
+        assert np.array_equal(getattr(ad, name), getattr(fd, name)), name
+    assert not np.array_equal(ad.gamma, fd.gamma)
+
+
 def _nan_at(spec, u_bad):
     """The spec with a base curve that is NaN at the single parameter ``u_bad``."""
     def base(u):
