@@ -9,7 +9,12 @@ differentiation order is how the kernel obtains exact second and third
 derivatives of curve closures.  The innermost components may also be float
 arrays, one element per sample, so one evaluation differentiates a whole
 block of samples.  The lifts are plain functions (``sinh``, ``cosh``, ...);
-:data:`LIFTS` names them for the CLI expression grammar.
+:data:`LIFTS` names them for the CLI expression grammar.  The reconstructed
+curves of :func:`dlgeom.ruled.reconstruct_from_invariants` use the same rule
+one level at a time: their derivatives are known polynomials, so they
+evaluate closed-form derivative tables once per point and lift the results
+to the parameter's dual depth.  Nested dual arithmetic still serves every
+other closure.
 
 A dual vector ``a + eps*a*`` pairs a direction with a moment vector and
 models an oriented non-null line.  It is a :class:`~dlgeom.lorentz.Vec3L`

@@ -14,8 +14,10 @@ Quadrature is composite Simpson throughout.  The frame ODE is integrated at
 a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
 flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all
 its node frames at once with :func:`lorentz_gram_schmidt`, which works
-elementwise on arrays as :func:`frame_residual` does; :func:`rk4_frame_step`
-is an independent classical integrator kept as the tests' reference.
+elementwise on arrays as :func:`frame_residual` does.  :func:`rk4_frame_step`
+is one classical RK4 step of the same system, for single frames; the
+pipeline does not call it, and the tests check the flow against scipy's
+DOP853, not against it.
 
 Integrands are evaluated over arrays, once per point.  :func:`simpson_rule`
 lays out the quadrature points of one or many intervals and folds one value

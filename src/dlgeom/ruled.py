@@ -599,15 +599,24 @@ def timelike_radius(gamma1_dual: DualScalar) -> DualScalar:
 # ---------------------------------------------------------------------------
 # reconstruction from invariants
 
-_QUINTIC = (
-    # Horner tails of the quintic Hermite basis over tau in [0, 1]
-    lambda tau: 1.0 + tau * tau * tau * (-10.0 + tau * (15.0 - 6.0 * tau)),
-    lambda tau: tau + tau * tau * tau * (-6.0 + tau * (8.0 - 3.0 * tau)),
-    lambda tau: 0.5 * tau * tau + tau * tau * tau * (-1.5 + tau * (1.5 - 0.5 * tau)),
-    lambda tau: tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau)),
-    lambda tau: tau * tau * tau * (-4.0 + tau * (7.0 - 3.0 * tau)),
-    lambda tau: tau * tau * tau * (0.5 + tau * (-1.0 + 0.5 * tau)),
-)
+#: the quintic Hermite basis over tau in [0, 1] in powers of tau: row i holds
+#: the coefficients of tau^0..tau^5 of the basis function of the segment's
+#: i-th datum, in the order f, h*f', h^2*f'' at tau = 0, then at tau = 1
+_QUINTIC = np.array([
+    [1.0, 0.0, 0.0, -10.0, 15.0, -6.0],
+    [0.0, 1.0, 0.0, -6.0, 8.0, -3.0],
+    [0.0, 0.0, 0.5, -1.5, 1.5, -0.5],
+    [0.0, 0.0, 0.0, 10.0, -15.0, 6.0],
+    [0.0, 0.0, 0.0, -4.0, 7.0, -3.0],
+    [0.0, 0.0, 0.0, 0.5, -1.0, 0.5],
+])
+
+#: every nonzero derivative of the quintic basis, (order m, basis row, power of
+#: tau): the m-th derivative takes tau^p to p!/(p - m)! * tau^(p - m)
+_QUINTIC_JETS = np.array([
+    np.pad(_QUINTIC[:, m:] * [math.perm(p, m) for p in range(m, len(_QUINTIC))], ((0, 0), (0, m)))
+    for m in range(len(_QUINTIC))])
+
 
 class _HermiteCurve:
     """Piecewise quintic Hermite interpolant on increasing nodes, dual- and array-evaluable.
@@ -619,29 +628,70 @@ class _HermiteCurve:
     on its side, in tau = (u - s_j)/(s_o - s_j): the basis is symmetric, so
     this is the segment's interpolant, and at a node tau is exactly 0, which
     keeps the rounding of tau out of the second derivative there.
-    Evaluation outside the node span extrapolates with the end segment; an
-    array of parameters gathers its segments by index.
+    Evaluation outside the node span extrapolates with the end segment.
+    Node data that is not finite raises NonFinite naming its node.
+
+    A call finds each point's segment once, from the leading real x of u,
+    gathers the data of both its ends into one table, and evaluates the
+    curve and its first d u-derivatives at x from :data:`_QUINTIC_JETS`, d
+    being the dual depth of u: real arrays H_0..H_d, with no dual
+    arithmetic.  It
+    then lifts them one dual level at a time, innermost first, as the
+    analytic lifts of :mod:`dlgeom.dual` do: H_m(a + eps*b) = H_m(a) +
+    eps*b*H_{m+1}(a).  So floats, arrays of any shape and duals of any depth
+    and slots take the same path, and each component has the shape of x.
     """
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray,
                  deriv1: np.ndarray, deriv2: np.ndarray):
+        data = np.stack([values, deriv1, deriv2])
+        bad = ~np.isfinite(data).all(axis=(0, 2))
+        if bad.any():
+            raise NonFinite(f"non-finite curve data at s={float(nodes[np.argmax(bad)])!r}")
         self.nodes = nodes
-        self.values, self.deriv1, self.deriv2 = values, deriv1, deriv2
+        # (order, component, node): a call gathers along the last axis
+        self._data = data.transpose(0, 2, 1).copy()
 
     def __call__(self, u):
         s, x = self.nodes, leading_real(u)
+        shape, x = np.shape(x), np.ravel(x)
         # s[k - 1] < x <= s[k] inside the span, k = 1 or n - 1 past its ends
         k = np.searchsorted(s[1:-1], x) + 1
         j = k - (x - s[k - 1] <= s[k] - x)
         o = 2 * k - 1 - j
         h = s[o] - s[j]
-        tau = (u - s[j]) / h
-        f0, f1 = Vec3L(*self.values[j].T), Vec3L(*self.values[o].T)
-        d0, d1 = Vec3L(*self.deriv1[j].T), Vec3L(*self.deriv1[o].T)
-        a0, a1 = Vec3L(*self.deriv2[j].T), Vec3L(*self.deriv2[o].T)
-        h0, h1, h2, h3, h4, h5 = (basis(tau) for basis in _QUINTIC)
-        return (f0 * h0 + (d0 * h) * h1 + (a0 * (h * h)) * h2
-                + f1 * h3 + (d1 * h) * h4 + (a1 * (h * h)) * h5)
+        tau = (x - s[j]) / h
+        slots = []
+        while isinstance(u, DualScalar):
+            slots.append(u.du)
+            u = u.re
+        powers = np.empty((len(_QUINTIC), len(x)))
+        powers[0] = 1.0
+        for p in range(1, len(powers)):
+            np.multiply(powers[p - 1], tau, out=powers[p])
+        basis = _QUINTIC_JETS[:len(slots) + 1] @ powers
+        inv = 1.0 / h
+        scale = inv
+        for b in basis[1:]:
+            b *= scale
+            scale = scale * inv
+        # f, h*f', h^2*f'' at s_j, then at s_o, each (component, point)
+        data = np.empty((2, 3, 3, len(x)))
+        np.take(self._data, j, axis=2, out=data[0])
+        np.take(self._data, o, axis=2, out=data[1])
+        data[:, 1] *= h
+        data[:, 2] *= h * h
+        jets = np.einsum("min,icn->mcn", basis, data.reshape(len(_QUINTIC), 3, -1))
+        jets = jets.reshape(len(basis), 3, *shape)
+        # a quintic's derivatives past the fifth vanish
+        zeros = [0.0] * (len(slots) + 1 - len(basis))
+
+        def lift(jet):
+            for slot in reversed(slots):
+                jet = [DualScalar(a, slot * da) for a, da in zip(jet, jet[1:])]
+            return jet[0]
+
+        return Vec3L(*(lift([*jets[:, c], *zeros]) for c in range(3)))
 
 
 #: weight of the commutator in the fourth-order Magnus step
@@ -652,6 +702,9 @@ _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 
 #: Gram matrix of an orthonormal frame [e t g]
 _SIGNATURE = np.diag([1.0, -1.0, 1.0])
+
+#: the metric diag(-1, 1, 1) as a column, which scales the rows of a frame matrix
+_METRIC = np.array([[-1.0], [1.0], [1.0]])
 
 
 def _profile_values(f, s: np.ndarray, slope: bool = False) -> np.ndarray:
@@ -729,7 +782,7 @@ def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
         w[:, 2, 0] = -w[:, 0, 2]
         frames = _prefix_products(np.concatenate([frame[None], _exp_so21(w)]))
         # Gram matrices <F_j, F_k>; their distance from diag(1, -1, 1) is frame_residual
-        gram = np.einsum("nij,i,nik->njk", frames, [-1.0, 1.0, 1.0], frames)
+        gram = frames.transpose(0, 2, 1) @ (_METRIC * frames)
         drift = np.max(np.abs(gram - _SIGNATURE), axis=(1, 2))
         bad = ~(drift <= DRIFT_TOL)
         if np.any(bad):
@@ -753,6 +806,9 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     at a fixed ``ODE_STEPS_PER_UNIT`` steps per unit of s in one array pass:
     the frame by the fourth-order Magnus flow of :func:`_frame_flow`, and c
     by the end-corrected trapezoid rule on c' and c'' (exact for cubics).
+    ``s_grid`` must be ``np.linspace`` of its ends and length, to a few ulps
+    of the larger end, because the returned spec samples exactly that grid;
+    any other grid raises ValueError naming its first point off it.
     The frame seed sits at the first grid point.  Frame measurement anchors
     s and s* at parameter 0, so a grid that does not contain 0 is continued
     to it by integrating the same system there (the profile must be defined
@@ -762,9 +818,13 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     table; gamma is called once on each flow's Gauss points, and every
     profile function once on the table.  One quintic Hermite curve for e and
     one for c interpolate the table, with node derivatives from the ODE
-    rates themselves, so every derivative, c'' included, is exact.  Feeding
+    rates themselves, so every derivative, c'' included, is exact.  The
+    curves evaluate closed-form derivative tables once per point and lift
+    them to the caller's dual depth (see :class:`_HermiteCurve`), while every
+    other closure, the striction jet built on them included, still
+    differentiates by nested dual arithmetic.  Feeding
     the result back through darboux_frame reproduces the profile and its
-    arc length: to roundoff at the flow's nodes, but only to about 1e-9
+    arc length: to roundoff at the flow's nodes, but only to a few 1e-9
     between them, because the quintic's second derivative amplifies node
     rounding by about 60/h^2.  A profile value that is not finite raises
     NonFinite, and a division by zero in a profile DivisionByPureDual, each
@@ -774,6 +834,13 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
+    even = np.linspace(s0, s_end, len(s_grid))
+    off = ~(np.abs(s_grid - even) <= 4.0 * np.spacing(max(abs(s0), abs(s_end))))
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise ValueError(f"reconstruction grid is not evenly spaced: s_grid[{i}] = "
+                         f"{float(s_grid[i])!r}, where linspace({s0!r}, {s_end!r}, "
+                         f"{len(s_grid)}) has {float(even[i])!r}")
     seed = np.column_stack([tuple(profile.e0), tuple(profile.t0), tuple(profile.g0)])
     flows = []
     if s0 > 0.0:
@@ -793,8 +860,7 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
     h = np.diff(s)[:, None]
     # c' = delta*e + Delta*g and its derivative with the frame rates substituted
-    # in; an overflow here or in c is left to the Vec3L checks of the curves'
-    # evaluations
+    # in; an overflow here or in c raises NonFinite when its curve is built
     with at_points(s):
         accel = e + gamma * g
         cdot = delta * e + Delta * g

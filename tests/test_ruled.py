@@ -820,6 +820,21 @@ def test_reconstruct_zero_length_grid():
     assert max(abs(x - y) for x, y in zip(e, CONE_E0)) < 1e-15
 
 
+@pytest.mark.parametrize("grid,message", [
+    ([0.0, 0.1, 1.0], r"s_grid\[1\] = 0\.1, where linspace\(0\.0, 1\.0, 3\) has 0\.5$"),
+    ([0.0, 0.6, 0.3], r"s_grid\[1\] = 0\.6, where linspace\(0\.0, 0\.3, 3\) has 0\.15$"),
+], ids=["uneven", "unsorted"])
+def test_reconstruct_rejects_a_grid_its_spec_would_not_sample(grid, message):
+    # the spec samples linspace of the grid's ends and length, so any other
+    # grid would be replaced without a word
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(ValueError, match=message):
+        reconstruct_from_invariants(prof, grid)
+    # tenths computed as i/10 differ from linspace's i*0.1 in the last bit only
+    spec = reconstruct_from_invariants(prof, np.arange(11) / 10.0)
+    assert np.array_equal(spec.grid(), np.linspace(0.0, 1.0, 11))
+
+
 def test_profile_rejects_skew_frame():
     with pytest.raises(FrameDegeneracy):
         InvariantProfile.from_constants(0.75, 0.0, 0.0, CONE_E0, CONE_T0,
@@ -878,12 +893,12 @@ def _wavy_round_trip(spec) -> float:
                ((f.gamma, prof.gamma), (f.delta, prof.delta), (f.Delta, prof.Delta)))
 
 
-def test_magnus_flow_matches_rk4_on_variable_gamma():
+def test_magnus_flow_matches_dop853_on_variable_gamma():
     spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
     assert _error_at_one(spec) < 1e-11
 
 
-def test_flipped_commutator_fails_the_rk4_oracle_but_not_the_round_trip(monkeypatch):
+def test_flipped_commutator_fails_the_dop853_oracle_but_not_the_round_trip(monkeypatch):
     # the round trip measures the Hermite curves' own frames, so it cannot see
     # a flow that integrates the wrong frame system consistently
     monkeypatch.setattr(ruled, "_MAGNUS_COMMUTATOR", -ruled._MAGNUS_COMMUTATOR)
@@ -939,6 +954,14 @@ def test_reconstruct_overflowing_profile_names_s():
         reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
 
 
+def test_reconstruct_overflowing_striction_curve_names_its_node():
+    # each profile value is finite, but the trapezoid sum of two neighbouring
+    # c' = delta*e + Delta*g overflows once a component of e passes 0.9
+    prof = InvariantProfile.from_constants(0.75, 1e308, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(NonFinite, match=r"^non-finite curve data at s=0\.395$"):
+        reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
+
+
 def test_reconstruct_profile_pole_on_a_node_names_s():
     prof = dataclasses.replace(_wavy_profile(), Delta=lambda s: 0.01 / (s - 0.5))
     with pytest.raises(DivisionByPureDual, match=r"u=0\.5$"):
@@ -959,11 +982,12 @@ def test_hermite_curve_reproduces_a_quintic_on_uneven_nodes():
                                          for k in range(3)))
     # past both ends, on nodes, between them and on a segment's midpoint
     u = np.array([-0.7, -0.4, -0.25, -0.1, 0.05, 0.3, 0.55, 0.95, 1.3, 1.6])
-    got = curve(DualScalar(DualScalar(u, 1.0), 1.0))
+    got = curve(DualScalar(DualScalar(DualScalar(u, 1.0), 1.0), 1.0))
     for x, p in zip(got, polys):
-        assert np.max(np.abs(x.re.re - p(u))) < 1e-13
-        assert np.max(np.abs(x.re.du - p.deriv(1)(u))) < 1e-12
-        assert np.max(np.abs(x.du.du - p.deriv(2)(u))) < 1e-11
+        assert np.max(np.abs(x.re.re.re - p(u))) < 1e-13
+        assert np.max(np.abs(x.re.re.du - p.deriv(1)(u))) < 1e-12
+        assert np.max(np.abs(x.re.du.du - p.deriv(2)(u))) < 1e-11
+        assert np.max(np.abs(x.du.du.du - p.deriv(3)(u))) < 1e-10
     assert curve(0.5) == Vec3L(*(float(p(0.5)) for p in polys))
 
 
@@ -977,6 +1001,87 @@ def test_hermite_curve_returns_its_node_data_at_every_node():
     for k, x in enumerate(got):
         for value, want in zip((x.re.re, x.re.du, x.du.du), data):
             assert np.max(np.abs(value - want[:, k])) <= 1e-15
+
+
+#: the quintic Hermite basis over tau in [0, 1], as Horner tails
+_HORNER_BASIS = (
+    lambda tau: 1.0 + tau * tau * tau * (-10.0 + tau * (15.0 - 6.0 * tau)),
+    lambda tau: tau + tau * tau * tau * (-6.0 + tau * (8.0 - 3.0 * tau)),
+    lambda tau: 0.5 * tau * tau + tau * tau * tau * (-1.5 + tau * (1.5 - 0.5 * tau)),
+    lambda tau: tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau)),
+    lambda tau: tau * tau * tau * (-4.0 + tau * (7.0 - 3.0 * tau)),
+    lambda tau: tau * tau * tau * (0.5 + tau * (-1.0 + 0.5 * tau)),
+)
+
+
+def _horner_hermite(nodes, values, deriv1, deriv2, u):
+    """The quintic Hermite curve through node data at a 1-D u, by nested-dual Horner.
+
+    The same segment choice as ruled._HermiteCurve, but the basis runs through
+    dual arithmetic at u itself, so every derivative comes from the dual slots.
+    """
+    s, x = nodes, dual.leading_real(u)
+    k = np.searchsorted(s[1:-1], x) + 1
+    j = k - (x - s[k - 1] <= s[k] - x)
+    o = 2 * k - 1 - j
+    h = s[o] - s[j]
+    tau = (u - s[j]) / h
+    f0, f1 = Vec3L(*values[j].T), Vec3L(*values[o].T)
+    d0, d1 = Vec3L(*deriv1[j].T), Vec3L(*deriv1[o].T)
+    a0, a1 = Vec3L(*deriv2[j].T), Vec3L(*deriv2[o].T)
+    h0, h1, h2, h3, h4, h5 = (basis(tau) for basis in _HORNER_BASIS)
+    return (f0 * h0 + (d0 * h) * h1 + (a0 * (h * h)) * h2
+            + f1 * h3 + (d1 * h) * h4 + (a1 * (h * h)) * h5)
+
+
+def _dual_parts(x) -> list:
+    """The float leaves of a nested dual scalar, real slot before dual slot."""
+    if isinstance(x, DualScalar):
+        return _dual_parts(x.re) + _dual_parts(x.du)
+    return [np.asarray(x, dtype=float)]
+
+
+def _dual_points(u: np.ndarray) -> list:
+    """u at dual depths 0 to 3, with unit, non-unit, array and nested dual slots."""
+    return [u, DualScalar(u, 1.0), DualScalar(u, -0.7),
+            DualScalar(u, np.linspace(0.5, 2.0, len(u))), DualScalar(DualScalar(u, 1.0), 1.0),
+            DualScalar(DualScalar(u, 0.5), DualScalar(2.0, 0.3)),
+            DualScalar(DualScalar(DualScalar(u, 1.0), 1.0), 1.0),
+            DualScalar(DualScalar(DualScalar(u, 1.0), -0.4), DualScalar(DualScalar(1.5, 0.2), 0.1))]
+
+
+def test_hermite_curve_matches_nested_dual_horner_at_depths_0_to_3():
+    rng = np.random.default_rng(7)
+    nodes = np.array([-0.4, -0.1, 0.05, 0.5, 0.6, 1.3])
+    data = [rng.uniform(-1.0, 1.0, size=(len(nodes), 3)) for _ in range(3)]
+    curve = ruled._HermiteCurve(nodes, *data)
+    # past both ends, on every node, on every segment's midpoint, and between
+    u = np.concatenate([[-0.6, -0.45, 1.35, 1.5], nodes, 0.5 * (nodes[1:] + nodes[:-1]),
+                        rng.uniform(-0.4, 1.3, size=20)])
+    for point in _dual_points(u):
+        got, want = curve(point), _horner_hermite(nodes, *data, point)
+        for a, b in zip(got, want):
+            got_parts, want_parts = _dual_parts(a), _dual_parts(b)
+            assert len(got_parts) == len(want_parts)
+            for x, y in zip(got_parts, want_parts):
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("u", [0.3, np.array(0.3), np.array([0.3, -0.1, 0.7]),
+                               np.array([[0.3, 0.7]]), np.array([[0.3, 0.2], [0.9, -0.1]])],
+                         ids=["float", "0-d", "1-d", "1x2", "2x2"])
+def test_hermite_curve_components_take_the_shape_of_the_parameter(u):
+    rng = np.random.default_rng(3)
+    nodes = np.array([-0.2, 0.1, 0.35, 0.8, 1.0])
+    curve = ruled._HermiteCurve(nodes, *(rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in range(3)))
+    flat = curve(DualScalar(DualScalar(np.ravel(u), 1.0), 1.0))
+    got = curve(DualScalar(DualScalar(u, 1.0), 1.0))
+    for x, want in zip(got, flat):
+        for part, want_part in zip(_dual_parts(x), _dual_parts(want)):
+            assert part.shape == np.shape(u)
+            assert np.array_equal(np.ravel(part), want_part)
+    for x in curve(u):
+        assert np.shape(x) == np.shape(u)
 
 
 @pytest.mark.parametrize("deriv,tol", [(DUAL_AD, 1e-12), (CENTRAL_FD, 1e-8)], ids=MODE_IDS.get)
