@@ -14,8 +14,8 @@ from .numerics import (FrameState, cumulative_integrate, integrate, lorentz_gram
                        rk4_frame_step)
 from .ruled import (FrameSample, InvariantProfile, RuledSurfaceSpec, SPACELIKE_SURFACE,
                     TIMELIKE_SURFACE, arclength_reparametrize, darboux_frame, dual_arclength,
-                    dual_curvature_elements, reconstruct_from_invariants, striction_curve,
-                    timelike_invariants, timelike_radius)
+                    dual_curvature_elements, reconstruct_from_invariants, timelike_invariants,
+                    timelike_radius)
 from .mannheim import (MannheimParams, OffsetAngle, OffsetReport, construct_offset,
                        developability_check, mannheim_condition_residual, offset_angles,
                        predicted_invariants, verify_offset)
@@ -30,8 +30,8 @@ __all__ = [
     "rk4_frame_step",
     "FrameSample", "InvariantProfile", "RuledSurfaceSpec", "SPACELIKE_SURFACE",
     "TIMELIKE_SURFACE", "arclength_reparametrize", "darboux_frame", "dual_arclength",
-    "dual_curvature_elements", "reconstruct_from_invariants", "striction_curve",
-    "timelike_invariants", "timelike_radius",
+    "dual_curvature_elements", "reconstruct_from_invariants", "timelike_invariants",
+    "timelike_radius",
     "MannheimParams", "OffsetAngle", "OffsetReport", "construct_offset",
     "developability_check", "mannheim_condition_residual", "offset_angles",
     "predicted_invariants", "verify_offset",

@@ -170,14 +170,16 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     if kind in ("cone", "helicoidal"):
         a = _number(params.get("a", 0.6), "a")
         b = _number(params.get("b", 0.8), "b")
-        _require(abs(a * a + b * b - 1.0) <= 1e-9, f"catalog needs a^2+b^2 = 1, got {a*a+b*b}")
-        _require(b != 0.0, "catalog needs b != 0")
         c0 = _vector(params.get("c0", [0.0, 0.0, 0.0]), "c0")
-        if kind == "cone":
-            return catalog.cone(a, b, c0, (s_min, s_max), samples)
-        return catalog.helicoidal(a, b, _number(params.get("delta0", 0.2), "delta0"),
-                                  _number(params.get("Delta0", 0.1), "Delta0"), c0,
-                                  (s_min, s_max), samples)
+        try:
+            if kind == "cone":
+                return catalog.cone(a, b, c0, (s_min, s_max), samples)
+            return catalog.helicoidal(a, b, _number(params.get("delta0", 0.2), "delta0"),
+                                      _number(params.get("Delta0", 0.1), "Delta0"), c0,
+                                      (s_min, s_max), samples)
+        except ValueError as exc:
+            # the catalog's own checks of a and b
+            raise SpecFileError(str(exc)) from None
     if kind == "custom":
         custom = data.get("custom", {})
         _require(isinstance(custom, dict) and "e" in custom and "c" in custom,

@@ -9,12 +9,13 @@ differentiation order is how the kernel obtains exact second and third
 derivatives of curve closures.  The innermost components may also be float
 arrays, one element per sample, so one evaluation differentiates a whole
 block of samples.  The lifts are plain functions (``sinh``, ``cosh``, ...);
-:data:`LIFTS` names them for the CLI expression grammar.  The reconstructed
-curves of :func:`dlgeom.ruled.reconstruct_from_invariants` use the same rule
-one level at a time: their derivatives are known polynomials, so they
-evaluate closed-form derivative tables once per point and lift the results
-to the parameter's dual depth.  Nested dual arithmetic still serves every
-other closure.
+:data:`LIFTS` names them for the CLI expression grammar.
+
+Every derivative in a dual slot comes from ring arithmetic and these lifts,
+but for three chain-rule lifts handed their known rate (the Hermite jets of
+reconstructed curves, the Mannheim offset's lifted base node and its
+``_GridAntiderivative`` angles) and two inverse functions (the arc-length
+inverse of ``arclength_reparametrize`` and :func:`dual_angle_between`).
 
 A dual vector ``a + eps*a*`` pairs a direction with a moment vector and
 models an oriented non-null line.  It is a :class:`~dlgeom.lorentz.Vec3L`
@@ -29,7 +30,6 @@ angle it is off the vectors' causal characters.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -113,19 +113,6 @@ class DualScalar:
         if isinstance(o, _REAL):
             return DualScalar(o, 0.0) / self
         return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, numbers.Integral) or n < 0:
-            return NotImplemented
-        out = DualScalar(1.0, 0.0)
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, o):
         return isinstance(o, DualScalar) and self.re == o.re and self.du == o.du
@@ -241,21 +228,19 @@ def dual_vector(re: Vec3L, du: Vec3L) -> Vec3L:
 
 
 def dual_norm(x: Vec3L) -> DualScalar:
-    """Dual norm sqrt(|<x,x>|) evaluated in dual arithmetic.
+    """Dual norm sqrt(|<x,x>|) of a dual vector, the sqrt lift of its dual square.
 
     For a spacelike real part this is the classical
     ``|a| + eps*<a,a*>/|a|``; a timelike real part flips the sign of the
     dual slot because the quadratic form sits under an absolute value.
     Lightlike or zero real parts have no dual norm.
     """
-    a, a_star = x.re, x.du
-    q = lorentz_dot(a, a)
-    null = abs(q) <= NORM_TOL
+    q = lorentz_dot(x, x)
+    null = abs(q.re) <= NORM_TOL
     if _any(null):
         raise NullRealPart("dual norm undefined for lightlike/zero real part",
                            index=int(np.argmax(null)) if np.ndim(null) else None)
-    n = sqrt(abs(q))
-    return DualScalar(n, np.sign(q) * lorentz_dot(a, a_star) / n)
+    return sqrt(np.sign(q.re) * q)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +255,17 @@ def dual_angle_between(x: Vec3L, y: Vec3L) -> DualScalar:
     real parts): inverts ``<x,y> = |x||y| cosh(angle)`` on the branch
     theta >= 0, and a product <= -1 is treated as the angle to the opposite
     vector -y.  Any other pair raises KindMismatch.  theta* is the distance
-    along the common perpendicular when the vectors represent lines.
+    along the common perpendicular when the vectors represent lines.  At the
+    branch point theta = 0 the angle is 0 when the dual part of x x y says
+    the lines coincide, and distinct parallel lines raise BranchError.
     """
     cx = causal_character(x.re)
     cy = causal_character(y.re)
     if cx is not CausalCharacter.SPACELIKE or cy is CausalCharacter.LIGHTLIKE:
         raise KindMismatch("a dual angle needs (spacelike, timelike) or (spacelike, spacelike), "
                            f"got ({cx}, {cy})")
-    v = lorentz_dot(x, y) / (dual_norm(x) * dual_norm(y))
+    n = dual_norm(x) * dual_norm(y)
+    v = lorentz_dot(x, y) / n
     if cy is CausalCharacter.TIMELIKE:
         theta = math.asinh(v.re)
         return DualScalar(theta, float(v.du / math.cosh(theta)))
@@ -287,8 +275,9 @@ def dual_angle_between(x: Vec3L, y: Vec3L) -> DualScalar:
     if vre < 1.0 - BRANCH_TOL:
         raise BranchError(f"|cosh| = {vre} < 1: vectors span no timelike subspace")
     if vre <= 1.0 + BRANCH_TOL:
-        if abs(vdu) > BRANCH_TOL:
-            raise BranchError("dual angle undefined at the cosh branch point")
+        # v.du = theta* sinh(theta) vanishes here whatever theta* is
+        if any(abs(c) > BRANCH_TOL * n.re for c in lorentz_cross(x, y).du):
+            raise BranchError("dual angle undefined: (nearly) parallel lines that do not coincide")
         return DualScalar(0.0, 0.0)
     theta = math.acosh(vre)
     return DualScalar(theta, float(vdu / math.sinh(theta)))

@@ -119,9 +119,6 @@ class Vec3L:
 
 
 ZERO = Vec3L(0.0, 0.0, 0.0)
-E1 = Vec3L(1.0, 0.0, 0.0)
-E2 = Vec3L(0.0, 1.0, 0.0)
-E3 = Vec3L(0.0, 0.0, 1.0)
 
 
 class CausalCharacter(enum.Enum):

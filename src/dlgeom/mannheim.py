@@ -41,10 +41,10 @@ from . import dual
 from .dual import DualScalar, dual_vector, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import lorentz_cross
-from .numerics import DUAL_AD, value_and_derivative
+from .numerics import DUAL_AD, integrate, value_and_derivative
 from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
                     speed_closure, striction_jet, tangent_speed, timelike_radius, _arc_rates,
-                    _exact_node, _node_pass, _signed_integral)
+                    _exact_node, _node_pass)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -177,7 +177,7 @@ class _GridAntiderivative:
         out = self.values[i]
         off = u != node
         if off.any():
-            out[off] += _signed_integral(self.rate, node[off], u[off])
+            out[off] += integrate(self.rate, node[off], u[off])
         return out.reshape(shape)[()]
 
 

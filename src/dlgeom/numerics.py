@@ -10,7 +10,8 @@ cross-check.  It evaluates the exact nodes at u +- FD_STEP in the same pass
 as those at u, and replaces c' (in delta and Delta) and e'' (in gamma) by
 the central differences of c and e' there; everything else is read off the
 nodes at u, as in dual-AD.
-Quadrature is composite Simpson throughout.  The frame ODE is integrated at
+Quadrature is composite Simpson throughout, and signed: from b down to a it
+gives minus the integral from a to b.  The frame ODE is integrated at
 a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
 flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all
 its node frames at once with :func:`lorentz_gram_schmidt`, which works
@@ -93,14 +94,15 @@ def _finite_values(v, points) -> np.ndarray:
 
 
 def simpson_rule(a, b):
-    """Points and fold of the composite Simpson rule over [a, b].
+    """Points and fold of the composite Simpson rule over [a, b], signed.
 
     Exact through cubics.  Each interval gets ``QUAD_PANELS_PER_UNIT``
     panels per unit length, at least ``MIN_QUAD_PANELS``, rounded up to an
     even count.  ``a`` and ``b`` may be equal-shape arrays, one interval per
-    element.  Returns ``(points, fold)``: ``points`` is the 1-D float array
-    of every quadrature point of every interval, in increasing order within
-    each interval, and ``fold(values)`` turns one value per point into the
+    element, and a > b gives minus the integral from b to a, bit for bit.
+    Returns ``(points, fold)``: ``points`` is the 1-D float array of every
+    quadrature point of every interval, in increasing order within each
+    interval, and ``fold(values)`` turns one value per point into the
     integrals, with the shape of ``a`` followed by the shape of one value.
     A value is a float array with the points along its first axis (rows of
     fixed length are integrated componentwise), a dual scalar with such
@@ -108,14 +110,13 @@ def simpson_rule(a, b):
     point.  Empty intervals get no points and integrate to 0.
     """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if not np.all(a_arr <= b_arr):
-        raise ValueError(f"integrate needs a <= b, got [{a}, {b}]")
     shape = a_arr.shape
     a_arr, b_arr = a_arr.ravel(), b_arr.ravel()
-    live = a_arr < b_arr
+    lo, hi = np.minimum(a_arr, b_arr), np.maximum(a_arr, b_arr)
+    live = lo < hi
     if not live.any():
         return np.zeros(0), lambda values: np.zeros(shape) if shape else 0.0
-    a_l, b_l = a_arr[live], b_arr[live]
+    a_l, b_l = lo[live], hi[live]
     n = np.maximum(MIN_QUAD_PANELS, np.ceil((b_l - a_l) * QUAD_PANELS_PER_UNIT)).astype(int)
     n += n % 2
     h = (b_l - a_l) / n
@@ -127,6 +128,8 @@ def simpson_rule(a, b):
     weights = np.where(k % 2, 4.0, 2.0)
     weights[starts] = 1.0
     weights[ends - 1] = 1.0
+    # -h, exactly negated, folds a reversed interval
+    scale = np.where(a_arr[live] > b_arr[live], -h, h) / 3.0
 
     def fold_leaf(v):
         v = _finite_values(v, points)
@@ -134,19 +137,19 @@ def simpson_rule(a, b):
         # np.add.reduceat, not a matrix product: the sum needs no BLAS
         sums = np.add.reduceat(weights.reshape((-1,) + tail) * v, starts, axis=0)
         out = np.zeros((len(a_arr),) + v.shape[1:])
-        out[live] = sums * (h / 3.0).reshape((-1,) + tail)
+        out[live] = sums * scale.reshape((-1,) + tail)
         return out.reshape(shape + v.shape[1:])[()]
 
     return points, lambda values: _leafwise(fold_leaf, values)
 
 
 def integrate(f, a, b):
-    """Definite integral of ``f`` over [a, b] by the composite Simpson rule.
+    """Signed definite integral of ``f`` from a to b by the composite Simpson rule.
 
     The points and the fold are those of :func:`simpson_rule`: ``f`` is
     called once, on the 1-D float array of every quadrature point of every
-    interval, and returns one value per point.  Empty intervals integrate
-    to 0 without a call.
+    interval, and returns one value per point.  ``integrate(f, b, a)`` is
+    ``-integrate(f, a, b)``; empty intervals integrate to 0 without a call.
     """
     points, fold = simpson_rule(a, b)
     if not len(points):
@@ -168,18 +171,21 @@ def cumulative_integrate(grid: np.ndarray, nodes, mids) -> np.ndarray:
     :func:`simpson_midpoints`, one per interval, which makes each panel
     exact through cubics.  Values may be floats or fixed-length
     float arrays, integrated componentwise (the result then has one row per
-    node); a non-finite midpoint value raises NonFinite naming its point.
+    node).  A non-finite node or midpoint value, or an overflowing integral,
+    raises NonFinite naming its point.
     """
     grid = np.asarray(grid, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = _finite_values(nodes, grid)
     if len(grid) < 2:
         return np.zeros_like(nodes)
     h = np.diff(grid).reshape((-1,) + (1,) * (nodes.ndim - 1))
     mids = np.broadcast_to(_finite_values(mids, simpson_midpoints(grid)), nodes[1:].shape)
-    pieces = h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:])
-    if not np.all(np.isfinite(pieces)):
-        raise NonFinite("non-finite value in cumulative_integrate")
-    return np.concatenate([np.zeros_like(nodes[:1]), np.cumsum(pieces, axis=0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(h / 6.0 * (nodes[:-1] + 4.0 * mids + nodes[1:]), axis=0)
+    bad = ~np.isfinite(sums.reshape(len(sums), -1)).all(axis=1)
+    if bad.any():
+        raise NonFinite(f"cumulative integral overflows at u={float(grid[1 + np.argmax(bad)])!r}")
+    return np.concatenate([np.zeros_like(nodes[:1]), sums])
 
 
 def value_and_derivative(curve, u):
@@ -218,9 +224,7 @@ def frame_residual(e: Vec3L, t: Vec3L, g: Vec3L, signs=(1.0, -1.0, 1.0)) -> floa
         abs(lorentz_dot(e, g)),
         abs(lorentz_dot(t, g)),
     )
-    if any(isinstance(x, np.ndarray) for x in terms):
-        return np.maximum.reduce(np.broadcast_arrays(*terms))
-    return max(terms)
+    return np.maximum.reduce(np.broadcast_arrays(*terms))
 
 
 def _require_character(ok, message: str) -> None:

@@ -225,13 +225,6 @@ class InvariantProfile:
 # ---------------------------------------------------------------------------
 # parametrization and striction
 
-def _signed_integral(f, a, b):
-    """int_a^b f for a, b in either order; equal-shape arrays give one integral each."""
-    flip = np.greater(a, b)
-    out = integrate(f, np.where(flip, b, a), np.where(flip, a, b))
-    return out * np.where(flip, -1.0, 1.0)
-
-
 def _first_u(mask, u) -> float:
     """The first parameter value of ``u`` (scalar, array or dual) where ``mask`` holds."""
     u = np.asarray(leading_real(u), dtype=float)
@@ -292,16 +285,6 @@ def striction_jet(spec: RuledSurfaceSpec):
     return jet
 
 
-def striction_curve(spec: RuledSurfaceSpec):
-    """The unique directrix with <c', e'> = 0, as a dual-capable closure."""
-    jet = striction_jet(spec)
-
-    def c(u):
-        return jet(u)[0]
-
-    return c
-
-
 def _exact_node(jet, u):
     """(c, c', e, e', e'') at u, all read off one evaluation of a striction jet at u + eps.
 
@@ -350,7 +333,7 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     u0, u1 = spec.domain
     n_dense = max(512, 8 * max(spec.samples - 1, 1))
     dense = np.linspace(u0, u1, n_dense + 1)
-    table = _signed_integral(speeds, 0.0, u0) + cumulative_integrate(
+    table = integrate(speeds, 0.0, u0) + cumulative_integrate(
         dense, speeds(dense), speeds(simpson_midpoints(dense)))
 
     def u_of_s(sb):
@@ -366,7 +349,7 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
         step = np.zeros(u.shape)
         for _ in range(8):
             ia, ua = i[active], u[active]
-            s_here = table[ia - 1] + _signed_integral(speeds, dense[ia - 1], ua)
+            s_here = table[ia - 1] + integrate(speeds, dense[ia - 1], ua)
             step[active] = (s_here - s_arr[active]) / speeds(ua)
             u[active] = ua - step[active]
             active &= np.abs(step) > 1e-14 * np.maximum(1.0, np.abs(u))
@@ -386,7 +369,7 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     # round trip through an independent quadrature from parameter 0, so a
     # wrong table cannot confirm itself
     s_grid = out.grid()
-    worst = np.max(np.abs(_signed_integral(speeds, 0.0, u_of_s(s_grid)) - s_grid))
+    worst = np.max(np.abs(integrate(speeds, 0.0, u_of_s(s_grid)) - s_grid))
     if worst > 1e-8:
         raise GeometryError(f"reparametrization failed: arc-length round trip off by {worst:.3e}")
     return out
@@ -488,11 +471,11 @@ def _measure_frames(spec: RuledSurfaceSpec, deriv: str) -> FrameSample:
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
     s and s* accumulate from parameter 0: the node pass also evaluates the
-    Simpson points of their head integral from 0 (but its end, the first
-    node), then the Simpson midpoints of their integral over the grid.
+    Simpson points of their signed head integral from 0 (but its end, the
+    first node), then the Simpson midpoints of their integral over the grid.
     """
     grid = spec.grid()
-    head, head_fold = simpson_rule(*sorted((0.0, float(grid[0]))))
+    head, head_fold = simpson_rule(0.0, float(grid[0]))
     # the head integral ends on the first node, whose rates come with the frame
     on_node = head == grid[0]
     nodes, node_rates, rates = _node_pass(
@@ -500,8 +483,7 @@ def _measure_frames(spec: RuledSurfaceSpec, deriv: str) -> FrameSample:
     m = np.count_nonzero(~on_node)
     head_rates = np.empty((len(head), 2))
     head_rates[on_node], head_rates[~on_node] = node_rates[0], rates[:m]
-    head_arcs = head_fold(head_rates) * (-1.0 if grid[0] < 0.0 else 1.0)
-    arcs = head_arcs + cumulative_integrate(grid, node_rates, rates[m:])
+    arcs = head_fold(head_rates) + cumulative_integrate(grid, node_rates, rates[m:])
     return FrameSample(s=arcs[:, 0], s_star=arcs[:, 1], **nodes._asdict())
 
 
@@ -536,7 +518,7 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
         c, cp, e, ep, _ = _exact_node(jet, u)
         return dual_norm(dual_vector(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
-    val = _signed_integral(f, 0.0, s)
+    val = integrate(f, 0.0, s)
     if isinstance(val, DualScalar):
         return val
     return DualScalar(float(val), 0.0)
@@ -547,20 +529,13 @@ def dual_curvature_elements(fs: FrameSample) -> DualCurvature:
 
     R = 1/sqrt(1 + gamma_dual^2); the unit Darboux vector is
     (-gamma_dual*e + g) scaled by R; the spherical radius rho solves
-    sin(rho) = R, cos(rho) = -gamma_dual*R via two-argument recovery.
+    sin(rho) = R > 0, cos(rho) = -gamma_dual*R: rho = pi/2 + arctan(gamma_dual).
     On frame columns every element is a column too.
     """
     gbar = fs.gamma_dual
-    root = dual.sqrt(1.0 + gbar * gbar)
-    R = 1.0 / root
+    R = 1.0 / dual.sqrt(1.0 + gbar * gbar)
     d0 = ((-gbar) * fs.dual_e() + fs.dual_g()) * R
-    sin_rho = R
-    cos_rho = (-gbar) * R
-    rho = DualScalar(
-        np.arctan2(sin_rho.re, cos_rho.re),
-        sin_rho.du * cos_rho.re - cos_rho.du * sin_rho.re,
-    )
-    return DualCurvature(R_dual=R, rho_dual=rho, darboux_unit=d0)
+    return DualCurvature(R_dual=R, rho_dual=0.5 * math.pi + dual.arctan(gbar), darboux_unit=d0)
 
 
 def timelike_invariants(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSample:

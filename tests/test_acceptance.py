@@ -24,7 +24,7 @@ from dlgeom.mannheim import (MannheimParams, construct_offset, mannheim_conditio
                              offset_angles, verify_offset)
 from dlgeom.numerics import ODE_STEPS_PER_UNIT, value_and_derivative
 from dlgeom.ruled import (InvariantProfile, RuledSurfaceSpec, TIMELIKE_SURFACE, darboux_frame,
-                          reconstruct_from_invariants, striction_curve, timelike_invariants)
+                          reconstruct_from_invariants, striction_jet, timelike_invariants)
 
 CONE_E0 = Vec3L(0.0, 0.8, 0.6)
 CONE_T0 = Vec3L(1.0, 0.0, 0.0)
@@ -117,26 +117,26 @@ def _derivative(curve, u):
 
 
 def _dual_frame_curves(spec):
-    c_curve = striction_curve(spec)
+    jet = striction_jet(spec)
     ind = spec.indicatrix
 
     def e_re(u):
         return ind(u)
 
     def e_du(u):
-        return lorentz_cross(c_curve(u), ind(u))
+        return lorentz_cross(jet(u)[0], ind(u))
 
     def t_re(u):
         return _derivative(ind, u)
 
     def t_du(u):
-        return lorentz_cross(c_curve(u), _derivative(ind, u))
+        return lorentz_cross(jet(u)[0], _derivative(ind, u))
 
     def g_re(u):
         return -lorentz_cross(ind(u), _derivative(ind, u))
 
     def g_du(u):
-        return lorentz_cross(c_curve(u), g_re(u))
+        return lorentz_cross(jet(u)[0], g_re(u))
 
     return (e_re, e_du), (t_re, t_du), (g_re, g_du)
 

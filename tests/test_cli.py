@@ -75,9 +75,15 @@ def test_frames_rejects_two_samples(tmp_path):
     assert main(["frames", "--input", spec, "--out", str(tmp_path / "x.csv")]) == 2
 
 
-def test_frames_rejects_bad_catalog_params(tmp_path):
+def test_frames_rejects_bad_catalog_params(tmp_path, capsys):
+    # the catalog's own checks, reported as spec errors
     spec = _spec(tmp_path, {**CONE, "params": {"a": 0.5, "b": 0.8}})
     assert main(["frames", "--input", spec, "--out", str(tmp_path / "x.csv")]) == 2
+    spec = _spec(tmp_path, {**HELI, "params": {"a": 1.0, "b": 0.0}})
+    assert main(["frames", "--input", spec, "--out", str(tmp_path / "x.csv")]) == 2
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["error"] for e in errors] == ["SpecFileError"] * 2
+    assert "a^2 + b^2 = 1" in errors[0]["message"] and "b != 0" in errors[1]["message"]
 
 
 def test_frames_rejects_reversed_domain(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from dlgeom.dual import dual_vector
 from dlgeom.errors import InvalidDirection, NotUnit
 from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
-from dlgeom.lorentz import CausalCharacter, Vec3L, causal_character, lorentz_dot
+from dlgeom.lorentz import CausalCharacter, Vec3L, causal_character, lorentz_cross, lorentz_dot
 
 
 def test_line_through_origin_has_zero_moment():
@@ -72,6 +72,11 @@ def test_dual_to_line_validation():
     # lightlike direction: <a, a> = 0
     with pytest.raises(NotUnit, match="is not \\+-1"):
         dual_to_line(dual_vector(Vec3L(1.0, 1.0, 0.0), Vec3L(0.0, 0.0, 0.0)))
+    # both unit conditions hold within UNIT_TOL, but the direction's 4e-10
+    # excess, times a far moment, misses the moment by 8e-6
+    a = Vec3L(0.0, 1.0 + 4e-10, 0.0)
+    with pytest.raises(NotUnit, match="moment reproduction by 8\\.0"):
+        dual_to_line(dual_vector(a, lorentz_cross(Vec3L(0.0, 0.0, 1e4), a)))
 
 
 def test_timelike_line_round_trip():

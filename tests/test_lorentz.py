@@ -6,8 +6,12 @@ from hypothesis import given, strategies as st
 
 from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite
-from dlgeom.lorentz import (E1, E2, E3, CausalCharacter, Vec3L, causal_character, det3,
-                            lorentz_cross, lorentz_dot)
+from dlgeom.lorentz import (CausalCharacter, Vec3L, causal_character, det3, lorentz_cross,
+                            lorentz_dot)
+
+E1 = Vec3L(1.0, 0.0, 0.0)
+E2 = Vec3L(0.0, 1.0, 0.0)
+E3 = Vec3L(0.0, 0.0, 1.0)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 vectors = st.builds(Vec3L, finite, finite, finite)

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import dlgeom.dual as dual
+import dlgeom.mannheim as mannheim
 import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, dual_angle_between
@@ -16,7 +17,7 @@ from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, Off
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
 from dlgeom.numerics import CENTRAL_FD, DUAL_AD, value_and_derivative
-from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, striction_curve,
+from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, striction_jet,
                           timelike_invariants, timelike_radius)
 
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
@@ -218,10 +219,10 @@ def test_study_angle_between_the_rulings_is_the_offset_angle(make_base, c_star):
 def test_mirrored_offset_striction_fails_the_study_angle():
     # negative control: the striction line c - theta*g instead of c + theta*g
     base = _heli()
-    c = striction_curve(base)
+    jet = striction_jet(base)
 
     def mirrored(off):
-        return dataclasses.replace(off, base_curve=lambda u: 2.0 * c(u) - off.base_curve(u))
+        return dataclasses.replace(off, base_curve=lambda u: 2.0 * jet(u)[0] - off.base_curve(u))
 
     assert _study_angle_gap(base, MannheimParams(1.0, 0.3), mirrored) > 0.1
 
@@ -360,7 +361,8 @@ def test_verify_offset_measures_the_offset_nodes_bit_for_bit(deriv, samples):
 
 def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
     # in dual-AD every offset closure argument is a grid node, so theta and
-    # theta* never need a local quadrature correction
+    # theta* never need a local quadrature correction; the counter sees every
+    # integrate call of the offset closures and of the measurement
     calls = 0
     integrate = ruled.integrate
 
@@ -370,6 +372,7 @@ def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(ruled, "integrate", counted)
+    monkeypatch.setattr(mannheim, "integrate", counted)
     base = _heli(samples=101)
     assert verify_offset(base, PARAMS).passed
     assert calls == 0

@@ -42,9 +42,21 @@ def test_simpson_exact_on_cubics():
     assert out == pytest.approx(want, abs=1e-13)
 
 
-def test_integrate_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        integrate(lambda s: s, 1.0, 0.0)
+def test_integrate_reversed_interval_is_the_negated_integral():
+    # bit for bit: a reversed interval folds the same points with -h
+    assert integrate(np.exp, 1.0, 0.2) == -integrate(np.exp, 0.2, 1.0)
+    a, b = np.array([0.0, 1.3, -0.4, 0.5]), np.array([0.7, -0.2, -0.4, 2.0])
+    out = integrate(np.cos, a, b)
+    assert np.array_equal(out, -integrate(np.cos, b, a))
+    assert np.array_equal(out[[0, 3]], integrate(np.cos, a[[0, 3]], b[[0, 3]]))
+    assert np.array_equal(out[1], -integrate(np.cos, -0.2, 1.3))
+    assert out[2] == 0.0
+
+    def f(s):
+        return DualScalar(np.sin(s), s * s)
+
+    up, down = integrate(f, -0.3, 0.8), integrate(f, 0.8, -0.3)
+    assert (down.re, down.du) == (-up.re, -up.du)
 
 
 def test_integrate_rejects_non_finite():
@@ -106,6 +118,22 @@ def test_cumulative_rejects_a_non_finite_midpoint():
     mids = np.array([1.0, 1.0, math.inf, 1.0])
     with pytest.raises(NonFinite, match=r"u=0\.625$"):
         cumulative_integrate(grid, np.ones(5), mids)
+
+
+def test_cumulative_rejects_a_non_finite_node():
+    grid = np.linspace(0.0, 1.0, 5)
+    nodes = np.ones((5, 2))
+    nodes[3, 1] = math.nan
+    with pytest.raises(NonFinite, match=r"u=0\.75$"):
+        cumulative_integrate(grid, nodes, np.ones((4, 2)))
+
+
+def test_cumulative_overflow_raises_without_a_warning():
+    # the suite turns a RuntimeWarning into an error (pyproject.toml)
+    grid = np.linspace(0.0, 4.0, 5)
+    big = np.full(5, 1e308)
+    with pytest.raises(NonFinite, match=r"overflows at u=1\.0$"):
+        cumulative_integrate(grid, big, big[1:])
 
 
 def test_simpson_rule_folds_values_evaluated_elsewhere():

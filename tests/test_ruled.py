@@ -22,10 +22,10 @@ from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cro
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, frame_residual, simpson_rule,
                              value_and_derivative)
-from dlgeom.ruled import (SPACELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
+from dlgeom.ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
-                          striction_curve, timelike_invariants, timelike_radius)
+                          striction_jet, timelike_invariants, timelike_radius)
 
 # ids that three mode-parametrized tests took when the mode came in a config
 # object, kept so that their names stay the same
@@ -62,6 +62,14 @@ def test_catalog_parameter_validation():
         catalog.cone(a=0.5, b=0.8)
     with pytest.raises(ValueError):
         catalog.helicoidal(a=1.0, b=0.0)
+
+
+def test_measurements_reject_a_spec_of_the_other_causal_class():
+    cone = catalog.cone(samples=5)
+    with pytest.raises(ValueError, match="spacelike-surface spec"):
+        darboux_frame(dataclasses.replace(cone, kind=TIMELIKE_SURFACE))
+    with pytest.raises(ValueError, match="timelike-surface spec"):
+        timelike_invariants(cone)
 
 
 def test_catalog_unit_speed_and_characters():
@@ -114,10 +122,9 @@ def test_reparametrize_round_trip_catches_a_shifted_table(monkeypatch):
 
 
 def test_reparametrize_raises_when_newton_stalls(monkeypatch):
-    real = ruled._signed_integral
+    real = ruled.integrate
     noise = itertools.cycle((1e-9, -1e-9))
-    monkeypatch.setattr(ruled, "_signed_integral",
-                        lambda f, a, b: real(f, a, b) + next(noise))
+    monkeypatch.setattr(ruled, "integrate", lambda f, a, b: real(f, a, b) + next(noise))
     with pytest.raises(GeometryError, match="Newton"):
         arclength_reparametrize(_double_speed_cone())
 
@@ -147,9 +154,9 @@ def test_reparametrize_rejects_constant_indicatrix():
 
 def test_striction_fixed_point_when_base_is_striction():
     spec = catalog.helicoidal(domain=(0.0, 1.0), samples=11)
-    c = striction_curve(spec)
+    jet = striction_jet(spec)
     for s in spec.grid():
-        got = c(float(s))
+        got = jet(float(s))[0]
         want = spec.base_curve(float(s))
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-12
 
@@ -161,17 +168,17 @@ def test_striction_collapses_sliding_directrix_on_cone():
         return Vec3L(1.0, -2.0, 0.5) + dual.sin(u) * base.indicatrix(u)
 
     spec = RuledSurfaceSpec(base.indicatrix, sliding, (0.0, 1.0), 11, SPACELIKE_SURFACE)
-    c = striction_curve(spec)
+    jet = striction_jet(spec)
     for s in np.linspace(0.0, 1.0, 7):
-        got = c(float(s))
+        got = jet(float(s))[0]
         assert max(abs(x - y) for x, y in zip(got, Vec3L(1.0, -2.0, 0.5))) < 1e-8
 
 
 def test_striction_condition_holds():
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=11)
-    c = striction_curve(spec)
+    jet = striction_jet(spec)
     for s in spec.grid():
-        cp = _fd_vec(c, float(s))
+        cp = _fd_vec(lambda u: jet(u)[0], float(s))
         ep = _fd_vec(spec.indicatrix, float(s))
         assert abs(lorentz_dot(cp, ep)) < 1e-8
 
@@ -187,9 +194,9 @@ def test_striction_invariant_under_directrix_choice(a0, a1):
 
     moved = RuledSurfaceSpec(base.indicatrix, directrix, base.domain, base.samples,
                              SPACELIKE_SURFACE)
-    c = striction_curve(moved)
+    jet = striction_jet(moved)
     for s in moved.grid():
-        got = c(float(s))
+        got = jet(float(s))[0]
         want = base.base_curve(float(s))
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-9
 
@@ -588,10 +595,11 @@ def test_darboux_formula_residuals(deriv, tol):
 
 def test_dual_norm_of_dual_tangent_is_one_plus_eps_Delta():
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=9)
-    c = striction_curve(spec)
+    jet = striction_jet(spec)
 
     def moment(u):
-        return lorentz_cross(c(u), spec.indicatrix(u))
+        c, e, _ = jet(u)
+        return lorentz_cross(c, e)
 
     for f in darboux_frame(spec):
         ep = _ad_vec(spec.indicatrix, f.s)
@@ -605,13 +613,12 @@ def test_dual_darboux_consistency_pins_cprime_sign():
     # -<g_dual', t_dual> must equal gamma - eps*delta, which only balances
     # with the striction decomposition c' = delta*e + Delta*g
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=9)
-    c = striction_curve(spec)
+    jet = striction_jet(spec)
 
     def g_dual_curve(u):
-        e = spec.indicatrix(u)
-        ep = _ad_vec(spec.indicatrix, u)
+        c, e, ep = jet(u)
         g = -lorentz_cross(e, ep)
-        return g, lorentz_cross(c(u), g)
+        return g, lorentz_cross(c, g)
 
     def g_re(u):
         return g_dual_curve(u)[0]
@@ -632,10 +639,11 @@ def test_dual_darboux_consistency_pins_cprime_sign():
 
 def _ruling_normal(spec, s, v):
     # surface normal direction at (s, v): phi_s x phi_v
-    c = striction_curve(spec)
+    jet = striction_jet(spec)
 
     def phi(u):
-        return c(u) + v * spec.indicatrix(u)
+        c, e, _ = jet(u)
+        return c + v * e
 
     phi_s = _fd_vec(phi, s)
     return lorentz_cross(phi_s, spec.indicatrix(s))
