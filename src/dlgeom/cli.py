@@ -32,7 +32,7 @@ from .lorentz import Vec3L
 from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
-                    striction_jet, timelike_invariants, timelike_radius, _rows)
+                    striction_jet, timelike_invariants, timelike_radius)
 from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
@@ -238,19 +238,7 @@ def cmd_frames(args) -> int:
     return EXIT_OK
 
 
-def _record_json(rec) -> list:
-    """The JSON object of each sample of an invariant record's columns."""
-    return [{"ds1_ds": q["ds1_ds"], "Delta1": q["Delta1"], "delta1": q["delta1"],
-             "gamma1": q["gamma1"], "gamma1_dual": [q["gamma1_dual_re"], q["gamma1_dual_du"]],
-             "R1": [q["R1_re"], q["R1_du"]]} for q in _rows(rec.quantities())]
-
-
 def _report_payload(report, spec, args) -> dict:
-    cols = report.samples
-    rows = [{**angle, "predicted": p, "measured": m, "residuals": r}
-            for angle, p, m, r in zip(
-                _rows({"s": cols.s, "theta": cols.theta, "theta_star": cols.theta_star}),
-                _record_json(cols.predicted), _record_json(cols.measured), _rows(cols.residuals))]
     dev = report.developability
     return {
         "metadata": {
@@ -263,7 +251,6 @@ def _report_payload(report, spec, args) -> dict:
             "surface": {"name": spec.name, "kind": spec.kind,
                         "domain": list(spec.domain), "samples": spec.samples},
         },
-        "samples": rows,
         "summary": {"max": report.residual_max, "mean": report.residual_mean},
         "verdicts": {
             "passed": report.passed,

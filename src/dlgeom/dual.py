@@ -252,12 +252,15 @@ def dual_angle_between(x: Vec3L, y: Vec3L) -> DualScalar:
     The causal characters of the real parts pick the angle.  x spacelike,
     y timelike: inverts ``<x,y> = |x||y| sinh(angle)``, which is bijective.
     Both spacelike, spanning a timelike subspace (|<x^,y^>| >= 1 on unit
-    real parts): inverts ``<x,y> = |x||y| cosh(angle)`` on the branch
+    real parts): solves ``<x,y> = |x||y| cosh(angle)`` on the branch
     theta >= 0, and a product <= -1 is treated as the angle to the opposite
-    vector -y.  Any other pair raises KindMismatch.  theta* is the distance
-    along the common perpendicular when the vectors represent lines.  At the
-    branch point theta = 0 the angle is 0 when the dual part of x x y says
-    the lines coincide, and distinct parallel lines raise BranchError.
+    vector -y.  theta is read off the spacelike ``x.re x y.re``, whose norm
+    is |x||y| sinh(theta), so it keeps full relative precision as theta -> 0
+    where acosh of the product would not.  Any other pair raises
+    KindMismatch.  theta* is the distance along the common perpendicular
+    when the vectors represent lines.  At the branch point sinh(theta) <=
+    BRANCH_TOL the angle is 0 when the dual part of x x y says the lines
+    coincide, and distinct parallel lines raise BranchError.
     """
     cx = causal_character(x.re)
     cy = causal_character(y.re)
@@ -274,10 +277,12 @@ def dual_angle_between(x: Vec3L, y: Vec3L) -> DualScalar:
         vre, vdu = -vre, -vdu
     if vre < 1.0 - BRANCH_TOL:
         raise BranchError(f"|cosh| = {vre} < 1: vectors span no timelike subspace")
-    if vre <= 1.0 + BRANCH_TOL:
+    w = lorentz_cross(x, y)
+    # <w, w> = <x,y>^2 - <x,x><y,y>; at the branch point rounding may leave it below 0
+    sinh_theta = math.sqrt(max(lorentz_dot(w.re, w.re), 0.0)) / n.re
+    if sinh_theta <= BRANCH_TOL:
         # v.du = theta* sinh(theta) vanishes here whatever theta* is
-        if any(abs(c) > BRANCH_TOL * n.re for c in lorentz_cross(x, y).du):
+        if any(abs(c) > BRANCH_TOL * n.re for c in w.du):
             raise BranchError("dual angle undefined: (nearly) parallel lines that do not coincide")
         return DualScalar(0.0, 0.0)
-    theta = math.acosh(vre)
-    return DualScalar(theta, float(vdu / math.sinh(theta)))
+    return DualScalar(math.asinh(sinh_theta), float(vdu / sinh_theta))

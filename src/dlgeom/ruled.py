@@ -213,7 +213,8 @@ class InvariantProfile:
         res = frame_residual(self.e0, self.t0, self.g0)
         gref = -lorentz_cross(self.e0, self.t0)
         res = max(res, *(abs(x - y) for x, y in zip(self.g0, gref)))
-        if res > 1e-9:
+        # written so that a NaN residual (overflowing Gram entries) fails too
+        if not res <= 1e-9:
             raise FrameDegeneracy(f"initial frame off orthonormality by {res:.3e}")
 
     @classmethod

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else.
 """
 
+import csv
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ from dlgeom.cli import main as cli_main
 from dlgeom.dual import LIFTS, DualScalar, dual_norm, dual_vector
 from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
 from dlgeom.lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
-from dlgeom.mannheim import (MannheimParams, construct_offset, mannheim_condition_residual,
+from dlgeom.mannheim import (RESIDUAL_KEYS, MannheimParams, construct_offset, mannheim_condition_residual,
                              offset_angles, verify_offset)
 from dlgeom.numerics import ODE_STEPS_PER_UNIT, value_and_derivative
 from dlgeom.ruled import (InvariantProfile, RuledSurfaceSpec, TIMELIKE_SURFACE, darboux_frame,
@@ -333,7 +334,7 @@ def test_criterion_10_radius_dual_magnitude(mannheim_run):
         assert abs(abs(row.measured.R1_dual.du) - want) < 1e-9
 
 
-@criterion(11, "CLI contract: offset run exits 0 and its stored summary folds from the rows")
+@criterion(11, "CLI contract: offset run exits 0 and its stored summary folds from the CSV rows")
 def test_criterion_11_cli_contract(tmp_path):
     spec_path = tmp_path / "heli.json"
     spec_path.write_text(json.dumps({
@@ -346,9 +347,11 @@ def test_criterion_11_cli_contract(tmp_path):
                      "--mannheim-c", "1.0", "--mannheim-cstar", "0.0"])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    rows = report["samples"]
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1001
-    for key, stored in report["summary"]["max"].items():
-        assert stored == max(r["residuals"][key] for r in rows)
-    for key, stored in report["summary"]["mean"].items():
-        assert stored == sum(r["residuals"][key] for r in rows) / len(rows)
+    assert set(report["summary"]["max"]) == set(report["summary"]["mean"]) == set(RESIDUAL_KEYS)
+    for key in RESIDUAL_KEYS:
+        residuals = [abs(float(r[f"{key}_pred"]) - float(r[f"{key}_meas"])) for r in rows]
+        assert report["summary"]["max"][key] == max(residuals)
+        assert report["summary"]["mean"][key] == sum(residuals) / len(residuals)

@@ -20,6 +20,7 @@ import dlgeom.ruled as ruled
 from dlgeom.cli import build_parser, main
 from dlgeom.dual import DualScalar
 from dlgeom.errors import DivisionByPureDual
+from dlgeom.mannheim import RESIDUAL_KEYS
 from dlgeom.lorentz import Vec3L
 
 CONE = {"catalog": "cone", "params": {"a": 0.6, "b": 0.8},
@@ -262,16 +263,31 @@ def test_negative_exponent_cstar_in_the_equals_form_passes(tmp_path):
 
 
 def test_offset_report_summary_matches_rows(tmp_path):
+    # the CSV is the per-sample table: each residual is |<key>_pred - <key>_meas|
+    # of a row, and the summary folds them in row order
     spec = _spec(tmp_path, HELI)
     out = tmp_path / "report.json"
     assert main(["offset", "--input", spec, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    rows = report["samples"]
-    for key, stored in report["summary"]["max"].items():
-        assert stored == max(r["residuals"][key] for r in rows)
-    for key, stored in report["summary"]["mean"].items():
-        again = sum(r["residuals"][key] for r in rows) / len(rows)
-        assert stored == again
+    rows = _read_csv(tmp_path / "report.csv")
+    assert set(report["summary"]["max"]) == set(report["summary"]["mean"]) == set(RESIDUAL_KEYS)
+    for key in RESIDUAL_KEYS:
+        residuals = [abs(float(r[f"{key}_pred"]) - float(r[f"{key}_meas"])) for r in rows]
+        assert report["summary"]["max"][key] == max(residuals)
+        assert report["summary"]["mean"][key] == sum(residuals) / len(residuals)
+
+
+@pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
+def test_offset_json_is_the_verdict_and_the_csv_the_table(tmp_path, mode):
+    out = tmp_path / "report"
+    assert main(["offset", "--input", _spec(tmp_path, HELI), "--out", str(out),
+                 "--deriv", mode]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report) == {"metadata", "summary", "verdicts"}
+    rows = _read_csv(tmp_path / "report.csv")
+    assert len(rows) == HELI["domain"]["samples"]
+    assert list(rows[0]) == ["s", "theta", "theta_star",
+                             *(f"{k}_{side}" for k in RESIDUAL_KEYS for side in ("pred", "meas"))]
 
 
 def test_offset_cone_delta1_equals_minus_theta_star(tmp_path):
@@ -597,6 +613,19 @@ def test_reconstruct_rejects_skew_frame(tmp_path):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps(prof))
     assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 2
+
+
+def test_reconstruct_rejects_a_seed_whose_gram_entries_overflow(tmp_path, capsys):
+    # <e, e> = -inf + inf is NaN, which must not pass for orthonormal
+    prof = _profile_payload()
+    prof["frame"] = {"e": [1e200, 1e200, 0.0], "t": [1.0, 0.0, 0.0],
+                     "g": [0.0, 0.0, 1.0], "c": [0.0, 0.0, 0.0]}
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(prof))
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 2
+    error = _last_error(capsys)
+    assert error["error"] == "SpecFileError"
+    assert error["message"].startswith("profile frame seed rejected")
 
 
 @pytest.mark.parametrize("field,value", [

@@ -288,6 +288,21 @@ def test_central_angle_of_a_line_with_itself_is_zero():
     assert dual_angle_between(origin, _line(Vec3L(0.0, 3.0, 0.0), a)) == DualScalar(0.0, 0.0)
 
 
+@pytest.mark.parametrize("th", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("x_point,y_point,theta_star", [
+    (Vec3L(0.0, 0.0, 0.0), Vec3L(0.0, 0.0, 0.0), 0.0),
+    (Vec3L(0.0, 2.0, 0.0), Vec3L(0.0, 2.0, 0.0), 0.0),
+    (Vec3L(0.0, 0.0, 0.0), Vec3L(0.0, 0.0, 0.5), -0.5),
+], ids=["through-the-origin", "crossing-at-(0,2,0)", "offset-by-0.5"])
+def test_central_angle_is_resolved_at_small_theta(th, x_point, y_point, theta_star):
+    # acosh of the product 1 + th^2/2 keeps about half the digits of th
+    x = _line(x_point, Vec3L(0.0, 1.0, 0.0))
+    y = _line(y_point, Vec3L(math.sinh(th), math.cosh(th), 0.0))
+    out = dual_angle_between(x, y)
+    assert out.re == pytest.approx(th, rel=1e-12, abs=0.0)
+    assert out.du == pytest.approx(theta_star, abs=1e-9)
+
+
 def test_central_angle_to_the_opposite_vector_is_the_same():
     # a product <= -1 reads the angle to -y
     th = 0.7

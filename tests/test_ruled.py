@@ -849,6 +849,13 @@ def test_profile_rejects_skew_frame():
                                         Vec3L(0.0, -0.6, 0.8), ORIGIN)
 
 
+def test_profile_rejects_a_seed_whose_gram_entries_overflow():
+    # <e, e> = -inf + inf is NaN, and a NaN residual is not within tolerance
+    with pytest.raises(FrameDegeneracy, match="nan"):
+        InvariantProfile.from_constants(0.75, 0.2, 0.1, Vec3L(1e200, 1e200, 0.0),
+                                        Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.0, 1.0), ORIGIN)
+
+
 def test_reconstruct_nonconstant_profile_round_trip():
     prof = InvariantProfile(
         gamma=lambda s: 0.75 + 0.1 * dual.sin(s),
