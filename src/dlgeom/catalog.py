@@ -28,8 +28,8 @@ def _check_ab(a: float, b: float) -> None:
 
 def _indicatrix(a: float, b: float):
     def e(u):
-        w = u / b
-        return Vec3L(b * dual.sinh(w), b * dual.cosh(w), a)
+        sh, ch = dual.sinh_cosh(u / b)
+        return Vec3L(b * sh, b * ch, a)
 
     return e
 
@@ -58,8 +58,7 @@ def helicoidal(a: float = 0.6, b: float = 0.8, delta0: float = 0.2, Delta0: floa
     _check_ab(a, b)
 
     def c(u):
-        w = u / b
-        ch, sh = dual.cosh(w), dual.sinh(w)
+        sh, ch = dual.sinh_cosh(u / b)
         int_e = Vec3L(b * b * ch, b * b * sh, a * u)
         int_g = Vec3L(a * b * ch, a * b * sh, -b * u)
         return c0 + delta0 * int_e + Delta0 * int_g

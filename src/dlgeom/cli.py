@@ -389,8 +389,9 @@ def cmd_reconstruct(args) -> int:
                  "Delta": np.abs(frames.Delta - profile.Delta(frames.s))}
     payload = {
         "max": {k: float(np.max(v)) for k, v in residuals.items()},
-        # summed in sample order, as a reader summing the rows would
-        "mean": {k: sum(v.tolist()) / len(v) for k, v in residuals.items()},
+        # summed in sample order, as a reader summing the rows would: cumsum
+        # adds sequentially
+        "mean": {k: float(np.cumsum(v)[-1]) / len(v) for k, v in residuals.items()},
         "samples": len(frames),
     }
     _write_json(json_path, payload)

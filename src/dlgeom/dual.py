@@ -9,7 +9,13 @@ differentiation order is how the kernel obtains exact second and third
 derivatives of curve closures.  The innermost components may also be float
 arrays, one element per sample, so one evaluation differentiates a whole
 block of samples.  The lifts are plain functions (``sinh``, ``cosh``, ...);
-:data:`LIFTS` names them for the CLI expression grammar.
+:data:`LIFTS` names them for the CLI expression grammar.  :func:`sinh_cosh`
+lifts the pair (sinh, cosh) from the pair one level below, two leaf
+transcendentals at any depth d where lifting each through the other takes
+2**d; ``sinh``, ``cosh``, ``sin`` and ``cos`` read halves of such pairs.  A
+dual division checks its divisor's leading real once against
+:data:`DIV_TOL` at every depth: its inner divisions, by o.re and
+o.re*o.re, lead with that same real and are not checked again.
 
 Every derivative in a dual slot comes from ring arithmetic and these lifts,
 but for three chain-rule lifts handed their known rate (the Hermite jets of
@@ -30,6 +36,7 @@ angle it is off the vectors' causal characters.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -103,8 +110,7 @@ class DualScalar:
             if _any(small):
                 raise DivisionByPureDual("division by a pure-dual number",
                                          index=int(np.argmax(small)) if np.ndim(small) else None)
-            rr = o.re * o.re
-            return DualScalar(self.re / o.re, (self.du * o.re - self.re * o.du) / rr)
+            return _quotient(self, o)
         if isinstance(o, _REAL):
             return DualScalar(self.re / o, self.du / o)
         return NotImplemented
@@ -119,6 +125,14 @@ class DualScalar:
 
     def __repr__(self):
         return f"DualScalar({self.re!r}, {self.du!r})"
+
+
+def _quotient(x, o):
+    """x / o as the checked division computes it, for a dual ``o`` already checked."""
+    if not isinstance(x, DualScalar):
+        x = DualScalar(x, 0.0)
+    div = _quotient if isinstance(o.re, DualScalar) else operator.truediv
+    return DualScalar(div(x.re, o.re), div(x.du * o.re - x.re * o.du, o.re * o.re))
 
 
 def re_part(x):
@@ -142,16 +156,22 @@ def leading_real(x):
 # analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x); a float leaf goes
 # through math, an array (or numpy scalar) leaf through numpy
 
-def sinh(x):
+def sinh_cosh(x):
+    """(sinh x, cosh x), each dual level lifted from the pair one level below."""
     if isinstance(x, DualScalar):
-        return DualScalar(sinh(x.re), x.du * cosh(x.re))
-    return math.sinh(x) if type(x) is float else np.sinh(x)
+        s, c = sinh_cosh(x.re)
+        return DualScalar(s, x.du * c), DualScalar(c, x.du * s)
+    if type(x) is float:
+        return math.sinh(x), math.cosh(x)
+    return np.sinh(x), np.cosh(x)
+
+
+def sinh(x):
+    return sinh_cosh(x)[0]
 
 
 def cosh(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(cosh(x.re), x.du * sinh(x.re))
-    return math.cosh(x) if type(x) is float else np.cosh(x)
+    return sinh_cosh(x)[1]
 
 
 def tanh(x):
@@ -180,16 +200,22 @@ def sqrt(x):
     return math.sqrt(x) if type(x) is float else np.sqrt(x)
 
 
-def sin(x):
+def _sin_cos(x):
+    """(sin x, cos x), lifted in pairs as :func:`sinh_cosh` is."""
     if isinstance(x, DualScalar):
-        return DualScalar(sin(x.re), x.du * cos(x.re))
-    return math.sin(x) if type(x) is float else np.sin(x)
+        s, c = _sin_cos(x.re)
+        return DualScalar(s, x.du * c), DualScalar(c, -(x.du * s))
+    if type(x) is float:
+        return math.sin(x), math.cos(x)
+    return np.sin(x), np.cos(x)
+
+
+def sin(x):
+    return _sin_cos(x)[0]
 
 
 def cos(x):
-    if isinstance(x, DualScalar):
-        return DualScalar(cos(x.re), -(x.du * sin(x.re)))
-    return math.cos(x) if type(x) is float else np.cos(x)
+    return _sin_cos(x)[1]
 
 
 def arctan(x):

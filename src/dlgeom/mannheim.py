@@ -191,10 +191,10 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     the values of ``offset_angles(frames, params)`` at the grid nodes and
     the rates -ds/du and -Delta*ds/du in between.  Every derivative is
     exact, whatever derivative mode measured ``frames``, which must sample
-    the base grid.  At a dual parameter u the offset's striction
-    curve evaluates the base striction jet once, as the node (c, c', e, e',
-    e'') at u.re: c, e and e' at u are lifted from it as x + eps*u.du*x',
-    and theta*'s rate -det(c', e, e')/|e'| at u.re comes from the same node.
+    the base grid.  At a dual parameter u both closures read one node
+    (c, c', e, e', e'') of the base striction jet at u.re, kept for the last
+    u: c, e and e' at u are lifted from it as x + eps*u.du*x', with one
+    speed v = |e'|, and theta*'s rate -det(c', e, e')/v at u.re.
     The closures take arrays: each evaluates theta (or theta*) off the nodes
     with one local quadrature call per array.  A stalling or non-finite
     gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
@@ -224,27 +224,38 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     theta_star = _GridAntiderivative(lambda u: -_arc_rates(_exact_node(base_jet, u), 1.0, u)[1],
                                      grid, angles.theta_star)
 
+    # the striction jet of the offset calls its indicatrix, then its base
+    # curve, at the same dual u: one entry keyed on u.re and u.du serves both
+    memo = [None, None, None]
+
+    def lifted_node(u):
+        """The base node at u.re, and e, e' and the speed v lifted from it to u."""
+        if memo[0] is not u.re or memo[1] is not u.du:
+            node = _exact_node(base_jet, u.re)
+            _, _, e, ep, epp = node
+            e, ep = dual_vector(e, ep * u.du), dual_vector(ep, epp * u.du)
+            memo[:] = u.re, u.du, (node, e, ep, tangent_speed(ep, 1.0, u))
+        return memo[2]
+
     def offset_indicatrix(u):
-        e, ep = value_and_derivative(ind, u)
-        v = tangent_speed(ep, 1.0, u)
-        th = theta(u, -re_part(v))
-        return dual.sinh(th) * e + (dual.cosh(th) / v) * ep
+        if isinstance(u, DualScalar):
+            _, e, ep, v = lifted_node(u)
+        else:
+            e, ep = value_and_derivative(ind, u)
+            v = tangent_speed(ep, 1.0, u)
+        sh, ch = dual.sinh_cosh(theta(u, -re_part(v)))
+        return sh * e + (ch / v) * ep
 
     def offset_striction(u):
         if isinstance(u, DualScalar):
-            # one base node at u.re serves the jet at u and theta*'s rate there
-            node = _exact_node(base_jet, u.re)
-            c, cp, e, ep, epp = node
-
-            def lift(x, dx):
-                return dual_vector(x, dx * u.du)
-
-            c, e, ep = lift(c, cp), lift(e, ep), lift(ep, epp)
-            th_star = theta_star(u, -_arc_rates(node, 1.0, u.re)[1])
+            node, e, ep, v = lifted_node(u)
+            c = dual_vector(node[0], node[1] * u.du)
+            th_star = theta_star(u, -_arc_rates(node, 1.0, u.re, v.re)[1])
         else:
             c, e, ep = base_jet(u)
+            v = tangent_speed(ep, 1.0, u)
             th_star = theta_star(u)
-        g = -lorentz_cross(e, ep) / tangent_speed(ep, 1.0, u)
+        g = -lorentz_cross(e, ep) / v
         return c + th_star * g
 
     return RuledSurfaceSpec(
@@ -329,8 +340,9 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = D
     residuals = {k: np.abs(p[k] - q[k]) for k in RESIDUAL_KEYS}
 
     residual_max = {k: float(np.max(v)) for k, v in residuals.items()}
-    # summed in sample order, as a reader summing the reported rows would
-    residual_mean = {k: sum(v.tolist()) / len(v) for k, v in residuals.items()}
+    # summed in sample order, as a reader summing the reported rows would:
+    # cumsum adds sequentially
+    residual_mean = {k: float(np.cumsum(v)[-1]) / len(v) for k, v in residuals.items()}
     return OffsetReport(
         samples=OffsetSample(s=frames.s, theta=angles.theta, theta_star=angles.theta_star,
                              predicted=pred, measured=meas, residuals=residuals),

@@ -29,7 +29,9 @@ that calls each closure once on all of its parameter values (float arrays,
 or dual scalars with array leaves), the quadrature points included (a
 1001-sample grid measures about 2015 points, and central-fd adds the 2002
 shifted nodes), and every check reports the first offending parameter of
-the pass.
+the pass.  Finiteness is checked as a node is split into (c, c', e, e',
+e''), in every Vec3L built by arithmetic, and once over the grid's whole
+frame table, scalar columns (gamma, delta, Delta, v, rates) included.
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -243,10 +245,10 @@ def tangent_speed(ep, sign: float, u):
     q = -sign * lorentz_dot(ep, ep)
     q_re = leading_real(q)
     stalled = np.abs(q_re) < SPEED_TOL ** 2
-    if np.any(stalled):
+    if dual._any(stalled):
         raise DegenerateIndicatrix(f"indicatrix speed vanishes near u={_first_u(stalled, u)}")
     wrong = q_re < 0.0
-    if np.any(wrong):
+    if dual._any(wrong):
         raise FrameDegeneracy(
             f"indicatrix tangent has the wrong causal character near u={_first_u(wrong, u)}")
     return dual.sqrt(q)
@@ -392,7 +394,7 @@ def _node_rows(node, rows: slice):
 
     Components that came back constant stay constant.
     """
-    return tuple(Vec3L.from_checked(*(x[rows] if np.ndim(x) else x for x in vec))
+    return tuple(Vec3L.from_checked(*(x[rows] if getattr(x, "ndim", 0) else x for x in vec))
                  for vec in node)
 
 
@@ -419,8 +421,9 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
     The checks run in this order over the whole pass, so an error names the
     first offending point of the first check that fails: the closure
     outputs as they are split into nodes, then the frame checks on the
-    grid, then the speed at ``extra``.  Returns the node columns and the
-    rates (ds/du, ds*/du) as rows, on the grid and on ``extra``.  A
+    grid, then the finiteness of the grid's frame table, then the speed at
+    ``extra``.  Returns the node columns and the rates (ds/du, ds*/du) as
+    rows, on the grid and on ``extra``.  A
     ``deriv`` other than DUAL_AD or CENTRAL_FD raises ValueError.
     """
     if deriv not in (DUAL_AD, CENTRAL_FD):
@@ -457,14 +460,18 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
         cs = dc / v
         table = _columns(grid, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v,
                          *_arc_rates(exact, sign, grid, v))
+        bad = ~np.isfinite(table).all(axis=0)
+        if bad.any():
+            raise NonFinite(f"non-finite frame column at u={_first_u(bad, grid)}")
         rates = np.zeros((2, 0))
         if len(extra):
             rates = _columns(extra, *_arc_rates(_node_rows(node, slice(end, None)), sign, extra))
     p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table
+    vec = Vec3L.from_checked
     nodes = _NodeFrames(
-        e=Vec3L(e1, e2, e3), t=Vec3L(t1, t2, t3), g=Vec3L(g1, g2, g3), gamma=gamma, delta=delta,
+        e=vec(e1, e2, e3), t=vec(t1, t2, t3), g=vec(g1, g2, g3), gamma=gamma, delta=delta,
         Delta=Delta, gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
-        striction_point=Vec3L(p1, p2, p3), ds_du=v)
+        striction_point=vec(p1, p2, p3), ds_du=v)
     return nodes, table[-2:].T, rates.T
 
 

@@ -348,6 +348,21 @@ def test_offset_warped_custom_spec_passes(tmp_path):
     assert report["verdicts"]["passed"] is True
 
 
+def test_offset_of_a_deeply_nested_small_divisor_passes(tmp_path):
+    # c1 = 1e-8/(u + 2e-4): the offset's measurement divides by u + 2e-4 at
+    # nesting depth 3, where (u + 2e-4)^4 < DIV_TOL at u = 0; only the leading
+    # real 2e-4 is held against DIV_TOL, so the theorem is checked there
+    payload = {"catalog": "custom", "domain": {"s_min": 0.0, "s_max": 0.5, "samples": 51},
+               "custom": {"e": ["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6"],
+                          "c": ["1e-8/(u + 0.0002)", "0.1*u*u", "0.2*u"]}}
+    spec = _spec(tmp_path, payload)
+    assert main(["frames", "--input", spec, "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["offset", "--input", spec, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["verdicts"]["passed"] is True
+    assert max(report["summary"]["max"].values()) < 1e-10
+
+
 @pytest.mark.parametrize("command", ["offset", "mesh"])
 @pytest.mark.parametrize("c", ["800", "-800"])
 def test_overflowing_offset_angle_is_degenerate(tmp_path, capsys, command, c):

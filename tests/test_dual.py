@@ -37,6 +37,96 @@ def test_division_by_pure_dual_rejected():
         DualScalar(1.0, 0.0) / DualScalar(5e-15, 1.0)
 
 
+def _nest(leaf, depth, slots=(1.0, 1.0, 1.0)):
+    """leaf + eps, ``depth`` levels deep, the level-k dual slot ``slots[k]``."""
+    for k in range(depth):
+        leaf = DualScalar(leaf, slots[k])
+    return leaf
+
+
+def _bits(x) -> list:
+    """Every leaf of a nested dual scalar (or of a tuple of them), as bytes."""
+    if isinstance(x, tuple):
+        return [b for y in x for b in _bits(y)]
+    if isinstance(x, DualScalar):
+        return _bits(x.re) + _bits(x.du)
+    return [np.asarray(x, dtype=float).tobytes()]
+
+
+def _inner(x):
+    """The innermost dual number a + eps*a' of a nested dual scalar."""
+    while isinstance(x.re, DualScalar):
+        x = x.re
+    return x
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("a", [2e-4, 1e-8])
+def test_division_checks_the_divisor_once_at_every_depth(a, depth):
+    # only the leading real is held against DIV_TOL, not the inner o.re*o.re:
+    # 2e-4 ** 4 and 1e-8 ** 2 are below it, at depth 3 and from depth 2
+    assert _bits(_inner(1.0 / _nest(a, depth))) == _bits(1.0 / DualScalar(a, 1.0))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_division_by_a_tiny_leading_real_raises_at_every_depth(depth):
+    with pytest.raises(DivisionByPureDual):
+        1.0 / _nest(1e-15, depth)
+    with pytest.raises(DivisionByPureDual):
+        DualScalar(1.0, 2.0) / _nest(np.array([1.0, -1e-15]), depth)
+
+
+def _ref_div(x, o):
+    """The dual quotient written out: (x/o, (x'o - xo')/o^2) at every level."""
+    if not isinstance(o, DualScalar):
+        return x / o
+    if not isinstance(x, DualScalar):
+        x = DualScalar(x, 0.0)
+    return DualScalar(_ref_div(x.re, o.re), _ref_div(x.du * o.re - x.re * o.du, o.re * o.re))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_nested_division_matches_the_quotient_rule_bit_for_bit(depth):
+    o = _nest(np.array([0.3, -1.7, 2e-4]), depth, slots=(0.7, -1.3, 2.1))
+    for x in (2.5, np.array([1.0, 0.5, -3.0]), _nest(0.9, depth, slots=(1.1, 0.2, -0.4))):
+        assert _bits(x / o) == _bits(_ref_div(x, o))
+
+
+def _ref_sinh(x):
+    if isinstance(x, DualScalar):
+        return DualScalar(_ref_sinh(x.re), x.du * _ref_cosh(x.re))
+    return math.sinh(x) if type(x) is float else np.sinh(x)
+
+
+def _ref_cosh(x):
+    if isinstance(x, DualScalar):
+        return DualScalar(_ref_cosh(x.re), x.du * _ref_sinh(x.re))
+    return math.cosh(x) if type(x) is float else np.cosh(x)
+
+
+def _ref_sin(x):
+    if isinstance(x, DualScalar):
+        return DualScalar(_ref_sin(x.re), x.du * _ref_cos(x.re))
+    return math.sin(x) if type(x) is float else np.sin(x)
+
+
+def _ref_cos(x):
+    if isinstance(x, DualScalar):
+        return DualScalar(_ref_cos(x.re), -(x.du * _ref_sin(x.re)))
+    return math.cos(x) if type(x) is float else np.cos(x)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("leaf", [0.37, np.array([-1.3, 0.0, 0.37, 2.9])])
+def test_paired_lifts_match_the_mutual_recursion_bit_for_bit(leaf, depth):
+    # unequal dual slots, so a lift that mixed up two levels would show
+    x = _nest(leaf, depth, slots=(1.0, -0.6, 2.3))
+    for got, want in ((dual.sinh(x), _ref_sinh(x)), (dual.cosh(x), _ref_cosh(x)),
+                      (dual.sin(x), _ref_sin(x)), (dual.cos(x), _ref_cos(x)),
+                      (dual.sinh_cosh(x), (_ref_sinh(x), _ref_cosh(x)))):
+        assert _bits(got) == _bits(want)
+
+
 @given(exact_duals, exact_duals, exact_duals)
 def test_ring_laws_exact(x, y, z):
     assert (x + y) + z == x + (y + z)

@@ -95,6 +95,35 @@ def test_offset_at_theta_zero_sample():
     assert max(abs(x - y) for x, y in zip(c1, want)) < 1e-10
 
 
+def _leaf_bytes(v) -> list:
+    """Every float leaf of a vector of (nested) dual scalars, as bytes."""
+    def leaves(x):
+        return leaves(x.re) + leaves(x.du) if isinstance(x, DualScalar) else [np.asarray(x)]
+
+    return [x.tobytes() for c in v for x in leaves(c)]
+
+
+def test_offset_closures_called_alternately_match_a_fresh_offset():
+    # both closures share the base node of the last dual u; calls that
+    # alternate between parameters, or change only the dual slot, must not
+    # read a node left by another u
+    base = _heli(samples=21)
+    frames = darboux_frame(base)
+    grid = base.grid()
+
+    def at(points, slot=1.0):
+        return DualScalar(DualScalar(points, 1.0), slot)
+
+    u1, u2 = at(grid), at(grid[::-1] * 0.9 + 0.06)
+    u3 = DualScalar(u1.re, 0.5)
+    off = construct_offset(base, frames, PARAMS)
+    calls = [("indicatrix", u1), ("base_curve", u2), ("indicatrix", u2), ("base_curve", u1),
+             ("base_curve", u3), ("indicatrix", u3), ("indicatrix", u1), ("base_curve", u1)]
+    for name, u in calls:
+        fresh = getattr(construct_offset(base, frames, PARAMS), name)(u)
+        assert _leaf_bytes(getattr(off, name)(u)) == _leaf_bytes(fresh), name
+
+
 def test_mannheim_condition_dual_vector_equality():
     base = _heli()
     frames = darboux_frame(base)

@@ -391,14 +391,14 @@ def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
 
 
 def test_offset_measurement_evaluates_each_base_point_once_per_use():
-    # the offset's striction curve reads the base jet and theta*'s rate off one
-    # base node, so at the deepest order the base curve is evaluated once per
-    # point and the base indicatrix twice (once more for the offset's ruling)
+    # the offset's ruling and striction curve read e, e', the speed and theta*'s
+    # rate off one base node, so at the deepest order the base curve and the
+    # base indicatrix are each evaluated once per point
     base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
     frames = darboux_frame(base)
     offset = construct_offset(base, frames, MannheimParams(1.0, 0.1))
     timelike_invariants(offset)
-    for name, most in (("indicatrix", 2), ("base_curve", 1)):
+    for name, most in (("indicatrix", 1), ("base_curve", 1)):
         counts = Counter(u for order, block in calls[name] if order == 3 for u in block)
         assert len(counts) > 0 and max(counts.values()) == most, name
 
@@ -532,6 +532,32 @@ def test_darboux_frame_rejects_a_non_finite_dual_node():
     spec = dataclasses.replace(spec, base_curve=lambda u: Vec3L(0.0 * u, 0.0 * u, math.nan * u))
     with pytest.raises(NonFinite):
         darboux_frame(spec)
+
+
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_node_pass_rejects_an_overflowing_scalar_column(deriv):
+    # near u_bad (central-fd's shifted points included) the striction curve
+    # runs along the third axis at 5e304 per unit u and the indicatrix moves
+    # at speed 1/64: c', c'/v, e, t and g stay finite and the striction check
+    # holds exactly, but Delta = det(c'/v, e, t) overflows to NaN.  No vector
+    # check reads a scalar column; the check of the whole frame table does
+    grid = np.linspace(0.0, 1.0, 11)
+    u_bad = grid[6]
+
+    def base(u):
+        near = np.abs(np.asarray(dual.leading_real(u)) - u_bad) <= 2 * FD_STEP
+        rate = np.where(near, 5e304, 1.0)
+        return Vec3L(0.0, 0.0, rate * u)
+
+    def e(u):
+        w = u / 51.2 + 3.0
+        return Vec3L(0.8 * dual.sinh(w), 0.8 * dual.cosh(w), 0.6)
+
+    spec = RuledSurfaceSpec(e, base, (0.0, 1.0), 11)
+    with pytest.raises(NonFinite, match=re.escape(f"at u={float(u_bad)!r}") + "$"):
+        darboux_frame(spec, deriv)
+    ok = darboux_frame(dataclasses.replace(spec, base_curve=lambda u: Vec3L(0.0, 0.0, u)))
+    assert np.all(np.isfinite(ok.Delta))
 
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
