@@ -429,12 +429,10 @@ def _add_samples_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mannheim_flags(p: argparse.ArgumentParser) -> None:
-    # argparse reads a value such as -8.78e-05 after a space as another option
     p.add_argument("--mannheim-c", type=float, default=1.0, dest="mannheim_c",
-                   help="offset angle constant c; write a negative value as --mannheim-c=<value>")
+                   help="offset angle constant c")
     p.add_argument("--mannheim-cstar", type=float, default=0.0, dest="mannheim_cstar",
-                   help="offset distance constant c*; write a negative value as "
-                        "--mannheim-cstar=<value>")
+                   help="offset distance constant c*")
 
 
 def _add_deriv_flag(p: argparse.ArgumentParser) -> None:
@@ -490,8 +488,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with ``--opt value`` joined as ``--opt=value`` where the value is a negative
+    number or list, which argparse reads as an option unless it looks like -1 or -.5."""
+    out = []
+    for token in argv:
+        try:
+            joins = (token.startswith("-") and out[-1].startswith("--") and "=" not in out[-1]
+                     and [float(x) for x in token.split(",")])
+        except (IndexError, ValueError):
+            joins = False
+        if joins:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
     except (SpecFileError, InvalidDirection, NotUnit, NonFinite) as exc:

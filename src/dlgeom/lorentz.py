@@ -134,11 +134,14 @@ def lorentz_dot(a: Vec3L, b: Vec3L):
 
 def lorentz_cross(a: Vec3L, b: Vec3L) -> Vec3L:
     """Lorentzian cross product (a2*b3 - a3*b2, a1*b3 - a3*b1, a2*b1 - a1*b2)."""
-    return Vec3L(
-        a.x2 * b.x3 - a.x3 * b.x2,
-        a.x1 * b.x3 - a.x3 * b.x1,
-        a.x2 * b.x1 - a.x1 * b.x2,
-    )
+    return Vec3L(*_cross(a, b))
+
+
+def _cross(a: Vec3L, b: Vec3L) -> tuple:
+    """The components of ``lorentz_cross(a, b)``, for callers that check finiteness later."""
+    return (a.x2 * b.x3 - a.x3 * b.x2,
+            a.x1 * b.x3 - a.x3 * b.x1,
+            a.x2 * b.x1 - a.x1 * b.x2)
 
 
 def det3(a: Vec3L, b: Vec3L, c: Vec3L):

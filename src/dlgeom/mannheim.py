@@ -22,13 +22,13 @@ like every spec's, its closures evaluate whole arrays of samples.  The
 base, its measured frames and the constants c + eps*c* (:class:`MannheimParams`)
 fix the offset, so :func:`construct_offset` takes just those and works
 the angles out itself.
-:func:`verify_offset` builds the offset, re-measures those invariants from
-the constructed geometry alone, at the grid nodes only (the relations are
-pointwise, so the offset's own s1 and s1* are not computed), and reports
-residuals against the closed forms, which makes every relation above an
-executable check.  Angles, invariant records and report samples are column
-records like the frames (:class:`~dlgeom.ruled.Columns`): the closed forms
-and residuals run on whole columns, and indexing gives one sample's row.
+:func:`verify_offset` evaluates the base once, at u + eps on the nodes of its
+measurement, reads the base frames off the real parts and the offset's closures
+off the rest, re-measures the invariants from the constructed offset at the
+grid nodes only (the relations are pointwise), and reports residuals against
+the closed forms.  Angles, invariant records and report samples are column
+records like the frames (:class:`~dlgeom.ruled.Columns`): the closed forms and
+residuals run on whole columns, and indexing gives one sample's row.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ import numpy as np
 from . import dual
 from .dual import DualScalar, dual_vector, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
-from .lorentz import lorentz_cross
+from .lorentz import det3, lorentz_cross
 from .numerics import DUAL_AD, integrate, value_and_derivative
-from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
-                    speed_closure, striction_jet, tangent_speed, timelike_radius, _arc_rates,
-                    _exact_node, _node_pass)
+from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, speed_closure,
+                    tangent_speed, timelike_radius, _exact_node, _measure_frames, _node_pass,
+                    _striction_jet)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -170,6 +170,8 @@ class _GridAntiderivative:
             return DualScalar(self(u.re, re_part(rate)), u.du * rate)
         shape = np.shape(u)
         u = np.ravel(u).astype(float)
+        if np.array_equal(u, self.grid):
+            return self.values.reshape(shape)[()].copy()
         j = np.clip(np.searchsorted(self.grid, u), 1, len(self.grid) - 1)
         left, right = self.grid[j - 1], self.grid[j]
         i = np.where(np.abs(u - left) <= np.abs(u - right), j - 1, j)
@@ -192,14 +194,21 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     the rates -ds/du and -Delta*ds/du in between.  Every derivative is
     exact, whatever derivative mode measured ``frames``, which must sample
     the base grid.  At a dual parameter u both closures read one node
-    (c, c', e, e', e'') of the base striction jet at u.re, kept for the last
-    u: c, e and e' at u are lifted from it as x + eps*u.du*x', with one
+    (c, c', e, e', e'', ...) of the base striction jet at u.re, kept for the
+    last u: c, e and e' at u are lifted from it as x + eps*u.du*x', with one
     speed v = |e'|, and theta*'s rate -det(c', e, e')/v at u.re.
     The closures take arrays: each evaluates theta (or theta*) off the nodes
     with one local quadrature call per array.  A stalling or non-finite
     gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
     so does a gamma that changes sign between two nodes, naming both s.
     """
+    return _build_offset(base, frames, params)
+
+
+def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimParams,
+                  rows=None) -> RuledSurfaceSpec:
+    """:func:`construct_offset`; given the lifted base ``rows`` of :func:`verify_offset`'s
+    offset pass, its dual closures read them instead of evaluating the base."""
     if len(frames) != base.samples:
         raise ValueError("frames must sample the base grid")
     angles = offset_angles(frames, params)
@@ -217,12 +226,16 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
             f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
 
     ind = base.indicatrix
-    base_jet = striction_jet(base)
+    base_jet = _striction_jet(base)
     speed = speed_closure(base)
     grid = base.grid()
     theta = _GridAntiderivative(lambda u: -speed(u), grid, angles.theta)
-    theta_star = _GridAntiderivative(lambda u: -_arc_rates(_exact_node(base_jet, u), 1.0, u)[1],
-                                     grid, angles.theta_star)
+
+    def star_rate(u):
+        _, cp, e, ep, *_ = _exact_node(base_jet, u)
+        return -det3(cp, e, ep) / tangent_speed(ep, 1.0, u)
+
+    theta_star = _GridAntiderivative(star_rate, grid, angles.theta_star)
 
     # the striction jet of the offset calls its indicatrix, then its base
     # curve, at the same dual u: one entry keyed on u.re and u.du serves both
@@ -231,8 +244,8 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     def lifted_node(u):
         """The base node at u.re, and e, e' and the speed v lifted from it to u."""
         if memo[0] is not u.re or memo[1] is not u.du:
-            node = _exact_node(base_jet, u.re)
-            _, _, e, ep, epp = node
+            node = _exact_node(base_jet, u.re) if rows is None else rows
+            _, _, e, ep, epp, *_ = node
             e, ep = dual_vector(e, ep * u.du), dual_vector(ep, epp * u.du)
             memo[:] = u.re, u.du, (node, e, ep, tangent_speed(ep, 1.0, u))
         return memo[2]
@@ -250,9 +263,9 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
         if isinstance(u, DualScalar):
             node, e, ep, v = lifted_node(u)
             c = dual_vector(node[0], node[1] * u.du)
-            th_star = theta_star(u, -_arc_rates(node, 1.0, u.re, v.re)[1])
+            th_star = theta_star(u, -det3(*node[1:4]) / v.re)
         else:
-            c, e, ep = base_jet(u)
+            c, e, ep, _ = base_jet(u)
             v = tangent_speed(ep, 1.0, u)
             th_star = theta_star(u)
         g = -lorentz_cross(e, ep) / v
@@ -322,10 +335,9 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = D
         tolerance = 1e-8 if deriv == DUAL_AD else 1e-6
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    frames = darboux_frame(base, deriv)
+    frames, rows = _measure_frames(base, deriv, lift=True)
     angles = offset_angles(frames, params)
-    offset = construct_offset(base, frames, params)
-    m = _node_pass(offset, deriv)[0]
+    m = _node_pass(_build_offset(base, frames, params, rows), deriv)[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
     meas = InvariantRecord(

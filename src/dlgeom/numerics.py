@@ -10,8 +10,10 @@ cross-check.  It evaluates the exact nodes at u +- FD_STEP in the same pass
 as those at u, and replaces c' (in delta and Delta) and e'' (in gamma) by
 the central differences of c and e' there; everything else is read off the
 nodes at u, as in dual-AD.
-Quadrature is composite Simpson throughout, and signed: from b down to a it
-gives minus the integral from a to b.  The frame ODE is integrated at
+Quadrature is signed: from b down to a it gives minus the integral from a
+to b.  :func:`integrate` and :func:`cumulative_integrate` are composite
+Simpson; measurement and reconstruction sum values and slopes at their
+nodes by :func:`hermite_cumulative`.  The frame ODE is integrated at
 a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
 flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all
 its node frames at once with :func:`lorentz_gram_schmidt`, which works
@@ -20,14 +22,11 @@ is one classical RK4 step of the same system, for single frames; the
 pipeline does not call it, and the tests check the flow against scipy's
 DOP853, not against it.
 
-Integrands are evaluated over arrays, once per point.  :func:`simpson_rule`
-lays out the quadrature points of one or many intervals and folds one value
-per point into the integrals, so a caller can evaluate those points together
-with others in a single pass; :func:`integrate` is that layout plus one call
-of its integrand on the whole array.  :func:`cumulative_integrate` takes the
-values at the grid nodes and at the grid's :func:`simpson_midpoints` from its
-caller.
-Closures evaluated on such arrays run inside :func:`at_points`.
+Integrands are evaluated over arrays, once per point: :func:`integrate` is
+the layout of :func:`simpson_rule` plus one call of its integrand on the
+whole array, and :func:`cumulative_integrate` takes the values at the grid
+nodes and at its :func:`simpson_midpoints` from its caller.  Closures
+evaluated on such arrays run inside :func:`at_points`.
 """
 
 from __future__ import annotations
@@ -186,6 +185,17 @@ def cumulative_integrate(grid: np.ndarray, nodes, mids) -> np.ndarray:
     if bad.any():
         raise NonFinite(f"cumulative integral overflows at u={float(grid[1 + np.argmax(bad)])!r}")
     return np.concatenate([np.zeros_like(nodes[:1]), sums])
+
+
+def hermite_cumulative(x: np.ndarray, values, slopes) -> np.ndarray:
+    """F(x[i]) - F(x[0]) from f and f' at the nodes ``x``, one row per node.
+
+    End-corrected trapezoid steps h/2*(f0 + f1) + h^2/12*(f0' - f1'), exact for
+    cubics; h is signed, so nodes may run down, then up.  Callers check finiteness.
+    """
+    h = np.diff(x).reshape((-1,) + (1,) * (np.ndim(values) - 1))
+    steps = 0.5 * h * (values[:-1] + values[1:]) + h * h / 12.0 * (slopes[:-1] - slopes[1:])
+    return np.concatenate([np.zeros_like(values[:1]), np.cumsum(steps, axis=0)])
 
 
 def value_and_derivative(curve, u):

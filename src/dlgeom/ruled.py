@@ -16,22 +16,22 @@ Frames are measured in the spec's own parameter u, whatever it is: each
 sample is read off one evaluation of the striction jet (c, c', e, e', e''),
 every u-derivative is divided by the indicatrix speed v = ds/du (exact
 chain rule), gamma = det(e, e', e'')/v^3, and s and the accumulated
-distribution parameter s* come from quadrature of their u-rates, so no
-reparametrization is needed.  Curve closures are duck-typed over dual
-scalars, so every derivative is exact forward differentiation.  The
-central-fd mode of the ``deriv`` argument differences the same exact nodes
-at u +- FD_STEP, and only for c' in delta and Delta and for e'' in gamma:
-the frame {e, t, g}, s, s* and the striction check are exact in both modes.
-Constructions (striction solve, reconstruction) take no derivative mode.
+distribution parameter s* sum their u-rates and u-slopes at the nodes by
+the end-corrected trapezoid rule, so no reparametrization is needed.  Curve
+closures are duck-typed over dual scalars, so every derivative is exact
+forward differentiation.  The central-fd mode of the ``deriv`` argument
+differences the same exact nodes at u +- FD_STEP, and only for c' in delta
+and Delta and for e'' in gamma: the frame {e, t, g}, s, s* and the
+striction check are exact in both modes, and constructions (striction
+solve, reconstruction) take no derivative mode.
 
-Closures are evaluated over arrays of samples: a measurement is one pass
-that calls each closure once on all of its parameter values (float arrays,
-or dual scalars with array leaves), the quadrature points included (a
-1001-sample grid measures about 2015 points, and central-fd adds the 2002
-shifted nodes), and every check reports the first offending parameter of
-the pass.  Finiteness is checked as a node is split into (c, c', e, e',
-e''), in every Vec3L built by arithmetic, and once over the grid's whole
-frame table, scalar columns (gamma, delta, Delta, v, rates) included.
+Closures are evaluated over arrays of samples: a measurement calls each
+closure once, on the grid, central-fd's shifted nodes and the head nodes
+from parameter 0 to the grid, and nowhere between nodes (a 1001-sample grid
+on (0.05, 0.95) is 1014 points; central-fd adds 2002).  Every check reports
+the first offending parameter.  Finiteness is checked as a node is split,
+in every Vec3L built by arithmetic, and over the grid's frame table and the
+rates, slopes and sums of s and s*.
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -52,10 +52,11 @@ from . import dual
 from .dual import DualScalar, dual_norm, dual_vector, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                      NullDarboux, StepSizeError)
-from .lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
-from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, ODE_STEPS_PER_UNIT, at_points,
-                       cumulative_integrate, frame_residual, integrate, lorentz_gram_schmidt,
-                       simpson_midpoints, simpson_rule, value_and_derivative)
+from .lorentz import Vec3L, _cross, det3, lorentz_cross, lorentz_dot
+from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
+                       ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, at_points, cumulative_integrate,
+                       frame_residual, hermite_cumulative, integrate, lorentz_gram_schmidt,
+                       simpson_midpoints, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -272,6 +273,12 @@ def striction_jet(spec: RuledSurfaceSpec):
     The solve is part of constructing the geometry, so its internal
     derivatives are exact regardless of the measurement mode.
     """
+    jet = _striction_jet(spec)
+    return lambda u: jet(u)[:3]
+
+
+def _striction_jet(spec: RuledSurfaceSpec):
+    """The striction jet, returning (c, e, e', p') with p' the directrix's derivative."""
     ind, base = spec.indicatrix, spec.base_curve
 
     def jet(u):
@@ -283,31 +290,19 @@ def striction_jet(spec: RuledSurfaceSpec):
                 f"striction undefined: e' vanishes near u={_first_u(stalled, u)}")
         p, pp = value_and_derivative(base, u)
         lam = -lorentz_dot(pp, ep) / q
-        return p + lam * e, e, ep
+        return p + lam * e, e, ep, pp
 
     return jet
 
 
 def _exact_node(jet, u):
-    """(c, c', e, e', e'') at u, all read off one evaluation of a striction jet at u + eps.
+    """(c, c', e, e', e'', p', p'') at u, all read off one evaluation of a striction jet at u + eps.
 
-    e'' is the dual slot of e', and ``u`` may itself be dual.
+    ``jet`` is a :func:`_striction_jet`; e'' and p'' are the dual slots of e'
+    and p', and ``u`` may itself be dual.
     """
-    c, e, ep = jet(DualScalar(u, 1.0))
-    return c.re, c.du, e.re, ep.re, ep.du
-
-
-def _arc_rates(node, sign: float, u, v=None):
-    """(ds/du, ds*/du) = (|e'|, sign*det(c', e, e')/|e'|) from a node (c, c', e, e', e'').
-
-    ``sign`` is the ruling sign; it fixes the sign of s* and the causal
-    character e' must have.  ``v``, if given, is the speed
-    ``tangent_speed(e', sign, u)`` of this node, already computed and checked.
-    """
-    _, cp, e, ep, _ = node
-    if v is None:
-        v = tangent_speed(ep, sign, u)
-    return v, sign * det3(cp, e, ep) / v
+    c, e, ep, pp = jet(DualScalar(u, 1.0))
+    return c.re, c.du, e.re, ep.re, ep.du, pp.re, pp.du
 
 
 def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
@@ -389,42 +384,35 @@ def _columns(u: np.ndarray, *values) -> np.ndarray:
     return out
 
 
-def _node_rows(node, rows: slice):
-    """The rows ``rows`` of a node (c, c', e, e', e'') evaluated on an array of parameters.
+def _node_rows(node, rows):
+    """The rows ``rows`` of a node evaluated on an array of parameters; constant leaves stay."""
+    def take(x):
+        if isinstance(x, DualScalar):
+            return DualScalar(take(x.re), take(x.du))
+        return x[rows] if getattr(x, "ndim", 0) else x
 
-    Components that came back constant stay constant.
-    """
-    return tuple(Vec3L.from_checked(*(x[rows] if getattr(x, "ndim", 0) else x for x in vec))
-                 for vec in node)
+    return tuple(Vec3L.from_checked(*map(take, vec)) for vec in node)
 
 
 #: frame columns on a spec's grid: the fields of FrameSample but s and s_star
 _NodeFrames = namedtuple("_NodeFrames", "e t g gamma delta Delta gamma_dual striction_point ds_du")
 
 
-def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
-    """Frame columns on the spec's grid, and the u-rates of s and s* there and at ``extra``.
+def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0), lift: bool = False):
+    """Frame columns on the spec's grid, and the exact nodes of the pass they were read from.
 
-    Each grid sample comes from one node (c, c', e, e', e'') in the spec's
-    parameter u; derivatives are divided by the indicatrix speed v = ds/du.
-    The ruling sign fixes the frame signature, (+, -, +) or (-, +, +), the
-    sign of s* (+int Delta ds or -int Delta ds) and that of gamma_dual's
-    dual slot (-(delta + gamma*Delta) or +).  In both classes gamma =
-    -<dg/ds, t> = det(e, e', e'')/v^3.
-
-    The pass is one exact node evaluation, that is one call of each spec
-    closure, on the grid, then (central-fd mode only) the grid shifted by
-    +FD_STEP and by -FD_STEP, then ``extra``.  In both modes c, e, e', the
-    speed v, t, g, the frame and striction checks and the rates come from
-    the grid nodes; central-fd replaces only the c' of delta and Delta, and
-    e'', by central differences of the real parts of the shifted nodes.
-    The checks run in this order over the whole pass, so an error names the
-    first offending point of the first check that fails: the closure
-    outputs as they are split into nodes, then the frame checks on the
-    grid, then the finiteness of the grid's frame table, then the speed at
-    ``extra``.  Returns the node columns and the rates (ds/du, ds*/du) as
-    rows, on the grid and on ``extra``.  A
-    ``deriv`` other than DUAL_AD or CENTRAL_FD raises ValueError.
+    Each grid sample comes from one node (c, c', e, e', e'', p', p'') in the
+    spec's parameter u; derivatives are divided by the indicatrix speed v =
+    ds/du, gamma = det(e, e', e'')/v^3, and the ruling sign fixes the frame
+    signature and the sign of gamma_dual's dual slot.  The pass calls each
+    closure once: on the grid, then (central-fd) the grid +- FD_STEP, whose
+    real parts replace c' in delta and Delta and e'' by central differences,
+    then ``extra``; with ``lift`` at u + eps, read off the real parts (the
+    same bits).  Errors name the first offending point of the first failing
+    check: the node split, the frame checks, then the frame table's
+    finiteness.  Returns the columns, the nodes at every point and, with
+    ``lift``, the lifted nodes but at ``extra``.  An unknown ``deriv`` raises
+    ValueError.
     """
     if deriv not in (DUAL_AD, CENTRAL_FD):
         raise ValueError(f"unknown derivative mode {deriv!r}")
@@ -435,16 +423,19 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
     points = np.concatenate([grid, *shifts, extra])
     end = len(points) - len(extra)
     with at_points(points):
-        node = _exact_node(striction_jet(spec), points)
+        node = _exact_node(_striction_jet(spec), DualScalar(points, 1.0) if lift else points)
+        lifted = _node_rows(node, slice(0, end)) if lift else None
+        node = tuple(x.re for x in node) if lift else node
         exact, *shifted = (_node_rows(node, slice(i, i + k)) for i in range(0, end, k))
-        point, cp, e, ep, epp = exact
+        point, cp, e, ep, epp, *_ = exact
         dc = cp  # the c' of delta and Delta
         if shifted:
-            (c_hi, _, _, ep_hi, _), (c_lo, _, _, ep_lo, _) = shifted
+            (c_hi, _, _, ep_hi, *_), (c_lo, _, _, ep_lo, *_) = shifted
             dc, epp = (c_hi - c_lo) / (2.0 * FD_STEP), (ep_hi - ep_lo) / (2.0 * FD_STEP)
         v = tangent_speed(ep, sign, grid)
-        t = ep / v
-        g = -lorentz_cross(e, t)
+        vec = Vec3L.from_checked
+        t = vec(ep.x1 / v, ep.x2 / v, ep.x3 / v)
+        g = vec(*(-x for x in _cross(e, t)))
         res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
         bad = res > FRAME_TOL
         if np.any(bad):
@@ -458,41 +449,48 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0)):
         if np.any(off):
             raise FrameDegeneracy(f"striction condition violated at u={_first_u(off, grid)}")
         cs = dc / v
-        table = _columns(grid, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v,
-                         *_arc_rates(exact, sign, grid, v))
+        table = _columns(grid, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v)
         bad = ~np.isfinite(table).all(axis=0)
         if bad.any():
             raise NonFinite(f"non-finite frame column at u={_first_u(bad, grid)}")
-        rates = np.zeros((2, 0))
-        if len(extra):
-            rates = _columns(extra, *_arc_rates(_node_rows(node, slice(end, None)), sign, extra))
-    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v, _, _ = table
-    vec = Vec3L.from_checked
-    nodes = _NodeFrames(
+    p1, p2, p3, e1, e2, e3, t1, t2, t3, g1, g2, g3, gamma, delta, Delta, v = table
+    frames = _NodeFrames(
         e=vec(e1, e2, e3), t=vec(t1, t2, t3), g=vec(g1, g2, g3), gamma=gamma, delta=delta,
         Delta=Delta, gamma_dual=DualScalar(gamma, -sign * (delta + gamma * Delta)),
         striction_point=vec(p1, p2, p3), ds_du=v)
-    return nodes, table[-2:].T, rates.T
+    return frames, node, lifted
 
 
-def _measure_frames(spec: RuledSurfaceSpec, deriv: str) -> FrameSample:
+def _measure_frames(spec: RuledSurfaceSpec, deriv: str, lift: bool = False):
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
-    s and s* accumulate from parameter 0: the node pass also evaluates the
-    Simpson points of their signed head integral from 0 (but its end, the
-    first node), then the Simpson midpoints of their integral over the grid.
+    s and s* accumulate from parameter 0 over the head nodes, which split
+    [0, u0] into max(MIN_QUAD_PANELS, ceil(|u0|*QUAD_PANELS_PER_UNIT))
+    panels (none if the first node u0 is 0), evaluated in the node pass,
+    then over the grid, from the rates v and r = sign*det(c', e, e')/v and
+    the slopes v' = -sign*<e', e''>/v and r' = (sign*(det(p'', e, e') +
+    det(p', e, e'')) - r*v')/v.  ``lift`` also returns the lifted nodes.
     """
+    sign = spec.ruling_sign()
     grid = spec.grid()
-    head, head_fold = simpson_rule(0.0, float(grid[0]))
-    # the head integral ends on the first node, whose rates come with the frame
-    on_node = head == grid[0]
-    nodes, node_rates, rates = _node_pass(
-        spec, deriv, np.concatenate([head[~on_node], simpson_midpoints(grid)]))
-    m = np.count_nonzero(~on_node)
-    head_rates = np.empty((len(head), 2))
-    head_rates[on_node], head_rates[~on_node] = node_rates[0], rates[:m]
-    arcs = head_fold(head_rates) + cumulative_integrate(grid, node_rates, rates[m:])
-    return FrameSample(s=arcs[:, 0], s_star=arcs[:, 1], **nodes._asdict())
+    n = max(MIN_QUAD_PANELS, math.ceil(abs(grid[0]) * QUAD_PANELS_PER_UNIT)) if grid[0] else 0
+    head = np.linspace(0.0, grid[0], n + 1)[:-1]
+    frames, node, lifted = _node_pass(spec, deriv, head, lift)
+    path = np.concatenate([head, grid])
+    # the head rows close the node table, so indices -n..-1 are the head nodes
+    _, cp, e, ep, epp, pp, ppp = _node_rows(node, np.arange(-n, len(grid)))
+    with at_points(path):
+        v = tangent_speed(ep, sign, path)
+        r = sign * det3(cp, e, ep) / v
+        dv = -sign * lorentz_dot(ep, epp) / v
+        dr = (sign * (det3(ppp, e, ep) + det3(pp, e, epp)) - r * dv) / v
+        rates = _columns(path, v, r, dv, dr).T
+        arcs = hermite_cumulative(path, rates[:, :2], rates[:, 2:])
+    bad = ~(np.isfinite(rates).all(axis=1) & np.isfinite(arcs).all(axis=1))
+    if bad.any():
+        raise NonFinite(f"non-finite arc length rate or sum at u={_first_u(bad, path)}")
+    out = FrameSample(s=arcs[n:, 0], s_star=arcs[n:, 1], **frames._asdict())
+    return (out, lifted) if lift else out
 
 
 def darboux_frame(spec: RuledSurfaceSpec, deriv: str = DUAL_AD) -> FrameSample:
@@ -519,11 +517,11 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
     the timelike side (the sign difference falls out of the norm's causal
     character).
     """
-    jet = striction_jet(spec)
+    jet = _striction_jet(spec)
 
     def f(u):
         # the dual curve e + eps*(c x e) differentiates to e' + eps*(c' x e + c x e')
-        c, cp, e, ep, _ = _exact_node(jet, u)
+        c, cp, e, ep, *_ = _exact_node(jet, u)
         return dual_norm(dual_vector(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
     val = integrate(f, 0.0, s)
@@ -841,15 +839,13 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     gamma, = _profile_values(profile.gamma, s)[:, :, None]
     delta, delta_p = _profile_values(profile.delta, s, slope=True)[:, :, None]
     Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
-    h = np.diff(s)[:, None]
     # c' = delta*e + Delta*g and its derivative with the frame rates substituted
     # in; an overflow here or in c raises NonFinite when its curve is built
     with at_points(s):
         accel = e + gamma * g
         cdot = delta * e + Delta * g
         cddot = delta_p * e + Delta_p * g + (delta + Delta * gamma) * t
-        steps = 0.5 * h * (cdot[:-1] + cdot[1:]) + h * h / 12.0 * (cddot[:-1] - cddot[1:])
-        c = np.concatenate([np.zeros((1, 3)), np.cumsum(steps, axis=0)])
+        c = hermite_cumulative(s, cdot, cddot)
         # c0 belongs to the seed's node
         c += np.array(tuple(profile.c0)) - c[np.searchsorted(s, s0)]
     return RuledSurfaceSpec(_HermiteCurve(s, e, t, accel), _HermiteCurve(s, c, cdot, cddot),

@@ -8,8 +8,8 @@ from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite, StepSizeError
 from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
 from dlgeom.numerics import (FD_STEP, FrameState, at_points, cumulative_integrate,
-                             frame_residual, integrate, lorentz_gram_schmidt, rk4_frame_step,
-                             simpson_midpoints, simpson_rule, value_and_derivative)
+                             frame_residual, hermite_cumulative, integrate, lorentz_gram_schmidt,
+                             rk4_frame_step, simpson_midpoints, simpson_rule, value_and_derivative)
 
 
 def _ad(curve, u):
@@ -134,6 +134,16 @@ def test_cumulative_overflow_raises_without_a_warning():
     big = np.full(5, 1e308)
     with pytest.raises(NonFinite, match=r"overflows at u=1\.0$"):
         cumulative_integrate(grid, big, big[1:])
+
+
+def test_hermite_cumulative_is_exact_for_cubics_along_a_path_that_turns():
+    # nodes from 0 down to -0.3, then up to 0.9: F(x) - F(0) at each, componentwise
+    x = np.concatenate([np.linspace(0.0, -0.3, 4), np.linspace(-0.3, 0.9, 7)[1:]])
+    f, fp = 1.0 + x - 2.0 * x ** 2 + 3.0 * x ** 3, 1.0 - 4.0 * x + 9.0 * x ** 2
+    F = x + x ** 2 / 2.0 - 2.0 * x ** 3 / 3.0 + 3.0 * x ** 4 / 4.0
+    out = hermite_cumulative(x, np.column_stack([f, -f]), np.column_stack([fp, -fp]))
+    assert out.shape == (len(x), 2)
+    assert np.max(np.abs(out - np.column_stack([F, -F]))) < 1e-15
 
 
 def test_simpson_rule_folds_values_evaluated_elsewhere():

@@ -20,8 +20,8 @@ from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegene
                            GeometryError, NonFinite, NullDarboux, StepSizeError)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
-from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, frame_residual, simpson_rule,
-                             value_and_derivative)
+from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
+                             QUAD_PANELS_PER_UNIT, frame_residual, value_and_derivative)
 from dlgeom.ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
@@ -318,7 +318,15 @@ def test_darboux_frame_is_parametrization_invariant():
                 assert verify_offset(spec, params, deriv).passed, (k, samples, deriv)
 
 
-def test_darboux_frame_evaluates_each_node_and_midpoint_once():
+def _head(u0):
+    """The head nodes of a measurement: [0, u0) in max(2, ceil(256*|u0|)) equal panels."""
+    n = max(MIN_QUAD_PANELS, math.ceil(abs(u0) * QUAD_PANELS_PER_UNIT)) if u0 else 0
+    return np.linspace(0.0, u0, n + 1)[:-1].tolist()
+
+
+def test_darboux_frame_evaluates_each_node_once():
+    # s and s* sum rates and slopes at the nodes: nothing is evaluated between
+    # grid nodes, and the head nodes from parameter 0 stop short of grid[0]
     spec = catalog.helicoidal(domain=(0.5, 1.5), samples=11)
     seen = []
 
@@ -327,16 +335,9 @@ def test_darboux_frame_evaluates_each_node_and_midpoint_once():
         return spec.base_curve(u)
 
     darboux_frame(dataclasses.replace(spec, base_curve=base))
-    grid = spec.grid()
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    counts = Counter(seen)
-    # one evaluation per node and per Simpson midpoint; the head integral
-    # from parameter 0 samples [0, grid[0]) once per point and ends on the
-    # first node, which is not evaluated again
-    assert Counter({u: n for u, n in counts.items() if u > grid[0]}) == Counter([*grid[1:], *mids])
-    assert counts[grid[0]] == 1
-    head = [u for u in seen if u < grid[0]]
-    assert len(head) == len(set(head)) > 0
+    head = _head(0.5)
+    assert len(head) == 128 and max(head) < 0.5
+    assert Counter(seen) == Counter([*spec.grid().tolist(), *head])
 
 
 def _order(u) -> int:
@@ -363,16 +364,10 @@ def _counted(spec):
 
 
 def _assert_batched(calls, grid):
-    # one pass over the nodes, the head integral from 0 and the Simpson
-    # midpoints, in that order: one call of each closure on all of them
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    # one pass over the grid, then the head nodes from 0: one call of each
+    # closure on all of them, and no point between two nodes
     for seen in calls.values():
-        assert len(seen) == 1
-        points = seen[0][1]
-        head = points[len(grid):len(points) - len(mids)]
-        assert points == [*grid, *head, *mids]
-        # the head ends on grid[0], which the nodes already evaluated
-        assert len(head) == len(set(head)) > 0 and max(head) < grid[0]
+        assert [points for _, points in seen] == [[*grid, *_head(grid[0])]]
 
 
 def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
@@ -404,14 +399,15 @@ def test_offset_measurement_evaluates_each_base_point_once_per_use():
 
 
 def _count_offset_calls(monkeypatch) -> dict:
-    """Make construct_offset return counted specs; their calls land under ``"calls"``."""
+    """Make verify_offset's offset builder return counted specs, whose calls go to ``"calls"``."""
     seen = {}
+    real = mannheim._build_offset
 
     def counted_offset(*args):
-        spec, seen["calls"] = _counted(construct_offset(*args))
+        spec, seen["calls"] = _counted(real(*args))
         return spec
 
-    monkeypatch.setattr(mannheim, "construct_offset", counted_offset)
+    monkeypatch.setattr(mannheim, "_build_offset", counted_offset)
     return seen
 
 
@@ -428,15 +424,95 @@ def test_verify_offset_evaluates_the_offset_on_its_grid_only(monkeypatch):
 
 def test_a_5001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
     # a pass is one call however many points it has: the base pass here
-    # measures about 10015 points and the offset pass 5001
-    base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=5001))
+    # measures 5014 points (13 of them head nodes) and the offset pass 5001
+    spec = catalog.helicoidal(domain=(0.05, 0.95), samples=5001)
+    base, calls = _counted(spec)
     darboux_frame(base)
-    assert {name: len(c) for name, c in calls.items()} == {"indicatrix": 1, "base_curve": 1}
-    assert len(calls["base_curve"][0][1]) > 10000
+    assert {name: [len(b) for _, b in c] for name, c in calls.items()} == {
+        "indicatrix": [5014], "base_curve": [5014]}
     seen = _count_offset_calls(monkeypatch)
+    base, calls = _counted(spec)
     assert verify_offset(base, MannheimParams(1.0, 0.1)).passed
-    assert {name: len(c) for name, c in seen["calls"].items()} == {"indicatrix": 1,
-                                                                   "base_curve": 1}
+    for counted in (calls, seen["calls"]):
+        assert {name: len(c) for name, c in counted.items()} == {"indicatrix": 1, "base_curve": 1}
+    assert len(seen["calls"]["base_curve"][0][1]) == 5001
+
+
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_verify_offset_evaluates_the_base_once_at_order_3(deriv):
+    # the offset's closures read the base nodes lifted to u + eps, and the base
+    # frames are their real parts: one base call per closure, at order 3 only,
+    # on the grid (in central-fd also the grid shifted) and the head nodes
+    base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
+    grid = base.grid().tolist()
+    shifts = [*base.grid() + FD_STEP, *base.grid() - FD_STEP] if deriv == CENTRAL_FD else []
+    assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
+    for name, seen in calls.items():
+        deepest = [call for call in seen if call[0] == 3]
+        assert deepest == [(3, [*grid, *shifts, *_head(grid[0])])], name
+        # central-fd's offset also reads theta and theta* at the shifted points
+        # by local quadrature from the nearest node, at lower orders
+        assert deriv == CENTRAL_FD or seen == deepest, name
+
+
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_verify_offset_arc_lengths_are_darboux_frame_bits(deriv):
+    spec = _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=41), 0.3)
+    params = MannheimParams(1.0, 0.2)
+    frames, report = darboux_frame(spec, deriv), verify_offset(spec, params, deriv)
+    assert np.array_equal(report.samples.s, frames.s)
+    assert np.array_equal(report.samples.theta_star, params.c_star - frames.s_star)
+
+
+def _sin_warped(spec, k=0.3):
+    """The spec composed with u -> u + k*sin(u), whose arc length from 0 is u + k*sin(u)."""
+    def warp(u):
+        return u + k * dual.sin(u)
+
+    return dataclasses.replace(spec, indicatrix=lambda u: spec.indicatrix(warp(u)),
+                               base_curve=lambda u: spec.base_curve(warp(u)))
+
+
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+@pytest.mark.parametrize("domain", [(0.3, 1.3), (-1.3, -0.3)])
+@pytest.mark.parametrize("samples,bound", [(11, 6e-8), (101, 6e-12), (1001, 2e-13)])
+def test_arc_lengths_match_their_closed_forms(deriv, domain, samples, bound):
+    # s = u + 0.3 sin u and s* = 0.1 s; the end-corrected trapezoid rule errs
+    # by O(h^4): 2.8e-8, 2.8e-12 and 9.5e-14 measured in s
+    spec = _sin_warped(catalog.helicoidal(domain=domain, samples=samples))
+    frames = darboux_frame(spec, deriv)
+    s = spec.grid() + 0.3 * np.sin(spec.grid())
+    assert np.max(np.abs(frames.s - s)) < bound
+    assert np.max(np.abs(frames.s_star - 0.1 * s)) < 0.1 * bound
+
+
+def test_arc_rate_slopes_are_the_derivatives_of_the_rates():
+    # on a directrix off the striction curve c and p differ; the slope of
+    # r = det(c', e, e')/v, which reads p' and p'', must still be r's derivative
+    base = _sin_warped(catalog.helicoidal(domain=(0.2, 1.2), samples=101))
+
+    def directrix(u):
+        return base.base_curve(u) + (0.4 + 0.3 * dual.sin(2.0 * u)) * base.indicatrix(u)
+
+    spec = dataclasses.replace(base, base_curve=directrix)
+    jet = ruled._striction_jet(spec)
+    u, h = np.linspace(0.2, 1.2, 6), 1e-5
+
+    def rates(x):
+        _, cp, e, ep, epp, pp, ppp = ruled._exact_node(jet, x)
+        v = ruled.tangent_speed(ep, 1.0, x)
+        r = lorentz.det3(cp, e, ep) / v
+        dv = -lorentz_dot(ep, epp) / v
+        return v, r, dv, (lorentz.det3(ppp, e, ep) + lorentz.det3(pp, e, epp) - r * dv) / v
+
+    v, r, dv, dr = rates(u)
+    (v_hi, r_hi, _, _), (v_lo, r_lo, _, _) = rates(u + h), rates(u - h)
+    assert np.max(np.abs(dv - (v_hi - v_lo) / (2 * h))) < 1e-8
+    assert np.max(np.abs(dr - (r_hi - r_lo) / (2 * h))) < 1e-8
+    assert np.min(np.abs(dr)) > 1e-3
+    # the measurement sums these rates and slopes: s* = 0.1 s whatever p is
+    s = spec.grid() + 0.3 * np.sin(spec.grid())
+    assert np.max(np.abs(darboux_frame(spec).s_star - 0.1 * s)) < 1e-12
 
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
@@ -501,19 +577,28 @@ def _nan_at(spec, u_bad):
 
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
-@pytest.mark.parametrize("where", ["midpoint", "head"])
+@pytest.mark.parametrize("where", ["head", "origin"])
 def test_points_off_the_grid_are_checked(deriv, where):
-    # the one pass evaluates the quadrature points with the nodes; a bad value
-    # at one of them alone must still raise, naming it
+    # the one pass evaluates the head nodes with the grid; a bad value at one
+    # of them alone must still raise, naming it
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=11)
-    grid = spec.grid()
-    if where == "midpoint":
-        u_bad = 0.5 * (grid[3] + grid[4])
-    else:
-        u_bad = simpson_rule(0.0, grid[0])[0][5]
-    assert u_bad not in grid
+    u_bad = _head(spec.grid()[0])[5 if where == "head" else 0]
+    assert u_bad not in spec.grid()
     with pytest.raises(NonFinite, match=re.escape(f"at u={float(u_bad)!r}") + "$"):
         darboux_frame(_nan_at(spec, u_bad), deriv)
+
+
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_an_overflowing_arc_length_sum_names_its_node(deriv):
+    # s*'s rate is -1e308 at every node, so the first step of the sum, to the
+    # first head node past 0, overflows; every frame column stays finite
+    cone = catalog.cone(domain=(0.05, 0.5), samples=11)
+    spec = dataclasses.replace(cone, base_curve=lambda u: Vec3L(0.0, 0.0, 1.25e308 * u))
+    u_bad = _head(0.05)[1]
+    with pytest.raises(NonFinite, match=re.escape(f"sum at u={u_bad!r}") + "$"):
+        darboux_frame(spec, deriv)
+    ok = darboux_frame(dataclasses.replace(spec, base_curve=lambda u: Vec3L(0.0, 0.0, 1e307 * u)))
+    assert np.all(np.isfinite(ok.s_star)) and np.all(np.isfinite(ok.Delta))
 
 
 def test_tangent_speed_names_the_first_offending_parameter():
@@ -563,18 +648,18 @@ def test_node_pass_rejects_an_overflowing_scalar_column(deriv):
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, deriv):
     # sliding the jet's point along the ruling gives <c', t> = -0.1*u*v != 0
-    real = ruled.striction_jet
+    real = ruled._striction_jet
 
     def sliding_jet(spec):
         jet = real(spec)
 
         def off(u):
-            c, e, ep = jet(u)
-            return c + (0.1 * u) * e, e, ep
+            c, e, ep, pp = jet(u)
+            return c + (0.1 * u) * e, e, ep, pp
 
         return off
 
-    monkeypatch.setattr(ruled, "striction_jet", sliding_jet)
+    monkeypatch.setattr(ruled, "_striction_jet", sliding_jet)
     with pytest.raises(FrameDegeneracy, match="striction condition"):
         darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=11), deriv)
 
