@@ -19,9 +19,9 @@ o.re*o.re, lead with that same real and are not checked again.
 
 Every derivative in a dual slot comes from ring arithmetic and these lifts,
 but for three chain-rule lifts handed their known rate (the Hermite jets of
-reconstructed curves, the Mannheim offset's lifted base node and its
-``_GridAntiderivative`` angles) and two inverse functions (the arc-length
-inverse of ``arclength_reparametrize`` and :func:`dual_angle_between`).
+reconstructed curves, the Mannheim offset's lifted base node and its angles
+theta and theta*) and two inverse functions (the arc-length inverse of
+``arclength_reparametrize`` and :func:`dual_angle_between`).
 
 A dual vector ``a + eps*a*`` pairs a direction with a moment vector and
 models an oriented non-null line.  It is a :class:`~dlgeom.lorentz.Vec3L`

@@ -18,7 +18,8 @@ invariants have closed forms in (gamma, delta, Delta, theta, theta*):
 The offset is built in the base spec's own parameter u, with
 theta(u) = c - s(u) and theta*(u) = c* - s*(u) continued between the grid
 nodes by their exact u-rates, so no arc-length reparametrization is needed;
-like every spec's, its closures evaluate whole arrays of samples.  The
+like every spec's, its closures evaluate whole arrays of samples, and real u as
+u + eps*0: one route reads one base node and one quadrature of both angles.  The
 base, its measured frames and the constants c + eps*c* (:class:`MannheimParams`)
 fix the offset, so :func:`construct_offset` takes just those and works
 the angles out itself.
@@ -38,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .dual import DualScalar, dual_vector, re_part
+from .dual import DualScalar, dual_vector, leading_real, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import det3, lorentz_cross
-from .numerics import DUAL_AD, integrate, value_and_derivative
-from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, speed_closure,
+from .numerics import DUAL_AD, integrate
+from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec,
                     tangent_speed, timelike_radius, _exact_node, _measure_frames, _node_pass,
                     _striction_jet)
 
@@ -149,38 +150,31 @@ def offset_angles(frames: FrameSample, params: MannheimParams) -> OffsetAngle:
     return OffsetAngle(frames.s, params.c - frames.s, params.c_star - frames.s_star)
 
 
-class _GridAntiderivative:
-    """F(u) from values tabulated on a grid and the exact rate F' = ``rate``.
-
-    Real evaluations start from the nearest node's value and add a local
-    quadrature correction; dual evaluations carry the rate in the dual
-    slot, which the caller passes: ``rate`` is F' at ``u.re``, and its real
-    part then serves the next nesting level.  ``u`` may be an
-    array: the node lookup is elementwise, and the corrections of all
-    off-node elements are one :func:`~dlgeom.numerics.integrate` call.
-    """
-
-    def __init__(self, rate, grid, values):
-        self.rate = rate
-        self.grid = np.asarray(grid, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-
-    def __call__(self, u, rate=None):
-        if isinstance(u, DualScalar):
-            return DualScalar(self(u.re, re_part(rate)), u.du * rate)
-        shape = np.shape(u)
-        u = np.ravel(u).astype(float)
-        if np.array_equal(u, self.grid):
-            return self.values.reshape(shape)[()].copy()
-        j = np.clip(np.searchsorted(self.grid, u), 1, len(self.grid) - 1)
-        left, right = self.grid[j - 1], self.grid[j]
-        i = np.where(np.abs(u - left) <= np.abs(u - right), j - 1, j)
-        node = self.grid[i]
-        out = self.values[i]
-        off = u != node
+def _angles_at(rates, grid, table, u):
+    """theta and theta* at real ``u``: each element's nearest-node row of ``table``, plus one
+    :func:`~dlgeom.numerics.integrate` call of the rows' u-rates ``rates`` off the ``grid``."""
+    shape = np.shape(u)
+    u = np.ravel(u).astype(float)
+    out = table
+    if not np.array_equal(u, grid):
+        j = np.clip(np.searchsorted(grid, u), 1, len(grid) - 1)
+        i = j - (u - grid[j - 1] <= grid[j] - u)
+        out, off = table[i], u != grid[i]
         if off.any():
-            out[off] += integrate(self.rate, node[off], u[off])
-        return out.reshape(shape)[()]
+            out[off] += integrate(rates, grid[i][off], u[off])
+    return out[:, 0].reshape(shape)[()], out[:, 1].reshape(shape)[()]
+
+
+def _chain_lift(x, u, rate):
+    """F(u) from x = F at u's leading real and rate = F' at u.re, one dual level at a time."""
+    if not isinstance(u, DualScalar):
+        return x
+    return DualScalar(_chain_lift(x, u.re, re_part(rate)), u.du * rate)
+
+
+def _real_as_dual(f):
+    """``f`` of a dual u, taking a real u as u + eps*0 and returning the real part."""
+    return lambda u: f(u) if isinstance(u, DualScalar) else f(DualScalar(u, 0.0)).re
 
 
 def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
@@ -193,12 +187,13 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     the values of ``offset_angles(frames, params)`` at the grid nodes and
     the rates -ds/du and -Delta*ds/du in between.  Every derivative is
     exact, whatever derivative mode measured ``frames``, which must sample
-    the base grid.  At a dual parameter u both closures read one node
-    (c, c', e, e', e'', ...) of the base striction jet at u.re, kept for the
-    last u: c, e and e' at u are lifted from it as x + eps*u.du*x', with one
-    speed v = |e'|, and theta*'s rate -det(c', e, e')/v at u.re.
-    The closures take arrays: each evaluates theta (or theta*) off the nodes
-    with one local quadrature call per array.  A stalling or non-finite
+    the base grid.  A real u is taken as u + eps*0, and at u both closures
+    read one node (c, c', e, e', e'', ...) of the base striction jet at u.re,
+    kept for the last u: c, e and e' are lifted from it as x + eps*u.du*x',
+    and theta and theta* from their values at u's leading real by their
+    rates -v and -det(c', e, e')/v at u.re, v = |e'|.  The closures take
+    arrays: off the nodes theta and theta* are one quadrature call per array,
+    of both rates at once.  A stalling or non-finite
     gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
     so does a gamma that changes sign between two nodes, naming both s.
     """
@@ -225,55 +220,42 @@ def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimP
         raise DegenerateOffset(
             f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
 
-    ind = base.indicatrix
     base_jet = _striction_jet(base)
-    speed = speed_closure(base)
     grid = base.grid()
-    theta = _GridAntiderivative(lambda u: -speed(u), grid, angles.theta)
+    table = np.column_stack([angles.theta, angles.theta_star])
 
-    def star_rate(u):
+    def rates(u):
         _, cp, e, ep, *_ = _exact_node(base_jet, u)
-        return -det3(cp, e, ep) / tangent_speed(ep, 1.0, u)
-
-    theta_star = _GridAntiderivative(star_rate, grid, angles.theta_star)
+        v = tangent_speed(ep, 1.0, u)
+        return np.column_stack([-v, -det3(cp, e, ep) / v])
 
     # the striction jet of the offset calls its indicatrix, then its base
-    # curve, at the same dual u: one entry keyed on u.re and u.du serves both
+    # curve, at the same u: one entry keyed on u.re and u.du serves both
     memo = [None, None, None]
 
-    def lifted_node(u):
-        """The base node at u.re, and e, e' and the speed v lifted from it to u."""
+    def lifted(u):
+        """c, e, e' and the speed v at u, lifted from the base node at u.re, and the angles."""
         if memo[0] is not u.re or memo[1] is not u.du:
-            node = _exact_node(base_jet, u.re) if rows is None else rows
-            _, _, e, ep, epp, *_ = node
-            e, ep = dual_vector(e, ep * u.du), dual_vector(ep, epp * u.du)
-            memo[:] = u.re, u.du, (node, e, ep, tangent_speed(ep, 1.0, u))
+            c, cp, e, ep, epp, *_ = _exact_node(base_jet, u.re) if rows is None else rows
+            lifts = [dual_vector(x, dx * u.du) for x, dx in ((c, cp), (e, ep), (ep, epp))]
+            v = tangent_speed(lifts[2], 1.0, u)
+            theta, theta_star = _angles_at(rates, grid, table, leading_real(u))
+            memo[:] = u.re, u.du, (*lifts, v, _chain_lift(theta, u, -v.re),
+                                   _chain_lift(theta_star, u, -det3(cp, e, ep) / v.re))
         return memo[2]
 
     def offset_indicatrix(u):
-        if isinstance(u, DualScalar):
-            _, e, ep, v = lifted_node(u)
-        else:
-            e, ep = value_and_derivative(ind, u)
-            v = tangent_speed(ep, 1.0, u)
-        sh, ch = dual.sinh_cosh(theta(u, -re_part(v)))
+        _, e, ep, v, theta, _ = lifted(u)
+        sh, ch = dual.sinh_cosh(theta)
         return sh * e + (ch / v) * ep
 
     def offset_striction(u):
-        if isinstance(u, DualScalar):
-            node, e, ep, v = lifted_node(u)
-            c = dual_vector(node[0], node[1] * u.du)
-            th_star = theta_star(u, -det3(*node[1:4]) / v.re)
-        else:
-            c, e, ep, _ = base_jet(u)
-            v = tangent_speed(ep, 1.0, u)
-            th_star = theta_star(u)
-        g = -lorentz_cross(e, ep) / v
-        return c + th_star * g
+        c, e, ep, v, _, theta_star = lifted(u)
+        return c + theta_star * (-lorentz_cross(e, ep) / v)
 
     return RuledSurfaceSpec(
-        indicatrix=offset_indicatrix,
-        base_curve=offset_striction,
+        indicatrix=_real_as_dual(offset_indicatrix),
+        base_curve=_real_as_dual(offset_striction),
         domain=base.domain,
         samples=base.samples,
         kind=TIMELIKE_SURFACE,

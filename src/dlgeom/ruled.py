@@ -255,16 +255,6 @@ def tangent_speed(ep, sign: float, u):
     return dual.sqrt(q)
 
 
-def speed_closure(spec: RuledSurfaceSpec):
-    """Indicatrix speed |e'(u)| as a dual-capable closure (see tangent_speed)."""
-    sign = spec.ruling_sign()
-
-    def v(u):
-        return tangent_speed(value_and_derivative(spec.indicatrix, u)[1], sign, u)
-
-    return v
-
-
 def striction_jet(spec: RuledSurfaceSpec):
     """Closure returning (c(u), e(u), e'(u)) with c the striction curve.
 
@@ -318,7 +308,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     Raises GeometryError if Newton stalls or if the arc length of u(s)
     misses s by more than 1e-8 on the output grid.
     """
-    v = speed_closure(spec)
+    def v(u):
+        return tangent_speed(value_and_derivative(spec.indicatrix, u)[1], spec.ruling_sign(), u)
 
     def speeds(us):
         with at_points(us):
@@ -384,14 +375,16 @@ def _columns(u: np.ndarray, *values) -> np.ndarray:
     return out
 
 
+def _take(x, rows):
+    """The rows ``rows`` of one component evaluated on an array of parameters; constants stay."""
+    if isinstance(x, DualScalar):
+        return DualScalar(_take(x.re, rows), _take(x.du, rows))
+    return x[rows] if getattr(x, "ndim", 0) else x
+
+
 def _node_rows(node, rows):
     """The rows ``rows`` of a node evaluated on an array of parameters; constant leaves stay."""
-    def take(x):
-        if isinstance(x, DualScalar):
-            return DualScalar(take(x.re), take(x.du))
-        return x[rows] if getattr(x, "ndim", 0) else x
-
-    return tuple(Vec3L.from_checked(*map(take, vec)) for vec in node)
+    return tuple(Vec3L.from_checked(*(_take(x, rows) for x in vec)) for vec in node)
 
 
 #: frame columns on a spec's grid: the fields of FrameSample but s and s_star

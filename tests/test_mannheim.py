@@ -12,13 +12,13 @@ import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, dual_angle_between
 from dlgeom.errors import DegenerateOffset, ZeroConicalCurvature
-from dlgeom.lorentz import Vec3L, lorentz_dot
+from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, OffsetAngle,
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
 from dlgeom.numerics import CENTRAL_FD, DUAL_AD, value_and_derivative
-from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, speed_closure, striction_jet,
-                          timelike_invariants, timelike_radius)
+from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, striction_jet, timelike_invariants,
+                          timelike_radius)
 
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
 
@@ -124,6 +124,29 @@ def test_offset_closures_called_alternately_match_a_fresh_offset():
         assert _leaf_bytes(getattr(off, name)(u)) == _leaf_bytes(fresh), name
 
 
+def test_offset_closures_off_the_nodes_match_their_closed_forms():
+    # on the unit-speed helicoidal s = u and s* = Delta0*u, so theta = c - u and
+    # theta* = c* - Delta0*u everywhere; between the nodes, before the grid and
+    # past its end the angles come from one quadrature of their rates
+    base = catalog.helicoidal(0.6, 0.8, 0.2, 0.1, domain=(0.05, 0.95), samples=11)
+    off = construct_offset(base, darboux_frame(base), MannheimParams(1.0, 0.3))
+    grid = base.grid()
+    u = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), np.linspace(0.0, 0.05, 5)[:-1],
+                        [1.0, 1.2]])
+    theta, theta_star = 1.0 - u, 0.3 - 0.1 * u
+    e, ep = value_and_derivative(base.indicatrix, u)
+    want = {"indicatrix": np.sinh(theta) * e + np.cosh(theta) * ep,
+            "base_curve": base.base_curve(u) + theta_star * -lorentz_cross(e, ep)}
+    for name, closed in want.items():
+        f = getattr(off, name)
+        assert max(np.max(np.abs(x - y)) for x, y in zip(f(u), closed)) < 1e-13, name
+        # a real parameter takes the dual route with a zero slot: its value is
+        # the leading real of the call at u + eps + eps
+        for x in (u, *u.tolist()):
+            lifted = f(DualScalar(DualScalar(x, 1.0), 1.0))
+            assert _leaf_bytes(f(x)) == _leaf_bytes(map(dual.leading_real, lifted)), (name, x)
+
+
 def test_mannheim_condition_dual_vector_equality():
     base = _heli()
     frames = darboux_frame(base)
@@ -196,10 +219,9 @@ def test_arc_rate_measured_vs_closed_form():
     base = _heli(samples=21)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, PARAMS)
-    speed = speed_closure(off)
-    for f, a in zip(frames, angles):
-        assert speed(f.s) == pytest.approx(f.gamma * math.cosh(a.theta), abs=1e-7)
+    speeds = timelike_invariants(construct_offset(base, frames, PARAMS)).ds_du
+    for f, a, speed in zip(frames, angles, speeds):
+        assert speed == pytest.approx(f.gamma * math.cosh(a.theta), abs=1e-7)
 
 
 def test_offset_angle_rate_is_minus_one():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import math
 import re
@@ -21,7 +22,8 @@ from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegene
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
-                             QUAD_PANELS_PER_UNIT, frame_residual, value_and_derivative)
+                             QUAD_PANELS_PER_UNIT, frame_residual, simpson_rule,
+                             value_and_derivative)
 from dlgeom.ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
@@ -441,18 +443,50 @@ def test_a_5001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 def test_verify_offset_evaluates_the_base_once_at_order_3(deriv):
     # the offset's closures read the base nodes lifted to u + eps, and the base
-    # frames are their real parts: one base call per closure, at order 3 only,
-    # on the grid (in central-fd also the grid shifted) and the head nodes
+    # frames are their real parts: one base call per closure at order 3, on the
+    # grid (in central-fd also the grid shifted) and the head nodes
     base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
-    grid = base.grid().tolist()
-    shifts = [*base.grid() + FD_STEP, *base.grid() - FD_STEP] if deriv == CENTRAL_FD else []
+    grid = base.grid()
+    shifts = np.concatenate([grid + FD_STEP, grid - FD_STEP]) if deriv == CENTRAL_FD else grid[:0]
+    expected = [(3, [*grid.tolist(), *shifts.tolist(), *_head(grid[0])])]
+    if len(shifts):
+        # central-fd's offset also reads theta and theta* at the shifted points,
+        # by one quadrature of both rates from the nearest node, at order 2
+        points, _ = simpson_rule(np.concatenate([grid, grid]), shifts)
+        assert len(points) == 606
+        expected.append((2, points.tolist()))
     assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
     for name, seen in calls.items():
-        deepest = [call for call in seen if call[0] == 3]
-        assert deepest == [(3, [*grid, *shifts, *_head(grid[0])])], name
-        # central-fd's offset also reads theta and theta* at the shifted points
-        # by local quadrature from the nearest node, at lower orders
-        assert deriv == CENTRAL_FD or seen == deepest, name
+        assert seen == expected, name
+
+
+def _reconstructed():
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    return reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: darboux_frame(spec),
+    lambda spec: darboux_frame(spec, CENTRAL_FD),
+    lambda spec: verify_offset(spec, MannheimParams(1.0, 0.2)),
+    lambda spec: verify_offset(spec, MannheimParams(1.0, 0.2), CENTRAL_FD),
+    lambda spec: timelike_invariants(
+        construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.2))),
+    lambda spec: darboux_frame(_reconstructed()),
+], ids=["frames-dual-ad", "frames-central-fd", "offset-dual-ad", "offset-central-fd",
+        "offset-invariants", "frames-reconstructed"])
+def test_library_calls_leave_no_cyclic_garbage(call):
+    # garbage in reference cycles outlives the call until the cyclic
+    # collector runs, and holds the nodes it references: peak memory grows
+    spec = catalog.helicoidal(domain=(0.05, 0.95), samples=101)
+    call(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        call(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
