@@ -8,6 +8,12 @@ whose tangent is unit timelike, with constant conical curvature a/b.  The
 cone keeps its striction point fixed; the helicoidal surface adds a
 striction curve with c' = delta0*e + Delta0*g, so its invariants are the
 constants (a/b, delta0, Delta0).  All closures evaluate over dual scalars.
+
+Far from u = 0 the closures lose precision: the components of e and e' grow
+like exp(|u/b|)/2 while <e', e'> stays -1.  The measured frame residual
+passes 1e-6 from about |u/b| = 12 (the helicoidal's striction check, at
+1e-8, from about 10), and <e', e'> cancels to 0 past about |u/b| = 18,
+where measurement reports a null e' (DegenerateIndicatrix).
 """
 
 from __future__ import annotations

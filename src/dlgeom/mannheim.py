@@ -19,7 +19,8 @@ The offset is built in the base spec's own parameter u, with
 theta(u) = c - s(u) and theta*(u) = c* - s*(u) continued between the grid
 nodes by their exact u-rates, so no arc-length reparametrization is needed;
 like every spec's, its closures evaluate whole arrays of samples, and real u as
-u + eps*0: one route reads one base node and one quadrature of both angles.  The
+u + eps*0: one route reads one base node and one quadrature of both angles, and
+divides by the lifted indicatrix speed once, for both closures.  The
 base, its measured frames and the constants c + eps*c* (:class:`MannheimParams`)
 fix the offset, so :func:`construct_offset` takes just those and works
 the angles out itself.
@@ -191,9 +192,11 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
     read one node (c, c', e, e', e'', ...) of the base striction jet at u.re,
     kept for the last u: c, e and e' are lifted from it as x + eps*u.du*x',
     and theta and theta* from their values at u's leading real by their
-    rates -v and -det(c', e, e')/v at u.re, v = |e'|.  The closures take
-    arrays: off the nodes theta and theta* are one quadrature call per array,
-    of both rates at once.  A stalling or non-finite
+    rates -v and -det(c', e, e')/v at u.re, v = |e'|.  The node also keeps
+    1/v of the lifted e', so e1 = sinh(theta)*e + (cosh(theta)/v)*e' and
+    c1 = c + (theta*/v)*(e' x e) divide by the lifted speed once between
+    them.  The closures take arrays: off the nodes theta and theta* are one
+    quadrature call per array, of both rates at once.  A stalling or non-finite
     gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
     so does a gamma that changes sign between two nodes, naming both s.
     """
@@ -210,12 +213,12 @@ def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimP
     with np.errstate(over="ignore"):
         speed1 = np.abs(frames.gamma * np.cosh(angles.theta))
     bad = ~np.isfinite(speed1) | (speed1 < OFFSET_DEGENERACY_TOL)
-    if np.any(bad):
+    if bad.any():
         i = np.argmax(bad)
         raise DegenerateOffset(f"gamma*cosh(theta) = {speed1[i]:.3e} at s={frames.s[i]}")
     # where gamma = 0 the offset ruling stalls: de1/ds = gamma*cosh(theta)*g
     flips = np.signbit(frames.gamma[1:]) != np.signbit(frames.gamma[:-1])
-    if np.any(flips):
+    if flips.any():
         i = np.argmax(flips)
         raise DegenerateOffset(
             f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
@@ -234,24 +237,26 @@ def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimP
     memo = [None, None, None]
 
     def lifted(u):
-        """c, e, e' and the speed v at u, lifted from the base node at u.re, and the angles."""
+        """c, e, e' and 1/v at u, v = |e'|, lifted from the base node at u.re, and the angles."""
         if memo[0] is not u.re or memo[1] is not u.du:
             c, cp, e, ep, epp, *_ = _exact_node(base_jet, u.re) if rows is None else rows
             lifts = [dual_vector(x, dx * u.du) for x, dx in ((c, cp), (e, ep), (ep, epp))]
             v = tangent_speed(lifts[2], 1.0, u)
             theta, theta_star = _angles_at(rates, grid, table, leading_real(u))
-            memo[:] = u.re, u.du, (*lifts, v, _chain_lift(theta, u, -v.re),
+            # both closures divide by v: one dual division serves them
+            memo[:] = u.re, u.du, (*lifts, 1.0 / v, _chain_lift(theta, u, -v.re),
                                    _chain_lift(theta_star, u, -det3(cp, e, ep) / v.re))
         return memo[2]
 
     def offset_indicatrix(u):
-        _, e, ep, v, theta, _ = lifted(u)
+        _, e, ep, w, theta, _ = lifted(u)
         sh, ch = dual.sinh_cosh(theta)
-        return sh * e + (ch / v) * ep
+        return sh * e + (ch * w) * ep
 
     def offset_striction(u):
-        c, e, ep, v, _, theta_star = lifted(u)
-        return c + theta_star * (-lorentz_cross(e, ep) / v)
+        # theta* along g = -e x t = (e' x e)/v
+        c, e, ep, w, _, theta_star = lifted(u)
+        return c + (theta_star * w) * lorentz_cross(ep, e)
 
     return RuledSurfaceSpec(
         indicatrix=_real_as_dual(offset_indicatrix),
@@ -269,7 +274,7 @@ def predicted_invariants(gamma, delta, Delta, angle: OffsetAngle) -> InvariantRe
     Takes one sample (floats and a row angle) or columns (arrays and a
     column angle) alike.
     """
-    if np.any(np.abs(gamma) < OFFSET_DEGENERACY_TOL):
+    if (np.abs(gamma) < OFFSET_DEGENERACY_TOL).any():
         raise ZeroConicalCurvature("offset invariants divide by gamma")
     th, ths = angle.theta, angle.theta_star
     thbar = angle.as_dual()
@@ -333,10 +338,10 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = D
     p, q = pred.quantities(), meas.quantities()
     residuals = {k: np.abs(p[k] - q[k]) for k in RESIDUAL_KEYS}
 
-    residual_max = {k: float(np.max(v)) for k, v in residuals.items()}
+    residual_max = {k: float(v.max()) for k, v in residuals.items()}
     # summed in sample order, as a reader summing the reported rows would:
     # cumsum adds sequentially
-    residual_mean = {k: float(np.cumsum(v)[-1]) / len(v) for k, v in residuals.items()}
+    residual_mean = {k: float(v.cumsum()[-1]) / len(v) for k, v in residuals.items()}
     return OffsetReport(
         samples=OffsetSample(s=frames.s, theta=angles.theta, theta_star=angles.theta_star,
                              predicted=pred, measured=meas, residuals=residuals),
@@ -357,9 +362,9 @@ def developability_check(frames: FrameSample, angles: OffsetAngle, measured_fram
     the one column read) vanishes.  Samples where theta is too small for
     the coth corollary are recorded, not fatal.
     """
-    spread = np.max(angles.theta_star) - np.min(angles.theta_star)
+    spread = angles.theta_star.max() - angles.theta_star.min()
     return DevelopabilityReport(
-        base_developable=bool(np.max(np.abs(frames.Delta)) <= tol),
+        base_developable=bool(np.abs(frames.Delta).max() <= tol),
         theta_star_constant=bool(spread <= tol * max(1.0, frames.s[-1] - frames.s[0])),
         offset_developable_locus=frames.s[np.abs(measured_frames.Delta) <= tol].tolist(),
         coth_singularities=frames.s[np.abs(angles.theta) < COTH_TOL].tolist(),

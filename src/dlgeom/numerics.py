@@ -31,6 +31,7 @@ evaluated on such arrays run inside :func:`at_points`.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -234,7 +235,7 @@ def frame_residual(e: Vec3L, t: Vec3L, g: Vec3L, signs=(1.0, -1.0, 1.0)) -> floa
         abs(lorentz_dot(e, g)),
         abs(lorentz_dot(t, g)),
     )
-    return np.maximum.reduce(np.broadcast_arrays(*terms))
+    return functools.reduce(np.maximum, terms)
 
 
 def _require_character(ok, message: str) -> None:

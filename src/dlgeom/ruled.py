@@ -235,19 +235,37 @@ def _first_u(mask, u) -> float:
     return float(u.ravel()[np.argmax(np.broadcast_to(mask, u.shape).ravel())])
 
 
+def _stall_message(ep, stalled, u, vanishes: str, undefined: str) -> str:
+    """Why <e', e'> is below SPEED_TOL**2 at the first point of ``u`` where ``stalled`` holds.
+
+    Where every component of e' is below SPEED_TOL, e' ``vanishes``; a larger
+    e' is null, so the tangent is lightlike or the closure cancelled <e', e'>.
+    """
+    u = np.asarray(leading_real(u), dtype=float)
+    i = np.argmax(np.broadcast_to(stalled, u.shape).ravel())
+    at = float(u.ravel()[i])
+    size = max(abs(float(np.broadcast_to(leading_real(x), u.shape).ravel()[i])) for x in ep)
+    if size < SPEED_TOL:
+        return f"{vanishes} near u={at}"
+    return (f"{undefined}: <e', e'> = 0 for a nonzero e' (components up to {size:.3e}) near "
+            f"u={at}: the tangent is lightlike or the closure lost <e', e'> to rounding")
+
+
 def tangent_speed(ep, sign: float, u):
     """Indicatrix speed ds/du = sqrt(-sign*<e', e'>), dual- and array-capable.
 
     ``sign`` is the ruling sign; the tangent e' must have the opposite
-    causal character.  A vanishing speed raises DegenerateIndicatrix, a
-    tangent of the wrong character FrameDegeneracy, each naming the first
-    offending parameter of ``u``.
+    causal character.  A vanishing speed raises DegenerateIndicatrix, saying
+    whether e' vanishes or is null (see :func:`_stall_message`), a tangent of
+    the wrong character FrameDegeneracy, each naming the first offending
+    parameter of ``u``.
     """
     q = -sign * lorentz_dot(ep, ep)
     q_re = leading_real(q)
     stalled = np.abs(q_re) < SPEED_TOL ** 2
     if dual._any(stalled):
-        raise DegenerateIndicatrix(f"indicatrix speed vanishes near u={_first_u(stalled, u)}")
+        raise DegenerateIndicatrix(_stall_message(
+            ep, stalled, u, "indicatrix speed vanishes", "indicatrix speed undefined"))
     wrong = q_re < 0.0
     if dual._any(wrong):
         raise FrameDegeneracy(
@@ -275,9 +293,9 @@ def _striction_jet(spec: RuledSurfaceSpec):
         e, ep = value_and_derivative(ind, u)
         q = lorentz_dot(ep, ep)
         stalled = np.abs(leading_real(q)) < SPEED_TOL ** 2
-        if np.any(stalled):
-            raise DegenerateIndicatrix(
-                f"striction undefined: e' vanishes near u={_first_u(stalled, u)}")
+        if stalled.any():
+            raise DegenerateIndicatrix(_stall_message(
+                ep, stalled, u, "striction undefined: e' vanishes", "striction undefined"))
         p, pp = value_and_derivative(base, u)
         lam = -lorentz_dot(pp, ep) / q
         return p + lam * e, e, ep, pp
@@ -417,9 +435,13 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0), lift: bool
     end = len(points) - len(extra)
     with at_points(points):
         node = _exact_node(_striction_jet(spec), DualScalar(points, 1.0) if lift else points)
-        lifted = _node_rows(node, slice(0, end)) if lift else None
-        node = tuple(x.re for x in node) if lift else node
-        exact, *shifted = (_node_rows(node, slice(i, i + k)) for i in range(0, end, k))
+        lifted = None
+        if lift:
+            lifted = _node_rows(node, slice(0, end)) if len(extra) else node
+            node = tuple(x.re for x in node)
+        # a pass of the grid alone reads its node as it is
+        exact, *shifted = ([node] if len(points) == k else
+                           (_node_rows(node, slice(i, i + k)) for i in range(0, end, k)))
         point, cp, e, ep, epp, *_ = exact
         dc = cp  # the c' of delta and Delta
         if shifted:
@@ -431,15 +453,15 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0), lift: bool
         g = vec(*(-x for x in _cross(e, t)))
         res = frame_residual(e, t, g, signs=(sign, -sign, 1.0))
         bad = res > FRAME_TOL
-        if np.any(bad):
+        if bad.any():
             raise FrameDegeneracy(
-                f"frame residual up to {np.max(res):.3e}, first over {FRAME_TOL:.0e} "
+                f"frame residual up to {res.max():.3e}, first over {FRAME_TOL:.0e} "
                 f"at u={_first_u(bad, grid)}")
         gamma = det3(e, ep, epp) / (v * v * v)
         # the striction condition belongs to the constructed striction curve,
         # so it reads the exact c' in both modes
         off = np.abs(lorentz_dot(cp, t)) > 1e-8
-        if np.any(off):
+        if off.any():
             raise FrameDegeneracy(f"striction condition violated at u={_first_u(off, grid)}")
         cs = dc / v
         table = _columns(grid, *point, *e, *t, *g, gamma, lorentz_dot(cs, e), det3(cs, e, t), v)
@@ -563,7 +585,7 @@ def timelike_radius(gamma1_dual: DualScalar) -> DualScalar:
     """
     g = gamma1_dual
     null = np.abs(np.abs(g.re) - 1.0) < NULL_DARBOUX_TOL
-    if np.any(null):
+    if null.any():
         raise NullDarboux(f"|gamma1| = {np.ravel(np.abs(g.re))[np.argmax(null)]} "
                           "is at the lightlike-Darboux boundary")
     q = 1.0 - g * g
@@ -717,14 +739,33 @@ def _exp_so21(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a[:, None, None] * w + b[:, None, None] * w2
 
 
+#: matrices per block of :func:`_prefix_products`
+_SCAN_BLOCK = 32
+
+
 def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Running products m[0] @ m[1] @ ... @ m[i] of a matrix stack, in log2(n) matmuls."""
-    m = m.copy()
+    """Running products m[0] @ m[1] @ ... @ m[i] of a matrix stack, in about 2n products.
+
+    A blocked scan: running products inside blocks of :data:`_SCAN_BLOCK`
+    matrices, taken in step across the blocks, then the blocks' totals by
+    doubling, then one matmul that carries each block's prefix into it.  The
+    last block is padded with identities.
+    """
+    n, size = len(m), min(_SCAN_BLOCK, len(m))
+    count = -(-n // size)
+    blocks = np.empty((count * size, *m.shape[1:]))
+    blocks[:n] = m
+    blocks[n:] = np.eye(m.shape[-1])
+    blocks = blocks.reshape(count, size, *m.shape[1:])
+    for j in range(1, size):
+        blocks[:, j] = blocks[:, j - 1] @ blocks[:, j]
+    totals = blocks[:, -1].copy()
     d = 1
-    while d < len(m):
-        m[d:] = m[:-d] @ m[d:]
+    while d < count:
+        totals[d:] = totals[:-d] @ totals[d:]
         d *= 2
-    return m
+    blocks[1:] = totals[:-1, None] @ blocks[1:]
+    return blocks.reshape(-1, *m.shape[1:])[:n]
 
 
 def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):

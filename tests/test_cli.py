@@ -218,14 +218,19 @@ def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags)
 
 
 @pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
-@pytest.mark.parametrize("e,error,message", [
-    (["sinh(u)", "cosh(u)", "0.5"], "FrameDegeneracy",
+@pytest.mark.parametrize("e,s_min,error,message", [
+    (["sinh(u)", "cosh(u)", "0.5"], 0.0, "FrameDegeneracy",
      "frame residual up to 2.500e-01, first over 1e-06 at u=0.0"),
-    (["0.8*sinh((u-0.5)*(u-0.5)/0.8)", "0.8*cosh((u-0.5)*(u-0.5)/0.8)", "0.6"],
+    (["0.8*sinh((u-0.5)*(u-0.5)/0.8)", "0.8*cosh((u-0.5)*(u-0.5)/0.8)", "0.6"], 0.0,
      "DegenerateIndicatrix", "striction undefined: e' vanishes near u=0.5"),
-], ids=["non-unit-ruling", "stalled-ruling"])
-def test_frames_degenerate_ruling_exits_3(tmp_path, capsys, mode, e, error, message):
-    payload = {"catalog": "custom", "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
+    # the catalog's e on (100, 101): <e', e'> = -cosh^2 + sinh^2 rounds to 0
+    (["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6"], 100.0, "DegenerateIndicatrix",
+     "striction undefined: <e', e'> = 0 for a nonzero e' (components up to 9.678e+53) "
+     "near u=100.0: the tangent is lightlike or the closure lost <e', e'> to rounding"),
+], ids=["non-unit-ruling", "stalled-ruling", "rounded-null-tangent"])
+def test_frames_degenerate_ruling_exits_3(tmp_path, capsys, mode, e, s_min, error, message):
+    payload = {"catalog": "custom",
+               "domain": {"s_min": s_min, "s_max": s_min + 1.0, "samples": 11},
                "custom": {"e": e, "c": ["0", "0", "0"]}}
     assert main(["frames", "--input", _spec(tmp_path, payload),
                  "--out", str(tmp_path / "x.csv"), "--deriv", mode]) == 3

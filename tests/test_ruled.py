@@ -460,6 +460,30 @@ def test_verify_offset_evaluates_the_base_once_at_order_3(deriv):
         assert seen == expected, name
 
 
+@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
+def test_verify_offset_divides_by_the_lifted_speed_once(deriv):
+    # a dual division at depth 2 costs a nested quotient: the base's striction
+    # solve takes one, and the offset's lifted node one for 1/v, which both
+    # closures multiply by
+    seen = Counter()
+    real = DualScalar.__truediv__
+
+    def counted(self, o):
+        outermost = seen["depth"] == 0
+        seen["order2"] += outermost and _order(o) == 2
+        seen["depth"] += 1
+        try:
+            return real(self, o)
+        finally:
+            seen["depth"] -= 1
+
+    base = catalog.helicoidal(domain=(0.05, 0.95), samples=101)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DualScalar, "__truediv__", counted)
+        assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
+    assert seen["order2"] == 2
+
+
 def _reconstructed():
     prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
     return reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
@@ -638,8 +662,15 @@ def test_an_overflowing_arc_length_sum_names_its_node(deriv):
 def test_tangent_speed_names_the_first_offending_parameter():
     u = np.linspace(0.0, 2.0, 9)
     stall = Vec3L(np.where(u < 0.75, 1.0, 0.0), 0.0 * u, 0.0 * u)
-    with pytest.raises(DegenerateIndicatrix, match=r"u=0\.75$"):
+    with pytest.raises(DegenerateIndicatrix, match=r"^indicatrix speed vanishes near u=0\.75$"):
         ruled.tangent_speed(stall, 1.0, u)
+    # a lightlike e' is not small, so its speed is undefined rather than vanishing
+    null = Vec3L(np.where(u < 1.0, 1.0, 3.0), np.where(u < 1.0, 0.0, 3.0), 0.0 * u)
+    with pytest.raises(DegenerateIndicatrix, match=re.escape(
+            "indicatrix speed undefined: <e', e'> = 0 for a nonzero e' (components up to "
+            "3.000e+00) near u=1.0: the tangent is lightlike or the closure lost <e', e'> "
+            "to rounding") + "$"):
+        ruled.tangent_speed(null, 1.0, u)
     flip = Vec3L(1.0 + 0.0 * u, np.where(u < 1.5, 0.0, 2.0), 0.0 * u)
     with pytest.raises(FrameDegeneracy, match=r"u=1\.5$"):
         ruled.tangent_speed(flip, 1.0, u)
@@ -705,14 +736,20 @@ def _stalled_ruling(u):
 
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
-@pytest.mark.parametrize("indicatrix,error,message", [
+@pytest.mark.parametrize("indicatrix,domain,error,message", [
     # <e, e> = 1.25, so the frame is off orthonormality by 0.25 everywhere
-    (lambda u: Vec3L(dual.sinh(u), dual.cosh(u), 0.5), FrameDegeneracy,
+    (lambda u: Vec3L(dual.sinh(u), dual.cosh(u), 0.5), (0.0, 1.0), FrameDegeneracy,
      "frame residual up to 2.500e-01, first over 1e-06 at u=0.0"),
-    (_stalled_ruling, DegenerateIndicatrix, "striction undefined: e' vanishes near u=0.5"),
-], ids=["non-unit-ruling", "stalled-ruling"])
-def test_darboux_frame_rejects_a_degenerate_ruling(deriv, indicatrix, error, message):
-    spec = RuledSurfaceSpec(indicatrix, lambda u: ORIGIN, (0.0, 1.0), 11)
+    (_stalled_ruling, (0.0, 1.0), DegenerateIndicatrix,
+     "striction undefined: e' vanishes near u=0.5"),
+    # the catalog's unit-speed e, whose e' = (cosh(u/b), sinh(u/b), 0) is near
+    # 1e54 at u = 100: <e', e'> rounds to 0
+    (catalog.helicoidal().indicatrix, (100.0, 101.0), DegenerateIndicatrix,
+     "striction undefined: <e', e'> = 0 for a nonzero e' (components up to 9.678e+53) "
+     "near u=100.0: the tangent is lightlike or the closure lost <e', e'> to rounding"),
+], ids=["non-unit-ruling", "stalled-ruling", "rounded-null-tangent"])
+def test_darboux_frame_rejects_a_degenerate_ruling(deriv, indicatrix, domain, error, message):
+    spec = RuledSurfaceSpec(indicatrix, lambda u: ORIGIN, domain, 11)
     with pytest.raises(error, match=re.escape(message) + "$"):
         darboux_frame(spec, deriv)
 
@@ -1073,6 +1110,21 @@ def test_magnus_flow_node_frames_stay_orthonormal():
     e, t = value_and_derivative(spec.indicatrix, nodes)
     assert np.max(frame_residual(e, t, -lorentz_cross(e, t))) <= 1e-14
     assert _wavy_round_trip(spec) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 1001])
+def test_prefix_products_match_a_sequential_product(n):
+    # lengths on every edge of the scan's blocks of 32; orthogonal factors
+    # keep every running product of norm 1
+    m, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, 3, 3)))
+    expected = np.empty_like(m)
+    acc = np.eye(3)
+    for i, x in enumerate(m):
+        acc = acc @ x
+        expected[i] = acc
+    got = ruled._prefix_products(m)
+    assert got.shape == m.shape
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_magnus_flow_is_fourth_order(monkeypatch):
