@@ -29,7 +29,7 @@ from .dual import dual_vector
 from .errors import (DivisionByPureDual, FrameDegeneracy, GeometryError, InvalidDirection,
                      NonFinite, NotUnit, SpecFileError)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, FD_STEP, at_points
+from .numerics import CENTRAL_FD, DUAL_AD, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
                     striction_jet, timelike_invariants, timelike_radius)
@@ -244,10 +244,7 @@ def _report_payload(report, spec, args) -> dict:
         "metadata": {
             "input": args.input,
             "mannheim": {"c": args.mannheim_c, "c_star": args.mannheim_cstar},
-            "config": {
-                "derivative_mode": args.deriv, "fd_step": FD_STEP,
-                "tolerance": report.tolerance,
-            },
+            "config": {"tolerance": report.tolerance},
             "surface": {"name": spec.name, "kind": spec.kind,
                         "domain": list(spec.domain), "samples": spec.samples},
         },
@@ -279,10 +276,10 @@ def cmd_offset(args) -> int:
              "offset verification needs a spacelike base surface")
     params = _mannheim_params(args)
     try:
-        report = verify_offset(spec, params, args.deriv, args.tolerance)
+        report = verify_offset(spec, params, tolerance=args.tolerance)
     except ValueError as exc:
-        # the spec kind is checked above and the parser picks the mode, so
-        # the ValueError left for verify_offset's argument checks is --tolerance
+        # the spec kind is checked above, so the ValueError left for
+        # verify_offset's argument checks is --tolerance
         raise SpecFileError(str(exc)) from None
 
     json_path, csv_path = _offset_out_paths(args.out)
@@ -377,7 +374,7 @@ def load_profile(path: str, samples_override: int | None = None):
 
 def cmd_reconstruct(args) -> int:
     profile, grid = load_profile(args.input, args.samples)
-    frames = darboux_frame(reconstruct_from_invariants(profile, grid), args.deriv)
+    frames = darboux_frame(reconstruct_from_invariants(profile, grid))
 
     json_path, csv_path = _offset_out_paths(args.out)
     _write_csv(csv_path, FRAMES_HEADER + ["c1", "c2", "c3"],
@@ -435,11 +432,6 @@ def _add_mannheim_flags(p: argparse.ArgumentParser) -> None:
                    help="offset distance constant c*")
 
 
-def _add_deriv_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--deriv", choices=[DUAL_AD, CENTRAL_FD], default=DUAL_AD,
-                   help="derivative mode of the measurement")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlgeom",
@@ -450,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     _add_samples_flag(p)
-    _add_deriv_flag(p)
+    p.add_argument("--deriv", choices=[DUAL_AD, CENTRAL_FD], default=DUAL_AD,
+                   help="derivative mode of the measurement")
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("offset", help="verify a Mannheim offset (JSON report + CSV)")
@@ -458,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output base path (.json/.csv)")
     _add_mannheim_flags(p)
     _add_samples_flag(p)
-    _add_deriv_flag(p)
     p.add_argument("--tolerance", type=float, default=None,
-                   help="theorem tolerance (default 1e-8 dual-ad / 1e-6 central-fd)")
+                   help="theorem tolerance (default 1e-8)")
     p.set_defaults(func=cmd_offset)
 
     p = sub.add_parser("mesh", help="Wavefront OBJ mesh of the surface")
@@ -478,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="profile JSON")
     p.add_argument("--out", required=True, help="output base path (.json/.csv)")
     _add_samples_flag(p)
-    _add_deriv_flag(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("study", help="convert line <-> dual unit vector")

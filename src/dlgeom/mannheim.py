@@ -24,13 +24,14 @@ divides by the lifted indicatrix speed once, for both closures.  The
 base, its measured frames and the constants c + eps*c* (:class:`MannheimParams`)
 fix the offset, so :func:`construct_offset` takes just those and works
 the angles out itself.
-:func:`verify_offset` evaluates the base once, at u + eps on the nodes of its
-measurement, reads the base frames off the real parts and the offset's closures
-off the rest, re-measures the invariants from the constructed offset at the
-grid nodes only (the relations are pointwise), and reports residuals against
-the closed forms.  Angles, invariant records and report samples are column
-records like the frames (:class:`~dlgeom.ruled.Columns`): the closed forms and
-residuals run on whole columns, and indexing gives one sample's row.
+:func:`verify_offset` measures in dual-AD only: it evaluates the base once, at
+u + eps on the nodes of its measurement, reads the base frames off the real
+parts and the offset's closures off the rest, re-measures the invariants from
+the constructed offset at the grid nodes only (the relations are pointwise),
+and reports residuals against the closed forms.  Angles, invariant records
+and report samples are column records like the frames
+(:class:`~dlgeom.ruled.Columns`): the closed forms and residuals run on whole
+columns, and indexing gives one sample's row.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from . import dual
 from .dual import DualScalar, dual_vector, leading_real, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import det3, lorentz_cross
-from .numerics import DUAL_AD, integrate
+from .numerics import integrate
 from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec,
                     tangent_speed, timelike_radius, _exact_node, _measure_frames, _node_pass,
                     _striction_jet)
@@ -299,7 +300,7 @@ def mannheim_condition_residual(base_frame: FrameSample, offset_frame: FrameSamp
     return float(np.max(np.abs([*(lhs.re - rhs.re), *(lhs.du - rhs.du)])))
 
 
-def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = DUAL_AD,
+def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, *,
                   tolerance: float | None = None) -> OffsetReport:
     """Construct the offset and compare measured invariants to closed forms.
 
@@ -313,18 +314,19 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, deriv: str = D
     residuals' maxima and means and the developability verdicts; ``passed``
     means all maxima sit below the theorem tolerance.
 
-    ``deriv`` is the derivative mode of both measurements (see
-    :func:`dlgeom.ruled.darboux_frame`).  ``tolerance`` defaults to 1e-8 in
-    dual-AD mode and 1e-6 in central-fd mode; one that is not positive and
-    finite raises ValueError, as does an unknown ``deriv``.
+    Both measurements are dual-AD.  The offset measured by central
+    differences is ``timelike_invariants(construct_offset(base,
+    darboux_frame(base, "central-fd"), params), "central-fd")``, a
+    cross-check with no verdict.  ``tolerance``, keyword-only, defaults to
+    1e-8; one that is not positive and finite raises ValueError.
     """
     if tolerance is None:
-        tolerance = 1e-8 if deriv == DUAL_AD else 1e-6
+        tolerance = 1e-8
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    frames, rows = _measure_frames(base, deriv, lift=True)
+    frames, rows = _measure_frames(base, lift=True)
     angles = offset_angles(frames, params)
-    m = _node_pass(_build_offset(base, frames, params, rows), deriv)[0]
+    m = _node_pass(_build_offset(base, frames, params, rows))[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
     meas = InvariantRecord(

@@ -3,13 +3,14 @@
 Derivatives default to dual-scalar forward differentiation: a curve closure
 is evaluated at ``u + eps`` and the dual slot is read back, so catalog
 closed forms differentiate to roundoff.  Central finite differences, at the
-fixed step ``FD_STEP``, are the other derivative mode: the measurements
-(:func:`dlgeom.ruled.darboux_frame`, :func:`dlgeom.ruled.timelike_invariants`
-and :func:`dlgeom.mannheim.verify_offset`) take ``deriv=CENTRAL_FD`` as a
-cross-check.  It evaluates the exact nodes at u +- FD_STEP in the same pass
-as those at u, and replaces c' (in delta and Delta) and e'' (in gamma) by
-the central differences of c and e' there; everything else is read off the
-nodes at u, as in dual-AD.
+fixed step ``FD_STEP``, are the other derivative mode, a cross-check of a
+user's closures: the frame measurements (:func:`dlgeom.ruled.darboux_frame`
+and :func:`dlgeom.ruled.timelike_invariants`) take ``deriv=CENTRAL_FD``, and
+the Mannheim check (:func:`dlgeom.mannheim.verify_offset`) measures in
+dual-AD only.  The mode evaluates the exact nodes at u +- FD_STEP in the
+same pass as those at u, and replaces c' (in delta and Delta) and e'' (in
+gamma) by the central differences of c and e' there; everything else is
+read off the nodes at u, as in dual-AD.
 Quadrature is signed: from b down to a it gives minus the integral from a
 to b.  :func:`integrate` and :func:`cumulative_integrate` are composite
 Simpson; measurement and reconstruction sum values and slopes at their
@@ -22,11 +23,11 @@ is one classical RK4 step of the same system, for single frames; the
 pipeline does not call it, and the tests check the flow against scipy's
 DOP853, not against it.
 
-Integrands are evaluated over arrays, once per point: :func:`integrate` is
-the layout of :func:`simpson_rule` plus one call of its integrand on the
-whole array, and :func:`cumulative_integrate` takes the values at the grid
-nodes and at its :func:`simpson_midpoints` from its caller.  Closures
-evaluated on such arrays run inside :func:`at_points`.
+Integrands are evaluated over arrays, once per point: :func:`integrate`
+calls its integrand once, on every quadrature point of every interval, and
+:func:`cumulative_integrate` takes the values at the grid nodes and at its
+:func:`simpson_midpoints` from its caller.  Closures evaluated on such arrays
+run inside :func:`at_points`.
 """
 
 from __future__ import annotations
@@ -93,21 +94,21 @@ def _finite_values(v, points) -> np.ndarray:
     return v
 
 
-def simpson_rule(a, b):
-    """Points and fold of the composite Simpson rule over [a, b], signed.
+def integrate(f, a, b):
+    """Signed definite integral of ``f`` from a to b by the composite Simpson rule.
 
     Exact through cubics.  Each interval gets ``QUAD_PANELS_PER_UNIT``
     panels per unit length, at least ``MIN_QUAD_PANELS``, rounded up to an
     even count.  ``a`` and ``b`` may be equal-shape arrays, one interval per
-    element, and a > b gives minus the integral from b to a, bit for bit.
-    Returns ``(points, fold)``: ``points`` is the 1-D float array of every
-    quadrature point of every interval, in increasing order within each
-    interval, and ``fold(values)`` turns one value per point into the
-    integrals, with the shape of ``a`` followed by the shape of one value.
-    A value is a float array with the points along its first axis (rows of
-    fixed length are integrated componentwise), a dual scalar with such
-    components, or a constant; a non-finite one raises NonFinite naming its
-    point.  Empty intervals get no points and integrate to 0.
+    element, and the integrals then have the shape of ``a`` followed by the
+    shape of one value; ``integrate(f, b, a)`` is ``-integrate(f, a, b)``,
+    bit for bit.  ``f`` is called once, on the 1-D float array of every
+    quadrature point of every interval (in increasing order within each
+    interval), and returns one value per point: a float array with the
+    points along its first axis (rows of fixed length are integrated
+    componentwise), a dual scalar with such components, or a constant; a
+    non-finite one raises NonFinite naming its point.  Empty intervals
+    integrate to 0 without a call.
     """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a_arr.shape
@@ -115,7 +116,7 @@ def simpson_rule(a, b):
     lo, hi = np.minimum(a_arr, b_arr), np.maximum(a_arr, b_arr)
     live = lo < hi
     if not live.any():
-        return np.zeros(0), lambda values: np.zeros(shape) if shape else 0.0
+        return np.zeros(shape) if shape else 0.0
     a_l, b_l = lo[live], hi[live]
     n = np.maximum(MIN_QUAD_PANELS, np.ceil((b_l - a_l) * QUAD_PANELS_PER_UNIT)).astype(int)
     n += n % 2
@@ -140,23 +141,9 @@ def simpson_rule(a, b):
         out[live] = sums * scale.reshape((-1,) + tail)
         return out.reshape(shape + v.shape[1:])[()]
 
-    return points, lambda values: _leafwise(fold_leaf, values)
-
-
-def integrate(f, a, b):
-    """Signed definite integral of ``f`` from a to b by the composite Simpson rule.
-
-    The points and the fold are those of :func:`simpson_rule`: ``f`` is
-    called once, on the 1-D float array of every quadrature point of every
-    interval, and returns one value per point.  ``integrate(f, b, a)`` is
-    ``-integrate(f, a, b)``; empty intervals integrate to 0 without a call.
-    """
-    points, fold = simpson_rule(a, b)
-    if not len(points):
-        return fold(None)
     with at_points(points):
         values = f(points)
-    return fold(values)
+    return _leafwise(fold_leaf, values)
 
 
 def simpson_midpoints(grid: np.ndarray) -> np.ndarray:

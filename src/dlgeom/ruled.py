@@ -19,11 +19,12 @@ chain rule), gamma = det(e, e', e'')/v^3, and s and the accumulated
 distribution parameter s* sum their u-rates and u-slopes at the nodes by
 the end-corrected trapezoid rule, so no reparametrization is needed.  Curve
 closures are duck-typed over dual scalars, so every derivative is exact
-forward differentiation.  The central-fd mode of the ``deriv`` argument
-differences the same exact nodes at u +- FD_STEP, and only for c' in delta
-and Delta and for e'' in gamma: the frame {e, t, g}, s, s* and the
-striction check are exact in both modes, and constructions (striction
-solve, reconstruction) take no derivative mode.
+forward differentiation.  The central-fd mode of the ``deriv`` argument of
+:func:`darboux_frame` and :func:`timelike_invariants` differences the same
+exact nodes at u +- FD_STEP, and only for c' in delta and Delta and for e''
+in gamma: the frame {e, t, g}, s, s* and the striction check are exact in
+both modes, and constructions (striction solve, reconstruction) and the
+Mannheim check take no derivative mode.
 
 Closures are evaluated over arrays of samples: a measurement calls each
 closure once, on the grid, central-fd's shifted nodes and the head nodes
@@ -409,7 +410,8 @@ def _node_rows(node, rows):
 _NodeFrames = namedtuple("_NodeFrames", "e t g gamma delta Delta gamma_dual striction_point ds_du")
 
 
-def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0), lift: bool = False):
+def _node_pass(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, extra=np.empty(0),
+               lift: bool = False):
     """Frame columns on the spec's grid, and the exact nodes of the pass they were read from.
 
     Each grid sample comes from one node (c, c', e, e', e'', p', p'') in the
@@ -476,7 +478,7 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str, extra=np.empty(0), lift: bool
     return frames, node, lifted
 
 
-def _measure_frames(spec: RuledSurfaceSpec, deriv: str, lift: bool = False):
+def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = False):
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
     s and s* accumulate from parameter 0 over the head nodes, which split

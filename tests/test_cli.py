@@ -285,6 +285,17 @@ def test_an_unknown_option_with_a_negative_value_still_exits_2(tmp_path, capsys)
     assert "unrecognized arguments: --mannheim-cstr=-8.78e-05" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["offset", "reconstruct"])
+@pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
+def test_deriv_is_rejected_outside_frames(tmp_path, capsys, command, mode):
+    # the offset check and the reconstruction's measurement are dual-AD only
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", "unused.json", "--out", str(tmp_path / "r"), "--deriv", mode])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --deriv {mode}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_offset_report_summary_matches_rows(tmp_path):
     # the CSV is the per-sample table: each residual is |<key>_pred - <key>_meas|
     # of a row, and the summary folds them in row order
@@ -300,13 +311,13 @@ def test_offset_report_summary_matches_rows(tmp_path):
         assert report["summary"]["mean"][key] == sum(residuals) / len(residuals)
 
 
-@pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
-def test_offset_json_is_the_verdict_and_the_csv_the_table(tmp_path, mode):
+def test_offset_json_is_the_verdict_and_the_csv_the_table(tmp_path):
     out = tmp_path / "report"
-    assert main(["offset", "--input", _spec(tmp_path, HELI), "--out", str(out),
-                 "--deriv", mode]) == 0
+    assert main(["offset", "--input", _spec(tmp_path, HELI), "--out", str(out)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert set(report) == {"metadata", "summary", "verdicts"}
+    # the check has one derivative mode, so the tolerance is all its config
+    assert report["metadata"]["config"] == {"tolerance": 1e-8}
     rows = _read_csv(tmp_path / "report.csv")
     assert len(rows) == HELI["domain"]["samples"]
     assert list(rows[0]) == ["s", "theta", "theta_star",
@@ -589,15 +600,13 @@ def test_reconstruct_rejects_one_sample_on_an_interval(tmp_path, capsys, flag):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("s0", [0.3, 0.0, -0.3])
-@pytest.mark.parametrize("deriv", ["dual-ad", "central-fd"])
-def test_reconstruct_single_row_is_measured(tmp_path, s0, deriv):
-    # one smooth piece on both sides of s0, so FD differences straddle no seam
+# ids kept from when reconstruct also measured in central-fd
+@pytest.mark.parametrize("s0", [0.3, 0.0, -0.3], ids=lambda s0: f"dual-ad-{s0}")
+def test_reconstruct_single_row_is_measured(tmp_path, s0):
     prof = _profile_payload(Delta="0.1 + 0.05*u", domain={"s_min": s0, "s_max": s0})
     path = tmp_path / "prof.json"
     path.write_text(json.dumps(prof))
-    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r"),
-                 "--deriv", deriv]) == 0
+    assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 0
     residuals = json.loads((tmp_path / "r.json").read_text())
     assert residuals["samples"] == 1
     assert max(residuals["max"].values()) < 1e-8

@@ -16,7 +16,7 @@ from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, OffsetAngle,
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
-from dlgeom.numerics import CENTRAL_FD, DUAL_AD, value_and_derivative
+from dlgeom.numerics import CENTRAL_FD, value_and_derivative
 from dlgeom.ruled import (RuledSurfaceSpec, darboux_frame, striction_jet, timelike_invariants,
                           timelike_radius)
 
@@ -356,17 +356,33 @@ def test_verify_offset_helicoidal_all_residuals():
         assert val < 1e-8, key
 
 
-def test_verify_offset_fd_mode():
-    rep = verify_offset(_heli(samples=41), PARAMS, CENTRAL_FD)
-    for key, val in rep.residual_max.items():
-        assert val < 1e-6, key
+def _measured(frames, m) -> InvariantRecord:
+    """The offset invariants as verify_offset measures them, from the base frames and the
+    offset's timelike frames."""
+    return InvariantRecord(m.ds_du / frames.ds_du, m.Delta, m.delta, m.gamma, m.gamma_dual,
+                           timelike_radius(m.gamma_dual))
 
 
-def test_verify_offset_tolerance_defaults_per_mode():
+def test_central_fd_offset_measurement_matches_the_closed_forms():
+    # the central-fd oracle of the theorem: the base and the offset both
+    # measured by central differences, against the closed forms of the base
+    base = _heli(samples=41)
+    frames = darboux_frame(base, CENTRAL_FD)
+    m = timelike_invariants(construct_offset(base, frames, PARAMS), CENTRAL_FD)
+    pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta,
+                                offset_angles(frames, PARAMS)).quantities()
+    meas = _measured(frames, m).quantities()
+    for key in RESIDUAL_KEYS:
+        assert np.max(np.abs(pred[key] - meas[key])) < 1e-6, key
+
+
+def test_verify_offset_tolerance_has_one_default():
     spec = _heli(samples=11)
     assert verify_offset(spec, PARAMS).tolerance == 1e-8
-    assert verify_offset(spec, PARAMS, CENTRAL_FD).tolerance == 1e-6
     assert verify_offset(spec, PARAMS, tolerance=1e-5).tolerance == 1e-5
+    # keyword-only: a positional tolerance is not taken for another argument
+    with pytest.raises(TypeError, match="positional"):
+        verify_offset(spec, PARAMS, 1e-5)
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
@@ -381,29 +397,31 @@ def _heli_offset():
     return construct_offset(base, frames, PARAMS)
 
 
-@pytest.mark.parametrize("measure", [
-    lambda deriv: darboux_frame(_heli(samples=11), deriv),
-    lambda deriv: timelike_invariants(_heli_offset(), deriv),
-    lambda deriv: verify_offset(_heli(samples=11), PARAMS, deriv),
+@pytest.mark.parametrize("measure,error,message", [
+    (lambda deriv: darboux_frame(_heli(samples=11), deriv), ValueError,
+     "unknown derivative mode 'dual_ad'"),
+    (lambda deriv: timelike_invariants(_heli_offset(), deriv), ValueError,
+     "unknown derivative mode 'dual_ad'"),
+    # verify_offset takes no mode: a mode where it once went is no tolerance either
+    (lambda deriv: verify_offset(_heli(samples=11), PARAMS, deriv), TypeError,
+     "takes 2 positional arguments but 3 were given"),
 ], ids=["darboux_frame", "timelike_invariants", "verify_offset"])
-def test_an_unknown_derivative_mode_is_rejected(measure):
+def test_an_unknown_derivative_mode_is_rejected(measure, error, message):
     # a misspelt mode must not fall through to central-fd
-    with pytest.raises(ValueError, match="unknown derivative mode 'dual_ad'"):
+    with pytest.raises(error, match=message):
         measure("dual_ad")
 
 
-@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
-@pytest.mark.parametrize("samples", [101, 1001])
-def test_verify_offset_measures_the_offset_nodes_bit_for_bit(deriv, samples):
+# ids kept from when verify_offset also measured in central-fd
+@pytest.mark.parametrize("samples", [101, 1001], ids=lambda n: f"{n}-dual-ad")
+def test_verify_offset_measures_the_offset_nodes_bit_for_bit(samples):
     # verify_offset measures the offset on its grid nodes alone; its columns
     # are the node columns of the full timelike measurement
     base, params = _heli(samples=samples), MannheimParams(1.0, 0.1)
-    rep = verify_offset(base, params, deriv)
-    frames = darboux_frame(base, deriv)
-    m = timelike_invariants(construct_offset(base, frames, params), deriv)
-    full = InvariantRecord(m.ds_du / frames.ds_du, m.Delta, m.delta, m.gamma, m.gamma_dual,
-                           timelike_radius(m.gamma_dual))
-    got, want = rep.samples.measured.quantities(), full.quantities()
+    rep = verify_offset(base, params)
+    frames = darboux_frame(base)
+    m = timelike_invariants(construct_offset(base, frames, params))
+    got, want = rep.samples.measured.quantities(), _measured(frames, m).quantities()
     for key in RESIDUAL_KEYS:
         assert np.array_equal(got[key], want[key]), key
     assert rep.developability == developability_check(frames, offset_angles(frames, params),

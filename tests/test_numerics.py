@@ -7,9 +7,10 @@ from dlgeom import catalog
 from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite, StepSizeError
 from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
-from dlgeom.numerics import (FD_STEP, FrameState, at_points, cumulative_integrate,
-                             frame_residual, hermite_cumulative, integrate, lorentz_gram_schmidt,
-                             rk4_frame_step, simpson_midpoints, simpson_rule, value_and_derivative)
+from dlgeom.numerics import (FD_STEP, MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT, FrameState,
+                             at_points, cumulative_integrate, frame_residual, hermite_cumulative,
+                             integrate, lorentz_gram_schmidt, rk4_frame_step, simpson_midpoints,
+                             value_and_derivative)
 
 
 def _ad(curve, u):
@@ -146,17 +147,46 @@ def test_hermite_cumulative_is_exact_for_cubics_along_a_path_that_turns():
     assert np.max(np.abs(out - np.column_stack([F, -F]))) < 1e-15
 
 
-def test_simpson_rule_folds_values_evaluated_elsewhere():
-    # the points can be evaluated together with others and folded later
+def test_integrate_sums_the_composite_simpson_rule():
+    # one call on the points of every interval in turn, each interval split
+    # into an even count of at least MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT per
+    # unit, and weighted 1, 4, 2, ..., 4, 1 times h/3
     a, b = np.array([0.0, 1.0, 0.2]), np.array([1.0, 1.0, 2.5])
-    points, fold = simpson_rule(a, b)
-    values = np.sin(np.concatenate([np.linspace(3.0, 4.0, 7), points]))[7:]
-    assert np.array_equal(fold(values), integrate(np.sin, a, b))
-    assert fold(np.column_stack([values, 2.0 * values])).shape == (3, 2)
-    empty, zero = simpson_rule(0.5, 0.5)
-    assert len(empty) == 0 and zero(None) == 0.0
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return np.column_stack([np.sin(u), 2.0 * np.sin(u)])
+
+    out = integrate(f, a, b)
+    points, sums = [], []
+    for lo, hi in zip(a, b):
+        n = max(MIN_QUAD_PANELS, math.ceil((hi - lo) * QUAD_PANELS_PER_UNIT))
+        n += n % 2
+        h = (hi - lo) / n
+        x = lo + np.arange(n + 1) * h
+        x[-1] = hi
+        w = np.where(np.arange(n + 1) % 2, 4.0, 2.0)
+        w[0] = w[-1] = 1.0
+        if lo < hi:
+            points.extend(x.tolist())
+            sums.append(h / 3.0 * np.sum(w * np.sin(x)))
+        else:
+            sums.append(0.0)
+    assert len(calls) == 1 and calls[0].tolist() == points
+    assert out.shape == (3, 2)
+    assert np.max(np.abs(out[:, 0] - sums)) < 1e-15
+    assert np.array_equal(out[:, 1], 2.0 * out[:, 0])
     with pytest.raises(NonFinite, match=r"u=0\.0$"):
-        fold(np.where(points == 0.0, math.nan, values))
+        integrate(lambda u: np.where(u == 0.0, math.nan, np.sin(u)), a, b)
+
+    # empty intervals only: zeros, and f is not called
+    def never(u):
+        raise AssertionError("f called on an empty interval")
+
+    assert integrate(never, 0.5, 0.5) == 0.0
+    out = integrate(never, np.array([0.1, -0.3]), np.array([0.1, -0.3]))
+    assert out.shape == (2,) and not out.any()
 
 
 def test_at_points_names_the_offending_point():

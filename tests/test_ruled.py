@@ -22,8 +22,7 @@ from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegene
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
-                             QUAD_PANELS_PER_UNIT, frame_residual, simpson_rule,
-                             value_and_derivative)
+                             QUAD_PANELS_PER_UNIT, frame_residual, value_and_derivative)
 from dlgeom.ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
@@ -317,7 +316,7 @@ def test_darboux_frame_is_parametrization_invariant():
                     assert f.delta == pytest.approx(0.2, abs=tol)
                     assert f.Delta == pytest.approx(0.1, abs=tol)
                     assert f.ds_du == pytest.approx(1.0 + 2.0 * k * u, abs=tol)
-                assert verify_offset(spec, params, deriv).passed, (k, samples, deriv)
+            assert verify_offset(spec, params).passed, (k, samples)
 
 
 def _head(u0):
@@ -440,28 +439,18 @@ def test_a_5001_sample_grid_is_one_closure_call_per_pass(monkeypatch):
     assert len(seen["calls"]["base_curve"][0][1]) == 5001
 
 
-@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
-def test_verify_offset_evaluates_the_base_once_at_order_3(deriv):
+def test_verify_offset_evaluates_the_base_once_at_order_3():
     # the offset's closures read the base nodes lifted to u + eps, and the base
     # frames are their real parts: one base call per closure at order 3, on the
-    # grid (in central-fd also the grid shifted) and the head nodes
+    # grid and the head nodes
     base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
     grid = base.grid()
-    shifts = np.concatenate([grid + FD_STEP, grid - FD_STEP]) if deriv == CENTRAL_FD else grid[:0]
-    expected = [(3, [*grid.tolist(), *shifts.tolist(), *_head(grid[0])])]
-    if len(shifts):
-        # central-fd's offset also reads theta and theta* at the shifted points,
-        # by one quadrature of both rates from the nearest node, at order 2
-        points, _ = simpson_rule(np.concatenate([grid, grid]), shifts)
-        assert len(points) == 606
-        expected.append((2, points.tolist()))
-    assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
+    assert verify_offset(base, MannheimParams(1.0, 0.1)).passed
     for name, seen in calls.items():
-        assert seen == expected, name
+        assert seen == [(3, [*grid.tolist(), *_head(grid[0])])], name
 
 
-@pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
-def test_verify_offset_divides_by_the_lifted_speed_once(deriv):
+def test_verify_offset_divides_by_the_lifted_speed_once():
     # a dual division at depth 2 costs a nested quotient: the base's striction
     # solve takes one, and the offset's lifted node one for 1/v, which both
     # closures multiply by
@@ -480,7 +469,7 @@ def test_verify_offset_divides_by_the_lifted_speed_once(deriv):
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=101)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DualScalar, "__truediv__", counted)
-        assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
+        assert verify_offset(base, MannheimParams(1.0, 0.1)).passed
     assert seen["order2"] == 2
 
 
@@ -493,7 +482,8 @@ def _reconstructed():
     lambda spec: darboux_frame(spec),
     lambda spec: darboux_frame(spec, CENTRAL_FD),
     lambda spec: verify_offset(spec, MannheimParams(1.0, 0.2)),
-    lambda spec: verify_offset(spec, MannheimParams(1.0, 0.2), CENTRAL_FD),
+    lambda spec: timelike_invariants(construct_offset(
+        spec, darboux_frame(spec, CENTRAL_FD), MannheimParams(1.0, 0.2)), CENTRAL_FD),
     lambda spec: timelike_invariants(
         construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.2))),
     lambda spec: darboux_frame(_reconstructed()),
@@ -515,9 +505,10 @@ def test_library_calls_leave_no_cyclic_garbage(call):
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 def test_verify_offset_arc_lengths_are_darboux_frame_bits(deriv):
+    # s and s* are exact in both modes of darboux_frame
     spec = _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=41), 0.3)
     params = MannheimParams(1.0, 0.2)
-    frames, report = darboux_frame(spec, deriv), verify_offset(spec, params, deriv)
+    frames, report = darboux_frame(spec, deriv), verify_offset(spec, params)
     assert np.array_equal(report.samples.s, frames.s)
     assert np.array_equal(report.samples.theta_star, params.c_star - frames.s_star)
 
@@ -574,29 +565,24 @@ def test_arc_rate_slopes_are_the_derivatives_of_the_rates():
 
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
-def test_each_pass_calls_each_closure_once_in_both_modes(monkeypatch, deriv):
+def test_each_pass_calls_each_closure_once_in_both_modes(deriv):
     # central-fd differences the exact nodes at u +- FD_STEP, evaluated with
     # the grid in the same call as the pass's other points
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=101)
     grid = base.grid()
     nodes = [*grid, *grid + FD_STEP, *grid - FD_STEP] if deriv == CENTRAL_FD else [*grid]
 
-    def assert_one_call(calls, grid_only):
+    def assert_one_call(calls):
         for name, blocks in calls.items():
             assert len(blocks) == 1, name
-            points = blocks[0][1]
-            assert (points if grid_only else points[:len(nodes)]) == nodes, name
+            assert blocks[0][1][:len(nodes)] == nodes, name
 
     counted, calls = _counted(base)
     frames = darboux_frame(counted, deriv)
-    assert_one_call(calls, grid_only=False)
+    assert_one_call(calls)
     offset, calls = _counted(construct_offset(base, frames, MannheimParams(1.0, 0.1)))
     timelike_invariants(offset, deriv)
-    assert_one_call(calls, grid_only=False)
-    # verify_offset measures the offset on its nodes alone
-    seen = _count_offset_calls(monkeypatch)
-    assert verify_offset(base, MannheimParams(1.0, 0.1), deriv).passed
-    assert_one_call(seen["calls"], grid_only=True)
+    assert_one_call(calls)
 
 
 def test_central_fd_names_a_shifted_point_that_fails():
