@@ -68,7 +68,7 @@ RESIDUAL_KEYS = ("ds1_ds", "Delta1", "delta1", "gamma1",
                  "gamma1_dual_re", "gamma1_dual_du", "R1_re", "R1_du")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OffsetAngle(Columns):
     """Offset angle theta and offset distance theta* along base arc length s."""
 
@@ -80,7 +80,7 @@ class OffsetAngle(Columns):
         return DualScalar(self.theta, self.theta_star)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class InvariantRecord(Columns):
     """Offset invariants, either closed-form predictions or measurements."""
 
@@ -98,7 +98,7 @@ class InvariantRecord(Columns):
             self.gamma1_dual.re, self.gamma1_dual.du, self.R1_dual.re, self.R1_dual.du)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OffsetSample(Columns):
     """Angles, predicted and measured invariants and residuals along the base grid.
 

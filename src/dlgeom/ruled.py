@@ -135,7 +135,7 @@ def _rows(x) -> list:
 
 
 class Columns:
-    """Rows of a frozen slots dataclass whose fields each hold one column.
+    """Rows of a slots dataclass whose fields each hold one column.
 
     A column is a 1-D float array, or a Vec3L, DualScalar or dict of such
     arrays, or another such record.  ``len`` is the length of the first
@@ -158,7 +158,7 @@ class Columns:
         return (cls(*row) for row in zip(*(_rows(getattr(self, name)) for name in self.__slots__)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FrameSample(Columns):
     """Frames and invariants of the rulings of a grid, one column per field.
 

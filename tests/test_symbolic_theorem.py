@@ -123,3 +123,22 @@ def test_dual_closed_forms_follow_from_the_frame_equations(name, form):
     for part in ("re", "du"):
         assert np.max(np.abs(getattr(got, part) - getattr(want, part))) < 1e-13, part
         assert np.max(np.abs(getattr(pred, part) - getattr(want, part))) < 1e-13, part
+
+
+#: the paper's developability condition for the offset, theta* = (delta/gamma)*coth(theta)
+DEVELOPABLE_THETA_STAR = (D / G) * sp.coth(TH)
+
+
+def test_the_offset_is_developable_where_theta_star_is_delta_over_gamma_coth_theta():
+    # the derived Delta1 = 0 has one root in theta*, the paper's condition
+    roots = sp.solve(DERIVED["Delta1"], TS)
+    assert len(roots) == 1
+    assert sp.simplify(roots[0] - DEVELOPABLE_THETA_STAR) == 0
+    # and the kernel's closed form vanishes there, away from the coth pole at theta = 0
+    args = _inputs()
+    far = np.abs(args[3]) >= 0.1
+    gamma_, delta_, Delta_, theta_ = (x[far] for x in args[:4])
+    assert len(theta_) > 150
+    theta_star_ = _evaluate(DEVELOPABLE_THETA_STAR, (gamma_, delta_, Delta_, theta_, 0.0))
+    pred = _predicted((gamma_, delta_, Delta_, theta_, theta_star_))
+    assert np.max(np.abs(pred.Delta1)) < 1e-13
