@@ -92,8 +92,10 @@ def compile_scalar_expr(source: str):
     env.update(_EXPR_FUNCS)
 
     def f(u):
-        # float leaves (constants, or a float u) raise where arrays give inf;
-        # a dual division raises DivisionByPureDual itself, naming its index
+        # the lifts give inf for a float as for an array, but Python arithmetic
+        # still raises: an integer literal too large for a float overflows, and
+        # a float divided by zero; a dual division raises DivisionByPureDual
+        # itself, naming its index
         try:
             return eval(code, env, {"u": u})  # noqa: S307 - AST whitelisted above
         except GeometryError:

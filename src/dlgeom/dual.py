@@ -2,18 +2,18 @@
 
 A dual number ``a + eps*a*`` multiplies with ``eps**2 = 0``, so evaluating
 an analytic function at ``x + eps`` returns its derivative in the dual
-slot: ``f(x + eps*h) = f(x) + eps*h*f'(x)``.  Every function here is
-written against generic ring arithmetic, which means the components of a
-:class:`DualScalar` may themselves be dual scalars; nesting one level per
-differentiation order is how the kernel obtains exact second and third
-derivatives of curve closures.  The innermost components may also be float
-arrays, one element per sample, so one evaluation differentiates a whole
-block of samples.  The lifts are plain functions (``sinh``, ``cosh``, ...);
-:data:`LIFTS` names them for the CLI expression grammar.  :func:`sinh_cosh`
-lifts the pair (sinh, cosh) from the pair one level below, two leaf
-transcendentals at any depth d where lifting each through the other takes
-2**d; ``sinh``, ``cosh``, ``sin`` and ``cos`` read halves of such pairs.  A
-dual division checks its divisor's leading real once against
+slot: ``f(x + eps*h) = f(x) + eps*h*f'(x)``.  Written against generic ring
+arithmetic, the components of a :class:`DualScalar` may be dual scalars,
+one level per differentiation order, which gives exact second and third
+derivatives of curve closures.  The innermost leaves are floats or float
+arrays, one element per sample, so one evaluation differentiates a block
+of samples; every lift sends a leaf through numpy, so a float leaf gets
+the bits of its array element (as ``np.float64``, inf on overflow).  The
+lifts are plain functions; :data:`LIFTS` names them for the CLI grammar.
+:func:`sinh_cosh` lifts (sinh, cosh) from the pair one level below: two
+leaf transcendentals at depth d, where lifting each through the other
+takes 2**d; ``sinh``, ``cosh``, ``sin`` and ``cos`` read halves of such
+pairs.  A dual division checks its divisor's leading real once against
 :data:`DIV_TOL` at every depth: its inner divisions, by o.re and
 o.re*o.re, lead with that same real and are not checked again.
 
@@ -153,16 +153,14 @@ def leading_real(x):
 
 
 # ---------------------------------------------------------------------------
-# analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x); a float leaf goes
-# through math, an array (or numpy scalar) leaf through numpy
+# analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x); every leaf, float or
+# array, goes through numpy, so a sample gets the same bits alone as in a block
 
 def sinh_cosh(x):
     """(sinh x, cosh x), each dual level lifted from the pair one level below."""
     if isinstance(x, DualScalar):
         s, c = sinh_cosh(x.re)
         return DualScalar(s, x.du * c), DualScalar(c, x.du * s)
-    if type(x) is float:
-        return math.sinh(x), math.cosh(x)
     return np.sinh(x), np.cosh(x)
 
 
@@ -178,14 +176,14 @@ def tanh(x):
     if isinstance(x, DualScalar):
         t = tanh(x.re)
         return DualScalar(t, x.du * (1.0 - t * t))
-    return math.tanh(x) if type(x) is float else np.tanh(x)
+    return np.tanh(x)
 
 
 def exp(x):
     if isinstance(x, DualScalar):
         e = exp(x.re)
         return DualScalar(e, x.du * e)
-    return math.exp(x) if type(x) is float else np.exp(x)
+    return np.exp(x)
 
 
 def sqrt(x):
@@ -197,7 +195,7 @@ def sqrt(x):
         i = int(np.argmax(bad))
         raise DomainError(f"dual sqrt requires a positive real part, got {np.ravel(x)[i]}",
                           index=i if np.ndim(bad) else None)
-    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+    return np.sqrt(x)
 
 
 def _sin_cos(x):
@@ -205,8 +203,6 @@ def _sin_cos(x):
     if isinstance(x, DualScalar):
         s, c = _sin_cos(x.re)
         return DualScalar(s, x.du * c), DualScalar(c, -(x.du * s))
-    if type(x) is float:
-        return math.sin(x), math.cos(x)
     return np.sin(x), np.cos(x)
 
 
@@ -221,7 +217,7 @@ def cos(x):
 def arctan(x):
     if isinstance(x, DualScalar):
         return DualScalar(arctan(x.re), x.du / (1.0 + x.re * x.re))
-    return math.atan(x) if type(x) is float else np.arctan(x)
+    return np.arctan(x)
 
 
 #: the lifts by name, a closed set so every lifted derivative rule is auditable

@@ -37,7 +37,7 @@ def _check_finite(v) -> None:
     # which every measured frame node goes through.
     if type(v) is float or isinstance(v, float):
         if not math.isfinite(v):
-            raise NonFinite(f"non-finite vector component: {v!r}")
+            raise NonFinite(f"non-finite vector component: {float(v)!r}")
     elif isinstance(v, np.ndarray):
         bad = ~np.isfinite(v)
         if bad.any():

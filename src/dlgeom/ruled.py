@@ -203,7 +203,11 @@ class DualCurvature:
 
 @dataclass(frozen=True)
 class InvariantProfile:
-    """Invariant functions plus the initial frame that seeds reconstruction."""
+    """Invariant functions plus the initial frame that seeds reconstruction.
+
+    ``gamma`` is called on float arrays of s; ``delta`` and ``Delta`` at s + eps,
+    as duals over arrays, for their slopes.  Write them with dual lifts, not ufuncs.
+    """
 
     gamma: Callable
     delta: Callable

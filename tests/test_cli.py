@@ -167,13 +167,25 @@ def test_frames_bad_custom_expression_names_the_sample(tmp_path, mode, expr, cod
     assert last["message"].endswith(u)
 
 
-def test_frames_overflowing_constant_is_a_spec_error(tmp_path):
+def _overflow_error(tmp_path, expr) -> tuple[int, dict]:
     payload = {"catalog": "custom",
                "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
                "custom": {"e": ["0.8*sinh(u/0.8)", "0.8*cosh(u/0.8)", "0.6"],
-                          "c": ["0.1*u", "0.2*u*u", "exp(800.0)"]}}
-    assert main(["frames", "--input", _spec(tmp_path, payload),
-                 "--out", str(tmp_path / "x.csv")]) == 2
+                          "c": ["0.1*u", "0.2*u*u", expr]}}
+    return _child_error("frames", "--input", _spec(tmp_path, payload), "--out", str(tmp_path / "x.csv"))
+
+
+def test_frames_overflowing_constant_is_a_spec_error(tmp_path):
+    # a lifted constant overflows to inf, as an array does, and the vector refuses it
+    assert _overflow_error(tmp_path, "exp(800.0)") == (
+        2, {"error": "NonFinite", "message": "non-finite vector component: inf"})
+
+
+def test_frames_overflowing_integer_literal_names_the_expression(tmp_path):
+    # Python arithmetic still raises OverflowError on an int too large for a float
+    expr = "1" + "0" * 400 + "*u"
+    assert _overflow_error(tmp_path, expr) == (
+        2, {"error": "NonFinite", "message": f"expression {expr!r} overflows"})
 
 
 def test_custom_expression_rejects_unsafe_code(tmp_path):

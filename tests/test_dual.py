@@ -44,13 +44,18 @@ def _nest(leaf, depth, slots=(1.0, 1.0, 1.0)):
     return leaf
 
 
+def _leaves(x) -> list:
+    """Every leaf of a nested dual scalar (or of a tuple of them), in order."""
+    if isinstance(x, tuple):
+        return [b for y in x for b in _leaves(y)]
+    if isinstance(x, DualScalar):
+        return _leaves(x.re) + _leaves(x.du)
+    return [x]
+
+
 def _bits(x) -> list:
     """Every leaf of a nested dual scalar (or of a tuple of them), as bytes."""
-    if isinstance(x, tuple):
-        return [b for y in x for b in _bits(y)]
-    if isinstance(x, DualScalar):
-        return _bits(x.re) + _bits(x.du)
-    return [np.asarray(x, dtype=float).tobytes()]
+    return [np.asarray(b, dtype=float).tobytes() for b in _leaves(x)]
 
 
 def _inner(x):
@@ -95,25 +100,25 @@ def test_nested_division_matches_the_quotient_rule_bit_for_bit(depth):
 def _ref_sinh(x):
     if isinstance(x, DualScalar):
         return DualScalar(_ref_sinh(x.re), x.du * _ref_cosh(x.re))
-    return math.sinh(x) if type(x) is float else np.sinh(x)
+    return np.sinh(x)
 
 
 def _ref_cosh(x):
     if isinstance(x, DualScalar):
         return DualScalar(_ref_cosh(x.re), x.du * _ref_sinh(x.re))
-    return math.cosh(x) if type(x) is float else np.cosh(x)
+    return np.cosh(x)
 
 
 def _ref_sin(x):
     if isinstance(x, DualScalar):
         return DualScalar(_ref_sin(x.re), x.du * _ref_cos(x.re))
-    return math.sin(x) if type(x) is float else np.sin(x)
+    return np.sin(x)
 
 
 def _ref_cos(x):
     if isinstance(x, DualScalar):
         return DualScalar(_ref_cos(x.re), -(x.du * _ref_sin(x.re)))
-    return math.cos(x) if type(x) is float else np.cos(x)
+    return np.cos(x)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
@@ -200,6 +205,25 @@ def test_lifts_accept_plain_floats():
     assert dual.sinh(0.0) == 0.0
     assert dual.cosh(0.0) == 1.0
     assert dual.exp(0.0) == 1.0
+
+
+_POINT_LIFTS = {**LIFTS, "sinh_cosh": dual.sinh_cosh}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_POINT_LIFTS))
+def test_a_float_sample_gets_the_bits_of_its_array_element(name, depth):
+    # a lift is pointwise: each float, nested with unequal slots, gives every
+    # leaf the bits of its element in the call on the whole array
+    lo, hi = _DOMAINS.get(name, (-3.0, 3.0))
+    xs = np.random.default_rng(11).uniform(lo, hi, 1000)
+    f = _POINT_LIFTS[name]
+    slots = (1.0, -0.6, 2.3)
+    block = [np.broadcast_to(b, xs.shape) for b in _leaves(f(_nest(xs, depth, slots)))]
+    alone = np.array([_leaves(f(_nest(float(x), depth, slots))) for x in xs]).T
+    for k, (want, got) in enumerate(zip(block, alone)):
+        bad = np.flatnonzero(want.view(np.int64) != got.view(np.int64))
+        assert bad.size == 0, (name, depth, k, bad.size, xs[bad[:3]])
 
 
 # ---------------------------------------------------------------------------

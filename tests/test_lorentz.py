@@ -95,6 +95,9 @@ def test_constructor_rejects_non_finite_float_subclass():
         Vec3L(np.float64("nan"), 0.0, 0.0)
     with pytest.raises(NonFinite):
         Vec3L(0.0, 0.0, np.float64("-inf"))
+    # the message reads the value as a float, not as numpy's repr
+    with pytest.raises(NonFinite, match=r"^non-finite vector component: inf$"):
+        Vec3L(np.float64("inf"), 0.0, 0.0)
 
 
 def test_non_finite_dual_slot_rejected_when_split():

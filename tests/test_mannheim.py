@@ -147,6 +147,24 @@ def test_offset_closures_off_the_nodes_match_their_closed_forms():
             assert _leaf_bytes(f(x)) == _leaf_bytes(map(dual.leading_real, lifted)), (name, x)
 
 
+@pytest.mark.parametrize("case", ["cone", "helicoidal", "offset"])
+def test_a_node_evaluated_alone_gets_the_bits_of_its_grid_column(case):
+    # the closures are pointwise, so a float node reads what the grid call
+    # gives at that node; the offset is the helicoidal's at (c, c*) = (1, 0.3)
+    if case == "cone":
+        spec = catalog.cone(domain=(-0.7, -0.1), samples=101)
+    else:
+        spec = catalog.helicoidal(0.6, 0.8, 0.2, 0.1, domain=(0.05, 0.95), samples=11)
+    if case == "offset":
+        spec = construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.3))
+    grid = spec.grid()
+    for name in ("indicatrix", "base_curve"):
+        f = getattr(spec, name)
+        columns = [np.broadcast_to(x, grid.shape) for x in f(grid)]
+        for i, u in enumerate(grid.tolist()):
+            assert _leaf_bytes(f(u)) == _leaf_bytes(x[i] for x in columns), (name, u)
+
+
 def test_mannheim_condition_dual_vector_equality():
     base = _heli()
     frames = darboux_frame(base)

@@ -848,6 +848,18 @@ def test_dual_arclength_helicoidal():
     assert out.du == pytest.approx(0.05, abs=1e-10)
 
 
+@pytest.mark.parametrize("case,du", [("cone", 0.0), ("helicoidal", -0.04)])
+def test_dual_arclength_at_zero_and_below_it(case, du):
+    spec = getattr(catalog, case)(domain=(-0.5, 0.5), samples=11)
+    # an empty span integrates to the float 0.0, returned as a dual zero
+    zero = dual_arclength(spec, 0.0)
+    assert isinstance(zero, DualScalar) and zero == DualScalar(0.0, 0.0)
+    # below 0 the integral is signed: s + eps*s* = -0.4 + eps*(-0.4*Delta0)
+    out = dual_arclength(spec, -0.4)
+    assert out.re == pytest.approx(-0.4, abs=1e-12)
+    assert out.du == pytest.approx(du, abs=1e-12)
+
+
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 def test_dual_arclength_matches_the_frame_arc_lengths(deriv):
     # the dual-norm quadrature against the frames' fold of det-rates, on a
@@ -1123,12 +1135,19 @@ def test_magnus_flow_is_fourth_order(monkeypatch):
     assert math.log2(errors[0] / errors[1]) >= 3.8
 
 
+def _call_kind(s):
+    """What a profile function was called on: an array's type, dtype and rank, or a dual's."""
+    if isinstance(s, DualScalar):
+        return ("dual", _call_kind(s.re), s.du)
+    return (type(s).__name__, s.dtype.name, s.ndim)
+
+
 def test_reconstruct_calls_each_profile_function_per_array():
     calls = Counter()
 
     def counted(name, f):
         def g(s):
-            calls[name] += 1
+            calls[name, _call_kind(s)] += 1
             return f(s)
         return g
 
@@ -1136,8 +1155,12 @@ def test_reconstruct_calls_each_profile_function_per_array():
     prof = dataclasses.replace(prof, **{name: counted(name, getattr(prof, name))
                                         for name in ("gamma", "delta", "Delta")})
     reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
-    # gamma on the Gauss points and on the nodes; delta and Delta once each, dual
-    assert calls == {"gamma": 2, "delta": 1, "Delta": 1}
+    # the profile call contract: gamma on float arrays, on the Gauss points and
+    # on the nodes; delta and Delta once each at s + eps, as duals over arrays,
+    # whose dual slot is their slope, so a profile is written with dual lifts
+    array = ("ndarray", "float64", 1)
+    assert calls == {("gamma", array): 2, ("delta", ("dual", array, 1.0)): 1,
+                     ("Delta", ("dual", array, 1.0)): 1}
 
 
 def test_reconstruct_drift_check_can_fail(monkeypatch):
