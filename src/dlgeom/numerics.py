@@ -15,10 +15,11 @@ Quadrature is signed: from b down to a it gives minus the integral from a
 to b.  :func:`integrate` and :func:`cumulative_integrate` are composite
 Simpson; measurement and reconstruction sum values and slopes at their
 nodes by :func:`hermite_cumulative`.  The frame ODE is integrated at
-a fixed ``ODE_STEPS_PER_UNIT``: reconstruction runs it as one batched Magnus
-flow (see :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all
-its node frames at once with :func:`lorentz_gram_schmidt`, which works
-elementwise on arrays as :func:`frame_residual` does.  :func:`rk4_frame_step`
+``ODE_STEPS_PER_UNIT`` or slightly more steps per unit: reconstruction runs
+it as one batched Magnus flow (see
+:func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all its node
+frames at once with :func:`lorentz_gram_schmidt`, which works elementwise on
+arrays as :func:`frame_residual` does.  :func:`rk4_frame_step`
 is one classical RK4 step of the same system, for single frames; the
 pipeline does not call it, and the tests check the flow against scipy's
 DOP853, not against it.

@@ -240,38 +240,16 @@ def _first_u(mask, u) -> float:
     return float(u.ravel()[np.argmax(np.broadcast_to(mask, u.shape).ravel())])
 
 
-def _stall_message(ep, stalled, u, vanishes: str, undefined: str) -> str:
-    """Why <e', e'> is below SPEED_TOL**2 at the first point of ``u`` where ``stalled`` holds.
-
-    Where every component of e' is below SPEED_TOL, e' ``vanishes``; a larger
-    e' is null, so the tangent is lightlike or the closure cancelled <e', e'>.
-    """
-    u = np.asarray(leading_real(u), dtype=float)
-    i = np.argmax(np.broadcast_to(stalled, u.shape).ravel())
-    at = float(u.ravel()[i])
-    size = max(abs(float(np.broadcast_to(leading_real(x), u.shape).ravel()[i])) for x in ep)
-    if size < SPEED_TOL:
-        return f"{vanishes} near u={at}"
-    return (f"{undefined}: <e', e'> = 0 for a nonzero e' (components up to {size:.3e}) near "
-            f"u={at}: the tangent is lightlike or the closure lost <e', e'> to rounding")
-
-
 def tangent_speed(ep, sign: float, u):
     """Indicatrix speed ds/du = sqrt(-sign*<e', e'>), dual- and array-capable.
 
     ``sign`` is the ruling sign; the tangent e' must have the opposite
-    causal character.  A vanishing speed raises DegenerateIndicatrix, saying
-    whether e' vanishes or is null (see :func:`_stall_message`), a tangent of
-    the wrong character FrameDegeneracy, each naming the first offending
-    parameter of ``u``.
+    causal character, else FrameDegeneracy names the first offending
+    parameter of ``u``.  e' is read off a striction jet, which has already
+    rejected a stalling one (see :func:`_striction_jet`).
     """
     q = -sign * lorentz_dot(ep, ep)
-    q_re = leading_real(q)
-    stalled = np.abs(q_re) < SPEED_TOL ** 2
-    if dual._any(stalled):
-        raise DegenerateIndicatrix(_stall_message(
-            ep, stalled, u, "indicatrix speed vanishes", "indicatrix speed undefined"))
-    wrong = q_re < 0.0
+    wrong = leading_real(q) < 0.0
     if dual._any(wrong):
         raise FrameDegeneracy(
             f"indicatrix tangent has the wrong causal character near u={_first_u(wrong, u)}")
@@ -299,8 +277,19 @@ def _striction_jet(spec: RuledSurfaceSpec):
         q = lorentz_dot(ep, ep)
         stalled = np.abs(leading_real(q)) < SPEED_TOL ** 2
         if stalled.any():
-            raise DegenerateIndicatrix(_stall_message(
-                ep, stalled, u, "striction undefined: e' vanishes", "striction undefined"))
+            # where every component of e' is below SPEED_TOL, e' vanishes; a
+            # larger e' is null, so the tangent is lightlike or the closure
+            # cancelled <e', e'>
+            x = np.asarray(leading_real(u), dtype=float)
+            i = np.argmax(np.broadcast_to(stalled, x.shape).ravel())
+            at = float(x.ravel()[i])
+            size = max(abs(float(np.broadcast_to(leading_real(y), x.shape).ravel()[i])) for y in ep)
+            if size < SPEED_TOL:
+                raise DegenerateIndicatrix(f"striction undefined: e' vanishes near u={at}")
+            raise DegenerateIndicatrix(
+                f"striction undefined: <e', e'> = 0 for a nonzero e' (components up to "
+                f"{size:.3e}) near u={at}: the tangent is lightlike or the closure lost "
+                f"<e', e'> to rounding")
         p, pp = value_and_derivative(base, u)
         lam = -lorentz_dot(pp, ep) / q
         return p + lam * e, e, ep, pp
@@ -331,8 +320,10 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     Raises GeometryError if Newton stalls or if the arc length of u(s)
     misses s by more than 1e-8 on the output grid.
     """
+    jet = _striction_jet(spec)
+
     def v(u):
-        return tangent_speed(value_and_derivative(spec.indicatrix, u)[1], spec.ruling_sign(), u)
+        return tangent_speed(jet(u)[2], spec.ruling_sign(), u)
 
     def speeds(us):
         with at_points(us):
@@ -774,34 +765,34 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return blocks.reshape(-1, *m.shape[1:])[:n]
 
 
-def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
-    """Rows (s, e, t, g) of the Magnus flow's nodes from a to b, in increasing s.
+def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int):
+    """Columns e, t, g, each (n, 3), of the Magnus flow on the increasing nodes s, from s[seed].
 
-    ``frame`` is [e t g] as columns at a; with F' = F*K(gamma),
-    K = [[0, 1, 0], [1, 0, gamma], [0, gamma, 0]], each step multiplies by
-    exp(Omega), Omega = h/2*(K1 + K2) + (sqrt 3/12)*h^2*[K1, K2] at the two
-    Gauss points of the step.  The raw frames must stay within ``DRIFT_TOL``
-    of orthonormality (else StepSizeError, also for frames that overflow)
-    and are then re-orthonormalized.  The step count is |b - a| per
-    1/ODE_STEPS_PER_UNIT, rounded up unless it is within the rounding of a,
-    b and their difference of a whole number (0.9 - 0.3 is 600 steps, not
-    601), so grids of decimal spans fall on the flow's nodes.
+    ``frame`` is [e t g] as columns at s[seed]; with F' = F*K(gamma),
+    K = [[0, 1, 0], [1, 0, gamma], [0, gamma, 0]], the step of length h up
+    from a node multiplies by exp(Omega), Omega = h/2*(K1 + K2) +
+    (sqrt 3/12)*h^2*[K1, K2] at the two Gauss points of the step, and the
+    same step down by exp(-Omega).  The raw frames must stay within
+    ``DRIFT_TOL`` of orthonormality (else StepSizeError, also for frames that
+    overflow) and are then re-orthonormalized.
     """
-    steps = abs(b - a) * ODE_STEPS_PER_UNIT
-    slack = (math.ulp(a) + math.ulp(b) + math.ulp(b - a)) * ODE_STEPS_PER_UNIT + math.ulp(steps)
-    n = max(1, round(steps) if abs(steps - round(steps)) <= slack else math.ceil(steps))
-    h = (b - a) / n
-    s = a + h * np.arange(n + 1)
-    s[-1] = b
-    g1, g2 = _profile_values(gamma, (s[:-1, None] + h * _GAUSS).ravel())[0].reshape(n, 2).T
+    h = np.diff(s)
+    gauss = (s[:-1, None] + h[:, None] * _GAUSS).ravel()
+    g1, g2 = _profile_values(gamma, gauss)[0].reshape(-1, 2).T
     with at_points(s):
-        w = np.zeros((n, 3, 3))
+        w = np.zeros((len(h), 3, 3))
         w[:, 0, 1] = w[:, 1, 0] = h
         w[:, 1, 2] = w[:, 2, 1] = 0.5 * h * (g1 + g2)
         # [K1, K2] = (gamma2 - gamma1)*(E02 - E20)
         w[:, 0, 2] = _MAGNUS_COMMUTATOR * h * h * (g2 - g1)
         w[:, 2, 0] = -w[:, 0, 2]
-        frames = _prefix_products(np.concatenate([frame[None], _exp_so21(w)]))
+        # a step down from the seed multiplies by exp(-Omega)
+        w[:seed] *= -1.0
+        steps = _exp_so21(w)
+        # running products outward from the seed, in both directions
+        down = _prefix_products(np.concatenate([frame[None], steps[:seed][::-1]]))
+        up = _prefix_products(np.concatenate([frame[None], steps[seed:]]))
+        frames = np.concatenate([down[:0:-1], up])
         # Gram matrices <F_j, F_k>; their distance from diag(1, -1, 1) is frame_residual
         gram = frames.transpose(0, 2, 1) @ (_METRIC * frames)
         drift = np.max(np.abs(gram - _SIGNATURE), axis=(1, 2))
@@ -813,8 +804,7 @@ def _frame_flow(gamma, frame: np.ndarray, a: float, b: float):
         # roundoff to correct, which keeps the measured invariants at roundoff too
         frames = frames @ (1.5 * np.eye(3) - 0.5 * _SIGNATURE @ gram)
         e, t, g = lorentz_gram_schmidt(*(Vec3L(*frames[:, :, j].T) for j in range(3)))
-    rows = np.column_stack([s, *e, *t, *g])
-    return rows[::-1] if b < a else rows
+    return [np.column_stack(tuple(x)) for x in (e, t, g)]
 
 
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:
@@ -824,32 +814,30 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
 
         e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g
 
-    at a fixed ``ODE_STEPS_PER_UNIT`` steps per unit of s in one array pass:
-    the frame by the fourth-order Magnus flow of :func:`_frame_flow`, and c
-    by the end-corrected trapezoid rule on c' and c'' (exact for cubics).
-    ``s_grid`` must be ``np.linspace`` of its ends and length, to a few ulps
-    of the larger end, because the returned spec samples exactly that grid;
-    any other grid raises ValueError naming its first point off it.
-    The frame seed sits at the first grid point.  Frame measurement anchors
-    s and s* at parameter 0, so a grid that does not contain 0 is continued
-    to it by integrating the same system there (the profile must be defined
-    in between): back from the seed when the grid lies above 0, on from the
-    grid's end frame when it lies below.  A one-point grid at 0 takes one
-    step to 1/ODE_STEPS_PER_UNIT.  The flows' nodes make one increasing
-    table; gamma is called once on each flow's Gauss points, and every
-    profile function once on the table.  One quintic Hermite curve for e and
-    one for c interpolate the table, with node derivatives from the ODE
-    rates themselves, so every derivative, c'' included, is exact.  The
-    curves evaluate closed-form derivative tables once per point and lift
-    them to the caller's dual depth (see :class:`_HermiteCurve`), while every
-    other closure, the striction jet built on them included, still
-    differentiates by nested dual arithmetic.  Feeding
-    the result back through darboux_frame reproduces the profile and its
-    arc length: to roundoff at the flow's nodes, but only to a few 1e-9
-    between them, because the quintic's second derivative amplifies node
-    rounding by about 60/h^2.  A profile value that is not finite raises
-    NonFinite, and a division by zero in a profile DivisionByPureDual, each
-    naming its s.
+    in one array pass: the frame by the fourth-order Magnus flow of
+    :func:`_frame_flow`, and c by the end-corrected trapezoid rule on c' and
+    c'' (exact for cubics).  ``s_grid`` must be ``np.linspace`` of its ends
+    and length, to a few ulps of the larger end, because the returned spec
+    samples exactly that grid; any other grid raises ValueError naming its
+    first point off it.  Every grid interval takes the same whole number
+    ceil(h*ODE_STEPS_PER_UNIT) of equal steps, h the grid spacing, so every
+    grid point is a node of the flow.  Frame
+    measurement anchors s and s* at parameter 0, so a grid that does not
+    contain 0 is joined to it by ceil(|x|*ODE_STEPS_PER_UNIT) equal steps
+    from its nearer end x (the profile must be defined in between), and a
+    one-point grid at 0 takes one step to 1/ODE_STEPS_PER_UNIT.  One flow
+    runs over this one increasing table, seeded at the first grid point;
+    gamma is called once on its Gauss points, and every profile function
+    once on the table.  One quintic Hermite curve for e and one for c
+    interpolate the table, with node derivatives from the ODE rates
+    themselves, so every derivative, c'' included, is exact.  The curves
+    evaluate closed-form derivative tables once per point and lift them to
+    the caller's dual depth (see :class:`_HermiteCurve`), while every other
+    closure, the striction jet built on them included, still differentiates
+    by nested dual arithmetic.  Feeding the result back through
+    darboux_frame reproduces the profile and its arc length to roundoff on
+    the grid.  A profile value that is not finite raises NonFinite, and a
+    division by zero in a profile DivisionByPureDual, each naming its s.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) == 0:
@@ -862,20 +850,20 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
         raise ValueError(f"reconstruction grid is not evenly spaced: s_grid[{i}] = "
                          f"{float(s_grid[i])!r}, where linspace({s0!r}, {s_end!r}, "
                          f"{len(s_grid)}) has {float(even[i])!r}")
-    seed = np.column_stack([tuple(profile.e0), tuple(profile.t0), tuple(profile.g0)])
-    flows = []
+    # every grid interval takes the same m equal steps, so every grid point is a node
+    m = math.ceil((s_end - s0) / max(len(even) - 1, 1) * ODE_STEPS_PER_UNIT)
+    s = np.append((even[:-1, None] + np.diff(even)[:, None] * (np.arange(m) / m)).ravel(), s_end)
+    # equal steps join the grid to 0, where measurement anchors s and s*
+    head = tail = np.empty(0)
     if s0 > 0.0:
-        flows.append(_frame_flow(profile.gamma, seed, s0, 0.0))
-    if s_end > s0:
-        flows.append(_frame_flow(profile.gamma, seed, s0, s_end))
-    if s_end < 0.0:
-        end = flows[-1][-1, 1:].reshape(3, 3).T if flows else seed
-        flows.append(_frame_flow(profile.gamma, end, s_end, 0.0))
-    if not flows:
-        flows.append(_frame_flow(profile.gamma, seed, 0.0, 1.0 / ODE_STEPS_PER_UNIT))
-    # consecutive flows share their seam node
-    table = np.concatenate(flows[:1] + [rows[1:] for rows in flows[1:]])
-    s, e, t, g = table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:]
+        head = np.linspace(0.0, s0, math.ceil(s0 * ODE_STEPS_PER_UNIT) + 1)[:-1]
+    elif s_end < 0.0:
+        tail = np.linspace(s_end, 0.0, math.ceil(-s_end * ODE_STEPS_PER_UNIT) + 1)[1:]
+    elif s_end == s0:
+        tail = np.array([1.0 / ODE_STEPS_PER_UNIT])
+    s, seed = np.concatenate([head, s, tail]), len(head)
+    frame = np.column_stack([tuple(profile.e0), tuple(profile.t0), tuple(profile.g0)])
+    e, t, g = _frame_flow(profile.gamma, frame, s, seed)
     gamma, = _profile_values(profile.gamma, s)[:, :, None]
     delta, delta_p = _profile_values(profile.delta, s, slope=True)[:, :, None]
     Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
@@ -887,6 +875,6 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
         cddot = delta_p * e + Delta_p * g + (delta + Delta * gamma) * t
         c = hermite_cumulative(s, cdot, cddot)
         # c0 belongs to the seed's node
-        c += np.array(tuple(profile.c0)) - c[np.searchsorted(s, s0)]
+        c += np.array(tuple(profile.c0)) - c[seed]
     return RuledSurfaceSpec(_HermiteCurve(s, e, t, accel), _HermiteCurve(s, c, cdot, cddot),
                             (s0, s_end), len(s_grid), SPACELIKE_SURFACE, "reconstructed")

@@ -65,6 +65,16 @@ def test_catalog_parameter_validation():
         catalog.helicoidal(a=1.0, b=0.0)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"kind": "lightlike-surface"}, r"^unknown surface kind 'lightlike-surface'$"),
+    ({"samples": 0}, r"^samples must be >= 1$"),
+    ({"domain": (1.0, 0.5)}, r"^empty domain \(1\.0, 0\.5\)$"),
+], ids=["kind", "samples", "domain"])
+def test_spec_rejects_a_kind_sample_count_or_domain_it_cannot_grid(change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(catalog.cone(), **change)
+
+
 def test_measurements_reject_a_spec_of_the_other_causal_class():
     cone = catalog.cone(samples=5)
     with pytest.raises(ValueError, match="spacelike-surface spec"):
@@ -646,17 +656,10 @@ def test_an_overflowing_arc_length_sum_names_its_node(deriv):
 
 
 def test_tangent_speed_names_the_first_offending_parameter():
+    # a stalling or null e' is the striction jet's to reject (see
+    # test_darboux_frame_rejects_a_degenerate_ruling); the speed rejects a
+    # tangent of the wrong causal character
     u = np.linspace(0.0, 2.0, 9)
-    stall = Vec3L(np.where(u < 0.75, 1.0, 0.0), 0.0 * u, 0.0 * u)
-    with pytest.raises(DegenerateIndicatrix, match=r"^indicatrix speed vanishes near u=0\.75$"):
-        ruled.tangent_speed(stall, 1.0, u)
-    # a lightlike e' is not small, so its speed is undefined rather than vanishing
-    null = Vec3L(np.where(u < 1.0, 1.0, 3.0), np.where(u < 1.0, 0.0, 3.0), 0.0 * u)
-    with pytest.raises(DegenerateIndicatrix, match=re.escape(
-            "indicatrix speed undefined: <e', e'> = 0 for a nonzero e' (components up to "
-            "3.000e+00) near u=1.0: the tangent is lightlike or the closure lost <e', e'> "
-            "to rounding") + "$"):
-        ruled.tangent_speed(null, 1.0, u)
     flip = Vec3L(1.0 + 0.0 * u, np.where(u < 1.5, 0.0, 2.0), 0.0 * u)
     with pytest.raises(FrameDegeneracy, match=r"u=1\.5$"):
         ruled.tangent_speed(flip, 1.0, u)
@@ -1023,6 +1026,12 @@ def test_reconstruct_rejects_a_grid_its_spec_would_not_sample(grid, message):
     assert np.array_equal(spec.grid(), np.linspace(0.0, 1.0, 11))
 
 
+def test_reconstruct_rejects_an_empty_grid():
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(ValueError, match=r"^empty reconstruction grid$"):
+        reconstruct_from_invariants(prof, [])
+
+
 def test_profile_rejects_skew_frame():
     with pytest.raises(FrameDegeneracy):
         InvariantProfile.from_constants(0.75, 0.0, 0.0, CONE_E0, CONE_T0,
@@ -1307,8 +1316,8 @@ def test_hermite_curve_components_take_the_shape_of_the_parameter(u):
 
 @pytest.mark.parametrize("deriv,tol", [(DUAL_AD, 1e-12), (CENTRAL_FD, 1e-8)], ids=MODE_IDS.get)
 def test_reconstruct_joins_flows_of_different_steps(deriv, tol):
-    # the grid lies above 0: the flow back to 0 and the flow over the grid
-    # take different steps, and the grid points fall on the second one's nodes
+    # the grid lies above 0: the run of steps back to 0 and the grid's own
+    # steps differ in size, and the one flow crosses where they meet
     c0 = Vec3L(0.3, -0.2, 0.5)
     prof = dataclasses.replace(_wavy_profile(), c0=c0)
     grid = np.linspace(0.2503, 0.8, 11)
@@ -1324,21 +1333,34 @@ def test_reconstruct_joins_flows_of_different_steps(deriv, tol):
         assert np.max(np.abs(x - fn(grid))) < tol
 
 
-def test_reconstruct_grid_with_a_decimal_span_falls_on_the_nodes():
-    # 0.9 - 0.3 is 0.6000000000000001: the flow must still take 600 steps, so
-    # the grid lands on its nodes and the round trip stays at roundoff
-    spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.3, 0.9, 11))
-    assert len(spec.indicatrix.nodes) == 301 + 600
-    assert _wavy_round_trip(spec) < 1e-12
-
-
-@pytest.mark.parametrize("grid,span", [
+#: one-point grids and 11-point grids above, below and across 0, with the node span of each
+CURVE_PAIR_GRIDS = [
     ([0.0], (0.0, 0.001)), ([0.3], (0.0, 0.3)), ([-0.3], (-0.3, 0.0)),
     (np.linspace(0.5, 1.0, 11), (0.0, 1.0)), (np.linspace(-1.0, -0.5, 11), (-1.0, 0.0)),
     (np.linspace(-0.5, 0.5, 11), (-0.5, 0.5)),
-], ids=["zero", "above", "below", "span-above", "span-below", "span-across"])
-def test_reconstruct_builds_one_curve_pair_on_increasing_nodes(grid, span):
+]
+
+
+def test_reconstruct_grid_with_a_decimal_span_falls_on_the_nodes():
+    # every grid interval takes the same whole number of steps, so each grid
+    # point is a flow node, bit for bit: 0.9 - 0.3 is 0.6000000000000001, and
+    # 301 samples on [0, 1] are 1/300 apart, which no step of 1/1000 divides
+    grids = [grid for grid, _ in CURVE_PAIR_GRIDS] + [
+        np.linspace(0.0, 1.0, 301), np.linspace(0.3, 0.9, 11), np.linspace(0.3, 0.9, 61)]
+    for grid in grids:
+        spec = reconstruct_from_invariants(_wavy_profile(), grid)
+        assert np.isin(spec.grid(), spec.indicatrix.nodes).all(), grid
+        assert _wavy_round_trip(spec) <= 1e-12, grid
+
+
+@pytest.mark.parametrize("grid,span", CURVE_PAIR_GRIDS,
+                         ids=["zero", "above", "below", "span-above", "span-below", "span-across"])
+def test_reconstruct_builds_one_curve_pair_on_increasing_nodes(grid, span, monkeypatch):
+    # one flow over one node table, whichever side of 0 the grid lies on
+    real, flows = ruled._frame_flow, []
+    monkeypatch.setattr(ruled, "_frame_flow", lambda *args: flows.append(args) or real(*args))
     spec = reconstruct_from_invariants(_wavy_profile(), grid)
+    assert len(flows) == 1
     for curve in (spec.indicatrix, spec.base_curve):
         assert type(curve) is ruled._HermiteCurve
         assert np.all(np.diff(curve.nodes) > 0.0)
