@@ -55,6 +55,10 @@ class StepSizeError(GeometryError):
     """An integrated frame drifted too far from orthonormality before re-orthonormalization."""
 
 
+class ProfileError(GeometryError, TypeError):
+    """An invariant profile function cannot take its argument (a numpy ufunc on a dual, say)."""
+
+
 class NonFinite(GeometryError):
     """NaN or infinity encountered where a finite number is required."""
 

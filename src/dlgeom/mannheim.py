@@ -205,9 +205,10 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
 
 
 def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimParams,
-                  rows=None) -> RuledSurfaceSpec:
+                  rows=None, grid=None) -> RuledSurfaceSpec:
     """:func:`construct_offset`; given the lifted base ``rows`` of :func:`verify_offset`'s
-    offset pass, its dual closures read them instead of evaluating the base."""
+    offset pass, its dual closures read them instead of evaluating the base.  ``grid`` is
+    the base grid, computed here if not given."""
     if len(frames) != base.samples:
         raise ValueError("frames must sample the base grid")
     angles = offset_angles(frames, params)
@@ -225,7 +226,8 @@ def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimP
             f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
 
     base_jet = _striction_jet(base)
-    grid = base.grid()
+    if grid is None:
+        grid = base.grid()
     table = np.column_stack([angles.theta, angles.theta_star])
 
     def rates(u):
@@ -324,9 +326,11 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, *,
         tolerance = 1e-8
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    frames, rows = _measure_frames(base, lift=True)
+    # the offset samples the base's domain at the base's count: one grid serves both
+    grid = base.grid()
+    frames, rows = _measure_frames(base, lift=True, grid=grid)
     angles = offset_angles(frames, params)
-    m = _node_pass(_build_offset(base, frames, params, rows))[0]
+    m = _node_pass(_build_offset(base, frames, params, rows, grid), grid)[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
     meas = InvariantRecord(

@@ -177,14 +177,20 @@ def cumulative_integrate(grid: np.ndarray, nodes, mids) -> np.ndarray:
 
 
 def hermite_cumulative(x: np.ndarray, values, slopes) -> np.ndarray:
-    """F(x[i]) - F(x[0]) from f and f' at the nodes ``x``, one row per node.
+    """F(x[i]) - F(x[0]) from f and f' at the nodes ``x``, along the last axis.
 
-    End-corrected trapezoid steps h/2*(f0 + f1) + h^2/12*(f0' - f1'), exact for
-    cubics; h is signed, so nodes may run down, then up.  Callers check finiteness.
+    ``values`` and ``slopes`` hold one row per component and one column per
+    node, and so does the result.  End-corrected trapezoid steps
+    h/2*(f0 + f1) + h^2/12*(f0' - f1'), exact for cubics; h is signed, so nodes
+    may run down, then up.  Callers check finiteness.
     """
-    h = np.diff(x).reshape((-1,) + (1,) * (np.ndim(values) - 1))
-    steps = 0.5 * h * (values[:-1] + values[1:]) + h * h / 12.0 * (slopes[:-1] - slopes[1:])
-    return np.concatenate([np.zeros_like(values[:1]), np.cumsum(steps, axis=0)])
+    h = np.diff(x)
+    steps = (0.5 * h * (values[..., :-1] + values[..., 1:])
+             + h * h / 12.0 * (slopes[..., :-1] - slopes[..., 1:]))
+    out = np.empty(np.shape(values))
+    out[..., 0] = 0.0
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    return out
 
 
 def value_and_derivative(curve, u):

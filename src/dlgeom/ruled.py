@@ -30,9 +30,13 @@ Closures are evaluated over arrays of samples: a measurement calls each
 closure once, on the grid, central-fd's shifted nodes and the head nodes
 from parameter 0 to the grid, and nowhere between nodes (a 1001-sample grid
 on (0.05, 0.95) is 1014 points; central-fd adds 2002).  Every check reports
-the first offending parameter.  Finiteness is checked as a node is split,
-in every Vec3L built by arithmetic, and over the grid's frame table and the
-rates, slopes and sums of s and s*.
+the first offending parameter.  A measurement checks finiteness as a node is
+split, in every Vec3L built by arithmetic, and over the grid's frame table
+and the rates, slopes and sums of s and s*.  A reconstruction checks the
+profile values, then the flow's drift (a frame that overflows fails it, so
+the frames that pass enter Gram-Schmidt unchecked, and its Vec3L arithmetic
+checks again), and then each Hermite curve's table as the curve is built,
+which is where an overflow in c, c' or c'' is named.
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -52,7 +56,7 @@ import numpy as np
 from . import dual
 from .dual import DualScalar, dual_norm, dual_vector, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
-                     NullDarboux, StepSizeError)
+                     NullDarboux, ProfileError, StepSizeError)
 from .lorentz import Vec3L, _cross, det3, lorentz_cross, lorentz_dot
 from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
                        ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, at_points, cumulative_integrate,
@@ -125,10 +129,9 @@ def _rows(x) -> list:
     if isinstance(x, np.ndarray):
         return x.tolist()
     if isinstance(x, Vec3L):
-        rows = Vec3L.from_checked
-        return [rows(*row) for row in zip(*(v.tolist() for v in x))]
+        return list(map(Vec3L.from_checked, x.x1.tolist(), x.x2.tolist(), x.x3.tolist()))
     if isinstance(x, DualScalar):
-        return [DualScalar(*row) for row in zip(x.re.tolist(), x.du.tolist())]
+        return list(map(DualScalar, x.re.tolist(), x.du.tolist()))
     if isinstance(x, dict):
         return [dict(zip(x, row)) for row in zip(*(_rows(v) for v in x.values()))]
     return list(x)
@@ -154,8 +157,7 @@ class Columns:
         return type(self)(*(_row(getattr(self, name), i) for name in self.__slots__))
 
     def __iter__(self):
-        cls = type(self)
-        return (cls(*row) for row in zip(*(_rows(getattr(self, name)) for name in self.__slots__)))
+        return map(type(self), *(_rows(getattr(self, name)) for name in self.__slots__))
 
 
 @dataclass(slots=True)
@@ -206,7 +208,9 @@ class InvariantProfile:
     """Invariant functions plus the initial frame that seeds reconstruction.
 
     ``gamma`` is called on float arrays of s; ``delta`` and ``Delta`` at s + eps,
-    as duals over arrays, for their slopes.  Write them with dual lifts, not ufuncs.
+    as duals over arrays, for their slopes.  Write them with dual lifts, not
+    ufuncs or ``**``: a call that raises TypeError raises ProfileError naming
+    the field.
     """
 
     gamma: Callable
@@ -405,9 +409,9 @@ def _node_rows(node, rows):
 _NodeFrames = namedtuple("_NodeFrames", "e t g gamma delta Delta gamma_dual striction_point ds_du")
 
 
-def _node_pass(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, extra=np.empty(0),
-               lift: bool = False):
-    """Frame columns on the spec's grid, and the exact nodes of the pass they were read from.
+def _node_pass(spec: RuledSurfaceSpec, grid: np.ndarray, deriv: str = DUAL_AD,
+               extra=np.empty(0), lift: bool = False):
+    """Frame columns on the spec's ``grid``, and the exact nodes of the pass they were read from.
 
     Each grid sample comes from one node (c, c', e, e', e'', p', p'') in the
     spec's parameter u; derivatives are divided by the indicatrix speed v =
@@ -425,7 +429,6 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, extra=np.empty(0),
     if deriv not in (DUAL_AD, CENTRAL_FD):
         raise ValueError(f"unknown derivative mode {deriv!r}")
     sign = spec.ruling_sign()
-    grid = spec.grid()
     k = len(grid)
     shifts = [grid + FD_STEP, grid - FD_STEP] if deriv == CENTRAL_FD else []
     points = np.concatenate([grid, *shifts, extra])
@@ -473,7 +476,8 @@ def _node_pass(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, extra=np.empty(0),
     return frames, node, lifted
 
 
-def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = False):
+def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = False,
+                    grid=None):
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
     s and s* accumulate from parameter 0 over the head nodes, which split
@@ -482,26 +486,30 @@ def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = F
     then over the grid, from the rates v and r = sign*det(c', e, e')/v and
     the slopes v' = -sign*<e', e''>/v and r' = (sign*(det(p'', e, e') +
     det(p', e, e'')) - r*v')/v.  ``lift`` also returns the lifted nodes.
+    ``grid`` is the spec's grid, computed here if not given.
     """
     sign = spec.ruling_sign()
-    grid = spec.grid()
+    if grid is None:
+        grid = spec.grid()
     n = max(MIN_QUAD_PANELS, math.ceil(abs(grid[0]) * QUAD_PANELS_PER_UNIT)) if grid[0] else 0
-    head = np.linspace(0.0, grid[0], n + 1)[:-1]
-    frames, node, lifted = _node_pass(spec, deriv, head, lift)
-    path = np.concatenate([head, grid])
-    # the head rows close the node table, so indices -n..-1 are the head nodes
-    _, cp, e, ep, epp, pp, ppp = _node_rows(node, np.arange(-n, len(grid)))
+    head = np.linspace(0.0, grid[0], n + 1)[:-1] if n else np.empty(0)
+    frames, node, lifted = _node_pass(spec, grid, deriv, head, lift)
+    # the head rows close the node table, so indices -n..-1 are the head nodes;
+    # with none, the grid's rows lead the table and are read in place
+    path = np.concatenate([head, grid]) if n else grid
+    _, cp, e, ep, epp, pp, ppp = _node_rows(node, np.arange(-n, len(grid)) if n
+                                            else slice(0, len(grid)))
     with at_points(path):
         v = tangent_speed(ep, sign, path)
         r = sign * det3(cp, e, ep) / v
         dv = -sign * lorentz_dot(ep, epp) / v
         dr = (sign * (det3(ppp, e, ep) + det3(pp, e, epp)) - r * dv) / v
-        rates = _columns(path, v, r, dv, dr).T
-        arcs = hermite_cumulative(path, rates[:, :2], rates[:, 2:])
-    bad = ~(np.isfinite(rates).all(axis=1) & np.isfinite(arcs).all(axis=1))
+        rates = _columns(path, v, r, dv, dr)
+        arcs = hermite_cumulative(path, rates[:2], rates[2:])
+    bad = ~(np.isfinite(rates).all(axis=0) & np.isfinite(arcs).all(axis=0))
     if bad.any():
         raise NonFinite(f"non-finite arc length rate or sum at u={_first_u(bad, path)}")
-    out = FrameSample(s=arcs[n:, 0], s_star=arcs[n:, 1], **frames._asdict())
+    out = FrameSample(s=arcs[0, n:], s_star=arcs[1, n:], **frames._asdict())
     return (out, lifted) if lift else out
 
 
@@ -614,8 +622,9 @@ _QUINTIC_JETS = np.array([
 class _HermiteCurve:
     """Piecewise quintic Hermite interpolant on increasing nodes, dual- and array-evaluable.
 
-    Values, first and second derivatives at the nodes, given as (n, 3)
-    arrays, make node accuracy carry through two derivative orders.  Each
+    Values, first and second derivatives at the nodes, given as one
+    (order, component, node) table of shape (3, 3, n) that the curve keeps
+    without copying, make node accuracy carry through two derivative orders.  Each
     segment scales by its own step, so the nodes need not be uniform.  A
     parameter u is expanded about its nearest node j toward the neighbour o
     on its side, in tau = (u - s_j)/(s_o - s_j): the basis is symmetric, so
@@ -635,15 +644,14 @@ class _HermiteCurve:
     and slots take the same path, and each component has the shape of x.
     """
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray,
-                 deriv1: np.ndarray, deriv2: np.ndarray):
-        data = np.stack([values, deriv1, deriv2])
-        bad = ~np.isfinite(data).all(axis=(0, 2))
-        if bad.any():
+    def __init__(self, nodes: np.ndarray, data: np.ndarray):
+        finite = np.isfinite(data)
+        if not finite.all():
+            bad = ~finite.all(axis=(0, 1))
             raise NonFinite(f"non-finite curve data at s={float(nodes[np.argmax(bad)])!r}")
         self.nodes = nodes
-        # (order, component, node): a call gathers along the last axis
-        self._data = data.transpose(0, 2, 1).copy()
+        # a call gathers along the last axis
+        self._data = data
 
     def __call__(self, u):
         s, x = self.nodes, leading_real(u)
@@ -696,19 +704,29 @@ _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 #: Gram matrix of an orthonormal frame [e t g]
 _SIGNATURE = np.diag([1.0, -1.0, 1.0])
 
+#: half the signature as a column: scales the rows of a Gram matrix for the Newton step
+_HALF_SIGNATURE = 0.5 * np.diag(_SIGNATURE)[:, None]
+
 #: the metric diag(-1, 1, 1) as a column, which scales the rows of a frame matrix
 _METRIC = np.array([[-1.0], [1.0], [1.0]])
 
 
-def _profile_values(f, s: np.ndarray, slope: bool = False) -> np.ndarray:
-    """Rows (f,) or, with ``slope``, (f, f') of a profile function on the nodes ``s``.
+def _profile_values(f, name: str, s: np.ndarray, slope: bool = False) -> np.ndarray:
+    """Rows (f,) or, with ``slope``, (f, f') of the profile function ``name`` on the nodes ``s``.
 
     One call on the whole array; the slope is the dual slot of the same
     evaluation, and constant returns are broadcast.  A non-finite value
-    raises NonFinite naming its node.
+    raises NonFinite naming its node.  A TypeError in the call, as a numpy
+    ufunc or ``**`` raises on a dual, becomes ProfileError naming the field
+    and what it was called on.
     """
     with at_points(s):
-        v = f(DualScalar(s, 1.0)) if slope else f(s)
+        try:
+            v = f(DualScalar(s, 1.0)) if slope else f(s)
+        except TypeError as exc:
+            on = "a dual over the nodes (s + eps)" if slope else "a float array of s"
+            raise ProfileError(f"profile {name} fails on {on}: {exc}; write it with the "
+                               "lifts of dlgeom.dual, not numpy ufuncs or **") from exc
     parts = (dual.re_part(v), dual.du_part(v)) if slope else (v,)
     out = np.array([np.broadcast_to(np.asarray(x, dtype=float), s.shape) for x in parts])
     bad = ~np.isfinite(out).all(axis=0)
@@ -723,16 +741,20 @@ def _exp_so21(w: np.ndarray) -> np.ndarray:
     Each w satisfies w^3 = k*w with k = tr(w^2)/2, so exp w = I + a*w + b*w^2
     with a = sinh(r)/r and b = 2*sinh(r/2)^2/r^2 for k = r^2 > 0, sin in
     place of sinh for k = -r^2 < 0, and their Taylor series for small |k|.
+    The series is taken on every w, and the closed form only where |k| >=
+    1e-3; at ODE_STEPS_PER_UNIT steps per unit that needs |gamma| of about 31.
     """
     w2 = w @ w
     k = 0.5 * np.trace(w2, axis1=1, axis2=2)
-    small = np.abs(k) < 1e-3
-    r = np.where(small, 1.0, np.sqrt(np.abs(k)))
-    a = np.where(k > 0.0, np.sinh(r), np.sin(r)) / r
-    b = 2.0 * (np.where(k > 0.0, np.sinh(0.5 * r), np.sin(0.5 * r)) / r) ** 2
     # 1 + k/3! + k^2/5! + k^3/7! and 1/2! + k/4! + k^2/6! + k^3/8!
-    a = np.where(small, 1.0 + k / 6.0 * (1.0 + k / 20.0 * (1.0 + k / 42.0)), a)
-    b = np.where(small, 0.5 + k / 24.0 * (1.0 + k / 30.0 * (1.0 + k / 56.0)), b)
+    a = 1.0 + k / 6.0 * (1.0 + k / 20.0 * (1.0 + k / 42.0))
+    b = 0.5 + k / 24.0 * (1.0 + k / 30.0 * (1.0 + k / 56.0))
+    big = np.flatnonzero(np.abs(k) >= 1e-3)
+    if len(big):
+        kb = k[big]
+        r = np.sqrt(np.abs(kb))
+        a[big] = np.where(kb > 0.0, np.sinh(r), np.sin(r)) / r
+        b[big] = 2.0 * (np.where(kb > 0.0, np.sinh(0.5 * r), np.sin(0.5 * r)) / r) ** 2
     return np.eye(3) + a[:, None, None] * w + b[:, None, None] * w2
 
 
@@ -765,8 +787,8 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return blocks.reshape(-1, *m.shape[1:])[:n]
 
 
-def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int):
-    """Columns e, t, g, each (n, 3), of the Magnus flow on the increasing nodes s, from s[seed].
+def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int) -> np.ndarray:
+    """The Magnus flow on the increasing nodes s from s[seed], as one (3, 3, n) table.
 
     ``frame`` is [e t g] as columns at s[seed]; with F' = F*K(gamma),
     K = [[0, 1, 0], [1, 0, gamma], [0, gamma, 0]], the step of length h up
@@ -774,11 +796,13 @@ def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int):
     (sqrt 3/12)*h^2*[K1, K2] at the two Gauss points of the step, and the
     same step down by exp(-Omega).  The raw frames must stay within
     ``DRIFT_TOL`` of orthonormality (else StepSizeError, also for frames that
-    overflow) and are then re-orthonormalized.
+    overflow, so every frame that passes is finite) and are then
+    re-orthonormalized on contiguous component rows: table[i, c] is
+    component c of e, t or g (i = 0, 1, 2) over the nodes.
     """
     h = np.diff(s)
     gauss = (s[:-1, None] + h[:, None] * _GAUSS).ravel()
-    g1, g2 = _profile_values(gamma, gauss)[0].reshape(-1, 2).T
+    g1, g2 = _profile_values(gamma, "gamma", gauss)[0].reshape(-1, 2).T
     with at_points(s):
         w = np.zeros((len(h), 3, 3))
         w[:, 0, 1] = w[:, 1, 0] = h
@@ -795,16 +819,22 @@ def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int):
         frames = np.concatenate([down[:0:-1], up])
         # Gram matrices <F_j, F_k>; their distance from diag(1, -1, 1) is frame_residual
         gram = frames.transpose(0, 2, 1) @ (_METRIC * frames)
-        drift = np.max(np.abs(gram - _SIGNATURE), axis=(1, 2))
-        bad = ~(drift <= DRIFT_TOL)
-        if np.any(bad):
-            raise StepSizeError(f"frame drift {np.max(drift):.3e} exceeds {DRIFT_TOL:.1e} "
+        drift = np.abs(gram - _SIGNATURE).reshape(-1, 9)
+        # written so that a NaN drift fails too; the node is looked up only then
+        if not drift.max() <= DRIFT_TOL:
+            bad = ~(drift.max(axis=1) <= DRIFT_TOL)
+            raise StepSizeError(f"frame drift {drift.max():.3e} exceeds {DRIFT_TOL:.1e} "
                                 f"at s={float(s[np.argmax(bad)])!r}")
         # one Newton step toward the signature first leaves Gram-Schmidt only
-        # roundoff to correct, which keeps the measured invariants at roundoff too
-        frames = frames @ (1.5 * np.eye(3) - 0.5 * _SIGNATURE @ gram)
-        e, t, g = lorentz_gram_schmidt(*(Vec3L(*frames[:, :, j].T) for j in range(3)))
-    return [np.column_stack(tuple(x)) for x in (e, t, g)]
+        # roundoff to correct, which keeps the measured invariants at roundoff too;
+        # the signature is diagonal, so its product with gram scales gram's rows
+        frames = frames @ (1.5 * np.eye(3) - _HALF_SIGNATURE * gram)
+        # (column, component, node): each of e, t, g as three contiguous rows
+        rows = np.ascontiguousarray(frames.transpose(2, 1, 0))
+        e, t, g = lorentz_gram_schmidt(*(Vec3L.from_checked(*x) for x in rows))
+        for out, vec in zip(rows, (e, t, g)):
+            out[0], out[1], out[2] = vec
+    return rows
 
 
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:
@@ -830,14 +860,19 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     gamma is called once on its Gauss points, and every profile function
     once on the table.  One quintic Hermite curve for e and one for c
     interpolate the table, with node derivatives from the ODE rates
-    themselves, so every derivative, c'' included, is exact.  The curves
+    themselves, so every derivative, c'' included, is exact.  Each curve
+    takes one (order, component, node) table: the flow's rows of e, t and g
+    become e, e' = t and e'' = e + gamma*g in place, and c, c' and c'' are
+    filled as component rows against the profile values.  The curves
     evaluate closed-form derivative tables once per point and lift them to
     the caller's dual depth (see :class:`_HermiteCurve`), while every other
     closure, the striction jet built on them included, still differentiates
     by nested dual arithmetic.  Feeding the result back through
     darboux_frame reproduces the profile and its arc length to roundoff on
     the grid.  A profile value that is not finite raises NonFinite, and a
-    division by zero in a profile DivisionByPureDual, each naming its s.
+    division by zero in a profile DivisionByPureDual, each naming its s; a
+    profile function that raises TypeError on what it is called on (a numpy
+    ufunc on a dual, say) raises ProfileError naming the field.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if len(s_grid) == 0:
@@ -863,18 +898,26 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
         tail = np.array([1.0 / ODE_STEPS_PER_UNIT])
     s, seed = np.concatenate([head, s, tail]), len(head)
     frame = np.column_stack([tuple(profile.e0), tuple(profile.t0), tuple(profile.g0)])
-    e, t, g = _frame_flow(profile.gamma, frame, s, seed)
-    gamma, = _profile_values(profile.gamma, s)[:, :, None]
-    delta, delta_p = _profile_values(profile.delta, s, slope=True)[:, :, None]
-    Delta, Delta_p = _profile_values(profile.Delta, s, slope=True)[:, :, None]
-    # c' = delta*e + Delta*g and its derivative with the frame rates substituted
-    # in; an overflow here or in c raises NonFinite when its curve is built
+    frames = _frame_flow(profile.gamma, frame, s, seed)
+    e, t, g = frames
+    gamma, = _profile_values(profile.gamma, "gamma", s)
+    delta, delta_p = _profile_values(profile.delta, "delta", s, slope=True)
+    Delta, Delta_p = _profile_values(profile.Delta, "Delta", s, slope=True)
+    # c, c' = delta*e + Delta*g and c'' with the frame rates substituted in, as
+    # (order, component, node); an overflow raises NonFinite when its curve is built
+    curve = np.empty_like(frames)
+    c, cdot, cddot = curve
     with at_points(s):
-        accel = e + gamma * g
-        cdot = delta * e + Delta * g
-        cddot = delta_p * e + Delta_p * g + (delta + Delta * gamma) * t
-        c = hermite_cumulative(s, cdot, cddot)
+        np.multiply(delta, e, out=cdot)
+        cdot += Delta * g
+        np.multiply(delta_p, e, out=cddot)
+        cddot += Delta_p * g
+        cddot += (delta + Delta * gamma) * t
+        c[...] = hermite_cumulative(s, cdot, cddot)
         # c0 belongs to the seed's node
-        c += np.array(tuple(profile.c0)) - c[seed]
-    return RuledSurfaceSpec(_HermiteCurve(s, e, t, accel), _HermiteCurve(s, c, cdot, cddot),
+        c += (np.array(tuple(profile.c0)) - c[:, seed])[:, None]
+        # the frame table becomes the indicatrix's: e, e' = t and e'' = e + gamma*g
+        g *= gamma
+        g += e
+    return RuledSurfaceSpec(_HermiteCurve(s, frames), _HermiteCurve(s, curve),
                             (s0, s_end), len(s_grid), SPACELIKE_SURFACE, "reconstructed")

@@ -446,6 +446,22 @@ def test_verify_offset_measures_the_offset_nodes_bit_for_bit(samples):
                                                       m, tol=rep.tolerance)
 
 
+@pytest.mark.parametrize("domain", [(0.05, 0.95), (0.0, 1.0)], ids=["head", "no-head"])
+def test_a_measurement_computes_the_spec_grid_once(domain, monkeypatch):
+    # the offset samples the base's domain at the base's count, so verify_offset
+    # measures both on the one base grid
+    calls = []
+    real = RuledSurfaceSpec.grid
+    monkeypatch.setattr(RuledSurfaceSpec, "grid",
+                        lambda spec: calls.append(spec.name) or real(spec))
+    base = catalog.helicoidal(domain=domain, samples=21)
+    for measure in (darboux_frame, lambda b: darboux_frame(b, CENTRAL_FD),
+                    lambda b: verify_offset(b, MannheimParams(1.0, 0.1))):
+        calls.clear()
+        measure(base)
+        assert calls == [base.name]
+
+
 def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
     # in dual-AD every offset closure argument is a grid node, so theta and
     # theta* never need a local quadrature correction; the counter sees every

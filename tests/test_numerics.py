@@ -142,9 +142,9 @@ def test_hermite_cumulative_is_exact_for_cubics_along_a_path_that_turns():
     x = np.concatenate([np.linspace(0.0, -0.3, 4), np.linspace(-0.3, 0.9, 7)[1:]])
     f, fp = 1.0 + x - 2.0 * x ** 2 + 3.0 * x ** 3, 1.0 - 4.0 * x + 9.0 * x ** 2
     F = x + x ** 2 / 2.0 - 2.0 * x ** 3 / 3.0 + 3.0 * x ** 4 / 4.0
-    out = hermite_cumulative(x, np.column_stack([f, -f]), np.column_stack([fp, -fp]))
-    assert out.shape == (len(x), 2)
-    assert np.max(np.abs(out - np.column_stack([F, -F]))) < 1e-15
+    out = hermite_cumulative(x, np.array([f, -f]), np.array([fp, -fp]))
+    assert out.shape == (2, len(x))
+    assert np.max(np.abs(out - np.array([F, -F]))) < 1e-15
 
 
 def test_integrate_sums_the_composite_simpson_rule():

@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
@@ -18,7 +19,8 @@ import dlgeom.ruled as ruled
 from dlgeom import catalog
 from dlgeom.dual import DualScalar, dual_norm, dual_vector
 from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegeneracy,
-                           GeometryError, NonFinite, NullDarboux, StepSizeError)
+                           GeometryError, NonFinite, NullDarboux, ProfileError,
+                           StepSizeError)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
@@ -1144,6 +1146,46 @@ def test_magnus_flow_is_fourth_order(monkeypatch):
     assert math.log2(errors[0] / errors[1]) >= 3.8
 
 
+def _generator(h, q, c):
+    """A Magnus generator: e-t entry h, t-g entry q and commutator (e-g) entry c."""
+    return np.array([[0.0, h, c], [h, 0.0, q], [-c, q, 0.0]])
+
+
+def test_exp_so21_matches_expm_on_the_series_and_both_closed_forms():
+    # k = tr(w^2)/2 = h^2 + q^2 - c^2: the Taylor series below |k| = 1e-3, sinh
+    # from k = 1e-3 and sin from k = -1e-3, each twice, near the switch and far past it
+    w = np.array([_generator(*x) for x in (
+        (1e-3, 8e-4, 1e-7), (0.0, 0.03, 0.0), (0.02, 0.04, 1e-3), (0.5, 1.2, 0.3),
+        (0.0, 0.0, 0.04), (1e-3, 0.01, 0.05), (0.3, 0.2, 1.1))])
+    k = 0.5 * np.trace(w @ w, axis1=1, axis2=2)
+    assert np.array_equal(np.sign(k) * (np.abs(k) >= 1e-3), [0, 0, 1, 1, -1, -1, -1])
+    for got, x in zip(ruled._exp_so21(w), w):
+        want = scipy.linalg.expm(x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_reconstruct_past_the_series_matches_expm_and_round_trips_gamma():
+    # at gamma = 35 every Magnus step of h = 1e-3 has k = h^2*(1 + gamma^2) =
+    # 1.226e-3, so each exp takes the sinh form; with constant gamma the flow is
+    # F0*expm(s*K) exactly, whose entries grow to about cosh(7) = 548 at s = 0.2
+    prof = InvariantProfile.from_constants(35.0, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    grid = np.linspace(0.0, 0.2, 21)
+    spec = reconstruct_from_invariants(prof, grid)
+    frame = np.column_stack([tuple(CONE_E0), tuple(CONE_T0), tuple(CONE_G0)])
+    generator = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 35.0], [0.0, 35.0, 0.0]])
+    for s in grid[::4]:
+        want = frame @ scipy.linalg.expm(s * generator)
+        e, t = value_and_derivative(spec.indicatrix, s)
+        got = np.column_stack([tuple(e), tuple(t)])
+        assert np.max(np.abs(got - want[:, :2])) <= 1e-10 * np.max(np.abs(want)), s
+    # the measurement cancels frame entries of up to about 548, so the round
+    # trip keeps about nine digits of gamma
+    f = darboux_frame(spec)
+    assert np.max(np.abs(f.gamma - 35.0)) <= 1e-7
+    assert np.max(np.abs(f.delta - 0.2)) <= 1e-8
+    assert np.max(np.abs(f.Delta - 0.1)) <= 1e-8
+
+
 def _call_kind(s):
     """What a profile function was called on: an array's type, dtype and rank, or a dual's."""
     if isinstance(s, DualScalar):
@@ -1172,10 +1214,36 @@ def test_reconstruct_calls_each_profile_function_per_array():
                      ("Delta", ("dual", array, 1.0)): 1}
 
 
+@pytest.mark.parametrize("field,f,on", [
+    ("delta", lambda s: 0.1 / np.sinh(2.0 - s), "a dual over the nodes"),
+    ("Delta", lambda s: 0.1 / dual.sinh(2.0 - s) ** 2, "a dual over the nodes"),
+    ("gamma", lambda s: 0.75 + math.sinh(s), "a float array"),
+], ids=["numpy-ufunc", "pow", "math-on-array"])
+def test_reconstruct_names_a_profile_function_that_cannot_take_its_argument(field, f, on):
+    # delta and Delta are called on s + eps for their slopes, where a numpy
+    # ufunc and ** raise TypeError; gamma is called on float arrays
+    prof = dataclasses.replace(_wavy_profile(), **{field: f})
+    with pytest.raises(ProfileError, match=rf"^profile {field} fails on {on}") as info:
+        reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
+    assert isinstance(info.value, TypeError) and isinstance(info.value, GeometryError)
+
+
 def test_reconstruct_drift_check_can_fail(monkeypatch):
     monkeypatch.setattr(ruled, "DRIFT_TOL", 0.0)
     with pytest.raises(StepSizeError, match="exceeds"):
         reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("gamma,message", [
+    (35.0, r"^frame drift 4\.674e\+14 exceeds 1\.0e-06 at s=0\.322"),
+    (1e3, r"^frame drift nan exceeds 1\.0e-06 at s=0\.013"),
+], ids=["finite", "overflow"])
+def test_reconstruct_drift_check_names_the_largest_drift_and_the_first_node(gamma, message):
+    # frame entries grow like exp(sqrt(1 + gamma^2)*s), and the Gram matrices'
+    # rounding with their square; once they overflow the largest drift is NaN
+    prof = InvariantProfile.from_constants(gamma, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(StepSizeError, match=message):
+        reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, 11))
 
 
 def test_reconstruct_overflowing_profile_names_s():
@@ -1201,6 +1269,11 @@ def test_reconstruct_profile_pole_on_a_node_names_s():
 # ---------------------------------------------------------------------------
 # the node table: one Hermite curve pair over every flow
 
+def _hermite_curve(nodes, values, deriv1, deriv2):
+    """The Hermite curve through node data given as (n, 3) arrays of values and derivatives."""
+    return ruled._HermiteCurve(nodes, np.stack([values, deriv1, deriv2]).transpose(0, 2, 1))
+
+
 def test_hermite_curve_reproduces_a_quintic_on_uneven_nodes():
     # a quintic is its own quintic Hermite interpolant on each segment, so only
     # a segment scaled by the wrong step can move it
@@ -1208,8 +1281,8 @@ def test_hermite_curve_reproduces_a_quintic_on_uneven_nodes():
              ([0.3, -1.0, 0.5, 2.0, -0.7, 0.4], [1.0, 0.2, -0.3, 0.1, 0.9, -0.5],
               [-0.2, 0.7, 1.1, -1.3, 0.2, 0.6])]
     nodes = np.array([-0.4, -0.1, 0.05, 0.5, 0.6, 1.3])
-    curve = ruled._HermiteCurve(nodes, *(np.column_stack([p.deriv(k)(nodes) for p in polys])
-                                         for k in range(3)))
+    curve = ruled._HermiteCurve(nodes, np.array([[p.deriv(k)(nodes) for p in polys]
+                                                 for k in range(3)]))
     # past both ends, on nodes, between them and on a segment's midpoint
     u = np.array([-0.7, -0.4, -0.25, -0.1, 0.05, 0.3, 0.55, 0.95, 1.3, 1.6])
     got = curve(DualScalar(DualScalar(DualScalar(u, 1.0), 1.0), 1.0))
@@ -1227,7 +1300,7 @@ def test_hermite_curve_returns_its_node_data_at_every_node():
     rng = np.random.default_rng(1)
     nodes = np.concatenate([np.linspace(0.0, 0.2503, 252), np.linspace(0.2503, 0.8, 551)[1:]])
     data = [rng.uniform(-1.0, 1.0, size=(len(nodes), 3)) for _ in range(3)]
-    got = ruled._HermiteCurve(nodes, *data)(DualScalar(DualScalar(nodes, 1.0), 1.0))
+    got = _hermite_curve(nodes, *data)(DualScalar(DualScalar(nodes, 1.0), 1.0))
     for k, x in enumerate(got):
         for value, want in zip((x.re.re, x.re.du, x.du.du), data):
             assert np.max(np.abs(value - want[:, k])) <= 1e-15
@@ -1284,7 +1357,7 @@ def test_hermite_curve_matches_nested_dual_horner_at_depths_0_to_3():
     rng = np.random.default_rng(7)
     nodes = np.array([-0.4, -0.1, 0.05, 0.5, 0.6, 1.3])
     data = [rng.uniform(-1.0, 1.0, size=(len(nodes), 3)) for _ in range(3)]
-    curve = ruled._HermiteCurve(nodes, *data)
+    curve = _hermite_curve(nodes, *data)
     # past both ends, on every node, on every segment's midpoint, and between
     u = np.concatenate([[-0.6, -0.45, 1.35, 1.5], nodes, 0.5 * (nodes[1:] + nodes[:-1]),
                         rng.uniform(-0.4, 1.3, size=20)])
@@ -1303,7 +1376,7 @@ def test_hermite_curve_matches_nested_dual_horner_at_depths_0_to_3():
 def test_hermite_curve_components_take_the_shape_of_the_parameter(u):
     rng = np.random.default_rng(3)
     nodes = np.array([-0.2, 0.1, 0.35, 0.8, 1.0])
-    curve = ruled._HermiteCurve(nodes, *(rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in range(3)))
+    curve = _hermite_curve(nodes, *(rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in range(3)))
     flat = curve(DualScalar(DualScalar(np.ravel(u), 1.0), 1.0))
     got = curve(DualScalar(DualScalar(u, 1.0), 1.0))
     for x, want in zip(got, flat):
