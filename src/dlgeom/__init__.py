@@ -10,8 +10,7 @@ measurements of the constructed geometry.
 from .lorentz import CausalCharacter, Vec3L, causal_character, det3, lorentz_cross, lorentz_dot
 from .dual import DualScalar, dual_angle_between, dual_norm, dual_vector
 from .lines import OrientedLine, dual_to_line, line_to_dual
-from .numerics import (FrameState, cumulative_integrate, integrate, lorentz_gram_schmidt,
-                       rk4_frame_step)
+from .numerics import FrameState, cumulative_integrate, integrate, rk4_frame_step
 from .ruled import (FrameSample, InvariantProfile, RuledSurfaceSpec, SPACELIKE_SURFACE,
                     TIMELIKE_SURFACE, arclength_reparametrize, darboux_frame, dual_arclength,
                     dual_curvature_elements, reconstruct_from_invariants, timelike_invariants,
@@ -26,8 +25,7 @@ __all__ = [
     "lorentz_dot",
     "DualScalar", "dual_angle_between", "dual_norm", "dual_vector",
     "OrientedLine", "dual_to_line", "line_to_dual",
-    "FrameState", "cumulative_integrate", "integrate", "lorentz_gram_schmidt",
-    "rk4_frame_step",
+    "FrameState", "cumulative_integrate", "integrate", "rk4_frame_step",
     "FrameSample", "InvariantProfile", "RuledSurfaceSpec", "SPACELIKE_SURFACE",
     "TIMELIKE_SURFACE", "arclength_reparametrize", "darboux_frame", "dual_arclength",
     "dual_curvature_elements", "reconstruct_from_invariants", "timelike_invariants",

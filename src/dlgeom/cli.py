@@ -160,6 +160,10 @@ def _domain(data: dict, samples=None) -> tuple[float, float, int]:
     return _number(dom.get("s_min", 0.0), "s_min"), _number(dom.get("s_max", 1.0), "s_max"), samples
 
 
+#: the parameters a spec file may give each catalog surface, in the order they are checked
+_CATALOG_PARAMS = {"cone": ("a", "b", "c0"), "helicoidal": ("a", "b", "c0", "delta0", "Delta0")}
+
+
 def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSurfaceSpec:
     data = _load_object(path, "surface spec")
     s_min, s_max, samples = _domain(data, samples_override)
@@ -170,15 +174,11 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     params = data.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
     if kind in ("cone", "helicoidal"):
-        a = _number(params.get("a", 0.6), "a")
-        b = _number(params.get("b", 0.8), "b")
-        c0 = _vector(params.get("c0", [0.0, 0.0, 0.0]), "c0")
+        # the catalog keeps the defaults of the keys the file leaves out
+        given = {k: (_vector if k == "c0" else _number)(params[k], k)
+                 for k in _CATALOG_PARAMS[kind] if k in params}
         try:
-            if kind == "cone":
-                return catalog.cone(a, b, c0, (s_min, s_max), samples)
-            return catalog.helicoidal(a, b, _number(params.get("delta0", 0.2), "delta0"),
-                                      _number(params.get("Delta0", 0.1), "Delta0"), c0,
-                                      (s_min, s_max), samples)
+            return getattr(catalog, kind)(domain=(s_min, s_max), samples=samples, **given)
         except ValueError as exc:
             # the catalog's own checks of a and b
             raise SpecFileError(str(exc)) from None

@@ -205,10 +205,9 @@ def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
 
 
 def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimParams,
-                  rows=None, grid=None) -> RuledSurfaceSpec:
+                  rows=None) -> RuledSurfaceSpec:
     """:func:`construct_offset`; given the lifted base ``rows`` of :func:`verify_offset`'s
-    offset pass, its dual closures read them instead of evaluating the base.  ``grid`` is
-    the base grid, computed here if not given."""
+    offset pass, its dual closures read them instead of evaluating the base."""
     if len(frames) != base.samples:
         raise ValueError("frames must sample the base grid")
     angles = offset_angles(frames, params)
@@ -226,8 +225,7 @@ def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimP
             f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
 
     base_jet = _striction_jet(base)
-    if grid is None:
-        grid = base.grid()
+    grid = base.grid()
     table = np.column_stack([angles.theta, angles.theta_star])
 
     def rates(u):
@@ -326,11 +324,10 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, *,
         tolerance = 1e-8
     if not 0.0 < tolerance < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    # the offset samples the base's domain at the base's count: one grid serves both
-    grid = base.grid()
-    frames, rows = _measure_frames(base, lift=True, grid=grid)
+    frames, rows = _measure_frames(base, lift=True)
     angles = offset_angles(frames, params)
-    m = _node_pass(_build_offset(base, frames, params, rows, grid), grid)[0]
+    # the offset samples the base's domain at the base's count
+    m = _node_pass(_build_offset(base, frames, params, rows), base.grid())[0]
 
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta, angles)
     meas = InvariantRecord(

@@ -18,11 +18,11 @@ nodes by :func:`hermite_cumulative`.  The frame ODE is integrated at
 ``ODE_STEPS_PER_UNIT`` or slightly more steps per unit: reconstruction runs
 it as one batched Magnus flow (see
 :func:`dlgeom.ruled.reconstruct_from_invariants`) and projects all its node
-frames at once with :func:`lorentz_gram_schmidt`, which works elementwise on
-arrays as :func:`frame_residual` does.  :func:`rk4_frame_step`
-is one classical RK4 step of the same system, for single frames; the
-pipeline does not call it, and the tests check the flow against scipy's
-DOP853, not against it.
+frames at once by :func:`_project_frames`, two Newton steps on their Gram
+matrices.  :func:`rk4_frame_step` is one classical RK4 step of the same
+system, for single frames, projected by the same helper; the pipeline does
+not call it, and the tests check the flow against scipy's DOP853, not
+against it.
 
 Integrands are evaluated over arrays, once per point: :func:`integrate`
 calls its integrand once, on every quadrature point of every interval, and
@@ -39,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dual
 from .dual import DualScalar
 from .errors import GeometryError, NonFinite, StepSizeError
-from .lorentz import Vec3L, lorentz_cross, lorentz_dot
+from .lorentz import Vec3L, lorentz_dot
 
 QUAD_PANELS_PER_UNIT = 256
 MIN_QUAD_PANELS = 2
@@ -232,30 +231,39 @@ def frame_residual(e: Vec3L, t: Vec3L, g: Vec3L, signs=(1.0, -1.0, 1.0)) -> floa
     return functools.reduce(np.maximum, terms)
 
 
-def _require_character(ok, message: str) -> None:
-    """StepSizeError unless ``ok`` holds everywhere, carrying the first failing index."""
-    if not np.all(ok):
-        raise StepSizeError(message, index=int(np.argmin(ok)) if np.ndim(ok) else None)
+#: Gram matrix of an orthonormal frame [e t g]
+_SIGNATURE = np.diag([1.0, -1.0, 1.0])
+
+#: half the signature as a column: scales the rows of a Gram matrix for the Newton step
+_HALF_SIGNATURE = 0.5 * np.diag(_SIGNATURE)[:, None]
+
+#: the metric diag(-1, 1, 1) as a column, which scales the rows of a frame matrix
+_METRIC = np.array([[-1.0], [1.0], [1.0]])
 
 
-def lorentz_gram_schmidt(e: Vec3L, t: Vec3L, g: Vec3L):
-    """Re-orthonormalize in the order t, e, g for signature (+, -, +).
+def _gram(frames: np.ndarray) -> np.ndarray:
+    """Gram matrices <F_j, F_k> of a stack of frames F = [e t g] as columns.
 
-    t is normalized timelike, e is projected off t and normalized
-    spacelike, and g is completed as -e x t (the frame's own definition,
-    which also pins the orientation).  Elementwise for frames whose
-    components are arrays; a lost causal character raises StepSizeError
-    with the index of the first such frame.
+    Their largest distance from ``_SIGNATURE`` is what :func:`frame_residual`
+    measures.
     """
-    qt = lorentz_dot(t, t)
-    _require_character(qt < 0.0, "tangent lost its timelike character")
-    t = t / dual.sqrt(-qt)
-    e = e + lorentz_dot(e, t) * t
-    qe = lorentz_dot(e, e)
-    _require_character(qe > 0.0, "ruling lost its spacelike character")
-    e = e / dual.sqrt(qe)
-    g = -lorentz_cross(e, t)
-    return e, t, g
+    return frames.transpose(0, 2, 1) @ (_METRIC * frames)
+
+
+def _project_frames(frames: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """A stack of frames [e t g] (as columns) projected onto signature (+, -, +).
+
+    Two Newton steps F <- F*(1.5*I - S*G/2) toward the frame group, S the
+    signature and G the Gram matrices (the first step's are ``gram``): the
+    Newton-Schulz iteration for the polar factor, which carries over to
+    Lorentz-orthogonal matrices.  Each step squares the drift, so a frame
+    within ``DRIFT_TOL`` comes out orthonormal to roundoff; it keeps its
+    orientation, being a small correction.  The signature is diagonal, so
+    its product with G scales G's rows.  Each frame gets the same bits alone
+    as in any stack.
+    """
+    frames = frames @ (1.5 * np.eye(3) - _HALF_SIGNATURE * gram)
+    return frames @ (1.5 * np.eye(3) - _HALF_SIGNATURE * _gram(frames))
 
 
 def rk4_frame_step(state: FrameState, s: float, h: float,
@@ -264,8 +272,9 @@ def rk4_frame_step(state: FrameState, s: float, h: float,
 
         e' = t,  t' = e + gamma*g,  g' = gamma*t,  c' = delta*e + Delta*g,
 
-    followed by Lorentzian Gram-Schmidt.  Raises StepSizeError if the raw
-    step drifts from orthonormality by more than ``DRIFT_TOL``.
+    followed by the frame projection :func:`_project_frames`.  Raises
+    StepSizeError if the raw step drifts from orthonormality by more than
+    ``DRIFT_TOL``; a NaN drift, from Gram entries that overflow, fails too.
     """
 
     def rates(si, e, t, g, _c):
@@ -286,8 +295,10 @@ def rk4_frame_step(state: FrameState, s: float, h: float,
     g = g0 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
     c = c0 + sixth * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
 
-    drift = frame_residual(e, t, g)
-    if drift > DRIFT_TOL:
+    frame = np.array([tuple(e), tuple(t), tuple(g)]).T[None]
+    gram = _gram(frame)
+    drift = np.abs(gram - _SIGNATURE).max()
+    if not drift <= DRIFT_TOL:
         raise StepSizeError(f"frame drift {drift:.3e} exceeds {DRIFT_TOL:.1e} at s={s}")
-    e, t, g = lorentz_gram_schmidt(e, t, g)
+    e, t, g = (Vec3L.from_checked(*col) for col in _project_frames(frame, gram)[0].T.tolist())
     return FrameState(e, t, g, c)

@@ -34,9 +34,9 @@ the first offending parameter.  A measurement checks finiteness as a node is
 split, in every Vec3L built by arithmetic, and over the grid's frame table
 and the rates, slopes and sums of s and s*.  A reconstruction checks the
 profile values, then the flow's drift (a frame that overflows fails it, so
-the frames that pass enter Gram-Schmidt unchecked, and its Vec3L arithmetic
-checks again), and then each Hermite curve's table as the curve is built,
-which is where an overflow in c, c' or c'' is named.
+the frames that pass are projected as plain arrays, unchecked), and then
+each Hermite curve's table as the curve is built, which is where an
+overflow in c, c' or c'' is named.
 
 Measurements come back as one record per grid, holding one column per
 field (:class:`Columns`): ``frames.gamma`` is an array over the grid, and
@@ -59,9 +59,9 @@ from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFi
                      NullDarboux, ProfileError, StepSizeError)
 from .lorentz import Vec3L, _cross, det3, lorentz_cross, lorentz_dot
 from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
-                       ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, at_points, cumulative_integrate,
-                       frame_residual, hermite_cumulative, integrate, lorentz_gram_schmidt,
-                       simpson_midpoints, value_and_derivative)
+                       ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, _SIGNATURE, _gram,
+                       _project_frames, at_points, cumulative_integrate, frame_residual,
+                       hermite_cumulative, integrate, simpson_midpoints, value_and_derivative)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -476,8 +476,7 @@ def _node_pass(spec: RuledSurfaceSpec, grid: np.ndarray, deriv: str = DUAL_AD,
     return frames, node, lifted
 
 
-def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = False,
-                    grid=None):
+def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = False):
     """Frame columns of either causal class, per unit arc length, on the spec's grid.
 
     s and s* accumulate from parameter 0 over the head nodes, which split
@@ -486,11 +485,9 @@ def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = F
     then over the grid, from the rates v and r = sign*det(c', e, e')/v and
     the slopes v' = -sign*<e', e''>/v and r' = (sign*(det(p'', e, e') +
     det(p', e, e'')) - r*v')/v.  ``lift`` also returns the lifted nodes.
-    ``grid`` is the spec's grid, computed here if not given.
     """
     sign = spec.ruling_sign()
-    if grid is None:
-        grid = spec.grid()
+    grid = spec.grid()
     n = max(MIN_QUAD_PANELS, math.ceil(abs(grid[0]) * QUAD_PANELS_PER_UNIT)) if grid[0] else 0
     head = np.linspace(0.0, grid[0], n + 1)[:-1] if n else np.empty(0)
     frames, node, lifted = _node_pass(spec, grid, deriv, head, lift)
@@ -701,15 +698,6 @@ _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 #: two-point Gauss-Legendre nodes on [0, 1]
 _GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 
-#: Gram matrix of an orthonormal frame [e t g]
-_SIGNATURE = np.diag([1.0, -1.0, 1.0])
-
-#: half the signature as a column: scales the rows of a Gram matrix for the Newton step
-_HALF_SIGNATURE = 0.5 * np.diag(_SIGNATURE)[:, None]
-
-#: the metric diag(-1, 1, 1) as a column, which scales the rows of a frame matrix
-_METRIC = np.array([[-1.0], [1.0], [1.0]])
-
 
 def _profile_values(f, name: str, s: np.ndarray, slope: bool = False) -> np.ndarray:
     """Rows (f,) or, with ``slope``, (f, f') of the profile function ``name`` on the nodes ``s``.
@@ -796,9 +784,11 @@ def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int) -> np.ndarra
     (sqrt 3/12)*h^2*[K1, K2] at the two Gauss points of the step, and the
     same step down by exp(-Omega).  The raw frames must stay within
     ``DRIFT_TOL`` of orthonormality (else StepSizeError, also for frames that
-    overflow, so every frame that passes is finite) and are then
-    re-orthonormalized on contiguous component rows: table[i, c] is
-    component c of e, t or g (i = 0, 1, 2) over the nodes.
+    overflow, so every frame that passes is finite) and are then projected
+    by :func:`~dlgeom.numerics._project_frames`, whose first Newton step
+    reuses the drift check's Gram matrices.  The table is contiguous by
+    component: table[i, c] is component c of e, t or g (i = 0, 1, 2) over
+    the nodes.
     """
     h = np.diff(s)
     gauss = (s[:-1, None] + h[:, None] * _GAUSS).ravel()
@@ -817,24 +807,15 @@ def _frame_flow(gamma, frame: np.ndarray, s: np.ndarray, seed: int) -> np.ndarra
         down = _prefix_products(np.concatenate([frame[None], steps[:seed][::-1]]))
         up = _prefix_products(np.concatenate([frame[None], steps[seed:]]))
         frames = np.concatenate([down[:0:-1], up])
-        # Gram matrices <F_j, F_k>; their distance from diag(1, -1, 1) is frame_residual
-        gram = frames.transpose(0, 2, 1) @ (_METRIC * frames)
+        gram = _gram(frames)
         drift = np.abs(gram - _SIGNATURE).reshape(-1, 9)
         # written so that a NaN drift fails too; the node is looked up only then
         if not drift.max() <= DRIFT_TOL:
             bad = ~(drift.max(axis=1) <= DRIFT_TOL)
             raise StepSizeError(f"frame drift {drift.max():.3e} exceeds {DRIFT_TOL:.1e} "
                                 f"at s={float(s[np.argmax(bad)])!r}")
-        # one Newton step toward the signature first leaves Gram-Schmidt only
-        # roundoff to correct, which keeps the measured invariants at roundoff too;
-        # the signature is diagonal, so its product with gram scales gram's rows
-        frames = frames @ (1.5 * np.eye(3) - _HALF_SIGNATURE * gram)
         # (column, component, node): each of e, t, g as three contiguous rows
-        rows = np.ascontiguousarray(frames.transpose(2, 1, 0))
-        e, t, g = lorentz_gram_schmidt(*(Vec3L.from_checked(*x) for x in rows))
-        for out, vec in zip(rows, (e, t, g)):
-            out[0], out[1], out[2] = vec
-    return rows
+        return np.ascontiguousarray(_project_frames(frames, gram).transpose(2, 1, 0))
 
 
 def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfaceSpec:
@@ -849,10 +830,10 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     c'' (exact for cubics).  ``s_grid`` must be ``np.linspace`` of its ends
     and length, to a few ulps of the larger end, because the returned spec
     samples exactly that grid; any other grid raises ValueError naming its
-    first point off it.  Every grid interval takes the same whole number
-    ceil(h*ODE_STEPS_PER_UNIT) of equal steps, h the grid spacing, so every
-    grid point is a node of the flow.  Frame
-    measurement anchors s and s* at parameter 0, so a grid that does not
+    first point off it, and a decreasing one naming both ends.  Every grid
+    interval takes the same whole number ceil(h*ODE_STEPS_PER_UNIT) of equal
+    steps, h the grid spacing, so every grid point is a node of the flow.
+    Frame measurement anchors s and s* at parameter 0, so a grid that does not
     contain 0 is joined to it by ceil(|x|*ODE_STEPS_PER_UNIT) equal steps
     from its nearer end x (the profile must be defined in between), and a
     one-point grid at 0 takes one step to 1/ODE_STEPS_PER_UNIT.  One flow
@@ -878,6 +859,8 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
+    if s_end < s0:
+        raise ValueError(f"reconstruction grid decreases from {s0!r} to {s_end!r}")
     even = np.linspace(s0, s_end, len(s_grid))
     off = ~(np.abs(s_grid - even) <= 4.0 * np.spacing(max(abs(s0), abs(s_end))))
     if np.any(off):

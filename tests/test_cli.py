@@ -17,6 +17,7 @@ import pytest
 import dlgeom.cli as cli
 import dlgeom.errors as errors
 import dlgeom.ruled as ruled
+from dlgeom import catalog
 from dlgeom.cli import build_parser, main
 from dlgeom.dual import DualScalar
 from dlgeom.errors import DivisionByPureDual
@@ -85,6 +86,21 @@ def test_frames_rejects_bad_catalog_params(tmp_path, capsys):
     errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [e["error"] for e in errors] == ["SpecFileError"] * 2
     assert "a^2 + b^2 = 1" in errors[0]["message"] and "b != 0" in errors[1]["message"]
+
+
+@pytest.mark.parametrize("make", [catalog.cone, catalog.helicoidal],
+                         ids=["cone", "helicoidal"])
+def test_a_catalog_spec_without_params_takes_the_catalog_defaults(tmp_path, make):
+    domain = {"s_min": 0.05, "s_max": 0.95, "samples": 21}
+    spec = cli.load_surface_spec(_spec(tmp_path, {"catalog": make.__name__, "params": {},
+                                                  "domain": domain}))
+    want = make(domain=(0.05, 0.95), samples=21)
+    assert (spec.name, spec.domain, spec.samples) == (want.name, want.domain, want.samples)
+    got, ref = ruled.darboux_frame(spec), ruled.darboux_frame(want)
+    for field in ("s", "gamma", "delta", "Delta", "s_star"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+    for field in ("e", "t", "g", "striction_point"):
+        assert all(np.array_equal(x, y) for x, y in zip(getattr(got, field), getattr(ref, field)))
 
 
 def test_frames_rejects_reversed_domain(tmp_path):

@@ -409,6 +409,14 @@ def test_verify_offset_rejects_a_tolerance_that_is_not_positive_and_finite(toler
         verify_offset(_heli(samples=11), PARAMS, tolerance=tolerance)
 
 
+def test_verify_offset_passes_exactly_when_every_residual_is_within_the_tolerance():
+    spec = _heli(samples=11)
+    worst = max(verify_offset(spec, PARAMS).residual_max.values())
+    assert worst > 0.0
+    assert not verify_offset(spec, PARAMS, tolerance=0.5 * worst).passed
+    assert verify_offset(spec, PARAMS, tolerance=2.0 * worst).passed
+
+
 def _heli_offset():
     base = _heli(samples=11)
     frames = darboux_frame(base)
@@ -449,17 +457,18 @@ def test_verify_offset_measures_the_offset_nodes_bit_for_bit(samples):
 @pytest.mark.parametrize("domain", [(0.05, 0.95), (0.0, 1.0)], ids=["head", "no-head"])
 def test_a_measurement_computes_the_spec_grid_once(domain, monkeypatch):
     # the offset samples the base's domain at the base's count, so verify_offset
-    # measures both on the one base grid
+    # takes the base grid once for each of its stages: the base measurement,
+    # the offset's construction and the offset's measurement
     calls = []
     real = RuledSurfaceSpec.grid
     monkeypatch.setattr(RuledSurfaceSpec, "grid",
                         lambda spec: calls.append(spec.name) or real(spec))
     base = catalog.helicoidal(domain=domain, samples=21)
-    for measure in (darboux_frame, lambda b: darboux_frame(b, CENTRAL_FD),
-                    lambda b: verify_offset(b, MannheimParams(1.0, 0.1))):
+    for measure, count in ((darboux_frame, 1), (lambda b: darboux_frame(b, CENTRAL_FD), 1),
+                           (lambda b: verify_offset(b, MannheimParams(1.0, 0.1)), 3)):
         calls.clear()
         measure(base)
-        assert calls == [base.name]
+        assert calls == [base.name] * count
 
 
 def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
@@ -680,6 +689,35 @@ def test_a_designed_offset_of_a_reconstruction_is_developable_everywhere(form, l
     else:
         assert np.max(np.abs(Delta1)) > 1e-2
     assert not (dev.base_developable or dev.theta_star_constant)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-5])
+def test_developability_of_a_Delta_column_flips_at_the_tolerance(tol):
+    # the base and the offset locus read |Delta| and |Delta1| against tol itself
+    frames = darboux_frame(_cone(samples=4))
+    angles = offset_angles(frames, PARAMS)
+    near = dataclasses.replace(frames, Delta=np.array([0.5, -0.5, 0.5, -0.5]) * tol)
+    dev = developability_check(near, angles, near, tol=tol)
+    assert dev.base_developable and dev.offset_developable_locus == frames.s.tolist()
+    mixed = dataclasses.replace(frames, Delta=np.array([0.5, 2.0, -0.5, -2.0]) * tol)
+    dev = developability_check(mixed, angles, mixed, tol=tol)
+    assert not dev.base_developable
+    assert dev.offset_developable_locus == frames.s[[0, 2]].tolist()
+
+
+@pytest.mark.parametrize("domain,spread,constant", [
+    ((0.05, 0.95), 0.5, True), ((0.05, 0.95), 2.0, False), ((0.0, 3.0), 2.0, True),
+    ((0.0, 3.0), 4.0, False),
+], ids=["short-half", "short-double", "long-double", "long-quadruple"])
+def test_theta_star_constant_flips_at_the_tolerance_times_the_arc_length(domain, spread,
+                                                                         constant):
+    # the spread of theta* is judged against tol*max(1, s_end - s_start)
+    tol = 1e-8
+    frames = darboux_frame(_cone(samples=4, domain=domain))
+    angles = dataclasses.replace(offset_angles(frames, PARAMS),
+                                 theta_star=np.array([0.0, spread, 0.5 * spread, 0.0]) * tol)
+    dev = developability_check(frames, angles, frames, tol=tol)
+    assert dev.theta_star_constant is constant
 
 
 def test_developability_check_flags_coth_singularity():

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from dlgeom import catalog
+from dlgeom import catalog, ruled
 from dlgeom.dual import DualScalar
 from dlgeom.errors import NonFinite, StepSizeError
-from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
-from dlgeom.numerics import (FD_STEP, MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT, FrameState,
-                             at_points, cumulative_integrate, frame_residual, hermite_cumulative,
-                             integrate, lorentz_gram_schmidt, rk4_frame_step, simpson_midpoints,
-                             value_and_derivative)
+from dlgeom.lorentz import Vec3L, lorentz_dot
+from dlgeom.numerics import (DRIFT_TOL, FD_STEP, MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT, FrameState,
+                             _gram, _project_frames, at_points, cumulative_integrate,
+                             frame_residual, hermite_cumulative, integrate, rk4_frame_step,
+                             simpson_midpoints, value_and_derivative)
 
 
 def _ad(curve, u):
@@ -298,33 +298,48 @@ def test_rk4_step_size_error():
         rk4_frame_step(state, 0.0, 5.0, lambda s: 0.75, lambda s: 0.0, lambda s: 0.0)
 
 
-def test_gram_schmidt_restores_orthonormality():
-    e = Vec3L(1e-4, 0.8001, 0.6)
-    t = Vec3L(1.0, 1e-4, -2e-4)
-    g = Vec3L(-3e-4, 0.6, -0.8002)
-    e2, t2, g2 = lorentz_gram_schmidt(e, t, g)
-    assert frame_residual(e2, t2, g2) < 1e-12
-    assert max(abs(x - y) for x, y in zip(g2, -lorentz_cross(e2, t2))) == 0.0
+def _cone_stack(*shape):
+    """The cone frame [e t g] as columns, broadcast to ``shape`` + (3, 3)."""
+    return np.broadcast_to(np.column_stack([tuple(v) for v in (CONE_E0, CONE_T0, CONE_G0)]),
+                           (*shape, 3, 3))
 
 
-def test_gram_schmidt_works_elementwise_on_arrays():
+def _residuals(table):
+    """frame_residual of each frame of a (column, component, node) table."""
+    return frame_residual(*(Vec3L(*x) for x in table))
+
+
+def test_the_flow_projects_a_drift_just_under_the_tolerance_to_roundoff(monkeypatch):
+    # one Magnus step scaled by 1 + 4e-7 scales every later frame, and their Gram
+    # entries by about 1 + 8e-7; each Newton step squares that drift, and one
+    # alone leaves about 5e-13
+    real_exp, real_project, drifts = ruled._exp_so21, ruled._project_frames, []
+
+    def scaled(w):
+        steps = real_exp(w)
+        steps[0] *= 1.0 + 4e-7
+        return steps
+
+    def project(frames, gram):
+        drifts.append(np.max(np.abs(gram - np.diag([1.0, -1.0, 1.0]))))
+        return real_project(frames, gram)
+
+    monkeypatch.setattr(ruled, "_exp_so21", scaled)
+    monkeypatch.setattr(ruled, "_project_frames", project)
+    s = np.linspace(0.0, 1.0, 1001)
+    table = ruled._frame_flow(lambda x: 0.75 + 0.3 * np.sin(x), _cone_stack(), s, 0)
+    assert 7e-7 < drifts[0] < DRIFT_TOL
+    assert np.max(_residuals(table)) <= 1e-14
+
+
+def test_projecting_a_stack_gives_each_frame_the_bits_it_gets_alone():
     rng = np.random.default_rng(7)
-    base = [np.array(tuple(v)) for v in (CONE_E0, CONE_T0, CONE_G0)]
-    noisy = [b + 1e-4 * rng.standard_normal((5, 3)) for b in base]
-    e, t, g = lorentz_gram_schmidt(*(Vec3L(*x.T) for x in noisy))
-    assert np.max(frame_residual(e, t, g)) < 1e-12
+    stack = _cone_stack(5) + 1e-7 * rng.standard_normal((5, 3, 3))
+    out = _project_frames(stack, _gram(stack))
+    assert np.max(_residuals(out.transpose(2, 1, 0))) <= 1e-15
     for i in range(5):
-        rows = lorentz_gram_schmidt(*(Vec3L(*x[i]) for x in noisy))
-        for got, want in zip((e, t, g), rows):
-            assert [c[i] for c in got] == list(want)
-
-
-def test_gram_schmidt_names_the_first_lost_character():
-    t = Vec3L(np.array([1.0, 1.0, 0.1]), np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    e = Vec3L(np.zeros(3), np.full(3, 0.8), np.full(3, 0.6))
-    with pytest.raises(StepSizeError, match="timelike") as info:
-        lorentz_gram_schmidt(e, t, e)
-    assert info.value.index == 2
+        alone = _project_frames(stack[i:i + 1], _gram(stack[i:i + 1]))
+        assert np.array_equal(out[i], alone[0])
 
 
 def test_frame_residual_signature():

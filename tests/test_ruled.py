@@ -1034,10 +1034,32 @@ def test_reconstruct_rejects_an_empty_grid():
         reconstruct_from_invariants(prof, [])
 
 
+def test_reconstruct_rejects_a_decreasing_grid_before_the_flow(monkeypatch):
+    # linspace(1, 0, 6) is evenly spaced, but the spec's domain must not be empty
+    monkeypatch.setattr(ruled, "_frame_flow", None)
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(ValueError, match=r"^reconstruction grid decreases from 1\.0 to 0\.0$"):
+        reconstruct_from_invariants(prof, np.linspace(1.0, 0.0, 6))
+
+
 def test_profile_rejects_skew_frame():
     with pytest.raises(FrameDegeneracy):
         InvariantProfile.from_constants(0.75, 0.0, 0.0, CONE_E0, CONE_T0,
                                         Vec3L(0.0, -0.6, 0.8), ORIGIN)
+
+
+@pytest.mark.parametrize("scale,message", [(5e-9, r"by 1\.000e-08$"), (5e-11, None)],
+                         ids=["1e-8", "1e-10"])
+def test_profile_frame_check_sits_at_1e_9(scale, message):
+    # e0 scaled by 1 + k is off orthonormality by about 2k in <e0, e0>
+    e0 = Vec3L(0.0, 0.8 * (1.0 + scale), 0.6 * (1.0 + scale))
+    make = functools.partial(InvariantProfile.from_constants, 0.75, 0.2, 0.1, e0, CONE_T0,
+                             CONE_G0, ORIGIN)
+    if message is None:
+        make()
+    else:
+        with pytest.raises(FrameDegeneracy, match=message):
+            make()
 
 
 def test_profile_rejects_a_seed_whose_gram_entries_overflow():
