@@ -128,6 +128,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _number(value, what: str) -> float:
+    # a JSON true or false is no number, though float() takes it
+    _require(not isinstance(value, bool), f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError):
@@ -160,8 +162,9 @@ def _domain(data: dict, samples=None) -> tuple[float, float, int]:
     return _number(dom.get("s_min", 0.0), "s_min"), _number(dom.get("s_max", 1.0), "s_max"), samples
 
 
-#: the parameters a spec file may give each catalog surface, in the order they are checked
-_CATALOG_PARAMS = {"cone": ("a", "b", "c0"), "helicoidal": ("a", "b", "c0", "delta0", "Delta0")}
+#: the parameters a spec file may give each surface, in the order they are checked
+_CATALOG_PARAMS = {"cone": ("a", "b", "c0"), "helicoidal": ("a", "b", "c0", "delta0", "Delta0"),
+                   "custom": ()}
 
 
 def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSurfaceSpec:
@@ -171,9 +174,13 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     _require(samples >= 3, f"samples must be >= 3, got {samples}")
 
     kind = data.get("catalog", "custom")
+    _require(isinstance(kind, str) and kind in _CATALOG_PARAMS, f"unknown catalog entry {kind!r}")
     params = data.get("params", {})
     _require(isinstance(params, dict), "'params' must be an object")
-    if kind in ("cone", "helicoidal"):
+    unknown = [k for k in params if k not in _CATALOG_PARAMS[kind]]
+    _require(not unknown, f"unknown params {unknown} for {kind!r}, "
+                          f"which takes {list(_CATALOG_PARAMS[kind])}")
+    if kind != "custom":
         # the catalog keeps the defaults of the keys the file leaves out
         given = {k: (_vector if k == "c0" else _number)(params[k], k)
                  for k in _CATALOG_PARAMS[kind] if k in params}
@@ -182,22 +189,20 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
         except ValueError as exc:
             # the catalog's own checks of a and b
             raise SpecFileError(str(exc)) from None
-    if kind == "custom":
-        custom = data.get("custom", {})
-        _require(isinstance(custom, dict) and "e" in custom and "c" in custom,
-                 "custom spec needs 'custom': {'e': [...3 exprs], 'c': [...3 exprs]}")
-        surface_kind = custom.get("kind", SPACELIKE_SURFACE)
-        _require(surface_kind in (SPACELIKE_SURFACE, TIMELIKE_SURFACE),
-                 f"unknown surface kind {surface_kind!r}")
-        return RuledSurfaceSpec(
-            indicatrix=compile_curve_expr(custom["e"]),
-            base_curve=compile_curve_expr(custom["c"]),
-            domain=(s_min, s_max),
-            samples=samples,
-            kind=surface_kind,
-            name="custom",
-        )
-    raise SpecFileError(f"unknown catalog entry {kind!r}")
+    custom = data.get("custom", {})
+    _require(isinstance(custom, dict) and "e" in custom and "c" in custom,
+             "custom spec needs 'custom': {'e': [...3 exprs], 'c': [...3 exprs]}")
+    surface_kind = custom.get("kind", SPACELIKE_SURFACE)
+    _require(surface_kind in (SPACELIKE_SURFACE, TIMELIKE_SURFACE),
+             f"unknown surface kind {surface_kind!r}")
+    return RuledSurfaceSpec(
+        indicatrix=compile_curve_expr(custom["e"]),
+        base_curve=compile_curve_expr(custom["c"]),
+        domain=(s_min, s_max),
+        samples=samples,
+        kind=surface_kind,
+        name="custom",
+    )
 
 
 def _write_json(path: str, payload) -> None:
@@ -311,7 +316,7 @@ def cmd_mesh(args) -> int:
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
-        off = construct_offset(spec, darboux_frame(spec), params)
+        off = construct_offset(spec, params)
         meshes.append(("offset", striction_jet(off)))
 
     u_grid = spec.grid()

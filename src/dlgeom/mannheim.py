@@ -21,9 +21,9 @@ nodes by their exact u-rates, so no arc-length reparametrization is needed;
 like every spec's, its closures evaluate whole arrays of samples, and real u as
 u + eps*0: one route reads one base node and one quadrature of both angles, and
 divides by the lifted indicatrix speed once, for both closures.  The
-base, its measured frames and the constants c + eps*c* (:class:`MannheimParams`)
-fix the offset, so :func:`construct_offset` takes just those and works
-the angles out itself.
+base and the constants c + eps*c* (:class:`MannheimParams`) fix the
+offset, so :func:`construct_offset` takes just those, measures the base
+and works the angles out itself.
 :func:`verify_offset` measures in dual-AD only: it evaluates the base once, at
 u + eps on the nodes of its measurement, reads the base frames off the real
 parts and the offset's closures off the rest, re-measures the invariants from
@@ -45,7 +45,7 @@ from .dual import DualScalar, dual_vector, leading_real, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import det3, lorentz_cross
 from .numerics import integrate
-from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec,
+from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
                     tangent_speed, timelike_radius, _exact_node, _measure_frames, _node_pass,
                     _striction_jet)
 
@@ -179,37 +179,35 @@ def _real_as_dual(f):
     return lambda u: f(u) if isinstance(u, DualScalar) else f(DualScalar(u, 0.0)).re
 
 
-def construct_offset(base: RuledSurfaceSpec, frames: FrameSample,
-                     params: MannheimParams) -> RuledSurfaceSpec:
+def construct_offset(base: RuledSurfaceSpec, params: MannheimParams) -> RuledSurfaceSpec:
     """Build the Mannheim offset surface of a spacelike base, in the base's parameter.
 
-    The ruling is rotated into the timelike direction
-    ``e1 = sinh(theta)*e + cosh(theta)*t`` and the striction line shifted
-    by theta* along g.  theta(u) = c - s(u) and theta*(u) = c* - s*(u) take
-    the values of ``offset_angles(frames, params)`` at the grid nodes and
-    the rates -ds/du and -Delta*ds/du in between.  Every derivative is
-    exact, whatever derivative mode measured ``frames``, which must sample
-    the base grid.  A real u is taken as u + eps*0, and at u both closures
-    read one node (c, c', e, e', e'', ...) of the base striction jet at u.re,
-    kept for the last u: c, e and e' are lifted from it as x + eps*u.du*x',
-    and theta and theta* from their values at u's leading real by their
-    rates -v and -det(c', e, e')/v at u.re, v = |e'|.  The node also keeps
-    1/v of the lifted e', so e1 = sinh(theta)*e + (cosh(theta)/v)*e' and
-    c1 = c + (theta*/v)*(e' x e) divide by the lifted speed once between
-    them.  The closures take arrays: off the nodes theta and theta* are one
-    quadrature call per array, of both rates at once.  A stalling or non-finite
-    gamma*cosh(theta) raises DegenerateOffset naming the first such s, and
-    so does a gamma that changes sign between two nodes, naming both s.
+    The base is measured by :func:`~dlgeom.ruled.darboux_frame`, so one
+    that is not spacelike raises ValueError at once.  The ruling is rotated
+    into the timelike direction ``e1 = sinh(theta)*e + cosh(theta)*t`` and
+    the striction line shifted by theta* along g.  theta(u) = c - s(u) and
+    theta*(u) = c* - s*(u) take the values of ``offset_angles(frames,
+    params)`` at the grid nodes and the rates -ds/du and -Delta*ds/du in
+    between.  Every derivative is exact.  A real u is taken as u + eps*0,
+    and at u both closures read one node (c, c', e, e', e'', ...) of the
+    base striction jet at u.re, kept for the last u: c, e and e' are lifted
+    from it as x + eps*u.du*x', and theta and theta* from their values at
+    u's leading real by their rates -v and -det(c', e, e')/v at u.re,
+    v = |e'|.  The node also keeps 1/v of the lifted e', so
+    e1 = sinh(theta)*e + (cosh(theta)/v)*e' and c1 = c + (theta*/v)*(e' x e)
+    divide by the lifted speed once between them.  The closures take arrays:
+    off the nodes theta and theta* are one quadrature call per array, of
+    both rates at once.  A stalling or non-finite gamma*cosh(theta) raises
+    DegenerateOffset naming the first such s, and so does a gamma that
+    changes sign between two nodes, naming both s.
     """
-    return _build_offset(base, frames, params)
+    return _build_offset(base, darboux_frame(base), params)
 
 
 def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimParams,
                   rows=None) -> RuledSurfaceSpec:
-    """:func:`construct_offset`; given the lifted base ``rows`` of :func:`verify_offset`'s
-    offset pass, its dual closures read them instead of evaluating the base."""
-    if len(frames) != base.samples:
-        raise ValueError("frames must sample the base grid")
+    """:func:`construct_offset` from the base ``frames``; given the lifted base ``rows`` of
+    :func:`verify_offset`'s offset pass, its dual closures read them instead of the base."""
     angles = offset_angles(frames, params)
     with np.errstate(over="ignore"):
         speed1 = np.abs(frames.gamma * np.cosh(angles.theta))
@@ -315,10 +313,10 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, *,
     means all maxima sit below the theorem tolerance.
 
     Both measurements are dual-AD.  The offset measured by central
-    differences is ``timelike_invariants(construct_offset(base,
-    darboux_frame(base, "central-fd"), params), "central-fd")``, a
-    cross-check with no verdict.  ``tolerance``, keyword-only, defaults to
-    1e-8; one that is not positive and finite raises ValueError.
+    differences is ``timelike_invariants(construct_offset(base, params),
+    "central-fd")``, a cross-check with no verdict.  ``tolerance``,
+    keyword-only, defaults to 1e-8; one that is not positive and finite
+    raises ValueError.
     """
     if tolerance is None:
         tolerance = 1e-8

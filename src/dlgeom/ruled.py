@@ -182,7 +182,7 @@ class FrameSample(Columns):
     s_star: float
     gamma_dual: DualScalar
     striction_point: Vec3L
-    ds_du: float = 1.0
+    ds_du: float
 
     def dual_e(self) -> Vec3L:
         return dual_vector(self.e, lorentz_cross(self.striction_point, self.e))

@@ -56,7 +56,7 @@ def mannheim_run():
                               domain=(0.05, 0.95), samples=1001)
     frames = darboux_frame(base)
     angles = offset_angles(frames, MANNHEIM_PARAMS)
-    offset = construct_offset(base, frames, MANNHEIM_PARAMS)
+    offset = construct_offset(base, MANNHEIM_PARAMS)
     measured = timelike_invariants(offset)
     report = verify_offset(base, MANNHEIM_PARAMS)
     return base, frames, angles, offset, measured, report
@@ -309,7 +309,7 @@ def test_criterion_9_developability():
     # offset locus: measured Delta1 crosses zero exactly at the closed-form root
     params = MannheimParams(1.0, 0.5)
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=181)
-    offset = construct_offset(base, darboux_frame(base), params)
+    offset = construct_offset(base, params)
 
     def delta1_closed(s):
         return -(0.5 - 0.1 * s) * math.tanh(1.0 - s) + 0.2 / 0.75

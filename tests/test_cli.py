@@ -41,6 +41,17 @@ def _custom(w="u"):
     }
 
 
+def _profile_payload(**overrides):
+    payload = {
+        "gamma": 0.75, "delta": 0.2, "Delta": 0.1,
+        "frame": {"e": [0.0, 0.8, 0.6], "t": [1.0, 0.0, 0.0],
+                  "g": [0.0, 0.6, -0.8], "c": [0.0, 0.0, 0.0]},
+        "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
+    }
+    payload.update(overrides)
+    return payload
+
+
 def _spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -230,19 +241,61 @@ def _last_error(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("domain,params,flags", [
-    ({"s_min": "abc"}, {}, []),
-    ({"samples": "x"}, {}, []),
-    ({}, {"c0": [0, 0]}, []),
-    ({"s_max": math.inf}, {}, []),
-    ({}, {}, ["--samples", "0"]),
-], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite", "samples-zero"])
-def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags):
+@pytest.mark.parametrize("domain,params,flags,named", [
+    ({"s_min": "abc"}, {}, [], "s_min"),
+    ({"samples": "x"}, {}, [], "samples"),
+    ({}, {"c0": [0, 0]}, [], "c0"),
+    ({"s_max": math.inf}, {}, [], "s_max"),
+    ({}, {}, ["--samples", "0"], "samples"),
+    ({}, {"Delta_0": 0.5, "delta0": 0.3}, [], "Delta_0"),
+    ({"s_min": True, "s_max": 1.5}, {}, [], "s_min"),
+], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite", "samples-zero",
+        "params-misspelt", "s_min-boolean"])
+def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags, named):
     payload = {**HELI, "domain": {**HELI["domain"], **domain},
                "params": {**HELI["params"], **params}}
     assert main(["frames", "--input", _spec(tmp_path, payload),
                  "--out", str(tmp_path / "x.csv"), *flags]) == 2
-    assert _last_error(capsys)["error"] == "SpecFileError"
+    error = _last_error(capsys)
+    assert error["error"] == "SpecFileError" and named in error["message"]
+
+
+def _directrix(*c):
+    """The custom spec of :func:`_custom` with the directrix components ``c``."""
+    payload = _custom()
+    return {**payload, "custom": {**payload["custom"], "c": list(c)}}
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("frames", json.dumps(_directrix("0.1*x", "0", "0")),
+     "unknown name 'x' in '0.1*x' (the variable is 'u')"),
+    ("frames", json.dumps(_directrix("u**2", "0", "0")),
+     ("unsupported syntax BinOp(", "op=Pow()", ") in 'u**2'")),
+    ("frames", json.dumps(_directrix("log(u)", "0", "0")),
+     "only ['cos', 'cosh', 'exp', 'sin', 'sinh'] calls allowed in 'log(u)'"),
+    ("frames", json.dumps(_directrix("0.1*(u", "0", "0")),
+     ("cannot parse expression '0.1*(u': ", "line 1)")),
+    ("frames", json.dumps(_directrix("0.1*u", "0")),
+     "a curve needs exactly 3 component expressions"),
+    ("frames", json.dumps({**_custom(), "params": {"a": 0.6}}),
+     "unknown params ['a'] for 'custom', which takes []"),
+    ("frames", json.dumps({**HELI, "catalog": "sphere"}), "unknown catalog entry 'sphere'"),
+    ("frames", '{"catalog": "cone",', ("invalid JSON in {path}: ", "line 1 column 20 (char 19)")),
+    ("reconstruct", json.dumps(_profile_payload(gamma=[0.75])),
+     "profile entry 'gamma' must be a number or expression string"),
+], ids=["unknown-name", "power", "call-outside-the-lifts", "syntax-error", "two-components",
+        "custom-params", "unknown-catalog-entry", "invalid-json", "profile-list-entry"])
+def test_a_file_outside_the_grammar_exits_2_naming_why(tmp_path, capsys, command, text, message):
+    # a tuple gives the pieces of a message whose wording between them varies
+    # with the Python version
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "x")]) == 2
+    error = _last_error(capsys)
+    pieces = message if isinstance(message, tuple) else (message,)
+    assert error["error"] == "SpecFileError"
+    assert re.fullmatch(".*".join(re.escape(p.format(path=path)) for p in pieces),
+                        error["message"]), error["message"]
 
 
 @pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
@@ -522,9 +575,8 @@ def test_mesh_offset_object(tmp_path):
     # offset ruling at each s: vertex(v=1) - vertex(v=0) equals e1(s)
     from dlgeom import catalog
     from dlgeom.mannheim import MannheimParams, construct_offset
-    from dlgeom.ruled import darboux_frame
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=7)
-    off = construct_offset(base, darboux_frame(base), MannheimParams(1.0, 0.0))
+    off = construct_offset(base, MannheimParams(1.0, 0.0))
     for i, s in enumerate(base.grid()):
         lo = verts[14 + 2 * i]
         hi = verts[14 + 2 * i + 1]
@@ -535,17 +587,6 @@ def test_mesh_offset_object(tmp_path):
 
 # ---------------------------------------------------------------------------
 # reconstruct
-
-def _profile_payload(**overrides):
-    payload = {
-        "gamma": 0.75, "delta": 0.2, "Delta": 0.1,
-        "frame": {"e": [0.0, 0.8, 0.6], "t": [1.0, 0.0, 0.0],
-                  "g": [0.0, 0.6, -0.8], "c": [0.0, 0.0, 0.0]},
-        "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
-    }
-    payload.update(overrides)
-    return payload
-
 
 def test_reconstruct_cone_profile(tmp_path):
     prof = _profile_payload(gamma=0.75, delta=0.0, Delta=0.0)
@@ -703,16 +744,21 @@ def test_reconstruct_rejects_a_seed_whose_gram_entries_overflow(tmp_path, capsys
     assert error["message"].startswith("profile frame seed rejected")
 
 
-@pytest.mark.parametrize("field,value", [
-    ("domain", {"s_min": "abc", "s_max": 1.0, "samples": 11}),
-    ("domain", {"s_min": 0.0, "s_max": 1.0, "samples": "x"}),
-    ("frame", {"e": [0.0, 0.8], "t": [1.0, 0.0, 0.0], "g": [0.0, 0.6, -0.8], "c": [0, 0, 0]}),
-], ids=["s_min-text", "samples-text", "e-two-elements"])
-def test_reconstruct_malformed_profile_exits_2(tmp_path, capsys, field, value):
+@pytest.mark.parametrize("field,value,named", [
+    ("domain", {"s_min": "abc", "s_max": 1.0, "samples": 11}, "s_min"),
+    ("domain", {"s_min": 0.0, "s_max": 1.0, "samples": "x"}, "samples"),
+    ("frame", {"e": [0.0, 0.8], "t": [1.0, 0.0, 0.0], "g": [0.0, 0.6, -0.8], "c": [0, 0, 0]},
+     "frame e"),
+    ("gamma", True, "gamma"),
+    ("frame", {"e": [0.0, 0.8, 0.6], "t": [True, 0, 0], "g": [0.0, 0.6, -0.8], "c": [0, 0, 0]},
+     "frame t"),
+], ids=["s_min-text", "samples-text", "e-two-elements", "gamma-boolean", "t-boolean"])
+def test_reconstruct_malformed_profile_exits_2(tmp_path, capsys, field, value, named):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps(_profile_payload(**{field: value})))
     assert main(["reconstruct", "--input", str(path), "--out", str(tmp_path / "r")]) == 2
-    assert _last_error(capsys)["error"] == "SpecFileError"
+    error = _last_error(capsys)
+    assert error["error"] == "SpecFileError" and named in error["message"]
 
 
 # ---------------------------------------------------------------------------

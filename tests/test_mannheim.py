@@ -72,8 +72,7 @@ def test_offset_angles_at_grid_origin():
 
 def test_offset_ruling_is_unit_timelike():
     base = _heli()
-    frames = darboux_frame(base)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     for s in off.grid():
         e1 = off.indicatrix(float(s))
         assert lorentz_dot(e1, e1) == pytest.approx(-1.0, abs=1e-12)
@@ -86,7 +85,7 @@ def test_offset_at_theta_zero_sample():
     sample = frames[5]
     params = MannheimParams(c=sample.s, c_star=0.2)
     angles = offset_angles(frames, params)
-    off = construct_offset(base, frames, params)
+    off = construct_offset(base, params)
     e1 = off.indicatrix(sample.s)
     assert max(abs(x - y) for x, y in zip(e1, sample.t)) < 1e-12
     c1 = off.base_curve(sample.s)
@@ -108,7 +107,6 @@ def test_offset_closures_called_alternately_match_a_fresh_offset():
     # alternate between parameters, or change only the dual slot, must not
     # read a node left by another u
     base = _heli(samples=21)
-    frames = darboux_frame(base)
     grid = base.grid()
 
     def at(points, slot=1.0):
@@ -116,11 +114,11 @@ def test_offset_closures_called_alternately_match_a_fresh_offset():
 
     u1, u2 = at(grid), at(grid[::-1] * 0.9 + 0.06)
     u3 = DualScalar(u1.re, 0.5)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     calls = [("indicatrix", u1), ("base_curve", u2), ("indicatrix", u2), ("base_curve", u1),
              ("base_curve", u3), ("indicatrix", u3), ("indicatrix", u1), ("base_curve", u1)]
     for name, u in calls:
-        fresh = getattr(construct_offset(base, frames, PARAMS), name)(u)
+        fresh = getattr(construct_offset(base, PARAMS), name)(u)
         assert _leaf_bytes(getattr(off, name)(u)) == _leaf_bytes(fresh), name
 
 
@@ -129,7 +127,7 @@ def test_offset_closures_off_the_nodes_match_their_closed_forms():
     # theta* = c* - Delta0*u everywhere; between the nodes, before the grid and
     # past its end the angles come from one quadrature of their rates
     base = catalog.helicoidal(0.6, 0.8, 0.2, 0.1, domain=(0.05, 0.95), samples=11)
-    off = construct_offset(base, darboux_frame(base), MannheimParams(1.0, 0.3))
+    off = construct_offset(base, MannheimParams(1.0, 0.3))
     grid = base.grid()
     u = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), np.linspace(0.0, 0.05, 5)[:-1],
                         [1.0, 1.2]])
@@ -156,7 +154,7 @@ def test_a_node_evaluated_alone_gets_the_bits_of_its_grid_column(case):
     else:
         spec = catalog.helicoidal(0.6, 0.8, 0.2, 0.1, domain=(0.05, 0.95), samples=11)
     if case == "offset":
-        spec = construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.3))
+        spec = construct_offset(spec, MannheimParams(1.0, 0.3))
     grid = spec.grid()
     for name in ("indicatrix", "base_curve"):
         f = getattr(spec, name)
@@ -168,7 +166,7 @@ def test_a_node_evaluated_alone_gets_the_bits_of_its_grid_column(case):
 def test_mannheim_condition_dual_vector_equality():
     base = _heli()
     frames = darboux_frame(base)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     measured = timelike_invariants(off)
     for f, m in zip(frames, measured):
         assert mannheim_condition_residual(f, m) < 1e-8
@@ -187,7 +185,7 @@ def _prose_striction_variant(base, off):
 def test_prose_striction_variant_breaks_dual_condition():
     base = _heli()
     frames = darboux_frame(base)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     measured = _prose_striction_variant(base, off)
     worst = max(mannheim_condition_residual(f, m) for f, m in zip(frames, measured))
     assert worst > 1e-3  # the real parts agree but the moments cannot
@@ -196,7 +194,7 @@ def test_prose_striction_variant_breaks_dual_condition():
 def test_mannheim_condition_on_columns_is_the_worst_row():
     base = _heli()
     frames = darboux_frame(base)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     measured = timelike_invariants(off)
     rows = [mannheim_condition_residual(f, m) for f, m in zip(frames, measured)]
     assert mannheim_condition_residual(frames, measured) == max(rows)
@@ -207,7 +205,7 @@ def test_frame_transform_matrix():
     base = _heli(samples=15)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     measured = timelike_invariants(off)
     for f, a, m in zip(frames, angles, measured):
         thbar = a.as_dual()
@@ -227,7 +225,7 @@ def test_offset_frame_derived_g_consistent():
     base = _heli(samples=15)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     for f, a, m in zip(frames, angles, timelike_invariants(off)):
         want = math.cosh(a.theta) * f.e + math.sinh(a.theta) * f.t
         assert max(abs(x - y) for x, y in zip(m.g, want)) < 1e-7
@@ -237,7 +235,7 @@ def test_arc_rate_measured_vs_closed_form():
     base = _heli(samples=21)
     frames = darboux_frame(base)
     angles = offset_angles(frames, PARAMS)
-    speeds = timelike_invariants(construct_offset(base, frames, PARAMS)).ds_du
+    speeds = timelike_invariants(construct_offset(base, PARAMS)).ds_du
     for f, a, speed in zip(frames, angles, speeds):
         assert speed == pytest.approx(f.gamma * math.cosh(a.theta), abs=1e-7)
 
@@ -245,7 +243,7 @@ def test_arc_rate_measured_vs_closed_form():
 def test_offset_angle_rate_is_minus_one():
     base = _heli(samples=41)
     frames = darboux_frame(base)
-    measured = timelike_invariants(construct_offset(base, frames, PARAMS))
+    measured = timelike_invariants(construct_offset(base, PARAMS))
     extracted = [dual_angle_between(f.dual_e(), m.dual_e()).re for f, m in zip(frames, measured)]
     h = frames[1].s - frames[0].s
     rates = np.gradient(np.asarray(extracted), h)
@@ -269,7 +267,7 @@ def _study_angle_gap(base, params, mutate=lambda off: off) -> float:
     """Largest gap between the dual angle of the base and offset rulings and
     offset_angles' (theta, theta*), over the grid; ``mutate`` edits the offset."""
     frames = darboux_frame(base)
-    measured = timelike_invariants(mutate(construct_offset(base, frames, params)))
+    measured = timelike_invariants(mutate(construct_offset(base, params)))
     gaps = []
     for f, m, a in zip(frames, measured, offset_angles(frames, params)):
         angle = dual_angle_between(f.dual_e(), m.dual_e())
@@ -298,9 +296,8 @@ def test_mirrored_offset_striction_fails_the_study_angle():
 
 def test_degenerate_offset_rejected():
     base = catalog.cone(a=0.0, b=1.0, domain=(0.05, 0.95), samples=11)
-    frames = darboux_frame(base)
     with pytest.raises(DegenerateOffset):
-        construct_offset(base, frames, PARAMS)
+        construct_offset(base, PARAMS)
 
 
 def test_gamma_sign_change_between_nodes_is_degenerate():
@@ -313,9 +310,17 @@ def test_gamma_sign_change_between_nodes_is_degenerate():
     i = int(i[0])
     expected = f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}"
     with pytest.raises(DegenerateOffset, match=re.escape(expected) + "$"):
-        construct_offset(base, frames, PARAMS)
+        construct_offset(base, PARAMS)
     with pytest.raises(DegenerateOffset, match="gamma changes sign"):
         verify_offset(base, PARAMS)
+
+
+def test_a_timelike_base_is_rejected_before_the_offset_is_built():
+    # an offset is timelike; the builder measures its own base, so an offset
+    # of one fails at once, not at the first evaluation of its closures
+    base = construct_offset(_heli(), PARAMS)
+    with pytest.raises(ValueError, match="darboux_frame expects a spacelike-surface spec"):
+        construct_offset(base, PARAMS)
 
 
 def test_turning_base_builds_where_gamma_keeps_its_sign():
@@ -324,13 +329,7 @@ def test_turning_base_builds_where_gamma_keeps_its_sign():
     base = _turning(domain=(0.6, 0.95))
     frames = darboux_frame(base)
     assert np.all(frames.gamma < 0.0)
-    construct_offset(base, frames, PARAMS)
-
-
-def test_frames_off_the_base_grid_rejected():
-    frames = darboux_frame(_heli(samples=11))
-    with pytest.raises(ValueError, match="frames must sample the base grid"):
-        construct_offset(_heli(samples=21), frames, PARAMS)
+    construct_offset(base, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def test_central_fd_offset_measurement_matches_the_closed_forms():
     # measured by central differences, against the closed forms of the base
     base = _heli(samples=41)
     frames = darboux_frame(base, CENTRAL_FD)
-    m = timelike_invariants(construct_offset(base, frames, PARAMS), CENTRAL_FD)
+    m = timelike_invariants(construct_offset(base, PARAMS), CENTRAL_FD)
     pred = predicted_invariants(frames.gamma, frames.delta, frames.Delta,
                                 offset_angles(frames, PARAMS)).quantities()
     meas = _measured(frames, m).quantities()
@@ -419,8 +418,7 @@ def test_verify_offset_passes_exactly_when_every_residual_is_within_the_toleranc
 
 def _heli_offset():
     base = _heli(samples=11)
-    frames = darboux_frame(base)
-    return construct_offset(base, frames, PARAMS)
+    return construct_offset(base, PARAMS)
 
 
 @pytest.mark.parametrize("measure,error,message", [
@@ -438,15 +436,28 @@ def test_an_unknown_derivative_mode_is_rejected(measure, error, message):
         measure("dual_ad")
 
 
-# ids kept from when verify_offset also measured in central-fd
-@pytest.mark.parametrize("samples", [101, 1001], ids=lambda n: f"{n}-dual-ad")
-def test_verify_offset_measures_the_offset_nodes_bit_for_bit(samples):
-    # verify_offset measures the offset on its grid nodes alone; its columns
-    # are the node columns of the full timelike measurement
-    base, params = _heli(samples=samples), MannheimParams(1.0, 0.1)
+def _pinned_offsets():
+    """Bases and constants on which verify_offset's route meets the public builder's.
+
+    The helicoidal's ids at (1, 0.1) are kept from when verify_offset also
+    measured in central-fd.
+    """
+    bases = [("101-dual-ad", _heli(samples=101)), ("1001-dual-ad", _heli(samples=1001)),
+             ("cone-101", _cone(samples=101)), ("warped-heli", _warped_heli()),
+             ("cone-negative-41", _cone(samples=41, domain=(-0.7, -0.1)))]
+    for name, base in bases:
+        yield pytest.param(base, MannheimParams(1.0, 0.1), id=name)
+        yield pytest.param(base, MannheimParams(-0.4, -0.3), id=f"{name}-negative-c")
+
+
+@pytest.mark.parametrize("base,params", _pinned_offsets())
+def test_verify_offset_measures_the_offset_nodes_bit_for_bit(base, params):
+    # verify_offset measures the offset on its grid nodes alone, on the lifted
+    # base rows of its own pass; its columns are the node columns of the full
+    # timelike measurement of the public builder's offset
     rep = verify_offset(base, params)
     frames = darboux_frame(base)
-    m = timelike_invariants(construct_offset(base, frames, params))
+    m = timelike_invariants(construct_offset(base, params))
     got, want = rep.samples.measured.quantities(), _measured(frames, m).quantities()
     for key in RESIDUAL_KEYS:
         assert np.array_equal(got[key], want[key]), key
@@ -489,8 +500,7 @@ def test_verify_offset_integrates_nothing_in_dual_ad(monkeypatch):
     assert verify_offset(base, PARAMS).passed
     assert calls == 0
     # the counter sees the corrections of the full measurement's off-grid points
-    frames = darboux_frame(base)
-    timelike_invariants(construct_offset(base, frames, PARAMS))
+    timelike_invariants(construct_offset(base, PARAMS))
     assert calls > 0
 
 
@@ -634,8 +644,7 @@ def test_offset_developable_locus_matches_root():
     s0, s1 = crossings[0]
     assert s0 <= root_pred <= s1
     # refine the measured crossing by bisection on the measured pipeline
-    frames = darboux_frame(rep and catalog.helicoidal(domain=(0.05, 0.95), samples=181))
-    off = construct_offset(catalog.helicoidal(domain=(0.05, 0.95), samples=181), frames, params)
+    off = construct_offset(catalog.helicoidal(domain=(0.05, 0.95), samples=181), params)
     from dlgeom.ruled import TIMELIKE_SURFACE, RuledSurfaceSpec
 
     def measured_delta1(s):
@@ -656,7 +665,7 @@ def _reconstructed_developability(Delta, domain, samples, params):
     profile = InvariantProfile(lambda s: 0.75, lambda s: 0.2, Delta, *SEED_FRAME)
     base = reconstruct_from_invariants(profile, np.linspace(*domain, samples))
     frames = darboux_frame(base)
-    measured = timelike_invariants(construct_offset(base, frames, params))
+    measured = timelike_invariants(construct_offset(base, params))
     return developability_check(frames, offset_angles(frames, params), measured), measured.Delta
 
 
@@ -724,7 +733,7 @@ def test_developability_check_flags_coth_singularity():
     frames = darboux_frame(catalog.helicoidal(domain=(0.0, 1.0), samples=11))
     params = MannheimParams(c=1.0, c_star=0.0)
     angles = offset_angles(frames, params)
-    off = construct_offset(catalog.helicoidal(domain=(0.0, 1.0), samples=11), frames, params)
+    off = construct_offset(catalog.helicoidal(domain=(0.0, 1.0), samples=11), params)
     measured = timelike_invariants(off)
     # theta = 1 - s hits zero at the last sample
     dev = developability_check(frames, angles, measured, tol=1e-8)
@@ -784,8 +793,7 @@ def test_dual_arclength_of_offset_carries_minus_Delta1():
     from dlgeom.ruled import dual_arclength
 
     base = _heli(samples=21)
-    frames = darboux_frame(base)
-    off = construct_offset(base, frames, PARAMS)
+    off = construct_offset(base, PARAMS)
     s_end = 0.6
 
     def v(u):

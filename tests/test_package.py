@@ -1,5 +1,6 @@
 """The package namespace: ``from dlgeom import *`` binds what ``__all__`` lists, and
-something besides the tests uses each of those names."""
+something besides the tests uses each of those names; and the README installs every
+test extra that pyproject declares."""
 
 import re
 from pathlib import Path
@@ -41,3 +42,12 @@ def test_every_public_name_is_used_outside_the_tests():
 
     unused = [n for n in dlgeom.__all__ if n != "catalog" and not used(n)]
     assert sorted(unused) == sorted(TEST_ONLY_NAMES)
+
+
+def test_readme_install_line_names_every_test_extra():
+    root = Path(dlgeom.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    extras = re.findall(r'"([^"]+)"', re.search(r"^test = \[(.*)\]$", pyproject, re.M)[1])
+    line = next(line for line in (root / "README.md").read_text(encoding="utf-8").splitlines()
+                if line.startswith("pip install") and "test extras" in line)
+    assert extras and [x for x in extras if x not in line.split()] == []

@@ -391,8 +391,7 @@ def test_darboux_frame_evaluates_whole_blocks_per_closure_call():
 
 def test_timelike_invariants_evaluates_whole_blocks_per_closure_call():
     base = catalog.helicoidal(domain=(0.05, 0.95), samples=1001)
-    frames = darboux_frame(base)
-    offset = construct_offset(base, frames, MannheimParams(1.0, 0.1))
+    offset = construct_offset(base, MannheimParams(1.0, 0.1))
     spec, calls = _counted(offset)
     timelike_invariants(spec)
     _assert_batched(calls, spec.grid())
@@ -403,8 +402,7 @@ def test_offset_measurement_evaluates_each_base_point_once_per_use():
     # rate off one base node, so at the deepest order the base curve and the
     # base indicatrix are each evaluated once per point
     base, calls = _counted(catalog.helicoidal(domain=(0.05, 0.95), samples=101))
-    frames = darboux_frame(base)
-    offset = construct_offset(base, frames, MannheimParams(1.0, 0.1))
+    offset = construct_offset(base, MannheimParams(1.0, 0.1))
     timelike_invariants(offset)
     for name, most in (("indicatrix", 1), ("base_curve", 1)):
         counts = Counter(u for order, block in calls[name] if order == 3 for u in block)
@@ -494,10 +492,8 @@ def _reconstructed():
     lambda spec: darboux_frame(spec),
     lambda spec: darboux_frame(spec, CENTRAL_FD),
     lambda spec: verify_offset(spec, MannheimParams(1.0, 0.2)),
-    lambda spec: timelike_invariants(construct_offset(
-        spec, darboux_frame(spec, CENTRAL_FD), MannheimParams(1.0, 0.2)), CENTRAL_FD),
-    lambda spec: timelike_invariants(
-        construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.2))),
+    lambda spec: timelike_invariants(construct_offset(spec, MannheimParams(1.0, 0.2)), CENTRAL_FD),
+    lambda spec: timelike_invariants(construct_offset(spec, MannheimParams(1.0, 0.2))),
     lambda spec: darboux_frame(_reconstructed()),
 ], ids=["frames-dual-ad", "frames-central-fd", "offset-dual-ad", "offset-central-fd",
         "offset-invariants", "frames-reconstructed"])
@@ -590,9 +586,9 @@ def test_each_pass_calls_each_closure_once_in_both_modes(deriv):
             assert blocks[0][1][:len(nodes)] == nodes, name
 
     counted, calls = _counted(base)
-    frames = darboux_frame(counted, deriv)
+    darboux_frame(counted, deriv)
     assert_one_call(calls)
-    offset, calls = _counted(construct_offset(base, frames, MannheimParams(1.0, 0.1)))
+    offset, calls = _counted(construct_offset(base, MannheimParams(1.0, 0.1)))
     timelike_invariants(offset, deriv)
     assert_one_call(calls)
 
@@ -613,7 +609,7 @@ def test_central_fd_frame_and_arc_lengths_are_dual_ad_bits(measure):
     # other column reads the same exact nodes as dual-AD
     spec = _warped(catalog.helicoidal(domain=(0.05, 0.95), samples=41), 0.3)
     if measure == "offset":
-        spec = construct_offset(spec, darboux_frame(spec), MannheimParams(1.0, 0.2))
+        spec = construct_offset(spec, MannheimParams(1.0, 0.2))
     ad, fd = (ruled._measure_frames(spec, deriv) for deriv in (DUAL_AD, CENTRAL_FD))
     for name in ("e", "t", "g", "striction_point"):
         for x, y in zip(getattr(ad, name), getattr(fd, name)):
