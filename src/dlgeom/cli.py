@@ -19,7 +19,6 @@ import argparse
 import ast
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -128,14 +127,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _number(value, what: str) -> float:
-    # a JSON true or false is no number, though float() takes it
-    _require(not isinstance(value, bool), f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise SpecFileError(f"{what} must be a number, got {value!r}") from None
-    _require(math.isfinite(x), f"{what} must be finite, got {value!r}")
-    return x
+    # a JSON number that a float holds: not true or false, nor a string, nor
+    # an integer past the float range
+    _require(type(value) in (int, float) and abs(value) <= sys.float_info.max,
+             f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _vector(value, what: str) -> Vec3L:
@@ -148,7 +144,7 @@ def _load_object(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise SpecFileError(f"invalid JSON in {path}: {exc}") from None
     _require(isinstance(data, dict), f"{what} must be a JSON object")
     return data
@@ -304,7 +300,7 @@ def cmd_offset(args) -> int:
 def cmd_mesh(args) -> int:
     spec = load_surface_spec(args.input, args.samples)
     try:
-        v_min, v_max = (_number(x, "--v-range") for x in args.v_range.split(","))
+        v_min, v_max = (_number(float(x), "--v-range") for x in args.v_range.split(","))
     except ValueError:
         raise SpecFileError(f"--v-range expects 'v_min,v_max', got {args.v_range!r}") from None
     _require(v_min < v_max, f"mesh needs v_min < v_max, got [{v_min}, {v_max}]")

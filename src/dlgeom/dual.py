@@ -152,6 +152,13 @@ def leading_real(x):
     return x
 
 
+def _leafwise(fn, x):
+    """``fn`` applied to every real leaf of a (nested) dual scalar."""
+    if isinstance(x, DualScalar):
+        return DualScalar(_leafwise(fn, x.re), _leafwise(fn, x.du))
+    return fn(x)
+
+
 # ---------------------------------------------------------------------------
 # analytic lifts: f(x + eps*x*) = f(x) + eps*x*f'(x); every leaf, float or
 # array, goes through numpy, so a sample gets the same bits alone as in a block

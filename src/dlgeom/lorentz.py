@@ -31,19 +31,19 @@ CAUSAL_TOL = 1e-12
 
 def _check_finite(v) -> None:
     # type-is fast path first, then float subclasses such as np.float64, then
-    # arrays (a block of samples; the error carries the first bad index).
-    # Dual scalars are not inspected: Vec3L.re and Vec3L.du build checked
-    # vectors, so a non-finite slot is rejected when a dual vector is split,
-    # which every measured frame node goes through.
+    # arrays (a block of samples; the error carries the first bad index).  A
+    # constant, float or 0-d, is bad at every sample, so it carries index 0,
+    # the first point of the pass.  Dual scalars are not inspected: Vec3L.re
+    # and Vec3L.du build checked vectors, so a non-finite slot is rejected
+    # when a dual vector is split, which every measured frame node goes through.
     if type(v) is float or isinstance(v, float):
         if not math.isfinite(v):
-            raise NonFinite(f"non-finite vector component: {float(v)!r}")
+            raise NonFinite(f"non-finite vector component: {float(v)!r}", index=0)
     elif isinstance(v, np.ndarray):
         bad = ~np.isfinite(v)
         if bad.any():
             i = int(np.argmax(bad))
-            raise NonFinite(f"non-finite vector component: {float(v.flat[i])!r}",
-                            index=i if v.ndim else None)
+            raise NonFinite(f"non-finite vector component: {float(v.flat[i])!r}", index=i)
 
 
 class Vec3L:

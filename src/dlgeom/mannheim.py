@@ -45,9 +45,9 @@ from .dual import DualScalar, dual_vector, leading_real, re_part
 from .errors import DegenerateOffset, ZeroConicalCurvature
 from .lorentz import det3, lorentz_cross
 from .numerics import integrate
-from .ruled import (TIMELIKE_SURFACE, Columns, FrameSample, RuledSurfaceSpec, darboux_frame,
-                    tangent_speed, timelike_radius, _exact_node, _measure_frames, _node_pass,
-                    _striction_jet)
+from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, Columns, FrameSample,
+                    RuledSurfaceSpec, darboux_frame, tangent_speed, timelike_radius, _exact_node,
+                    _measure_frames, _node_pass, _striction_jet)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -316,8 +316,11 @@ def verify_offset(base: RuledSurfaceSpec, params: MannheimParams, *,
     differences is ``timelike_invariants(construct_offset(base, params),
     "central-fd")``, a cross-check with no verdict.  ``tolerance``,
     keyword-only, defaults to 1e-8; one that is not positive and finite
-    raises ValueError.
+    raises ValueError, and so does a base that is not spacelike, before it
+    is measured.
     """
+    if base.kind != SPACELIKE_SURFACE:
+        raise ValueError("verify_offset expects a spacelike-surface spec")
     if tolerance is None:
         tolerance = 1e-8
     if not 0.0 < tolerance < np.inf:

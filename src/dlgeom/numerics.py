@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualScalar
+from .dual import DualScalar, _leafwise
 from .errors import GeometryError, NonFinite, StepSizeError
 from .lorentz import Vec3L, lorentz_dot
 
@@ -74,13 +74,6 @@ def at_points(points):
             if exc.index is None or exc.index >= np.size(points):
                 raise
             raise type(exc)(f"{exc} at u={float(np.ravel(points)[exc.index])!r}") from None
-
-
-def _leafwise(fn, v):
-    """``fn`` applied to every real leaf of a (nested) dual scalar."""
-    if isinstance(v, DualScalar):
-        return DualScalar(_leafwise(fn, v.re), _leafwise(fn, v.du))
-    return fn(v)
 
 
 def _finite_values(v, points) -> np.ndarray:

@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import dual
-from .dual import DualScalar, dual_norm, dual_vector, leading_real
+from .dual import DualScalar, _leafwise, dual_norm, dual_vector, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                      NullDarboux, ProfileError, StepSizeError)
 from .lorentz import Vec3L, _cross, det3, lorentz_cross, lorentz_dot
@@ -393,16 +393,10 @@ def _columns(u: np.ndarray, *values) -> np.ndarray:
     return out
 
 
-def _take(x, rows):
-    """The rows ``rows`` of one component evaluated on an array of parameters; constants stay."""
-    if isinstance(x, DualScalar):
-        return DualScalar(_take(x.re, rows), _take(x.du, rows))
-    return x[rows] if getattr(x, "ndim", 0) else x
-
-
 def _node_rows(node, rows):
     """The rows ``rows`` of a node evaluated on an array of parameters; constant leaves stay."""
-    return tuple(Vec3L.from_checked(*(_take(x, rows) for x in vec)) for vec in node)
+    take = lambda x: x[rows] if getattr(x, "ndim", 0) else x
+    return tuple(Vec3L.from_checked(*(_leafwise(take, x) for x in vec)) for vec in node)
 
 
 #: frame columns on a spec's grid: the fields of FrameSample but s and s_star

@@ -181,7 +181,8 @@ def _child_error(*argv) -> tuple[int, dict]:
 @pytest.mark.parametrize("expr,code,error,u", [
     ("exp(800*u)", 2, "NonFinite", "u=0.9"),
     ("0.01/(u-0.5)", 3, "DivisionByPureDual", "u=0.5"),
-], ids=["overflow", "pure-dual-division"])
+    ("1e400*u", 2, "NonFinite", "u=0.0"),
+], ids=["overflow", "pure-dual-division", "overflowing-literal"])
 def test_frames_bad_custom_expression_names_the_sample(tmp_path, mode, expr, code, error, u):
     payload = {"catalog": "custom",
                "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 11},
@@ -203,9 +204,10 @@ def _overflow_error(tmp_path, expr) -> tuple[int, dict]:
 
 
 def test_frames_overflowing_constant_is_a_spec_error(tmp_path):
-    # a lifted constant overflows to inf, as an array does, and the vector refuses it
+    # a lifted constant overflows to inf, as an array does, and the vector
+    # refuses it at the first point of the pass
     assert _overflow_error(tmp_path, "exp(800.0)") == (
-        2, {"error": "NonFinite", "message": "non-finite vector component: inf"})
+        2, {"error": "NonFinite", "message": "non-finite vector component: inf at u=0.0"})
 
 
 def test_frames_overflowing_integer_literal_names_the_expression(tmp_path):
@@ -241,6 +243,11 @@ def _last_error(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+#: an integer too long for json to convert (over 4300 digits); the test writes
+#: it into the file unquoted, in place of this string
+_LONG_INT = "1" * 5001
+
+
 @pytest.mark.parametrize("domain,params,flags,named", [
     ({"s_min": "abc"}, {}, [], "s_min"),
     ({"samples": "x"}, {}, [], "samples"),
@@ -249,13 +256,19 @@ def _last_error(capsys):
     ({}, {}, ["--samples", "0"], "samples"),
     ({}, {"Delta_0": 0.5, "delta0": 0.3}, [], "Delta_0"),
     ({"s_min": True, "s_max": 1.5}, {}, [], "s_min"),
+    ({"s_min": "0.5"}, {}, [], "s_min"),
+    ({"s_min": 10 ** 400}, {}, [], "s_min"),
+    ({}, {"c0": [10 ** 400, 0, 0]}, [], "c0"),
+    ({"s_min": _LONG_INT}, {}, [], "spec.json"),
 ], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite", "samples-zero",
-        "params-misspelt", "s_min-boolean"])
+        "params-misspelt", "s_min-boolean", "s_min-numeric-text", "s_min-401-digits",
+        "c0-401-digits", "s_min-5001-digits"])
 def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags, named):
     payload = {**HELI, "domain": {**HELI["domain"], **domain},
                "params": {**HELI["params"], **params}}
-    assert main(["frames", "--input", _spec(tmp_path, payload),
-                 "--out", str(tmp_path / "x.csv"), *flags]) == 2
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload).replace(json.dumps(_LONG_INT), _LONG_INT))
+    assert main(["frames", "--input", str(path), "--out", str(tmp_path / "x.csv"), *flags]) == 2
     error = _last_error(capsys)
     assert error["error"] == "SpecFileError" and named in error["message"]
 
@@ -444,15 +457,24 @@ def test_non_finite_mannheim_constant_exits_2(tmp_path, capsys, command, flag, v
     assert last["error"] == "SpecFileError" and last["message"].startswith(f"{flag} "), last
 
 
+TIMELIKE = {
+    "catalog": "custom",
+    "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 7},
+    "custom": {"e": ["cosh(u)", "sinh(u)", "0"], "c": ["0", "0", "0"],
+               "kind": "timelike-surface"},
+}
+
+
 def test_offset_rejects_timelike_base(tmp_path):
-    payload = {
-        "catalog": "custom",
-        "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 7},
-        "custom": {"e": ["cosh(u)", "sinh(u)", "0"], "c": ["0", "0", "0"],
-                   "kind": "timelike-surface"},
-    }
-    assert main(["offset", "--input", _spec(tmp_path, payload),
+    assert main(["offset", "--input", _spec(tmp_path, TIMELIKE),
                  "--out", str(tmp_path / "r")]) == 2
+
+
+def test_mesh_offset_rejects_timelike_base(tmp_path, capsys):
+    assert main(["mesh", "--input", _spec(tmp_path, TIMELIKE),
+                 "--out", str(tmp_path / "m.obj"), "--offset"]) == 2
+    last = _last_error(capsys)
+    assert last == {"error": "SpecFileError", "message": "--offset needs a spacelike base surface"}
 
 
 def test_offset_warped_custom_spec_passes(tmp_path):
@@ -752,7 +774,10 @@ def test_reconstruct_rejects_a_seed_whose_gram_entries_overflow(tmp_path, capsys
     ("gamma", True, "gamma"),
     ("frame", {"e": [0.0, 0.8, 0.6], "t": [True, 0, 0], "g": [0.0, 0.6, -0.8], "c": [0, 0, 0]},
      "frame t"),
-], ids=["s_min-text", "samples-text", "e-two-elements", "gamma-boolean", "t-boolean"])
+    ("frame", {"e": [0.0, 0.8, 0.6], "t": [1.0, 0.0, 0.0], "g": [0.0, 0.6, -0.8],
+               "c": ["0", 1, 0]}, "frame c"),
+], ids=["s_min-text", "samples-text", "e-two-elements", "gamma-boolean", "t-boolean",
+        "c-numeric-text"])
 def test_reconstruct_malformed_profile_exits_2(tmp_path, capsys, field, value, named):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps(_profile_payload(**{field: value})))

@@ -323,6 +323,19 @@ def test_a_timelike_base_is_rejected_before_the_offset_is_built():
         construct_offset(base, PARAMS)
 
 
+def test_verify_offset_rejects_a_timelike_base_before_it_measures(monkeypatch):
+    # the kind is checked first, as darboux_frame checks it, not left to the
+    # frame checks of the measurement
+    base = construct_offset(_heli(), PARAMS)
+
+    def measure(*args, **kwargs):
+        raise AssertionError("the base was measured")
+
+    monkeypatch.setattr(mannheim, "_measure_frames", measure)
+    with pytest.raises(ValueError, match="^verify_offset expects a spacelike-surface spec$"):
+        verify_offset(base, PARAMS)
+
+
 def test_turning_base_builds_where_gamma_keeps_its_sign():
     assert verify_offset(_turning(domain=(0.05, 0.4)), PARAMS).passed
     # gamma < 0 on the whole grid is no stall: the offset is built

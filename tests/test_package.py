@@ -1,9 +1,13 @@
 """The package namespace: ``from dlgeom import *`` binds what ``__all__`` lists, and
-something besides the tests uses each of those names; and the README installs every
-test extra that pyproject declares."""
+something besides the tests uses each of those names; the README installs every
+test extra that pyproject declares; and every module parses at the Python floor
+that pyproject declares."""
 
+import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import dlgeom
 
@@ -51,3 +55,18 @@ def test_readme_install_line_names_every_test_extra():
     line = next(line for line in (root / "README.md").read_text(encoding="utf-8").splitlines()
                 if line.startswith("pip install") and "test extras" in line)
     assert extras and [x for x in extras if x not in line.split()] == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # read by regex: 3.10, the floor itself, has no tomllib
+    root = Path(dlgeom.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M).groups()
+    floor = (int(major), int(minor))
+    modules = sorted((root / "src" / "dlgeom").glob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
+    # feature_version has teeth: except*, new in 3.11, does not parse as 3.10
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
