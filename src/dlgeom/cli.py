@@ -42,6 +42,12 @@ EXIT_DEGENERACY = 3
 EXIT_TOLERANCE = 4
 EXIT_IO = 5
 
+#: the largest sample count a spec, profile or ``--samples`` may ask for
+MAX_SAMPLES = 100_000
+
+#: the most vertices ``mesh`` writes per surface, ``samples * v_samples``
+MAX_MESH_VERTICES = 1_000_000
+
 FRAMES_HEADER = ["s", "e1", "e2", "e3", "t1", "t2", "t3", "g1", "g2", "g3",
                  "gamma", "delta", "Delta", "s_star", "gamma_dual_re", "gamma_dual_du",
                  "R_re", "R_du"]
@@ -96,7 +102,9 @@ def compile_scalar_expr(source: str):
         # a float divided by zero; a dual division raises DivisionByPureDual
         # itself, naming its index
         try:
-            return eval(code, env, {"u": u})  # noqa: S307 - AST whitelisted above
+            value = eval(code, env, {"u": u})  # noqa: S307 - AST whitelisted above
+            # a bare integer literal past the float range overflows here, not later
+            return float(value) if type(value) is int else value
         except GeometryError:
             raise
         except ZeroDivisionError:
@@ -155,6 +163,7 @@ def _domain(data: dict, samples=None) -> tuple[float, float, int]:
     _require(isinstance(dom, dict), "'domain' must be an object")
     samples = dom.get("samples", 101) if samples is None else samples
     _require(type(samples) is int, f"samples must be an integer, got {samples!r}")
+    _require(samples <= MAX_SAMPLES, f"samples must be at most {MAX_SAMPLES}, got {samples}")
     return _number(dom.get("s_min", 0.0), "s_min"), _number(dom.get("s_max", 1.0), "s_max"), samples
 
 
@@ -305,6 +314,9 @@ def cmd_mesh(args) -> int:
         raise SpecFileError(f"--v-range expects 'v_min,v_max', got {args.v_range!r}") from None
     _require(v_min < v_max, f"mesh needs v_min < v_max, got [{v_min}, {v_max}]")
     _require(args.v_samples >= 2, "mesh needs v_samples >= 2")
+    _require(spec.samples * args.v_samples <= MAX_MESH_VERTICES,
+             f"mesh needs samples * v_samples <= {MAX_MESH_VERTICES}, "
+             f"got {spec.samples} * {args.v_samples}")
     params = _mannheim_params(args)
 
     # one jet call per surface gives c and e, evaluating the indicatrix once

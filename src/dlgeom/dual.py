@@ -92,6 +92,9 @@ class DualScalar:
             return DualScalar(o - self.re, -self.du)
         return NotImplemented
 
+    def __pos__(self):
+        return self
+
     def __neg__(self):
         return DualScalar(-self.re, -self.du)
 

@@ -215,6 +215,24 @@ def test_frames_overflowing_integer_literal_names_the_expression(tmp_path):
     expr = "1" + "0" * 400 + "*u"
     assert _overflow_error(tmp_path, expr) == (
         2, {"error": "NonFinite", "message": f"expression {expr!r} overflows"})
+    # a bare literal is the whole expression's value, and overflows as a float
+    expr = "1" + "0" * 400
+    assert _overflow_error(tmp_path, expr) == (
+        2, {"error": "NonFinite", "message": f"expression {expr!r} overflows"})
+
+
+@pytest.mark.parametrize("mode", ["dual-ad", "central-fd"])
+def test_frames_unary_plus_leaves_a_component_as_it_is(tmp_path, mode):
+    plain = _custom()
+    plus = {**plain, "custom": {"e": ["+(0.8*sinh(u/0.8))", "0.8*cosh(+u/0.8)", "+0.6"],
+                                "c": ["+(0.1*u)", "0.2*(+u)*u", "+(+(0.15*u))"]}}
+    written = []
+    for name, payload in (("plain", plain), ("plus", plus)):
+        out = tmp_path / f"{name}.csv"
+        assert main(["frames", "--input", _spec(tmp_path, payload, f"{name}.json"),
+                     "--out", str(out), "--deriv", mode]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_custom_expression_rejects_unsafe_code(tmp_path):
@@ -260,9 +278,13 @@ _LONG_INT = "1" * 5001
     ({"s_min": 10 ** 400}, {}, [], "s_min"),
     ({}, {"c0": [10 ** 400, 0, 0]}, [], "c0"),
     ({"s_min": _LONG_INT}, {}, [], "spec.json"),
+    ({"samples": 10 ** 30}, {}, [], "samples"),
+    ({"samples": cli.MAX_SAMPLES + 1}, {}, [], "samples"),
+    ({}, {}, ["--samples", str(10 ** 30)], "samples"),
 ], ids=["s_min-text", "samples-text", "c0-two-elements", "s_max-infinite", "samples-zero",
         "params-misspelt", "s_min-boolean", "s_min-numeric-text", "s_min-401-digits",
-        "c0-401-digits", "s_min-5001-digits"])
+        "c0-401-digits", "s_min-5001-digits", "samples-31-digits", "samples-over-the-cap",
+        "samples-flag-31-digits"])
 def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags, named):
     payload = {**HELI, "domain": {**HELI["domain"], **domain},
                "params": {**HELI["params"], **params}}
@@ -585,6 +607,17 @@ def test_mesh_malformed_v_range_exits_2(tmp_path, capsys, v_range):
     assert _last_error(capsys)["error"] == "SpecFileError"
 
 
+@pytest.mark.parametrize("flags", [["--v-samples", str(10 ** 30)],
+                                   ["--samples", str(cli.MAX_SAMPLES), "--v-samples", "11"]],
+                         ids=["v-samples-31-digits", "vertices-over-the-cap"])
+def test_mesh_too_many_vertices_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "m.obj"
+    assert main(["mesh", "--input", _spec(tmp_path, CONE), "--out", str(out), *flags]) == 2
+    error = _last_error(capsys)
+    assert error["error"] == "SpecFileError" and "v_samples" in error["message"]
+    assert not out.exists()
+
+
 def test_mesh_offset_object(tmp_path):
     spec = _spec(tmp_path, {**HELI, "domain": {"s_min": 0.05, "s_max": 0.95, "samples": 7}})
     out = tmp_path / "m.obj"
@@ -745,6 +778,14 @@ def test_expression_division_by_zero_is_typed(source, u):
         cli.compile_scalar_expr(source)(u)
 
 
+def test_reconstruct_overflowing_integer_literal_names_the_expression(tmp_path):
+    expr = "1" + "0" * 400
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(_profile_payload(gamma=expr)))
+    assert _child_error("reconstruct", "--input", str(path), "--out", str(tmp_path / "r")) == (
+        2, {"error": "NonFinite", "message": f"expression {expr!r} overflows"})
+
+
 def test_reconstruct_rejects_skew_frame(tmp_path):
     prof = _profile_payload()
     prof["frame"]["g"] = [0.0, -0.6, 0.8]
@@ -776,8 +817,9 @@ def test_reconstruct_rejects_a_seed_whose_gram_entries_overflow(tmp_path, capsys
      "frame t"),
     ("frame", {"e": [0.0, 0.8, 0.6], "t": [1.0, 0.0, 0.0], "g": [0.0, 0.6, -0.8],
                "c": ["0", 1, 0]}, "frame c"),
+    ("domain", {"s_min": 0.0, "s_max": 1.0, "samples": 10 ** 30}, "samples"),
 ], ids=["s_min-text", "samples-text", "e-two-elements", "gamma-boolean", "t-boolean",
-        "c-numeric-text"])
+        "c-numeric-text", "samples-31-digits"])
 def test_reconstruct_malformed_profile_exits_2(tmp_path, capsys, field, value, named):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps(_profile_payload(**{field: value})))

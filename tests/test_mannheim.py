@@ -571,11 +571,25 @@ def test_report_rows_agree_with_columns():
 
 
 def test_report_iteration_gives_the_indexed_rows():
-    # nested records and the residual dict are converted column by column
+    # nested records and the residual dict are converted column by column, and every
+    # index a list of the rows takes, negative ones too, gives the iterated row
     cols = verify_offset(_heli(samples=11), PARAMS).samples
     rows = list(cols)
-    assert rows == [cols[i] for i in range(len(cols))]
+    assert [cols[i] for i in range(-len(cols), len(cols))] == rows + rows
+    assert cols[np.int64(-2)] == rows[-2]
+    for i in (11, -12):
+        with pytest.raises(IndexError):
+            cols[i]
     assert isinstance(rows[0].measured, InvariantRecord) and type(rows[0].residuals) is dict
+
+
+@pytest.mark.parametrize("rows", [slice(2, 5), slice(-3, None), slice(None, None, 4),
+                                  slice(9, 2)])
+def test_a_slice_of_a_nested_column_gives_its_rows(rows):
+    cols = verify_offset(_heli(samples=11), PARAMS).samples
+    assert ruled._rows(cols.measured, rows) == list(cols.measured)[rows]
+    assert ruled._rows(cols.residuals, rows) == [r.residuals for r in cols][rows]
+    assert ruled._rows(cols, rows) == list(cols)[rows]
 
 
 @pytest.mark.parametrize("column", [

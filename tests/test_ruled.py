@@ -264,7 +264,7 @@ def test_rows_reuse_the_check_their_column_passed(monkeypatch):
     rows = ruled._rows(column)
     assert rows == [Vec3L.from_checked(1.0, 0.0, 1.0), Vec3L.from_checked(2.0, 0.0, 1.0)]
     assert all(type(r) is Vec3L for r in rows)
-    assert ruled._row(column, 1) == rows[1]
+    assert ruled._rows(column, slice(1, 2)) == rows[1:]
 
 
 def test_gamma_against_fd_oracle():
