@@ -28,10 +28,10 @@ from .dual import dual_vector
 from .errors import (DivisionByPureDual, FrameDegeneracy, GeometryError, InvalidDirection,
                      NonFinite, NotUnit, SpecFileError)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, at_points
+from .numerics import CENTRAL_FD, DUAL_AD, ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
-                    darboux_frame, dual_curvature_elements, reconstruct_from_invariants,
-                    striction_jet, timelike_invariants, timelike_radius)
+                    _exact_node, darboux_frame, dual_curvature_elements,
+                    reconstruct_from_invariants, timelike_invariants, timelike_radius)
 from .mannheim import RESIDUAL_KEYS, MannheimParams, construct_offset, verify_offset
 from .lines import OrientedLine, dual_to_line, line_to_dual
 from . import catalog
@@ -177,6 +177,10 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min < s_max, f"domain needs s_min < s_max, got [{s_min}, {s_max}]")
     _require(samples >= 3, f"samples must be >= 3, got {samples}")
+    # measurement sums s and s* from 0 over QUAD_PANELS_PER_UNIT head nodes per unit of |s_min|
+    _require(abs(s_min) * QUAD_PANELS_PER_UNIT <= MAX_SAMPLES,
+             f"s_min must be within {MAX_SAMPLES / QUAD_PANELS_PER_UNIT} of 0, where measurement "
+             f"starts s and s*, got {s_min}")
 
     kind = data.get("catalog", "custom")
     _require(isinstance(kind, str) and kind in _CATALOG_PARAMS, f"unknown catalog entry {kind!r}")
@@ -319,23 +323,22 @@ def cmd_mesh(args) -> int:
              f"got {spec.samples} * {args.v_samples}")
     params = _mannheim_params(args)
 
-    # one jet call per surface gives c and e, evaluating the indicatrix once
-    meshes = [("base", striction_jet(spec))]
+    # one striction node per surface gives c and e
+    meshes = [("base", spec)]
     if args.offset:
         _require(spec.kind == SPACELIKE_SURFACE,
                  "--offset needs a spacelike base surface")
-        off = construct_offset(spec, params)
-        meshes.append(("offset", striction_jet(off)))
+        meshes.append(("offset", construct_offset(spec, params)))
 
     u_grid = spec.grid()
     v_grid = np.linspace(v_min, v_max, args.v_samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# dlgeom ruled surface mesh: {spec.name}\n")
         base_index = 1
-        for name, jet in meshes:
+        for name, surface in meshes:
             fh.write(f"o {name}\n")
             with at_points(u_grid):
-                c, e, _ = jet(u_grid)
+                c, _, e, *_ = _exact_node(surface, u_grid)
             # vertex (u, v) is c(u) + v*e(u), rows by u and v within them
             xyz = [(np.broadcast_to(ci, u_grid.shape)[:, None]
                     + np.broadcast_to(ei, u_grid.shape)[:, None] * v_grid).ravel().tolist()
@@ -369,6 +372,11 @@ def load_profile(path: str, samples_override: int | None = None):
              "profile needs 'frame': {'e', 't', 'g', 'c'}")
     s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min <= s_max, "profile domain needs s_min <= s_max")
+    # the flow takes ODE_STEPS_PER_UNIT steps per unit over the domain and its join to 0
+    span = max(s_max, 0.0) - min(s_min, 0.0)
+    _require(span * ODE_STEPS_PER_UNIT <= MAX_SAMPLES,
+             f"profile domain [{s_min}, {s_max}] spans {span} with 0, where measurement starts "
+             f"s and s*; the flow covers at most {MAX_SAMPLES / ODE_STEPS_PER_UNIT}")
     # a one-point domain is one row whatever the count; an interval needs both ends
     least = 1 if s_min == s_max else 2
     _require(samples >= least, f"profile needs samples >= {least}, got {samples}")

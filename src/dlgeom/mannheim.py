@@ -47,7 +47,7 @@ from .lorentz import det3, lorentz_cross
 from .numerics import integrate
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, Columns, FrameSample,
                     RuledSurfaceSpec, darboux_frame, tangent_speed, timelike_radius, _exact_node,
-                    _measure_frames, _node_pass, _striction_jet)
+                    _measure_frames, _node_pass)
 
 #: below this |gamma*cosh(theta)| the offset indicatrix stalls
 OFFSET_DEGENERACY_TOL = 1e-10
@@ -189,8 +189,8 @@ def construct_offset(base: RuledSurfaceSpec, params: MannheimParams) -> RuledSur
     theta*(u) = c* - s*(u) take the values of ``offset_angles(frames,
     params)`` at the grid nodes and the rates -ds/du and -Delta*ds/du in
     between.  Every derivative is exact.  A real u is taken as u + eps*0,
-    and at u both closures read one node (c, c', e, e', e'', ...) of the
-    base striction jet at u.re, kept for the last u: c, e and e' are lifted
+    and at u both closures read the base's striction node (c, c', e, e',
+    e'', ...) at u.re, kept for the last u: c, e and e' are lifted
     from it as x + eps*u.du*x', and theta and theta* from their values at
     u's leading real by their rates -v and -det(c', e, e')/v at u.re,
     v = |e'|.  The node also keeps 1/v of the lifted e', so
@@ -222,23 +222,22 @@ def _build_offset(base: RuledSurfaceSpec, frames: FrameSample, params: MannheimP
         raise DegenerateOffset(
             f"gamma changes sign between s={frames.s[i]} and s={frames.s[i + 1]}")
 
-    base_jet = _striction_jet(base)
     grid = base.grid()
     table = np.column_stack([angles.theta, angles.theta_star])
 
     def rates(u):
-        _, cp, e, ep, *_ = _exact_node(base_jet, u)
+        _, cp, e, ep, *_ = _exact_node(base, u)
         v = tangent_speed(ep, 1.0, u)
         return np.column_stack([-v, -det3(cp, e, ep) / v])
 
-    # the striction jet of the offset calls its indicatrix, then its base
+    # the striction node of the offset calls its indicatrix, then its base
     # curve, at the same u: one entry keyed on u.re and u.du serves both
     memo = [None, None, None]
 
     def lifted(u):
         """c, e, e' and 1/v at u, v = |e'|, lifted from the base node at u.re, and the angles."""
         if memo[0] is not u.re or memo[1] is not u.du:
-            c, cp, e, ep, epp, *_ = _exact_node(base_jet, u.re) if rows is None else rows
+            c, cp, e, ep, epp, *_ = _exact_node(base, u.re) if rows is None else rows
             lifts = [dual_vector(x, dx * u.du) for x, dx in ((c, cp), (e, ep), (ep, epp))]
             v = tangent_speed(lifts[2], 1.0, u)
             theta, theta_star = _angles_at(rates, grid, table, leading_real(u))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualScalar, _leafwise
+from .dual import _leafwise
 from .errors import GeometryError, NonFinite, StepSizeError
 from .lorentz import Vec3L, lorentz_dot
 
@@ -183,16 +183,6 @@ def hermite_cumulative(x: np.ndarray, values, slopes) -> np.ndarray:
     out[..., 0] = 0.0
     np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
-
-
-def value_and_derivative(curve, u):
-    """Curve value and exact derivative from a single dual evaluation.
-
-    One pass through the closure carries both slots, which matters in the
-    nested inner loops; ``u`` may itself be dual.
-    """
-    v = curve(DualScalar(u, 1.0))
-    return v.re, v.du
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ with timelike rulings, which Mannheim offsetting produces, share the same
 measurement with the opposite causal characters.
 
 Frames are measured in the spec's own parameter u, whatever it is: each
-sample is read off one evaluation of the striction jet (c, c', e, e', e''),
+sample is read off one striction node (c, c', e, e', e'', p', p''),
 every u-derivative is divided by the indicatrix speed v = ds/du (exact
 chain rule), gamma = det(e, e', e'')/v^3, and s and the accumulated
 distribution parameter s* sum their u-rates and u-slopes at the nodes by
@@ -61,7 +61,7 @@ from .lorentz import Vec3L, _cross, det3, lorentz_cross, lorentz_dot
 from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
                        ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, _SIGNATURE, _gram,
                        _project_frames, at_points, cumulative_integrate, frame_residual,
-                       hermite_cumulative, integrate, simpson_midpoints, value_and_derivative)
+                       hermite_cumulative, integrate, simpson_midpoints)
 
 SPACELIKE_SURFACE = "spacelike-surface"
 TIMELIKE_SURFACE = "timelike-surface"
@@ -81,7 +81,8 @@ class RuledSurfaceSpec:
     directrix; both must accept dual-scalar parameters.  ``kind`` selects
     the causal setup: a spacelike surface has a unit spacelike ruling with
     timelike indicatrix tangent, a timelike surface (timelike ruling) the
-    opposite pair of characters.
+    opposite pair of characters.  ``samples`` must be an integer >= 1 (not a
+    bool) and ``domain`` a finite interval, or ValueError names the field.
     """
 
     indicatrix: Callable
@@ -94,8 +95,13 @@ class RuledSurfaceSpec:
     def __post_init__(self):
         if self.kind not in (SPACELIKE_SURFACE, TIMELIKE_SURFACE):
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        # a bool is an int, and a numpy integer is not
+        if not isinstance(self.samples, (int, np.integer)) or isinstance(self.samples, bool):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not np.isfinite(self.domain).all():
+            raise ValueError(f"domain must be finite, got {self.domain}")
         if not self.domain[0] <= self.domain[1]:
             raise ValueError(f"empty domain {self.domain}")
 
@@ -242,8 +248,8 @@ def tangent_speed(ep, sign: float, u):
 
     ``sign`` is the ruling sign; the tangent e' must have the opposite
     causal character, else FrameDegeneracy names the first offending
-    parameter of ``u``.  e' is read off a striction jet, which has already
-    rejected a stalling one (see :func:`_striction_jet`).
+    parameter of ``u``.  e' is read off a striction node, which has already
+    rejected a stalling one (see :func:`_exact_node`).
     """
     q = -sign * lorentz_dot(ep, ep)
     wrong = leading_real(q) < 0.0
@@ -253,54 +259,38 @@ def tangent_speed(ep, sign: float, u):
     return dual.sqrt(q)
 
 
-def striction_jet(spec: RuledSurfaceSpec):
-    """Closure returning (c(u), e(u), e'(u)) with c the striction curve.
+def _exact_node(spec: RuledSurfaceSpec, u):
+    """The striction node (c, c', e, e', e'', p', p'') at u: c the striction curve, p the directrix.
 
-    Solves c = p + lam*e with lam = -<p', e'>/<e', e'>; the division by the
-    tangent's quadratic form keeps the sign right in both causal setups.
-    The solve is part of constructing the geometry, so its internal
-    derivatives are exact regardless of the measurement mode.
+    Calls the spec's indicatrix, then its base curve, once each at (u + eps)
+    + eps', so ``u`` may itself be dual; e'' and p'' are the eps slots of e'
+    and p'.  Solves c = p + lam*e at u + eps, lam = -<p', e'>/<e', e'>,
+    which keeps the sign right in both causal setups, with exact derivatives
+    in every measurement mode.  A stalling e' raises DegenerateIndicatrix
+    naming the first such u.
     """
-    jet = _striction_jet(spec)
-    return lambda u: jet(u)[:3]
-
-
-def _striction_jet(spec: RuledSurfaceSpec):
-    """The striction jet, returning (c, e, e', p') with p' the directrix's derivative."""
-    ind, base = spec.indicatrix, spec.base_curve
-
-    def jet(u):
-        e, ep = value_and_derivative(ind, u)
-        q = lorentz_dot(ep, ep)
-        stalled = np.abs(leading_real(q)) < SPEED_TOL ** 2
-        if stalled.any():
-            # where every component of e' is below SPEED_TOL, e' vanishes; a
-            # larger e' is null, so the tangent is lightlike or the closure
-            # cancelled <e', e'>
-            x = np.asarray(leading_real(u), dtype=float)
-            i = np.argmax(np.broadcast_to(stalled, x.shape).ravel())
-            at = float(x.ravel()[i])
-            size = max(abs(float(np.broadcast_to(leading_real(y), x.shape).ravel()[i])) for y in ep)
-            if size < SPEED_TOL:
-                raise DegenerateIndicatrix(f"striction undefined: e' vanishes near u={at}")
-            raise DegenerateIndicatrix(
-                f"striction undefined: <e', e'> = 0 for a nonzero e' (components up to "
-                f"{size:.3e}) near u={at}: the tangent is lightlike or the closure lost "
-                f"<e', e'> to rounding")
-        p, pp = value_and_derivative(base, u)
-        lam = -lorentz_dot(pp, ep) / q
-        return p + lam * e, e, ep, pp
-
-    return jet
-
-
-def _exact_node(jet, u):
-    """(c, c', e, e', e'', p', p'') at u, all read off one evaluation of a striction jet at u + eps.
-
-    ``jet`` is a :func:`_striction_jet`; e'' and p'' are the dual slots of e'
-    and p', and ``u`` may itself be dual.
-    """
-    c, e, ep, pp = jet(DualScalar(u, 1.0))
+    x = DualScalar(DualScalar(u, 1.0), 1.0)
+    ind = spec.indicatrix(x)
+    e, ep = ind.re, ind.du
+    q = lorentz_dot(ep, ep)
+    stalled = np.abs(leading_real(q)) < SPEED_TOL ** 2
+    if stalled.any():
+        # where every component of e' is below SPEED_TOL, e' vanishes; a
+        # larger e' is null, so the tangent is lightlike or the closure
+        # cancelled <e', e'>
+        r = np.asarray(leading_real(u), dtype=float)
+        i = np.argmax(np.broadcast_to(stalled, r.shape).ravel())
+        at = float(r.ravel()[i])
+        size = max(abs(float(np.broadcast_to(leading_real(y), r.shape).ravel()[i])) for y in ep)
+        if size < SPEED_TOL:
+            raise DegenerateIndicatrix(f"striction undefined: e' vanishes near u={at}")
+        raise DegenerateIndicatrix(
+            f"striction undefined: <e', e'> = 0 for a nonzero e' (components up to "
+            f"{size:.3e}) near u={at}: the tangent is lightlike or the closure lost "
+            f"<e', e'> to rounding")
+    base = spec.base_curve(x)
+    pp = base.du
+    c = base.re + (-lorentz_dot(pp, ep) / q) * e
     return c.re, c.du, e.re, ep.re, ep.du, pp.re, pp.du
 
 
@@ -317,10 +307,8 @@ def arclength_reparametrize(spec: RuledSurfaceSpec) -> RuledSurfaceSpec:
     Raises GeometryError if Newton stalls or if the arc length of u(s)
     misses s by more than 1e-8 on the output grid.
     """
-    jet = _striction_jet(spec)
-
     def v(u):
-        return tangent_speed(jet(u)[2], spec.ruling_sign(), u)
+        return tangent_speed(_exact_node(spec, u)[3], spec.ruling_sign(), u)
 
     def speeds(us):
         with at_points(us):
@@ -421,7 +409,7 @@ def _node_pass(spec: RuledSurfaceSpec, grid: np.ndarray, deriv: str = DUAL_AD,
     points = np.concatenate([grid, *shifts, extra])
     end = len(points) - len(extra)
     with at_points(points):
-        node = _exact_node(_striction_jet(spec), DualScalar(points, 1.0) if lift else points)
+        node = _exact_node(spec, DualScalar(points, 1.0) if lift else points)
         lifted = None
         if lift:
             lifted = _node_rows(node, slice(0, end)) if len(extra) else node
@@ -521,11 +509,9 @@ def dual_arclength(spec: RuledSurfaceSpec, s: float) -> DualScalar:
     the timelike side (the sign difference falls out of the norm's causal
     character).
     """
-    jet = _striction_jet(spec)
-
     def f(u):
         # the dual curve e + eps*(c x e) differentiates to e' + eps*(c' x e + c x e')
-        c, cp, e, ep, *_ = _exact_node(jet, u)
+        c, cp, e, ep, *_ = _exact_node(spec, u)
         return dual_norm(dual_vector(ep, lorentz_cross(cp, e) + lorentz_cross(c, ep)))
 
     val = integrate(f, 0.0, s)
@@ -817,7 +803,9 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     c'' (exact for cubics).  ``s_grid`` must be ``np.linspace`` of its ends
     and length, to a few ulps of the larger end, because the returned spec
     samples exactly that grid; any other grid raises ValueError naming its
-    first point off it, and a decreasing one naming both ends.  Every grid
+    first point off it, and a decreasing one naming both ends; before that,
+    one that is not 1-D raises it naming its shape, and one that is not
+    finite naming its first non-finite point.  Every grid
     interval takes the same whole number ceil(h*ODE_STEPS_PER_UNIT) of equal
     steps, h the grid spacing, so every grid point is a node of the flow.
     Frame measurement anchors s and s* at parameter 0, so a grid that does not
@@ -834,7 +822,7 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     filled as component rows against the profile values.  The curves
     evaluate closed-form derivative tables once per point and lift them to
     the caller's dual depth (see :class:`_HermiteCurve`), while every other
-    closure, the striction jet built on them included, still differentiates
+    closure, the striction node built on them included, still differentiates
     by nested dual arithmetic.  Feeding the result back through
     darboux_frame reproduces the profile and its arc length to roundoff on
     the grid.  A profile value that is not finite raises NonFinite, and a
@@ -843,8 +831,14 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     ufunc on a dual, say) raises ProfileError naming the field.
     """
     s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.ndim != 1:
+        raise ValueError(f"reconstruction grid must be 1-D, got shape {s_grid.shape}")
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
+    bad = ~np.isfinite(s_grid)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"reconstruction grid is not finite: s_grid[{i}] = {float(s_grid[i])!r}")
     s0, s_end = float(s_grid[0]), float(s_grid[-1])
     if s_end < s0:
         raise ValueError(f"reconstruction grid decreases from {s0!r} to {s_end!r}")

@@ -23,9 +23,9 @@ from dlgeom.lines import OrientedLine, dual_to_line, line_to_dual
 from dlgeom.lorentz import Vec3L, det3, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (RESIDUAL_KEYS, MannheimParams, construct_offset, mannheim_condition_residual,
                              offset_angles, verify_offset)
-from dlgeom.numerics import ODE_STEPS_PER_UNIT, value_and_derivative
+from dlgeom.numerics import ODE_STEPS_PER_UNIT
 from dlgeom.ruled import (InvariantProfile, RuledSurfaceSpec, TIMELIKE_SURFACE, darboux_frame,
-                          reconstruct_from_invariants, striction_jet, timelike_invariants)
+                          reconstruct_from_invariants, timelike_invariants)
 
 CONE_E0 = Vec3L(0.0, 0.8, 0.6)
 CONE_T0 = Vec3L(1.0, 0.0, 0.0)
@@ -114,30 +114,32 @@ def test_criterion_3_study_round_trip():
 
 def _derivative(curve, u):
     """Exact derivative of a curve by one dual evaluation; ``u`` may be dual."""
-    return value_and_derivative(curve, u)[1]
+    return curve(DualScalar(u, 1.0)).du
 
 
 def _dual_frame_curves(spec):
-    jet = striction_jet(spec)
+    def striction_point(u):
+        return ruled._exact_node(spec, u)[0]
+
     ind = spec.indicatrix
 
     def e_re(u):
         return ind(u)
 
     def e_du(u):
-        return lorentz_cross(jet(u)[0], ind(u))
+        return lorentz_cross(striction_point(u), ind(u))
 
     def t_re(u):
         return _derivative(ind, u)
 
     def t_du(u):
-        return lorentz_cross(jet(u)[0], _derivative(ind, u))
+        return lorentz_cross(striction_point(u), _derivative(ind, u))
 
     def g_re(u):
         return -lorentz_cross(ind(u), _derivative(ind, u))
 
     def g_du(u):
-        return lorentz_cross(jet(u)[0], g_re(u))
+        return lorentz_cross(striction_point(u), g_re(u))
 
     return (e_re, e_du), (t_re, t_du), (g_re, g_du)
 
@@ -233,7 +235,8 @@ def _wavy_flow_error(steps_per_unit: int, monkeypatch) -> float:
     monkeypatch.setattr(ruled, "ODE_STEPS_PER_UNIT", steps_per_unit)
     profile = InvariantProfile(gamma, delta, Delta, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
     spec = reconstruct_from_invariants(profile, np.linspace(0.0, 1.0, 11))
-    e, t = value_and_derivative(spec.indicatrix, 1.0)
+    ind = spec.indicatrix(DualScalar(1.0, 1.0))
+    e, t = ind.re, ind.du
     got = [x for v in (e, t, -lorentz_cross(e, t), spec.base_curve(1.0)) for x in v]
     return float(np.max(np.abs(np.array(got) - want)))
 

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -164,15 +165,28 @@ def test_frames_central_fd_custom_spec_matches_dual_ad(tmp_path, w):
             assert float(b[key]) == pytest.approx(float(a[key]), abs=1e-6)
 
 
+#: the address space a child may map, so that an input which asks for gigabytes
+#: fails with MemoryError instead of exhausting the machine
+_CHILD_ADDRESS_SPACE = 3 * 2 ** 30
+
+
+def _bound_address_space() -> None:
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = _CHILD_ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(_CHILD_ADDRESS_SPACE, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _child_error(*argv) -> tuple[int, dict]:
     """Exit code and last stderr line of dlgeom run as a child process.
 
     That, and any numpy RuntimeWarning (asserted absent), is what a user sees.
+    The child's address space is bounded by :data:`_CHILD_ADDRESS_SPACE`.
     """
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-m", "dlgeom.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_bound_address_space)
     assert "RuntimeWarning" not in proc.stderr
     return proc.returncode, json.loads(proc.stderr.strip().splitlines()[-1])
 
@@ -293,6 +307,50 @@ def test_frames_malformed_input_exits_2(tmp_path, capsys, domain, params, flags,
     assert main(["frames", "--input", str(path), "--out", str(tmp_path / "x.csv"), *flags]) == 2
     error = _last_error(capsys)
     assert error["error"] == "SpecFileError" and named in error["message"]
+
+
+@pytest.mark.parametrize("command", [["frames"], ["offset"], ["mesh", "--offset"]],
+                         ids=["frames", "offset", "mesh-offset"])
+def test_a_domain_far_from_0_exits_2_before_it_allocates(tmp_path, command):
+    # measurement would sum s and s* over 2 560 000 001 head nodes from 0 to 1e7
+    spec = _spec(tmp_path, {"catalog": "helicoidal",
+                            "domain": {"s_min": 1e7, "s_max": 1.0000001e7, "samples": 11}})
+    code, error = _child_error(*command, "--input", spec, "--out", str(tmp_path / "x"))
+    assert code == 2 and error["error"] == "SpecFileError"
+    assert error["message"] == ("s_min must be within 390.625 of 0, where measurement starts "
+                                "s and s*, got 10000000.0")
+
+
+@pytest.mark.parametrize("s_min,accepted", [(390.625, True), (-390.625, True),
+                                            (390.63, False), (-390.63, False)])
+def test_the_head_cap_sits_at_max_samples_nodes(tmp_path, s_min, accepted):
+    # QUAD_PANELS_PER_UNIT = 256 head nodes per unit of |s_min|
+    spec = _spec(tmp_path, {**CONE, "domain": {"s_min": s_min, "s_max": 400.0}})
+    if accepted:
+        assert cli.load_surface_spec(spec).domain == (s_min, 400.0)
+    else:
+        with pytest.raises(errors.SpecFileError, match="^s_min must be within 390.625 of 0"):
+            cli.load_surface_spec(spec)
+
+
+@pytest.mark.parametrize("domain,span", [((0.0, 1e6), 1e6), ((1e6, 1e6 + 1.0), 1e6 + 1.0),
+                                         ((-50.0, 50.001), 100.001)],
+                         ids=["long", "far-from-0", "across-0"])
+def test_a_profile_spanning_too_far_exits_2_before_it_allocates(tmp_path, domain, span):
+    # the flow would take 1000 steps per unit from 0 to the far end: 10**9 of them for 1e6
+    s_min, s_max = domain
+    path = _spec(tmp_path, _profile_payload(domain={"s_min": s_min, "s_max": s_max,
+                                                    "samples": 2}))
+    code, error = _child_error("reconstruct", "--input", path, "--out", str(tmp_path / "r"))
+    assert code == 2 and error["error"] == "SpecFileError"
+    assert error["message"] == (f"profile domain [{s_min}, {s_max}] spans {span} with 0, where "
+                                f"measurement starts s and s*; the flow covers at most 100.0")
+
+
+def test_a_profile_spanning_100_is_accepted(tmp_path):
+    path = _spec(tmp_path, _profile_payload(domain={"s_min": -40.0, "s_max": 60.0}))
+    _, grid = cli.load_profile(path)
+    assert (grid[0], grid[-1]) == (-40.0, 60.0)
 
 
 def _directrix(*c):

@@ -16,9 +16,9 @@ from dlgeom.lorentz import Vec3L, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import (RESIDUAL_KEYS, InvariantRecord, MannheimParams, OffsetAngle,
                              construct_offset, developability_check, mannheim_condition_residual, offset_angles,
                              predicted_invariants, verify_offset)
-from dlgeom.numerics import CENTRAL_FD, value_and_derivative
+from dlgeom.numerics import CENTRAL_FD
 from dlgeom.ruled import (InvariantProfile, RuledSurfaceSpec, darboux_frame, reconstruct_from_invariants,
-                          striction_jet, timelike_invariants, timelike_radius)
+                          timelike_invariants, timelike_radius)
 
 PARAMS = MannheimParams(c=1.0, c_star=0.0)
 
@@ -132,7 +132,8 @@ def test_offset_closures_off_the_nodes_match_their_closed_forms():
     u = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), np.linspace(0.0, 0.05, 5)[:-1],
                         [1.0, 1.2]])
     theta, theta_star = 1.0 - u, 0.3 - 0.1 * u
-    e, ep = value_and_derivative(base.indicatrix, u)
+    ind = base.indicatrix(DualScalar(u, 1.0))
+    e, ep = ind.re, ind.du
     want = {"indicatrix": np.sinh(theta) * e + np.cosh(theta) * ep,
             "base_curve": base.base_curve(u) + theta_star * -lorentz_cross(e, ep)}
     for name, closed in want.items():
@@ -176,7 +177,7 @@ def _prose_striction_variant(base, off):
     # negative control: shift the striction line by theta* along t instead of
     # g; on the unit-speed catalog helicoidal theta* = c* - 0.1*u in closed form
     def along_t(u):
-        _, t = value_and_derivative(base.indicatrix, u)
+        t = base.indicatrix(DualScalar(u, 1.0)).du
         return base.base_curve(u) + (PARAMS.c_star - 0.1 * u) * t
 
     return timelike_invariants(dataclasses.replace(off, base_curve=along_t))
@@ -286,10 +287,10 @@ def test_study_angle_between_the_rulings_is_the_offset_angle(make_base, c_star):
 def test_mirrored_offset_striction_fails_the_study_angle():
     # negative control: the striction line c - theta*g instead of c + theta*g
     base = _heli()
-    jet = striction_jet(base)
 
     def mirrored(off):
-        return dataclasses.replace(off, base_curve=lambda u: 2.0 * jet(u)[0] - off.base_curve(u))
+        return dataclasses.replace(
+            off, base_curve=lambda u: 2.0 * ruled._exact_node(base, u)[0] - off.base_curve(u))
 
     assert _study_angle_gap(base, MannheimParams(1.0, 0.3), mirrored) > 0.1
 

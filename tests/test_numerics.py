@@ -10,11 +10,11 @@ from dlgeom.lorentz import Vec3L, lorentz_dot
 from dlgeom.numerics import (DRIFT_TOL, FD_STEP, MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT, FrameState,
                              _gram, _project_frames, at_points, cumulative_integrate,
                              frame_residual, hermite_cumulative, integrate, rk4_frame_step,
-                             simpson_midpoints, value_and_derivative)
+                             simpson_midpoints)
 
 
 def _ad(curve, u):
-    return value_and_derivative(curve, u)[1]
+    return curve(DualScalar(u, 1.0)).du
 
 
 def _fd(curve, u):
@@ -223,12 +223,14 @@ def test_ad_matches_fd_on_catalog():
 
 
 def test_value_and_derivative_consistency():
+    # one evaluation of the closure at u + eps carries its value and its exact
+    # derivative: the cone's e = (b sinh(u/b), b cosh(u/b), a) has
+    # e' = (cosh(u/b), sinh(u/b), 0)
     spec = catalog.cone()
-    v, d = value_and_derivative(spec.indicatrix, 0.25)
-    v2 = spec.indicatrix(0.25)
-    d2 = _ad(spec.indicatrix, 0.25)
-    assert max(abs(x - y) for x, y in zip(v, v2)) < 1e-12
-    assert max(abs(x - y) for x, y in zip(d, d2)) < 1e-12
+    both = spec.indicatrix(DualScalar(0.25, 1.0))
+    slope = (math.cosh(0.25 / 0.8), math.sinh(0.25 / 0.8), 0.0)
+    assert max(abs(x - y) for x, y in zip(both.re, spec.indicatrix(0.25))) < 1e-12
+    assert max(abs(x - y) for x, y in zip(both.du, slope)) < 1e-12
 
 
 def test_second_derivative_by_nesting():

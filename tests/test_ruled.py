@@ -24,11 +24,11 @@ from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegene
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
 from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
-                             QUAD_PANELS_PER_UNIT, frame_residual, value_and_derivative)
+                             QUAD_PANELS_PER_UNIT, frame_residual)
 from dlgeom.ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
-                          striction_jet, timelike_invariants, timelike_radius)
+                          timelike_invariants, timelike_radius)
 
 # ids that three mode-parametrized tests took when the mode came in a config
 # object, kept so that their names stay the same
@@ -53,7 +53,13 @@ def _fd_vec(curve, s, h=1e-6):
 
 def _ad_vec(curve, s):
     """The exact derivative, as the dual-AD mode takes it; ``s`` may be dual."""
-    return value_and_derivative(curve, s)[1]
+    return curve(DualScalar(s, 1.0)).du
+
+
+def _striction(spec, u):
+    """(c, e, e') of the striction node at u, c the striction point; ``u`` may be dual."""
+    c, _, e, ep, *_ = ruled._exact_node(spec, u)
+    return c, e, ep
 
 
 #: each derivative mode's derivative of a curve, for checks in that mode
@@ -71,10 +77,22 @@ def test_catalog_parameter_validation():
     ({"kind": "lightlike-surface"}, r"^unknown surface kind 'lightlike-surface'$"),
     ({"samples": 0}, r"^samples must be >= 1$"),
     ({"domain": (1.0, 0.5)}, r"^empty domain \(1\.0, 0\.5\)$"),
-], ids=["kind", "samples", "domain"])
+    # numpy would reject a float count only when a measurement grids it, and
+    # take True as one sample
+    ({"samples": 11.0}, r"^samples must be an integer, got 11\.0$"),
+    ({"samples": True}, r"^samples must be an integer, got True$"),
+    ({"domain": (0.0, math.inf)}, r"^domain must be finite, got \(0\.0, inf\)$"),
+    ({"domain": (math.nan, 1.0)}, r"^domain must be finite, got \(nan, 1\.0\)$"),
+], ids=["kind", "samples", "domain", "samples-float", "samples-bool", "domain-infinite",
+        "domain-nan"])
 def test_spec_rejects_a_kind_sample_count_or_domain_it_cannot_grid(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(catalog.cone(), **change)
+
+
+def test_spec_takes_a_numpy_integer_sample_count():
+    spec = catalog.cone(samples=np.int64(5))
+    assert len(darboux_frame(spec)) == 5
 
 
 def test_measurements_reject_a_spec_of_the_other_causal_class():
@@ -167,9 +185,8 @@ def test_reparametrize_rejects_constant_indicatrix():
 
 def test_striction_fixed_point_when_base_is_striction():
     spec = catalog.helicoidal(domain=(0.0, 1.0), samples=11)
-    jet = striction_jet(spec)
     for s in spec.grid():
-        got = jet(float(s))[0]
+        got = _striction(spec, float(s))[0]
         want = spec.base_curve(float(s))
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-12
 
@@ -181,17 +198,15 @@ def test_striction_collapses_sliding_directrix_on_cone():
         return Vec3L(1.0, -2.0, 0.5) + dual.sin(u) * base.indicatrix(u)
 
     spec = RuledSurfaceSpec(base.indicatrix, sliding, (0.0, 1.0), 11, SPACELIKE_SURFACE)
-    jet = striction_jet(spec)
     for s in np.linspace(0.0, 1.0, 7):
-        got = jet(float(s))[0]
+        got = _striction(spec, float(s))[0]
         assert max(abs(x - y) for x, y in zip(got, Vec3L(1.0, -2.0, 0.5))) < 1e-8
 
 
 def test_striction_condition_holds():
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=11)
-    jet = striction_jet(spec)
     for s in spec.grid():
-        cp = _fd_vec(lambda u: jet(u)[0], float(s))
+        cp = _fd_vec(lambda u: _striction(spec, u)[0], float(s))
         ep = _fd_vec(spec.indicatrix, float(s))
         assert abs(lorentz_dot(cp, ep)) < 1e-8
 
@@ -207,9 +222,8 @@ def test_striction_invariant_under_directrix_choice(a0, a1):
 
     moved = RuledSurfaceSpec(base.indicatrix, directrix, base.domain, base.samples,
                              SPACELIKE_SURFACE)
-    jet = striction_jet(moved)
     for s in moved.grid():
-        got = jet(float(s))[0]
+        got = _striction(moved, float(s))[0]
         want = base.base_curve(float(s))
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-9
 
@@ -552,11 +566,10 @@ def test_arc_rate_slopes_are_the_derivatives_of_the_rates():
         return base.base_curve(u) + (0.4 + 0.3 * dual.sin(2.0 * u)) * base.indicatrix(u)
 
     spec = dataclasses.replace(base, base_curve=directrix)
-    jet = ruled._striction_jet(spec)
     u, h = np.linspace(0.2, 1.2, 6), 1e-5
 
     def rates(x):
-        _, cp, e, ep, epp, pp, ppp = ruled._exact_node(jet, x)
+        _, cp, e, ep, epp, pp, ppp = ruled._exact_node(spec, x)
         v = ruled.tangent_speed(ep, 1.0, x)
         r = lorentz.det3(cp, e, ep) / v
         dv = -lorentz_dot(ep, epp) / v
@@ -654,7 +667,7 @@ def test_an_overflowing_arc_length_sum_names_its_node(deriv):
 
 
 def test_tangent_speed_names_the_first_offending_parameter():
-    # a stalling or null e' is the striction jet's to reject (see
+    # a stalling or null e' is the striction node's to reject (see
     # test_darboux_frame_rejects_a_degenerate_ruling); the speed rejects a
     # tangent of the wrong causal character
     u = np.linspace(0.0, 2.0, 9)
@@ -699,19 +712,15 @@ def test_node_pass_rejects_an_overflowing_scalar_column(deriv):
 
 @pytest.mark.parametrize("deriv", [DUAL_AD, CENTRAL_FD])
 def test_darboux_frame_rejects_a_directrix_off_the_striction_curve(monkeypatch, deriv):
-    # sliding the jet's point along the ruling gives <c', t> = -0.1*u*v != 0
-    real = ruled._striction_jet
+    # sliding the node's point c along the ruling by 0.1*u*e, with c' moved to
+    # match, gives <c', t> = -0.1*u*v != 0
+    real = ruled._exact_node
 
-    def sliding_jet(spec):
-        jet = real(spec)
+    def sliding_node(spec, u):
+        c, cp, e, ep, *rest = real(spec, u)
+        return (c + e * (0.1 * u), cp + e * 0.1 + ep * (0.1 * u), e, ep, *rest)
 
-        def off(u):
-            c, e, ep, pp = jet(u)
-            return c + (0.1 * u) * e, e, ep, pp
-
-        return off
-
-    monkeypatch.setattr(ruled, "_striction_jet", sliding_jet)
+    monkeypatch.setattr(ruled, "_exact_node", sliding_node)
     with pytest.raises(FrameDegeneracy, match="striction condition"):
         darboux_frame(catalog.helicoidal(domain=(0.05, 0.95), samples=11), deriv)
 
@@ -764,10 +773,9 @@ def test_darboux_formula_residuals(deriv, tol):
 
 def test_dual_norm_of_dual_tangent_is_one_plus_eps_Delta():
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=9)
-    jet = striction_jet(spec)
 
     def moment(u):
-        c, e, _ = jet(u)
+        c, e, _ = _striction(spec, u)
         return lorentz_cross(c, e)
 
     for f in darboux_frame(spec):
@@ -782,10 +790,9 @@ def test_dual_darboux_consistency_pins_cprime_sign():
     # -<g_dual', t_dual> must equal gamma - eps*delta, which only balances
     # with the striction decomposition c' = delta*e + Delta*g
     spec = catalog.helicoidal(domain=(0.05, 0.95), samples=9)
-    jet = striction_jet(spec)
 
     def g_dual_curve(u):
-        c, e, ep = jet(u)
+        c, e, ep = _striction(spec, u)
         g = -lorentz_cross(e, ep)
         return g, lorentz_cross(c, g)
 
@@ -808,10 +815,8 @@ def test_dual_darboux_consistency_pins_cprime_sign():
 
 def _ruling_normal(spec, s, v):
     # surface normal direction at (s, v): phi_s x phi_v
-    jet = striction_jet(spec)
-
     def phi(u):
-        c, e, _ = jet(u)
+        c, e, _ = _striction(spec, u)
         return c + v * e
 
     phi_s = _fd_vec(phi, s)
@@ -1030,6 +1035,19 @@ def test_reconstruct_rejects_an_empty_grid():
         reconstruct_from_invariants(prof, [])
 
 
+@pytest.mark.parametrize("grid,message", [
+    (np.array([0.0, np.inf]), r"^reconstruction grid is not finite: s_grid\[1\] = inf$"),
+    (np.array([np.nan, 1.0]), r"^reconstruction grid is not finite: s_grid\[0\] = nan$"),
+    (np.zeros((2, 2)), r"^reconstruction grid must be 1-D, got shape \(2, 2\)$"),
+    (np.array(0.5), r"^reconstruction grid must be 1-D, got shape \(\)$"),
+], ids=["infinite", "nan", "2-d", "0-d"])
+def test_reconstruct_rejects_a_grid_that_is_not_1d_and_finite(grid, message):
+    # checked before the spacing, whose subtraction would warn on inf and blame the spacing
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(ValueError, match=message):
+        reconstruct_from_invariants(prof, grid)
+
+
 def test_reconstruct_rejects_a_decreasing_grid_before_the_flow(monkeypatch):
     # linspace(1, 0, 6) is evenly spaced, but the spec's domain must not be empty
     monkeypatch.setattr(ruled, "_frame_flow", None)
@@ -1105,7 +1123,8 @@ def _dop853_at_one() -> tuple:
 
 def _error_at_one(spec) -> float:
     # s = 1 is the last flow node; g = -e x t holds exactly on projected nodes
-    e, t = value_and_derivative(spec.indicatrix, 1.0)
+    ind = spec.indicatrix(DualScalar(1.0, 1.0))
+    e, t = ind.re, ind.du
     got = (e, t, -lorentz_cross(e, t), spec.base_curve(1.0))
     return max(abs(x - y) for a, b in zip(got, _dop853_at_one()) for x, y in zip(a, b))
 
@@ -1134,7 +1153,8 @@ def test_flipped_commutator_fails_the_dop853_oracle_but_not_the_round_trip(monke
 def test_magnus_flow_node_frames_stay_orthonormal():
     spec = reconstruct_from_invariants(_wavy_profile(), np.linspace(0.0, 1.0, 11))
     nodes = np.linspace(0.0, 1.0, ruled.ODE_STEPS_PER_UNIT + 1)
-    e, t = value_and_derivative(spec.indicatrix, nodes)
+    ind = spec.indicatrix(DualScalar(nodes, 1.0))
+    e, t = ind.re, ind.du
     assert np.max(frame_residual(e, t, -lorentz_cross(e, t))) <= 1e-14
     assert _wavy_round_trip(spec) < 1e-12
 
@@ -1193,7 +1213,8 @@ def test_reconstruct_past_the_series_matches_expm_and_round_trips_gamma():
     generator = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 35.0], [0.0, 35.0, 0.0]])
     for s in grid[::4]:
         want = frame @ scipy.linalg.expm(s * generator)
-        e, t = value_and_derivative(spec.indicatrix, s)
+        ind = spec.indicatrix(DualScalar(s, 1.0))
+        e, t = ind.re, ind.du
         got = np.column_stack([tuple(e), tuple(t)])
         assert np.max(np.abs(got - want[:, :2])) <= 1e-10 * np.max(np.abs(want)), s
     # the measurement cancels frame entries of up to about 548, so the round
