@@ -26,9 +26,9 @@ import numpy as np
 from . import dual as dualmod
 from .dual import dual_vector
 from .errors import (DivisionByPureDual, FrameDegeneracy, GeometryError, InvalidDirection,
-                     NonFinite, NotUnit, SpecFileError)
+                     NonFinite, NotUnit, SpecFileError, TooManyNodes)
 from .lorentz import Vec3L
-from .numerics import CENTRAL_FD, DUAL_AD, ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, at_points
+from .numerics import CENTRAL_FD, DUAL_AD, MAX_SAMPLES, at_points
 from .ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                     _exact_node, darboux_frame, dual_curvature_elements,
                     reconstruct_from_invariants, timelike_invariants, timelike_radius)
@@ -41,9 +41,6 @@ EXIT_SPEC = 2
 EXIT_DEGENERACY = 3
 EXIT_TOLERANCE = 4
 EXIT_IO = 5
-
-#: the largest sample count a spec, profile or ``--samples`` may ask for
-MAX_SAMPLES = 100_000
 
 #: the most vertices ``mesh`` writes per surface, ``samples * v_samples``
 MAX_MESH_VERTICES = 1_000_000
@@ -80,7 +77,8 @@ def _validate_expr(node: ast.AST, source: str) -> None:
         if node.id != "u":
             raise SpecFileError(f"unknown name {node.id!r} in {source!r} (the variable is 'u')")
         return
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    # True and False are ints to isinstance, but not numbers of the grammar
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return
     raise SpecFileError(f"unsupported syntax {ast.dump(node)} in {source!r}")
 
@@ -163,6 +161,7 @@ def _domain(data: dict, samples=None) -> tuple[float, float, int]:
     _require(isinstance(dom, dict), "'domain' must be an object")
     samples = dom.get("samples", 101) if samples is None else samples
     _require(type(samples) is int, f"samples must be an integer, got {samples!r}")
+    # the kernel caps its grids too, but load_profile builds its grid before the kernel sees it
     _require(samples <= MAX_SAMPLES, f"samples must be at most {MAX_SAMPLES}, got {samples}")
     return _number(dom.get("s_min", 0.0), "s_min"), _number(dom.get("s_max", 1.0), "s_max"), samples
 
@@ -177,10 +176,6 @@ def load_surface_spec(path: str, samples_override: int | None = None) -> RuledSu
     s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min < s_max, f"domain needs s_min < s_max, got [{s_min}, {s_max}]")
     _require(samples >= 3, f"samples must be >= 3, got {samples}")
-    # measurement sums s and s* from 0 over QUAD_PANELS_PER_UNIT head nodes per unit of |s_min|
-    _require(abs(s_min) * QUAD_PANELS_PER_UNIT <= MAX_SAMPLES,
-             f"s_min must be within {MAX_SAMPLES / QUAD_PANELS_PER_UNIT} of 0, where measurement "
-             f"starts s and s*, got {s_min}")
 
     kind = data.get("catalog", "custom")
     _require(isinstance(kind, str) and kind in _CATALOG_PARAMS, f"unknown catalog entry {kind!r}")
@@ -372,11 +367,6 @@ def load_profile(path: str, samples_override: int | None = None):
              "profile needs 'frame': {'e', 't', 'g', 'c'}")
     s_min, s_max, samples = _domain(data, samples_override)
     _require(s_min <= s_max, "profile domain needs s_min <= s_max")
-    # the flow takes ODE_STEPS_PER_UNIT steps per unit over the domain and its join to 0
-    span = max(s_max, 0.0) - min(s_min, 0.0)
-    _require(span * ODE_STEPS_PER_UNIT <= MAX_SAMPLES,
-             f"profile domain [{s_min}, {s_max}] spans {span} with 0, where measurement starts "
-             f"s and s*; the flow covers at most {MAX_SAMPLES / ODE_STEPS_PER_UNIT}")
     # a one-point domain is one row whatever the count; an interval needs both ends
     least = 1 if s_min == s_max else 2
     _require(samples >= least, f"profile needs samples >= {least}, got {samples}")
@@ -524,7 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_negative_values(argv))
     try:
         return args.func(args)
-    except (SpecFileError, InvalidDirection, NotUnit, NonFinite) as exc:
+    except (SpecFileError, InvalidDirection, NotUnit, NonFinite, TooManyNodes) as exc:
         _print_error(exc)
         return EXIT_SPEC
     except GeometryError as exc:

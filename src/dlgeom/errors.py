@@ -77,3 +77,10 @@ class NullDarboux(GeometryError):
 
 class SpecFileError(GeometryError):
     """Surface spec file failed validation."""
+
+
+class TooManyNodes(GeometryError):
+    """An input needs more nodes than ``dlgeom.numerics.MAX_SAMPLES``; raised before allocating.
+
+    Not a ValueError: a caller that rewraps argument errors leaves this one named.
+    """

@@ -29,6 +29,11 @@ calls its integrand once, on every quadrature point of every interval, and
 :func:`cumulative_integrate` takes the values at the grid nodes and at its
 :func:`simpson_midpoints` from its caller.  Closures evaluated on such arrays
 run inside :func:`at_points`.
+
+Every node count the kernel takes from a length at a per-unit rate (a
+quadrature interval, the measurement's head from parameter 0, the steps of
+a reconstruction flow) comes from :func:`_node_count`, which refuses one
+over ``MAX_SAMPLES`` with TooManyNodes before anything is allocated.
 """
 
 from __future__ import annotations
@@ -40,12 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import _leafwise
-from .errors import GeometryError, NonFinite, StepSizeError
+from .errors import GeometryError, NonFinite, StepSizeError, TooManyNodes
 from .lorentz import Vec3L, lorentz_dot
 
 QUAD_PANELS_PER_UNIT = 256
 MIN_QUAD_PANELS = 2
 ODE_STEPS_PER_UNIT = 1000
+
+#: the most samples a grid, and the most nodes one length at a per-unit rate, may take
+MAX_SAMPLES = 100_000
 
 #: largest orthonormality drift of a raw integrated frame, before projection
 DRIFT_TOL = 1e-6
@@ -76,6 +84,23 @@ def at_points(points):
             raise type(exc)(f"{exc} at u={float(np.ravel(points)[exc.index])!r}") from None
 
 
+def _node_count(length, per_unit: float, name):
+    """ceil(length * per_unit): the nodes a length takes at ``per_unit`` per unit.
+
+    Elementwise on an array of lengths.  A count over MAX_SAMPLES raises
+    TooManyNodes, before the caller allocates anything, naming ``name(i)``
+    for the first such length i (0 for a scalar).  x*rate <= N exactly when
+    ceil(x*rate) <= N, so the cap is a cap on the length too.
+    """
+    n = np.ceil(np.multiply(length, per_unit))
+    over = n > MAX_SAMPLES
+    if over.any():
+        i = int(np.argmax(over))
+        raise TooManyNodes(f"{name(i)} needs {np.ravel(n)[i]:.0f} nodes at {per_unit} per unit, "
+                           f"over MAX_SAMPLES = {MAX_SAMPLES}")
+    return n.astype(int)
+
+
 def _finite_values(v, points) -> np.ndarray:
     """Integrand values as one row per point; NonFinite names the first bad point."""
     v = np.asarray(v, dtype=float)
@@ -92,16 +117,17 @@ def integrate(f, a, b):
 
     Exact through cubics.  Each interval gets ``QUAD_PANELS_PER_UNIT``
     panels per unit length, at least ``MIN_QUAD_PANELS``, rounded up to an
-    even count.  ``a`` and ``b`` may be equal-shape arrays, one interval per
-    element, and the integrals then have the shape of ``a`` followed by the
-    shape of one value; ``integrate(f, b, a)`` is ``-integrate(f, a, b)``,
-    bit for bit.  ``f`` is called once, on the 1-D float array of every
-    quadrature point of every interval (in increasing order within each
-    interval), and returns one value per point: a float array with the
-    points along its first axis (rows of fixed length are integrated
-    componentwise), a dual scalar with such components, or a constant; a
-    non-finite one raises NonFinite naming its point.  Empty intervals
-    integrate to 0 without a call.
+    even count; an interval that would take more than ``MAX_SAMPLES`` raises
+    TooManyNodes naming it, before any point is allocated.  ``a`` and ``b``
+    may be equal-shape arrays, one interval per element, and the integrals
+    then have the shape of ``a`` followed by the shape of one value;
+    ``integrate(f, b, a)`` is ``-integrate(f, a, b)``, bit for bit.  ``f``
+    is called once, on the 1-D float array of every quadrature point of
+    every interval (in increasing order within each interval), and returns
+    one value per point: a float array with the points along its first
+    axis (rows of fixed length are integrated componentwise), a dual scalar
+    with such components, or a constant; a non-finite one raises NonFinite
+    naming its point.  Empty intervals integrate to 0 without a call.
     """
     a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     shape = a_arr.shape
@@ -111,7 +137,8 @@ def integrate(f, a, b):
     if not live.any():
         return np.zeros(shape) if shape else 0.0
     a_l, b_l = lo[live], hi[live]
-    n = np.maximum(MIN_QUAD_PANELS, np.ceil((b_l - a_l) * QUAD_PANELS_PER_UNIT)).astype(int)
+    n = np.maximum(MIN_QUAD_PANELS, _node_count(b_l - a_l, QUAD_PANELS_PER_UNIT, lambda i: (
+        f"interval [{float(a_l[i])!r}, {float(b_l[i])!r}]")))
     n += n % 2
     h = (b_l - a_l) / n
     ends = np.cumsum(n + 1)

@@ -58,8 +58,8 @@ from .dual import DualScalar, _leafwise, dual_norm, dual_vector, leading_real
 from .errors import (DegenerateIndicatrix, FrameDegeneracy, GeometryError, NonFinite,
                      NullDarboux, ProfileError, StepSizeError)
 from .lorentz import Vec3L, _cross, det3, lorentz_cross, lorentz_dot
-from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
-                       ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, _SIGNATURE, _gram,
+from .numerics import (CENTRAL_FD, DRIFT_TOL, DUAL_AD, FD_STEP, MAX_SAMPLES, MIN_QUAD_PANELS,
+                       ODE_STEPS_PER_UNIT, QUAD_PANELS_PER_UNIT, _SIGNATURE, _gram, _node_count,
                        _project_frames, at_points, cumulative_integrate, frame_residual,
                        hermite_cumulative, integrate, simpson_midpoints)
 
@@ -81,8 +81,9 @@ class RuledSurfaceSpec:
     directrix; both must accept dual-scalar parameters.  ``kind`` selects
     the causal setup: a spacelike surface has a unit spacelike ruling with
     timelike indicatrix tangent, a timelike surface (timelike ruling) the
-    opposite pair of characters.  ``samples`` must be an integer >= 1 (not a
-    bool) and ``domain`` a finite interval, or ValueError names the field.
+    opposite pair of characters.  ``samples`` must be an integer from 1 to
+    ``MAX_SAMPLES`` (not a bool) and ``domain`` a finite interval, or
+    ValueError names the field.
     """
 
     indicatrix: Callable
@@ -100,6 +101,9 @@ class RuledSurfaceSpec:
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most MAX_SAMPLES = {MAX_SAMPLES}, "
+                             f"got {self.samples}")
         if not np.isfinite(self.domain).all():
             raise ValueError(f"domain must be finite, got {self.domain}")
         if not self.domain[0] <= self.domain[1]:
@@ -459,11 +463,17 @@ def _measure_frames(spec: RuledSurfaceSpec, deriv: str = DUAL_AD, lift: bool = F
     panels (none if the first node u0 is 0), evaluated in the node pass,
     then over the grid, from the rates v and r = sign*det(c', e, e')/v and
     the slopes v' = -sign*<e', e''>/v and r' = (sign*(det(p'', e, e') +
-    det(p', e, e'')) - r*v')/v.  ``lift`` also returns the lifted nodes.
+    det(p', e, e'')) - r*v')/v.  ``lift`` also returns the lifted nodes.  A
+    head of more than MAX_SAMPLES panels, |u0| over 390.625, raises
+    TooManyNodes naming the domain before any closure is called.
     """
     sign = spec.ruling_sign()
     grid = spec.grid()
-    n = max(MIN_QUAD_PANELS, math.ceil(abs(grid[0]) * QUAD_PANELS_PER_UNIT)) if grid[0] else 0
+    n = 0
+    if grid[0]:
+        lo, hi = map(float, spec.domain)
+        n = max(MIN_QUAD_PANELS, _node_count(abs(grid[0]), QUAD_PANELS_PER_UNIT, lambda _: (
+            f"measuring domain [{lo!r}, {hi!r}] from 0, where s and s* start,")))
     head = np.linspace(0.0, grid[0], n + 1)[:-1] if n else np.empty(0)
     frames, node, lifted = _node_pass(spec, grid, deriv, head, lift)
     # the head rows close the node table, so indices -n..-1 are the head nodes;
@@ -804,14 +814,18 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
     and length, to a few ulps of the larger end, because the returned spec
     samples exactly that grid; any other grid raises ValueError naming its
     first point off it, and a decreasing one naming both ends; before that,
-    one that is not 1-D raises it naming its shape, and one that is not
-    finite naming its first non-finite point.  Every grid
-    interval takes the same whole number ceil(h*ODE_STEPS_PER_UNIT) of equal
-    steps, h the grid spacing, so every grid point is a node of the flow.
-    Frame measurement anchors s and s* at parameter 0, so a grid that does not
-    contain 0 is joined to it by ceil(|x|*ODE_STEPS_PER_UNIT) equal steps
-    from its nearer end x (the profile must be defined in between), and a
-    one-point grid at 0 takes one step to 1/ODE_STEPS_PER_UNIT.  One flow
+    one that is not 1-D raises it naming its shape, one of more than
+    MAX_SAMPLES points naming its length, and one that is not finite naming
+    its first non-finite point.  Every grid interval takes the same whole
+    number ceil(h*ODE_STEPS_PER_UNIT) of equal steps, h the grid spacing, so
+    every grid point is a node of the flow.  Frame measurement anchors s and
+    s* at parameter 0, so a grid that does not contain 0 is joined to it by
+    ceil(|x|*ODE_STEPS_PER_UNIT) equal steps from its nearer end x (the
+    profile must be defined in between), and a one-point grid at 0 takes one
+    step to 1/ODE_STEPS_PER_UNIT.  A grid whose span together with 0 would
+    take more than MAX_SAMPLES steps (a span over 100) raises TooManyNodes
+    naming the grid before the flow is allocated, so a flow of N grid points
+    has at most 1000*span + N + 1 nodes.  One flow
     runs over this one increasing table, seeded at the first grid point;
     gamma is called once on its Gauss points, and every profile function
     once on the table.  One quintic Hermite curve for e and one for c
@@ -835,6 +849,9 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
         raise ValueError(f"reconstruction grid must be 1-D, got shape {s_grid.shape}")
     if len(s_grid) == 0:
         raise ValueError("empty reconstruction grid")
+    if len(s_grid) > MAX_SAMPLES:
+        raise ValueError(f"reconstruction grid has {len(s_grid)} samples, "
+                         f"over MAX_SAMPLES = {MAX_SAMPLES}")
     bad = ~np.isfinite(s_grid)
     if bad.any():
         i = int(np.argmax(bad))
@@ -849,15 +866,23 @@ def reconstruct_from_invariants(profile: InvariantProfile, s_grid) -> RuledSurfa
         raise ValueError(f"reconstruction grid is not evenly spaced: s_grid[{i}] = "
                          f"{float(s_grid[i])!r}, where linspace({s0!r}, {s_end!r}, "
                          f"{len(s_grid)}) has {float(even[i])!r}")
+    # the flow spans the grid and its join to 0, where measurement anchors s and s*
+    span = max(s_end, 0.0) - min(s0, 0.0)
+
+    def steps(length):
+        return _node_count(length, ODE_STEPS_PER_UNIT, lambda _: (
+            f"the flow over reconstruction grid [{s0!r}, {s_end!r}] and 0, a span of {span!r},"))
+
+    steps(span)
     # every grid interval takes the same m equal steps, so every grid point is a node
-    m = math.ceil((s_end - s0) / max(len(even) - 1, 1) * ODE_STEPS_PER_UNIT)
+    m = steps((s_end - s0) / max(len(even) - 1, 1))
     s = np.append((even[:-1, None] + np.diff(even)[:, None] * (np.arange(m) / m)).ravel(), s_end)
-    # equal steps join the grid to 0, where measurement anchors s and s*
+    # equal steps join the grid to 0
     head = tail = np.empty(0)
     if s0 > 0.0:
-        head = np.linspace(0.0, s0, math.ceil(s0 * ODE_STEPS_PER_UNIT) + 1)[:-1]
+        head = np.linspace(0.0, s0, steps(s0) + 1)[:-1]
     elif s_end < 0.0:
-        tail = np.linspace(s_end, 0.0, math.ceil(-s_end * ODE_STEPS_PER_UNIT) + 1)[1:]
+        tail = np.linspace(s_end, 0.0, steps(-s_end) + 1)[1:]
     elif s_end == s0:
         tail = np.array([1.0 / ODE_STEPS_PER_UNIT])
     s, seed = np.concatenate([head, s, tail]), len(head)

@@ -4,12 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import pathlib
 import re
-import resource
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -24,6 +20,8 @@ from dlgeom.dual import DualScalar
 from dlgeom.errors import DivisionByPureDual
 from dlgeom.mannheim import RESIDUAL_KEYS
 from dlgeom.lorentz import Vec3L
+
+from bounded import run_python
 
 CONE = {"catalog": "cone", "params": {"a": 0.6, "b": 0.8},
         "domain": {"s_min": 0.0, "s_max": 1.0, "samples": 5}}
@@ -165,28 +163,13 @@ def test_frames_central_fd_custom_spec_matches_dual_ad(tmp_path, w):
             assert float(b[key]) == pytest.approx(float(a[key]), abs=1e-6)
 
 
-#: the address space a child may map, so that an input which asks for gigabytes
-#: fails with MemoryError instead of exhausting the machine
-_CHILD_ADDRESS_SPACE = 3 * 2 ** 30
-
-
-def _bound_address_space() -> None:
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    soft = _CHILD_ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(_CHILD_ADDRESS_SPACE, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 def _child_error(*argv) -> tuple[int, dict]:
     """Exit code and last stderr line of dlgeom run as a child process.
 
     That, and any numpy RuntimeWarning (asserted absent), is what a user sees.
-    The child's address space is bounded by :data:`_CHILD_ADDRESS_SPACE`.
+    The child's address space is bounded (see :mod:`bounded`).
     """
-    src = pathlib.Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "dlgeom.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120,
-                          preexec_fn=_bound_address_space)
+    proc = run_python("-m", "dlgeom.cli", *argv)
     assert "RuntimeWarning" not in proc.stderr
     return proc.returncode, json.loads(proc.stderr.strip().splitlines()[-1])
 
@@ -275,6 +258,19 @@ def _last_error(capsys):
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize("expr", ["0.6*True", "True", "0.6 + False*u"])
+def test_custom_expression_rejects_booleans(tmp_path, capsys, expr):
+    # a bool is an int to Python, so 0.6*True would pass for 0.6
+    payload = _custom()
+    payload["custom"]["e"][2] = expr
+    assert main(["frames", "--input", _spec(tmp_path, payload),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    error = _last_error(capsys)
+    assert error["error"] == "SpecFileError"
+    assert error["message"].startswith("unsupported syntax Constant(value=")
+    assert error["message"].endswith(f" in {expr!r}")
+
+
 #: an integer too long for json to convert (over 4300 digits); the test writes
 #: it into the file unquoted, in place of this string
 _LONG_INT = "1" * 5001
@@ -316,21 +312,32 @@ def test_a_domain_far_from_0_exits_2_before_it_allocates(tmp_path, command):
     spec = _spec(tmp_path, {"catalog": "helicoidal",
                             "domain": {"s_min": 1e7, "s_max": 1.0000001e7, "samples": 11}})
     code, error = _child_error(*command, "--input", spec, "--out", str(tmp_path / "x"))
-    assert code == 2 and error["error"] == "SpecFileError"
-    assert error["message"] == ("s_min must be within 390.625 of 0, where measurement starts "
-                                "s and s*, got 10000000.0")
+    assert code == 2 and error["error"] == "TooManyNodes"
+    assert error["message"] == ("measuring domain [10000000.0, 10000001.0] from 0, where s and "
+                                "s* start, needs 2560000000 nodes at 256 per unit, over "
+                                "MAX_SAMPLES = 100000")
 
 
-@pytest.mark.parametrize("s_min,accepted", [(390.625, True), (-390.625, True),
-                                            (390.63, False), (-390.63, False)])
-def test_the_head_cap_sits_at_max_samples_nodes(tmp_path, s_min, accepted):
-    # QUAD_PANELS_PER_UNIT = 256 head nodes per unit of |s_min|
-    spec = _spec(tmp_path, {**CONE, "domain": {"s_min": s_min, "s_max": 400.0}})
-    if accepted:
-        assert cli.load_surface_spec(spec).domain == (s_min, 400.0)
-    else:
-        with pytest.raises(errors.SpecFileError, match="^s_min must be within 390.625 of 0"):
-            cli.load_surface_spec(spec)
+#: a custom spec on (1000, 1001) whose indicatrix turns slowly enough to keep a regular frame
+_FAR = {"catalog": "custom", "domain": {"s_min": 1000.0, "s_max": 1001.0, "samples": 11},
+        "custom": {"e": ["0.6*sinh(u/6000)", "0.6*cosh(u/6000)", "0.8"], "c": ["0", "0", "0"]}}
+
+
+def test_a_mesh_far_from_0_needs_no_measurement(tmp_path):
+    # only --offset measures the base, from 0 over 256 000 head nodes
+    spec, out = _spec(tmp_path, _FAR), tmp_path / "far.obj"
+    assert main(["mesh", "--input", spec, "--out", str(out)]) == 0
+    assert out.read_text().count("\nv ") == 11 * 9
+
+
+@pytest.mark.parametrize("command", [["frames"], ["mesh", "--offset"]],
+                         ids=["frames", "mesh-offset"])
+def test_a_measurement_far_from_0_exits_2(tmp_path, capsys, command):
+    spec = _spec(tmp_path, _FAR)
+    assert main([*command, "--input", spec, "--out", str(tmp_path / "x")]) == 2
+    error = _last_error(capsys)
+    assert error["error"] == "TooManyNodes"
+    assert error["message"].startswith("measuring domain [1000.0, 1001.0] from 0")
 
 
 @pytest.mark.parametrize("domain,span", [((0.0, 1e6), 1e6), ((1e6, 1e6 + 1.0), 1e6 + 1.0),
@@ -342,9 +349,10 @@ def test_a_profile_spanning_too_far_exits_2_before_it_allocates(tmp_path, domain
     path = _spec(tmp_path, _profile_payload(domain={"s_min": s_min, "s_max": s_max,
                                                     "samples": 2}))
     code, error = _child_error("reconstruct", "--input", path, "--out", str(tmp_path / "r"))
-    assert code == 2 and error["error"] == "SpecFileError"
-    assert error["message"] == (f"profile domain [{s_min}, {s_max}] spans {span} with 0, where "
-                                f"measurement starts s and s*; the flow covers at most 100.0")
+    assert code == 2 and error["error"] == "TooManyNodes"
+    assert error["message"] == (f"the flow over reconstruction grid [{s_min}, {s_max}] and 0, "
+                                f"a span of {span}, needs {math.ceil(span * 1000)} nodes at "
+                                f"1000 per unit, over MAX_SAMPLES = 100000")
 
 
 def test_a_profile_spanning_100_is_accepted(tmp_path):
@@ -949,7 +957,7 @@ def test_missing_input_file_is_io_error(tmp_path):
 
 
 #: errors of bad input, which exit 2; every other GeometryError is a degeneracy, exit 3
-SPEC_ERRORS = {"SpecFileError", "InvalidDirection", "NotUnit", "NonFinite"}
+SPEC_ERRORS = {"SpecFileError", "InvalidDirection", "NotUnit", "NonFinite", "TooManyNodes"}
 ERROR_CLASSES = [c for c in vars(errors).values()
                  if isinstance(c, type) and issubclass(c, errors.GeometryError)]
 

@@ -5,9 +5,10 @@ import pytest
 
 from dlgeom import catalog, ruled
 from dlgeom.dual import DualScalar
-from dlgeom.errors import NonFinite, StepSizeError
+from dlgeom.errors import NonFinite, StepSizeError, TooManyNodes
 from dlgeom.lorentz import Vec3L, lorentz_dot
-from dlgeom.numerics import (DRIFT_TOL, FD_STEP, MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT, FrameState,
+from dlgeom.numerics import (DRIFT_TOL, FD_STEP, MAX_SAMPLES, MIN_QUAD_PANELS, QUAD_PANELS_PER_UNIT,
+                             FrameState,
                              _gram, _project_frames, at_points, cumulative_integrate,
                              frame_residual, hermite_cumulative, integrate, rk4_frame_step,
                              simpson_midpoints)
@@ -145,6 +146,26 @@ def test_hermite_cumulative_is_exact_for_cubics_along_a_path_that_turns():
     out = hermite_cumulative(x, np.array([f, -f]), np.array([fp, -fp]))
     assert out.shape == (2, len(x))
     assert np.max(np.abs(out - np.array([F, -F]))) < 1e-15
+
+
+def test_integrate_caps_the_panels_of_each_interval():
+    # 390.625 * QUAD_PANELS_PER_UNIT = MAX_SAMPLES panels is the most one interval takes
+    calls = []
+
+    def f(u):
+        calls.append(len(u))
+        return np.ones_like(u)
+
+    assert integrate(f, 0.0, 390.625) == 390.625
+    assert calls == [MAX_SAMPLES + 1]
+    # the cap is per interval: many short ones may take more points together
+    assert np.array_equal(integrate(f, np.zeros(1000), np.ones(1000)), np.ones(1000))
+    assert calls[-1] == 1000 * (QUAD_PANELS_PER_UNIT + 1)
+    calls.clear()
+    with pytest.raises(TooManyNodes, match=r"^interval \[-1\.0, 389\.63\] needs 100002 nodes at "
+                                           r"256 per unit, over MAX_SAMPLES = 100000$"):
+        integrate(f, [0.0, 389.63], [1.0, -1.0])
+    assert not calls
 
 
 def test_integrate_sums_the_composite_simpson_rule():

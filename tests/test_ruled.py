@@ -20,15 +20,17 @@ from dlgeom import catalog
 from dlgeom.dual import DualScalar, dual_norm, dual_vector
 from dlgeom.errors import (DegenerateIndicatrix, DivisionByPureDual, FrameDegeneracy,
                            GeometryError, NonFinite, NullDarboux, ProfileError,
-                           StepSizeError)
+                           StepSizeError, TooManyNodes)
 from dlgeom.lorentz import Vec3L, causal_character, CausalCharacter, lorentz_cross, lorentz_dot
 from dlgeom.mannheim import MannheimParams, construct_offset, verify_offset
-from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MIN_QUAD_PANELS,
+from dlgeom.numerics import (CENTRAL_FD, DUAL_AD, FD_STEP, MAX_SAMPLES, MIN_QUAD_PANELS,
                              QUAD_PANELS_PER_UNIT, frame_residual)
 from dlgeom.ruled import (SPACELIKE_SURFACE, TIMELIKE_SURFACE, InvariantProfile, RuledSurfaceSpec,
                           arclength_reparametrize, darboux_frame, dual_arclength,
                           dual_curvature_elements, reconstruct_from_invariants,
                           timelike_invariants, timelike_radius)
+
+from bounded import run_python
 
 # ids that three mode-parametrized tests took when the mode came in a config
 # object, kept so that their names stay the same
@@ -83,8 +85,9 @@ def test_catalog_parameter_validation():
     ({"samples": True}, r"^samples must be an integer, got True$"),
     ({"domain": (0.0, math.inf)}, r"^domain must be finite, got \(0\.0, inf\)$"),
     ({"domain": (math.nan, 1.0)}, r"^domain must be finite, got \(nan, 1\.0\)$"),
+    ({"samples": 100_001}, r"^samples must be at most MAX_SAMPLES = 100000, got 100001$"),
 ], ids=["kind", "samples", "domain", "samples-float", "samples-bool", "domain-infinite",
-        "domain-nan"])
+        "domain-nan", "samples-over-the-cap"])
 def test_spec_rejects_a_kind_sample_count_or_domain_it_cannot_grid(change, message):
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(catalog.cone(), **change)
@@ -93,6 +96,65 @@ def test_spec_rejects_a_kind_sample_count_or_domain_it_cannot_grid(change, messa
 def test_spec_takes_a_numpy_integer_sample_count():
     spec = catalog.cone(samples=np.int64(5))
     assert len(darboux_frame(spec)) == 5
+
+
+#: library calls that each asked for gigabytes before the kernel capped its node counts, and
+#: what they raise now
+_TOO_LARGE = {
+    "measure-far-from-0": (
+        "darboux_frame(catalog.helicoidal(domain=(1e7, 1e7 + 1e-6), samples=11))",
+        "TooManyNodes: measuring domain [10000000.0, 10000000.000001] from 0, where s and s* "
+        "start, needs 2560000000 nodes at 256 per unit, over MAX_SAMPLES = 100000"),
+    "reconstruct-far-from-0": (
+        "reconstruct_from_invariants(InvariantProfile.from_constants(0.75, 0.2, 0.1, "
+        "Vec3L(0.0, 0.8, 0.6), Vec3L(1.0, 0.0, 0.0), Vec3L(0.0, 0.6, -0.8), Vec3L(0.0, 0.0, 0.0)), "
+        "np.linspace(0, 1e6, 2))",
+        "TooManyNodes: the flow over reconstruction grid [0.0, 1000000.0] and 0, a span of "
+        "1000000.0, needs 1000000000 nodes at 1000 per unit, over MAX_SAMPLES = 100000"),
+    "dual-arclength-far-from-0": (
+        "dual_arclength(catalog.helicoidal(samples=11), 1e7)",
+        "TooManyNodes: interval [0.0, 10000000.0] needs 2560000000 nodes at 256 per unit, "
+        "over MAX_SAMPLES = 100000"),
+    "spec-samples": (
+        "RuledSurfaceSpec(catalog.cone().indicatrix, catalog.cone().base_curve, (0.0, 1.0), "
+        "10**10).grid()",
+        "ValueError: samples must be at most MAX_SAMPLES = 100000, got 10000000000"),
+}
+
+
+@pytest.mark.parametrize("call,error", _TOO_LARGE.values(), ids=_TOO_LARGE)
+def test_a_call_too_large_to_allocate_is_refused_before_it_allocates(call, error):
+    # in a child whose address space is bounded, an allocation of gigabytes fails as MemoryError
+    proc = run_python("-c", "import numpy as np\nfrom dlgeom import *\ntry:\n"
+                            f"    {call}\nexcept Exception as exc:\n"
+                            "    print(f'{type(exc).__name__}: {exc}')")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == error
+
+
+@pytest.mark.parametrize("u0,accepted", [(390.625, True), (-390.625, True),
+                                         (390.63, False), (-390.63, False)])
+def test_the_head_cap_sits_at_max_samples_nodes(u0, accepted):
+    # QUAD_PANELS_PER_UNIT = 256 head nodes per unit of |u0|: 100 000 of them at 390.625
+    spec = catalog.cone(domain=(u0, 400.0))
+    points = []
+
+    def indicatrix(u):
+        points.append(dual.leading_real(u))
+        return spec.indicatrix(u)
+
+    counted = dataclasses.replace(spec, indicatrix=indicatrix)
+    if accepted:
+        # the node pass takes the grid and the whole head; the cone may then stall this far out
+        try:
+            darboux_frame(counted)
+        except GeometryError as exc:
+            assert not isinstance(exc, TooManyNodes)
+        assert len(points[0]) == spec.samples + MAX_SAMPLES
+    else:
+        with pytest.raises(TooManyNodes, match=rf"^measuring domain \[{u0}, 400\.0\] from 0, "):
+            darboux_frame(counted)
+        assert not points
 
 
 def test_measurements_reject_a_spec_of_the_other_causal_class():
@@ -1033,6 +1095,40 @@ def test_reconstruct_rejects_an_empty_grid():
     prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
     with pytest.raises(ValueError, match=r"^empty reconstruction grid$"):
         reconstruct_from_invariants(prof, [])
+
+
+def test_reconstruct_rejects_a_grid_over_max_samples(monkeypatch):
+    monkeypatch.setattr(ruled, "_frame_flow", None)
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    with pytest.raises(ValueError, match=r"^reconstruction grid has 100001 samples, "
+                                         r"over MAX_SAMPLES = 100000$"):
+        reconstruct_from_invariants(prof, np.linspace(0.0, 1.0, MAX_SAMPLES + 1))
+
+
+@pytest.mark.parametrize("domain,nodes", [((-40.0, 60.0), 100_001), ((0.0, 100.0), 100_001),
+                                          ((-50.0, 50.001), None), ((100.0, 100.001), None)],
+                         ids=["across-0", "from-0", "across-0-over", "far-from-0-over"])
+def test_the_flow_cap_sits_at_a_span_of_100_with_0(monkeypatch, domain, nodes):
+    # ODE_STEPS_PER_UNIT = 1000 steps per unit of the span of the grid and 0
+    class FlowReached(Exception):
+        pass
+
+    flows = []
+
+    def flow(gamma, frame, s, seed):
+        flows.append(len(s))
+        raise FlowReached
+
+    monkeypatch.setattr(ruled, "_frame_flow", flow)
+    prof = InvariantProfile.from_constants(0.75, 0.2, 0.1, CONE_E0, CONE_T0, CONE_G0, ORIGIN)
+    if nodes:
+        with pytest.raises(FlowReached):
+            reconstruct_from_invariants(prof, np.linspace(*domain, 11))
+        assert flows == [nodes]
+    else:
+        with pytest.raises(TooManyNodes, match=r"^the flow over reconstruction grid "):
+            reconstruct_from_invariants(prof, np.linspace(*domain, 11))
+        assert not flows
 
 
 @pytest.mark.parametrize("grid,message", [
